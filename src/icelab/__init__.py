@@ -15,19 +15,18 @@ from .sixvertex import (ETA_COMBINATORIAL, SixVertexState, SpectralAssignment,
                         partition_function_6v, trig_cubic_residual, weight6v)
 from .threecoloring import (BoundaryCondition, Color, ColoredVertexKind,
                             ColoringCensus, FaceWeightParams, GridColoring,
-                            census_generating_function, check_recursion_3c,
-                            classify_vertex, compute_census, dwbc_boundary,
-                            enumerate_colorings, F_rn, functional_residual_3c,
-                            functional_sum_3c, iter_colorings, lenard_map,
+                            check_recursion_3c, classify_vertex,
+                            compute_census, dwbc_boundary, enumerate_colorings,
+                            F_rn, functional_residual_3c, functional_sum_3c,
+                            iter_colorings, lenard_map,
                             partial_partition_function, phi_ratio_factor,
                             phi_ratio_relation_check, psi_factor, raw_weight,
-                            tilde_quasi_period_residual, tilde_weight,
-                            total_partition_function)
+                            tilde_quasi_period_residual, tilde_weight)
 from .yangbaxter import (GaugeData, WeightFamily, YbeSweep, appendix_family,
                          appendix_substitution, apply_gauge_kindwise,
-                         gauge_constraint_residual, gauge_transform,
-                         identity_gauge, raw_family, rosengren_family,
-                         rosengren_gauge, rosengren_match, sixvertex_family,
-                         tilde_family, ybe_residual, ybe_sweep, zeta_gauge)
+                         gauge_constraint_residual, identity_gauge,
+                         raw_family, rosengren_family, rosengren_gauge,
+                         rosengren_match, sixvertex_family, tilde_family,
+                         ybe_sweep, zeta_gauge)
 
 __version__ = "0.1.0"

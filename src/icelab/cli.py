@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, IcelabError, SizeGuardError
+from .errors import ConfigError, IcelabError
 from .sixvertex import enumerate_dwbc_states
 from .threecoloring import (BoundaryCondition, FaceWeightParams,
                             compute_census, enumerate_colorings)
@@ -162,9 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SizeGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except IcelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -289,17 +289,16 @@ def functional_sum_6v(assign: SpectralAssignment, k: int, side: str = "chi",
     shift_sign overrides the shift direction (the psi-side sum vanishes with
     either sign for this model).
     """
+    return stable_sum(_functional_terms_6v(assign, k, side, shift_sign))
+
+
+def _functional_terms_6v(assign, k, side, shift_sign):
     _require_combinatorial_eta(assign.eta)
     if not 1 <= k <= assign.n:
         raise IndexError(f"k = {k} outside 1..{assign.n}")
     if side not in ("chi", "psi"):
         raise ValueError("side must be 'chi' or 'psi'")
     sign = shift_sign if shift_sign is not None else (1 if side == "chi" else -1)
-    terms = _functional_terms_6v(assign, k, side, sign)
-    return stable_sum(terms)
-
-
-def _functional_terms_6v(assign, k, side, sign):
     terms = []
     for s in range(3):
         delta = sign * ETA_COMBINATORIAL * s
@@ -311,9 +310,7 @@ def _functional_terms_6v(assign, k, side, sign):
 def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi",
                            shift_sign: int | None = None) -> float:
     """|S| normalized by the largest of the three summands."""
-    _require_combinatorial_eta(assign.eta)
-    sign = shift_sign if shift_sign is not None else (1 if side == "chi" else -1)
-    terms = _functional_terms_6v(assign, k, side, sign)
+    terms = _functional_terms_6v(assign, k, side, shift_sign)
     return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
 
 

@@ -28,12 +28,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NomeDomainError, PoleError, SeriesTruncationError
 
-TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
+PI = math.pi
+TWO_PI_OVER_3 = 2.0 * PI / 3.0
 
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
+_LOG_2 = math.log(2.0)
 _POLE_TOL = 1e-12
 
 
@@ -124,42 +127,51 @@ def _pow_nome(p: complex, a: float) -> complex:
     return cmath.exp(a * cmath.log(complex(p)))
 
 
-def theta1(phi: complex, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
-    """theta1(phi | p), odd and pi-antiperiodic in phi."""
+def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
+            offset: float = 0.0, derivative: bool = False) -> complex:
+    """The q-series kernel behind every theta value:
+
+        sum_{k>=0} c_k (-1)^k p^{k^2 + a k + offset} f((2k + a) phi)
+
+    with c_k = 2, except c_0 = 1 for a = 0, and f = cos for a = 0, sin for
+    a = 1.  a = 0 gives theta4 and a = 1 gives theta1 / p^{1/4}, which stays
+    finite at p = 0; offset = 1/4 carries the p^{1/4} into every exponent,
+    (k + 1/2)^2, and gives theta1 itself.  derivative=True replaces
+    f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
+    """
     p = params.p
     log_ap = _nome_log_abs(p)
     phi = complex(phi)
     im = abs(phi.imag)
+    trig = cmath.sin if a else cmath.cos
     s = 0j
     for k in range(cfg.max_terms):
-        log_env = (k + 0.5) ** 2 * log_ap + (2 * k + 1) * im + math.log(2.0)
+        e = k * (k + a) + offset
+        w = 2 * k + a
+        # log of the term bound 2 |p|^e exp(w |Im phi|), or 2 w |p|^e for the derivative
+        log_env = e * log_ap if e else 0.0
+        log_env = log_env + math.log(2.0 * w) if derivative else log_env + w * im + _LOG_2
         if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
             return s
         if log_env > _LOG_HUGE:
             raise SeriesTruncationError(
-                f"theta1 term overflow at k={k}: |Im phi| = {im} too large for |p| = {abs(p)}")
-        s += 2.0 * (-1) ** k * _pow_nome(p, (k + 0.5) ** 2) * cmath.sin((2 * k + 1) * phi)
+                f"theta series term overflow at k={k}: |Im phi| = {im} too large "
+                f"for |p| = {abs(p)}")
+        term = w if derivative else trig(w * phi)
+        s += (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0) * term
     raise SeriesTruncationError(
-        f"theta1 series not converged in {cfg.max_terms} terms (|p| = {abs(p)}, |Im phi| = {im})")
+        f"theta series not converged in {cfg.max_terms} terms "
+        f"(|p| = {abs(p)}, |Im phi| = {im})")
+
+
+def theta1(phi: complex, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+    """theta1(phi | p), odd and pi-antiperiodic in phi."""
+    return _series(1, phi, params, cfg, offset=0.25)
 
 
 def theta4(phi: complex, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
     """theta4(phi | p), even and pi-periodic in phi."""
-    p = params.p
-    log_ap = _nome_log_abs(p)
-    phi = complex(phi)
-    im = abs(phi.imag)
-    s = 1.0 + 0j
-    for k in range(1, cfg.max_terms):
-        log_env = k * k * log_ap + 2 * k * im + math.log(2.0)
-        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
-            return s
-        if log_env > _LOG_HUGE:
-            raise SeriesTruncationError(
-                f"theta4 term overflow at k={k}: |Im phi| = {im} too large for |p| = {abs(p)}")
-        s += 2.0 * (-1) ** k * _pow_nome(p, k * k) * cmath.cos(2 * k * phi)
-    raise SeriesTruncationError(
-        f"theta4 series not converged in {cfg.max_terms} terms (|p| = {abs(p)}, |Im phi| = {im})")
+    return _series(0, phi, params, cfg)
 
 
 def theta1_reduced(phi: complex, params: EllipticParams,
@@ -170,57 +182,52 @@ def theta1_reduced(phi: complex, params: EllipticParams,
     weights are built from this reduced series; it stays finite at p = 0,
     where it degenerates to 2 sin(phi).
     """
-    p = params.p
-    log_ap = _nome_log_abs(p)
-    phi = complex(phi)
-    im = abs(phi.imag)
-    s = 0j
-    for k in range(cfg.max_terms):
-        log_env = k * (k + 1) * log_ap + (2 * k + 1) * im + math.log(2.0)
-        if k == 0:
-            log_env = im + math.log(2.0)
-        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
-            return s
-        if log_env > _LOG_HUGE:
-            raise SeriesTruncationError(
-                f"theta1_reduced term overflow at k={k}")
-        coeff = 1.0 + 0j if k == 0 else _pow_nome(p, k * (k + 1))
-        s += 2.0 * (-1) ** k * coeff * cmath.sin((2 * k + 1) * phi)
-    raise SeriesTruncationError(
-        f"theta1_reduced series not converged in {cfg.max_terms} terms")
+    return _series(1, phi, params, cfg)
 
 
 def theta1_prime_at_zero(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
     """d/dphi theta1(phi | p) at phi = 0, by termwise differentiation."""
-    p = params.p
-    log_ap = _nome_log_abs(p)
-    s = 0j
-    for k in range(cfg.max_terms):
-        log_env = (k + 0.5) ** 2 * log_ap + math.log(2.0 * (2 * k + 1))
-        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
-            return s
-        s += 2.0 * (-1) ** k * (2 * k + 1) * _pow_nome(p, (k + 0.5) ** 2)
-    raise SeriesTruncationError(
-        f"theta1' series not converged in {cfg.max_terms} terms")
+    return _series(1, 0.0, params, cfg, offset=0.25, derivative=True)
 
 
-def _theta1_prime_reduced(params: EllipticParams, cfg: SeriesConfig) -> complex:
-    """theta1'(0 | p) / p^{1/4} = 2 * sum_k (-1)^k (2k+1) p^{k(k+1)}."""
-    p = params.p
-    log_ap = _nome_log_abs(p)
-    s = 0j
-    for k in range(cfg.max_terms):
-        log_env = (0.0 if k == 0 else k * (k + 1) * log_ap) + math.log(2.0 * (2 * k + 1))
-        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
-            return s
-        coeff = 1.0 + 0j if k == 0 else _pow_nome(p, k * (k + 1))
-        s += 2.0 * (-1) ** k * (2 * k + 1) * coeff
-    raise SeriesTruncationError("reduced theta1' series not converged")
+class ThetaTriple:
+    """The three values b_m = theta(lambda + 2pi m/3 | p), m = 0, 1, 2, and
+    the ratios zeta_m = b_{m-1} b_{m+1} / b_m^2 built from them.
+
+    theta is theta4 for the face weights and theta1 for the families reached
+    by the half-period substitution.  theta1 values can be negative on the
+    real domain, so fractional powers zeta_m^a = exp(a log zeta_m) need a
+    branch choice.  Building log zeta_m from the principal logs of the b_m
+    (rather than from the zeta products) pins all powers to one sheet with
+    sum_m log zeta_m = 0 exactly, which is the sheet on which the closed-form
+    gauge matches of the substitution chain hold.  For theta4 on the default
+    real domain all b_m are positive and the table is plainly real.
+    """
+
+    def __init__(self, theta, params: EllipticParams, cfg: SeriesConfig):
+        self.theta = theta
+        self.params = params
+        self.cfg = cfg
+        self.values = tuple(theta(params.lam + TWO_PI_OVER_3 * m, params, cfg) for m in range(3))
+        for m, val in enumerate(self.values):
+            if abs(val) < _POLE_TOL:
+                raise PoleError(f"{theta.__name__}(lambda + 2*pi*{m}/3) vanishes "
+                                f"at lambda = {params.lam}")
+        self.logs = tuple(cmath.log(v) for v in self.values)
+        self.log_zeta = tuple(self.logs[(m - 1) % 3] + self.logs[(m + 1) % 3] - 2 * self.logs[m]
+                              for m in range(3))
+
+    def __call__(self, x: complex) -> complex:
+        return self.theta(x, self.params, self.cfg)
+
+    def zeta_pow(self, m: int, exponent: complex) -> complex:
+        return cmath.exp(exponent * self.log_zeta[m % 3])
 
 
-def theta4_lattice(m: int, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
-    """theta4(lambda + 2*pi*m/3 | p); well defined for m modulo 3."""
-    return theta4(params.lam + TWO_PI_OVER_3 * (m % 3), params, cfg)
+@lru_cache(maxsize=64)
+def theta_triple(theta, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> ThetaTriple:
+    """The shared ThetaTriple of one theta function at one (params, cfg)."""
+    return ThetaTriple(theta, params, cfg)
 
 
 def zeta(r: int, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
@@ -231,28 +238,13 @@ def zeta(r: int, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> 
 
     The three values multiply to 1 because theta4 is pi-periodic.
     """
-    den = theta4_lattice(r, params, cfg)
-    if abs(den) < _POLE_TOL:
-        raise PoleError(f"theta4(lambda + 2*pi*{r % 3}/3) vanishes at lambda = {params.lam}")
-    return theta4_lattice(r - 1, params, cfg) * theta4_lattice(r + 1, params, cfg) / (den * den)
+    b = theta_triple(theta4, params, cfg).values
+    return b[(r - 1) % 3] * b[(r + 1) % 3] / (b[r % 3] * b[r % 3])
 
 
 def zeta_log_table(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[complex, complex, complex]:
-    """(log zeta_0, log zeta_1, log zeta_2) built from logs of the three theta4 values.
-
-    Constructing the logs from the underlying theta values (rather than from
-    the zeta products) pins all fractional powers zeta_r^a = exp(a log zeta_r)
-    to one branch sheet with log zeta_0 + log zeta_1 + log zeta_2 = 0 exactly.
-    On the default real domain all theta4 values are positive and the table
-    is plainly real.
-    """
-    logs = []
-    for m in range(3):
-        val = theta4_lattice(m, params, cfg)
-        if abs(val) < _POLE_TOL:
-            raise PoleError(f"theta4(lambda + 2*pi*{m}/3) vanishes at lambda = {params.lam}")
-        logs.append(cmath.log(val))
-    return tuple(logs[(r - 1) % 3] + logs[(r + 1) % 3] - 2 * logs[r] for r in range(3))
+    """(log zeta_0, log zeta_1, log zeta_2) on the zero-sum sheet of ThetaTriple."""
+    return theta_triple(theta4, params, cfg).log_zeta
 
 
 def cubic_factor_D(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
@@ -264,11 +256,11 @@ def cubic_factor_D(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -
     """
     if abs(params.p) ** 3 >= 1.0:
         raise NomeDomainError("|p^3| >= 1")
-    den = _theta1_prime_reduced(params.cubed(), cfg)
+    den = _series(1, 0.0, params.cubed(), cfg, derivative=True)
     if abs(den) < _POLE_TOL:
         raise PoleError("theta1'(0 | p^3) vanishes")
-    num = (_theta1_prime_reduced(params, cfg)
-           * theta1_reduced(math.pi / 3, params, cfg)
+    num = (_series(1, 0.0, params, cfg, derivative=True)
+           * theta1_reduced(PI / 3, params, cfg)
            * theta1_reduced(TWO_PI_OVER_3, params, cfg))
     return num / (3.0 * den)
 

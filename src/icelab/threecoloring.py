@@ -51,7 +51,6 @@ family degenerates to the six-vertex trigonometric weights at eta = 2pi/3.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -60,13 +59,10 @@ from typing import Iterator, Mapping
 from .errors import (BranchDomainError, InvalidColoringError, PoleError,
                      SizeGuardError)
 from .numutil import rel_residual, stable_sum
-from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
-                    cubic_factor_D, theta1, theta1_reduced, theta4,
-                    theta4_lattice, zeta_log_table)
+from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
+                    SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
+                    theta1_reduced, theta4, theta_triple)
 from .sixvertex import SixVertexState, SpectralAssignment, VertexKind
-
-PI = math.pi
-TWO_PI_OVER_3 = 2.0 * PI / 3.0
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -375,13 +371,6 @@ def compute_census(rows: int, cols: int, bc: BoundaryCondition,
     return ColoringCensus(rows=rows, cols=cols, bc=BoundaryCondition(bc), counts=counts)
 
 
-def census_generating_function(rows: int, cols: int, bc: BoundaryCondition,
-                               z: FaceWeightParams,
-                               corner: int | None = None) -> complex:
-    """Sum over colorings of z0^{k0} z1^{k1} z2^{k2}."""
-    return compute_census(rows, cols, bc, corner).generating_function(z)
-
-
 def lenard_map(coloring: GridColoring) -> SixVertexState:
     """Arrow state of a coloring: horizontal edges point right iff the south
     face is the north face + 1, vertical edges point up iff the east face is
@@ -406,42 +395,20 @@ def lenard_map(coloring: GridColoring) -> SixVertexState:
 _BRANCH_TOL = 1e-9
 
 
-class _WeightContext:
-    """Per-(params, cfg) constants for the weight formulas."""
-
-    def __init__(self, params: EllipticParams, cfg: SeriesConfig):
-        self.params = params
-        self.cfg = cfg
-        self.a = [theta4_lattice(m, params, cfg) for m in range(3)]
-        for m, val in enumerate(self.a):
-            if abs(val) < 1e-12:
-                raise PoleError(f"theta4(lambda + 2*pi*{m}/3) vanishes")
-        self.log_zeta = list(zeta_log_table(params, cfg))
-        self.t1_23 = theta1_reduced(TWO_PI_OVER_3, params, cfg)
-        if abs(self.t1_23) < 1e-12:
-            raise PoleError("theta1(2*pi/3) vanishes")
-
-    def zeta_pow(self, r: int, exponent: complex) -> complex:
-        return cmath.exp(exponent * self.log_zeta[r % 3])
-
-    def check_positive_zeta(self) -> None:
-        for r in range(3):
-            lz = self.log_zeta[r]
-            if abs(lz.imag) > _BRANCH_TOL:
-                raise BranchDomainError(
-                    f"zeta_{r} is not positive real (log zeta = {lz}); fractional "
-                    "powers are only taken on the positive-real domain")
-
-    def t1r(self, x: complex) -> complex:
-        return theta1_reduced(x, self.params, self.cfg)
-
-    def t4(self, x: complex) -> complex:
-        return theta4(x, self.params, self.cfg)
-
-
 @lru_cache(maxsize=64)
-def _weight_context(params: EllipticParams, cfg: SeriesConfig) -> _WeightContext:
-    return _WeightContext(params, cfg)
+def _weight_constants(params: EllipticParams, cfg: SeriesConfig) -> tuple[ThetaTriple, complex]:
+    """The theta4 triple behind zeta_r, checked to have positive-real zeta_r,
+    and theta1(2pi/3) / p^{1/4}, the denominator of the alpha and beta weights."""
+    tri = theta_triple(theta4, params, cfg)
+    for r, lz in enumerate(tri.log_zeta):
+        if abs(lz.imag) > _BRANCH_TOL:
+            raise BranchDomainError(
+                f"zeta_{r} is not positive real (log zeta = {lz}); fractional "
+                "powers are only taken on the positive-real domain")
+    t1_23 = theta1_reduced(TWO_PI_OVER_3, params, cfg)
+    if abs(t1_23) < 1e-12:
+        raise PoleError("theta1(2*pi/3) vanishes")
+    return tri, t1_23
 
 
 def raw_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
@@ -451,43 +418,45 @@ def raw_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
     Fractional zeta powers are taken on the positive-real domain (real
     lambda, real p); elsewhere a BranchDomainError is raised.
     """
-    ctx = _weight_context(params, cfg)
-    ctx.check_positive_zeta()
-    return _raw_weight_ctx(ctx, v.kind, int(v.r), complex(phi))
+    return _raw_weight_ctx(_weight_constants(params, cfg), v.kind, int(v.r), complex(phi))
 
 
-def _raw_weight_ctx(ctx: _WeightContext, kind: VertexKind, r: int, phi: complex) -> complex:
-    lam = ctx.params.lam
+def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
+                    phi: complex) -> complex:
+    tri, t1_23 = ctx
+    lam = tri.params.lam
     if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
-        return ctx.zeta_pow(r, 0.25 + 3 * phi / (4 * PI)) * ctx.t1r(PI / 3 - phi) / ctx.t1_23
+        return (tri.zeta_pow(r, 0.25 + 3 * phi / (4 * PI))
+                * theta1_reduced(PI / 3 - phi, tri.params, tri.cfg) / t1_23)
     if kind in (VertexKind.BETA, VertexKind.BETA_P):
-        return ctx.zeta_pow(r, 0.25 - 3 * phi / (4 * PI)) * ctx.t1r(PI / 3 + phi) / ctx.t1_23
+        return (tri.zeta_pow(r, 0.25 - 3 * phi / (4 * PI))
+                * theta1_reduced(PI / 3 + phi, tri.params, tri.cfg) / t1_23)
     expo = 1.0 / 6.0 + phi / (2 * PI)
     if kind is VertexKind.GAMMA:
-        pre = cmath.exp(expo * (ctx.log_zeta[(r + 1) % 3] - ctx.log_zeta[r % 3]))
-        return pre * ctx.t4(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / ctx.a[r % 3]
-    pre = cmath.exp(expo * (ctx.log_zeta[(r - 1) % 3] - ctx.log_zeta[r % 3]))
-    return pre * ctx.t4(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / ctx.a[r % 3]
+        pre = cmath.exp(expo * (tri.log_zeta[(r + 1) % 3] - tri.log_zeta[r % 3]))
+        return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]
+    pre = cmath.exp(expo * (tri.log_zeta[(r - 1) % 3] - tri.log_zeta[r % 3]))
+    return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
 
 
 def tilde_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
                  cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
     """Gauged face weight of vertex v; equals the raw weight times
     Phi_{tl} Phi_{br} / (Phi_{bl} Phi_{tr}) with Phi_r = zeta_r^{1/12 + phi/4pi}."""
-    ctx = _weight_context(params, cfg)
-    ctx.check_positive_zeta()
-    return _tilde_weight_ctx(ctx, v.kind, int(v.r), complex(phi))
+    return _tilde_weight_ctx(_weight_constants(params, cfg), v.kind, int(v.r), complex(phi))
 
 
-def _tilde_weight_ctx(ctx: _WeightContext, kind: VertexKind, r: int, phi: complex) -> complex:
-    lam = ctx.params.lam
+def _tilde_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
+                      phi: complex) -> complex:
+    tri, t1_23 = ctx
+    lam = tri.params.lam
     if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
-        return ctx.t1r(PI / 3 - phi) / ctx.t1_23
+        return theta1_reduced(PI / 3 - phi, tri.params, tri.cfg) / t1_23
     if kind in (VertexKind.BETA, VertexKind.BETA_P):
-        return ctx.zeta_pow(r, 0.5) * ctx.t1r(PI / 3 + phi) / ctx.t1_23
+        return tri.zeta_pow(r, 0.5) * theta1_reduced(PI / 3 + phi, tri.params, tri.cfg) / t1_23
     if kind is VertexKind.GAMMA:
-        return ctx.t4(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / ctx.a[r % 3]
-    return ctx.t4(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / ctx.a[r % 3]
+        return tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]
+    return tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
 
 
 def psi_factor(m: int, params: EllipticParams) -> complex:
@@ -523,7 +492,7 @@ def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
 # ---------------------------------------------------------------------------
 
 
-def _state_weight(ctx: _WeightContext, coloring: GridColoring,
+def _state_weight(ctx: tuple[ThetaTriple, complex], coloring: GridColoring,
                   assign: SpectralAssignment, which: str,
                   memo: dict) -> complex:
     n = coloring.rows - 1
@@ -559,20 +528,11 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
         raise SizeGuardError(f"dwbc n = {n} outside the enumeration guard 1..{MAX_DWBC_N}")
     if assign.n != n:
         raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
-    ctx = _weight_context(params, cfg)
-    ctx.check_positive_zeta()
+    ctx = _weight_constants(params, cfg)
     memo: dict = {}
     terms = [_state_weight(ctx, coloring, assign, which, memo)
              for coloring in _dwbc_colorings(n, int(Color(r)))]
     return stable_sum(terms)
-
-
-def total_partition_function(n: int, assign: SpectralAssignment,
-                             params: EllipticParams, which: str = "tilde",
-                             cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
-    """Sum of the three partial partition functions."""
-    return stable_sum(partial_partition_function(n, r, assign, params, which, cfg)
-                      for r in range(3))
 
 
 def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
@@ -589,9 +549,7 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
     boundary gives an extra (zeta_r / zeta_{r+n})^{1/12}, which corrected=True
     includes (set False to evaluate the uncorrected product).
     """
-    ctx = _weight_context(params, cfg)
-    ctx.check_positive_zeta()
-    lz = ctx.log_zeta
+    lz = _weight_constants(params, cfg)[0].log_zeta
     expo = 0j
     for i in range(1, n + 1):
         u = (assign.chi[i - 1] - assign.psi[i - 1]
@@ -625,11 +583,7 @@ def F_rn(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
     closing the reduce-by-one recursions.  The lambda shift law
     F^{r+1}_n(lambda) = F^r_n(lambda + 2pi/3) holds termwise.
     """
-    ctx = _weight_context(params, cfg)
-    den = ctx.a[(r + n) % 3]
-    if abs(den) < 1e-12:
-        raise PoleError(f"theta4(lambda + 2*pi*{(r + n) % 3}/3) vanishes")
-    pre = 1.0 / den
+    pre = 1.0 / theta_triple(theta4, params, cfg).values[(r + n) % 3]
     for i in range(n):
         for j in range(i + 1, n):
             pre *= theta1(assign.chi[i] - assign.chi[j], params, cfg)
@@ -708,10 +662,10 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
 
     if form == "Z":
         lhs = partial_partition_function(n, r, pinned, params, "tilde", cfg)
-        ctx = _weight_context(params, cfg)
         pre = theta1(TWO_PI_OVER_3, params, cfg) ** (2 - 2 * n)
         if sign > 0:
-            pre *= ctx.a[(r + n) % 3] / ctx.a[(r + n - 1) % 3]
+            b = theta_triple(theta4, params, cfg).values
+            pre *= b[(r + n) % 3] / b[(r + n - 1) % 3]
         for i in range(n):
             if i != k - 1:
                 pre *= theta1(pinned.chi[i] - psival + sign * PI / 3, params, cfg)

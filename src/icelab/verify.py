@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,11 +27,10 @@ from . import threecoloring as tc
 from . import yangbaxter as yb
 from .errors import ConfigError
 from .numutil import rel_residual
-from .theta import (EllipticParams, SeriesConfig, cubic_factor_D,
+from .theta import (PI, EllipticParams, SeriesConfig, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta4,
                     zeta)
 
-PI = math.pi
 SCHEMA_VERSION = 1
 
 SUITES = ("theta", "ybe", "recursion6v", "recursion3c",

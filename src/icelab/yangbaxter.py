@@ -23,20 +23,15 @@ multiplicative constraint Phi_r(phi - phi' - shift) = Phi_r(phi)/Phi_r(phi').
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import PoleError
 from .numutil import rel_residual
-from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
-                    theta1, theta1_reduced)
+from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
+                    SeriesConfig, theta1, theta4, theta_triple)
 from .sixvertex import VertexKind, weight6v
 from .threecoloring import (ColoredVertexKind, classify_vertex, raw_weight,
-                            tilde_weight, _weight_context)
-
-PI = math.pi
-TWO_PI_OVER_3 = 2.0 * PI / 3.0
+                            tilde_weight)
 
 Evaluator = Callable[[int, int, int, int, complex], complex]
 
@@ -50,11 +45,7 @@ ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tu
                ((bl, tl), (tl, tr), (tr, br), (br, bl)))
     ]
 )
-
-
-def _is_admissible(bl: int, br: int, tl: int, tr: int) -> bool:
-    return all((a - b) % 3 in (1, 2) for a, b in
-               ((bl, tl), (tl, tr), (tr, br), (br, bl)))
+_ADMISSIBLE_QUADS = frozenset(quad for quad, _ in ADMISSIBLE)
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,7 @@ class WeightFamily:
         return "difference" if self.ybe_shift == 0 else "shifted"
 
     def evaluate(self, r: int, s: int, rp: int, sp: int, phi: complex) -> complex:
-        if not _is_admissible(r % 3, s % 3, rp % 3, sp % 3):
+        if (r % 3, s % 3, rp % 3, sp % 3) not in _ADMISSIBLE_QUADS:
             return 0j
         return self.evaluator(r % 3, s % 3, rp % 3, sp % 3, phi)
 
@@ -165,10 +156,6 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     return YbeSweep(residual=worst, checked=checked, skipped=skipped)
 
 
-def ybe_residual(fam: WeightFamily, phi: complex, phi_p: complex) -> float:
-    return ybe_sweep(fam, phi, phi_p).residual
-
-
 # ---------------------------------------------------------------------------
 # Gauge transformations
 # ---------------------------------------------------------------------------
@@ -197,10 +184,10 @@ def identity_gauge(shift: complex = PI / 3) -> GaugeData:
 def zeta_gauge(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> GaugeData:
     """C = 1, Phi_r(phi) = zeta_r^{1/12 + phi/4pi}; turns the raw family into
     the tilde family."""
-    ctx = _weight_context(params, cfg)
+    tri = theta_triple(theta4, params, cfg)
 
     def phi_fn(m: int, phi: complex) -> complex:
-        return cmath.exp((1.0 / 12.0 + phi / (4 * PI)) * ctx.log_zeta[m % 3])
+        return tri.zeta_pow(m, 1.0 / 12.0 + phi / (4 * PI))
 
     return GaugeData(C=lambda m: 1.0 + 0j, Phi=phi_fn, shift=PI / 3)
 
@@ -214,22 +201,6 @@ def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, compl
             rhs = g.Phi(m, phi) / g.Phi(m, php)
             worst = max(worst, rel_residual(lhs, rhs))
     return worst
-
-
-def gauge_transform(fam: WeightFamily, g: GaugeData) -> WeightFamily:
-    """Rescale a family by (C_bl/C_tr) * Phi_tl Phi_br / (Phi_bl Phi_tr).
-
-    Face labels are passed to C and Phi reduced mod 3.  Label-sensitive
-    gauges applied through canonical corner lifts are handled by
-    apply_gauge_kindwise.
-    """
-    def evaluate(bl: int, br: int, tl: int, tr: int, phi: complex) -> complex:
-        cc = g.C(bl) / g.C(tr)
-        ff = g.Phi(tl, phi) * g.Phi(br, phi) / (g.Phi(bl, phi) * g.Phi(tr, phi))
-        return cc * ff * fam.evaluator(bl, br, tl, tr, phi)
-
-    return WeightFamily(name=f"{fam.name}+gauge", evaluator=evaluate,
-                        ybe_shift=fam.ybe_shift)
 
 
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
@@ -251,35 +222,6 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
 # ---------------------------------------------------------------------------
 
 
-class _Theta1Sheet:
-    """theta1-based zeta data with logs summing to zero.
-
-    b_m = theta1(lambda + 2pi m/3 | p) can be negative on the real domain, so
-    fractional powers of zeta_m = b_{m-1} b_{m+1} / b_m^2 need a branch
-    choice.  Building log zeta_m from the principal logs of the b_m pins all
-    powers to one sheet with sum_m log zeta_m = 0 exactly, which is the sheet
-    on which the closed-form gauge matches below hold.
-    """
-
-    def __init__(self, params: EllipticParams, cfg: SeriesConfig):
-        self.params = params
-        self.cfg = cfg
-        self.b = [theta1(params.lam + TWO_PI_OVER_3 * m, params, cfg) for m in range(3)]
-        for m, val in enumerate(self.b):
-            if abs(val) < 1e-12:
-                raise PoleError(f"theta1(lambda + 2*pi*{m}/3) vanishes")
-        self.log_b = [cmath.log(v) for v in self.b]
-        self.log_zeta = [self.log_b[(m - 1) % 3] + self.log_b[(m + 1) % 3]
-                         - 2 * self.log_b[m] for m in range(3)]
-        self.t1_23 = theta1(TWO_PI_OVER_3, params, cfg)
-
-    def zeta_pow(self, m: int, expo: complex) -> complex:
-        return cmath.exp(expo * self.log_zeta[m % 3])
-
-    def t1(self, x: complex) -> complex:
-        return theta1(x, self.params, self.cfg)
-
-
 def _substituted_evaluator(params: EllipticParams, cfg: SeriesConfig) -> Evaluator:
     """Raw family at (lambda + pi*tau/2, -phi - pi/3), with every theta4 at
     the shifted lambda reduced through
@@ -290,7 +232,7 @@ def _substituted_evaluator(params: EllipticParams, cfg: SeriesConfig) -> Evaluat
     of the shifted theta4 values are assembled as sums (the i p^{-1/4} e^{-ix}
     parts cancel in every zeta combination), never re-wrapped.
     """
-    sheet = _Theta1Sheet(params, cfg)
+    sheet = theta_triple(theta1, params, cfg)
     lam = params.lam
     p = params.p
     log_pref = cmath.log(1j) - 0.25 * cmath.log(p)
@@ -299,14 +241,14 @@ def _substituted_evaluator(params: EllipticParams, cfg: SeriesConfig) -> Evaluat
         # log of theta4(lambda + pi*tau/2 + 2pi m/3) assembled analytically;
         # the linear part keeps the literal integer m so that the zeta
         # combination below cancels it exactly
-        return log_pref - 1j * (lam + TWO_PI_OVER_3 * m) + sheet.log_b[m % 3]
+        return log_pref - 1j * (lam + TWO_PI_OVER_3 * m) + sheet.logs[m % 3]
 
     log_zeta = [log_a_at(m - 1) + log_a_at(m + 1) - 2 * log_a_at(m) for m in range(3)]
 
     def theta4_shifted(x: complex) -> complex:
-        return cmath.exp(log_pref) * cmath.exp(-1j * x) * sheet.t1(x)
+        return cmath.exp(log_pref) * cmath.exp(-1j * x) * sheet(x)
 
-    t1_23 = sheet.t1_23
+    t1_23 = sheet(TWO_PI_OVER_3)
 
     def weight_of_kind(vk: ColoredVertexKind, phi: complex) -> complex:
         r = int(vk.r)
@@ -314,10 +256,10 @@ def _substituted_evaluator(params: EllipticParams, cfg: SeriesConfig) -> Evaluat
         kind = vk.kind
         if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
             return (cmath.exp((0.25 + 3 * fsub / (4 * PI)) * log_zeta[r])
-                    * sheet.t1(PI / 3 - fsub) / t1_23)
+                    * sheet(PI / 3 - fsub) / t1_23)
         if kind in (VertexKind.BETA, VertexKind.BETA_P):
             return (cmath.exp((0.25 - 3 * fsub / (4 * PI)) * log_zeta[r])
-                    * sheet.t1(PI / 3 + fsub) / t1_23)
+                    * sheet(PI / 3 + fsub) / t1_23)
         expo = 1.0 / 6.0 + fsub / (2 * PI)
         if kind is VertexKind.GAMMA:
             pre = cmath.exp(expo * (log_zeta[(r + 1) % 3] - log_zeta[r]))
@@ -351,24 +293,26 @@ def appendix_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
         gamma'_r = e^{-i phi} [zeta_r/zeta_{r-1}]^{phi/2pi}
                    theta1(lambda + 2pi r/3 + phi) / theta1(lambda + 2pi r/3)
 
-    with the theta1-based zeta_r; powers live on the _Theta1Sheet branch.
+    with the theta1-based zeta_r; powers live on the zero-sum sheet of
+    theta.ThetaTriple.
     """
-    sheet = _Theta1Sheet(params, cfg)
+    sheet = theta_triple(theta1, params, cfg)
+    t1_23 = sheet(TWO_PI_OVER_3)
     lam = params.lam
 
     def weight_of_kind(vk: ColoredVertexKind, phi: complex) -> complex:
         r = int(vk.r)
         kind = vk.kind
         if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
-            return sheet.zeta_pow(r, -3 * phi / (4 * PI)) * sheet.t1(TWO_PI_OVER_3 + phi) / sheet.t1_23
+            return sheet.zeta_pow(r, -3 * phi / (4 * PI)) * sheet(TWO_PI_OVER_3 + phi) / t1_23
         if kind in (VertexKind.BETA, VertexKind.BETA_P):
-            return -sheet.zeta_pow(r, 0.5 + 3 * phi / (4 * PI)) * sheet.t1(phi) / sheet.t1_23
+            return -sheet.zeta_pow(r, 0.5 + 3 * phi / (4 * PI)) * sheet(phi) / t1_23
         expo = phi / (2 * PI)
         if kind is VertexKind.GAMMA:
             pre = cmath.exp(1j * phi) * cmath.exp(expo * (sheet.log_zeta[r] - sheet.log_zeta[(r + 1) % 3]))
-            return pre * sheet.t1(lam + TWO_PI_OVER_3 * r - phi) / sheet.b[r]
+            return pre * sheet(lam + TWO_PI_OVER_3 * r - phi) / sheet.values[r]
         pre = cmath.exp(-1j * phi) * cmath.exp(expo * (sheet.log_zeta[r] - sheet.log_zeta[(r - 1) % 3]))
-        return pre * sheet.t1(lam + TWO_PI_OVER_3 * r + phi) / sheet.b[r]
+        return pre * sheet(lam + TWO_PI_OVER_3 * r + phi) / sheet.values[r]
 
     return WeightFamily(name="appendix", evaluator=_kindwise_evaluator(weight_of_kind),
                         ybe_shift=0.0)
@@ -381,10 +325,10 @@ def rosengren_gauge(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
     Phi is label-sensitive through e^{i m phi/2}; apply it with
     apply_gauge_kindwise.  Satisfies the difference-form constraint.
     """
-    sheet = _Theta1Sheet(params, cfg)
+    sheet = theta_triple(theta1, params, cfg)
 
     def c_fn(m: int) -> complex:
-        return 1j * cmath.exp(-0.5 * sheet.log_b[m % 3])
+        return 1j * cmath.exp(-0.5 * sheet.logs[m % 3])
 
     def phi_fn(m: int, phi: complex) -> complex:
         return cmath.exp(0.5j * m * phi) * cmath.exp(-(phi / (4 * PI)) * sheet.log_zeta[m % 3])
@@ -405,21 +349,23 @@ def rosengren_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES)
     forced by the gauge bookkeeping (no constant gauge can remove it while
     fixing the other kinds) and flips nothing in the Yang-Baxter equation.
     """
-    sheet = _Theta1Sheet(params, cfg)
+    sheet = theta_triple(theta1, params, cfg)
+    b = sheet.values
+    t1_23 = sheet(TWO_PI_OVER_3)
     lam = params.lam
 
     def weight_of_kind(vk: ColoredVertexKind, phi: complex) -> complex:
         r = int(vk.r)
         kind = vk.kind
         if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
-            return sheet.t1(TWO_PI_OVER_3 + phi) / sheet.t1_23
+            return sheet(TWO_PI_OVER_3 + phi) / t1_23
         if kind is VertexKind.BETA:
-            return -(sheet.b[(r - 1) % 3] / sheet.b[r]) * sheet.t1(phi) / sheet.t1_23
+            return -(b[(r - 1) % 3] / b[r]) * sheet(phi) / t1_23
         if kind is VertexKind.BETA_P:
-            return -(sheet.b[(r + 1) % 3] / sheet.b[r]) * sheet.t1(phi) / sheet.t1_23
+            return -(b[(r + 1) % 3] / b[r]) * sheet(phi) / t1_23
         if kind is VertexKind.GAMMA:
-            return sheet.t1(lam + TWO_PI_OVER_3 * r - phi) / sheet.b[r]
-        return sheet.t1(lam + TWO_PI_OVER_3 * r + phi) / sheet.b[r]
+            return sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r]
+        return sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r]
 
     return WeightFamily(name="rosengren", evaluator=_kindwise_evaluator(weight_of_kind),
                         ybe_shift=0.0)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from icelab import (EllipticParams, FaceWeightParams, SpectralAssignment,
-                    census_generating_function, compute_census,
+                    compute_census,
                     enumerate_colorings, enumerate_dwbc_states, lenard_map,
                     partial_partition_function, partition_function_6v)
 from icelab.verify import run_suite
@@ -151,8 +151,8 @@ def test_criterion_10_census():
     assert toroidal_2x2 == 18
 
     unit = FaceWeightParams()
-    ok = (census_generating_function(1, 1, "free", unit) == pytest.approx(3.0)
-          and census_generating_function(2, 2, "toroidal", unit) == pytest.approx(
+    ok = (compute_census(1, 1, "free").generating_function(unit) == pytest.approx(3.0)
+          and compute_census(2, 2, "toroidal").generating_function(unit) == pytest.approx(
               float(toroidal_2x2)))
     for rows, cols, bc in [(1, 1, "free"), (2, 3, "free"), (2, 2, "toroidal"),
                            (3, 3, "toroidal"), (3, 3, "dwbc"), (4, 4, "dwbc")]:

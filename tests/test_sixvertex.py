@@ -205,6 +205,17 @@ class TestFunctionalSums:
         with pytest.raises(CrossingParameterError):
             functional_sum_6v(a, 1, "chi")
 
+    def test_index_and_side_guards(self):
+        # both entry points reject an out-of-range k and an unknown side
+        # instead of shifting chi[-1] or treating the side as psi
+        a = SpectralAssignment(chi=[0.3, 0.7], psi=[0.1, 0.5])
+        for fn in (functional_residual_6v, functional_sum_6v):
+            for k in (0, 3):
+                with pytest.raises(IndexError):
+                    fn(a, k, "chi")
+            with pytest.raises(ValueError):
+                fn(a, 1, "bogus")
+
     def test_trig_cubic_identity(self):
         rnd = random.Random(12)
         for _ in range(20):

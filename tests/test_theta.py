@@ -82,6 +82,28 @@ class TestSeriesValues:
         assert theta1_reduced(0.7, params(0.0)) == pytest.approx(2 * math.sin(0.7))
 
 
+class TestArbitraryPrecisionOracle:
+    # mpmath.jtheta(n, z, q) uses the same nome convention, q = p
+    POINTS = [(p, phi) for p in (0.01, 0.2, 0.5)
+              for phi in (0.4 + 0.3j, 2.0 - 0.5j, 0.7, -2.3)]
+
+    @staticmethod
+    def jtheta(n, phi, p, derivative=0):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return complex(mpmath.jtheta(n, mpmath.mpc(phi), mpmath.mpf(p), derivative))
+
+    @pytest.mark.parametrize("p, phi", POINTS)
+    def test_theta1_and_theta4(self, p, phi):
+        assert theta1(phi, params(p)) == pytest.approx(self.jtheta(1, phi, p), rel=1e-14)
+        assert theta4(phi, params(p)) == pytest.approx(self.jtheta(4, phi, p), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.01, 0.2, 0.5])
+    def test_theta1_prime_at_zero(self, p):
+        assert theta1_prime_at_zero(params(p)) == pytest.approx(
+            self.jtheta(1, 0.0, p, derivative=1), rel=1e-14)
+
+
 class TestDomainErrors:
     def test_nome_outside_disk(self):
         with pytest.raises(NomeDomainError):

@@ -7,10 +7,9 @@ import pytest
 
 from icelab import (EllipticParams, appendix_family, appendix_substitution,
                     apply_gauge_kindwise, gauge_constraint_residual,
-                    gauge_transform, identity_gauge, raw_family,
-                    rosengren_family, rosengren_gauge, rosengren_match,
-                    sixvertex_family, theta1, tilde_family, ybe_residual,
-                    ybe_sweep, zeta_gauge)
+                    identity_gauge, raw_family, rosengren_family,
+                    rosengren_gauge, rosengren_match, sixvertex_family, theta1,
+                    tilde_family, ybe_sweep, zeta_gauge)
 from icelab.yangbaxter import ADMISSIBLE
 
 PI = math.pi
@@ -50,7 +49,7 @@ class TestYangBaxter:
         rnd = random.Random(41)
         for eta in (2 * PI / 3, 1.1, 0.62):
             fam = sixvertex_family(eta)
-            assert ybe_residual(fam, rnd.uniform(0, PI), rnd.uniform(0, PI)) < 1e-10
+            assert ybe_sweep(fam, rnd.uniform(0, PI), rnd.uniform(0, PI)).residual < 1e-10
 
     def test_tilde_family_trigonometric_limit(self):
         # at p = 0 the tilde family IS the six-vertex family at eta = 2pi/3
@@ -60,35 +59,35 @@ class TestYangBaxter:
         for (quad, _vk) in ADMISSIBLE:
             assert fam.evaluator(*quad, 0.37) == pytest.approx(
                 ref.evaluator(*quad, 0.37), rel=1e-12)
-        assert ybe_residual(fam, 0.41, 0.13) < 1e-10
+        assert ybe_sweep(fam, 0.41, 0.13).residual < 1e-10
 
     def test_sixvertex_difference_form_fails_at_generic_eta(self):
         # the trigonometric family needs the eta/2 offset in the third
         # argument; a plain difference form only coincides at eta = 2pi/3
         fam = sixvertex_family(1.1)
         broken = type(fam)(name="broken", evaluator=fam.evaluator, ybe_shift=0.0)
-        assert ybe_residual(broken, 0.41, 0.13) > 1e-3
+        assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_appendix_and_rosengren_difference_form(self):
         rnd = random.Random(42)
         pr = params()
         for fam in (appendix_family(pr), rosengren_family(pr), appendix_substitution(pr)):
             assert fam.ybe_form == "difference"
-            assert ybe_residual(fam, rnd.uniform(-1, 1), rnd.uniform(-1, 1)) < 1e-9
+            assert ybe_sweep(fam, rnd.uniform(-1, 1), rnd.uniform(-1, 1)).residual < 1e-9
 
 
 class TestGauge:
     def test_identity_gauge_is_inert(self):
         pr = params()
         fam = tilde_family(pr)
-        gauged = gauge_transform(fam, identity_gauge())
+        gauged = apply_gauge_kindwise(fam, identity_gauge())
         for (quad, _vk) in ADMISSIBLE:
             assert gauged.evaluator(*quad, 0.37) == fam.evaluator(*quad, 0.37)
 
     def test_zeta_gauge_sends_raw_to_tilde(self):
         rnd = random.Random(43)
         pr = params()
-        gauged = gauge_transform(raw_family(pr), zeta_gauge(pr))
+        gauged = apply_gauge_kindwise(raw_family(pr), zeta_gauge(pr))
         target = tilde_family(pr)
         for (quad, _vk) in ADMISSIBLE:
             x = rnd.uniform(-1, 1)
@@ -105,9 +104,9 @@ class TestGauge:
     def test_gauge_preserves_ybe(self):
         pr = params()
         before = raw_family(pr)
-        after = gauge_transform(before, zeta_gauge(pr))
-        assert ybe_residual(before, 0.51, 0.17) < 1e-9
-        assert ybe_residual(after, 0.51, 0.17) < 1e-9
+        after = apply_gauge_kindwise(before, zeta_gauge(pr))
+        assert ybe_sweep(before, 0.51, 0.17).residual < 1e-9
+        assert ybe_sweep(after, 0.51, 0.17).residual < 1e-9
 
 
 class TestSubstitutionChain:
