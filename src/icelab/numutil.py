@@ -5,6 +5,14 @@ from __future__ import annotations
 from typing import Iterable
 
 
+def cmul(x, y):
+    """Elementwise x * y of complex numpy arrays, rounded like Python's complex
+    product (numpy's own may fuse multiply-adds and move the last bit)."""
+    import numpy as np  # deferred: importing icelab should not load numpy
+    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
 def stable_sum(terms: Iterable[complex]) -> complex:
     """Sum in ascending magnitude.
 
@@ -25,3 +33,15 @@ def rel_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
     natural magnitude must come from the summands that cancelled.
     """
     return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs), scale))
+
+
+def column_products(table, index) -> list[complex]:
+    """[prod_c table[c][index[c, s]] for each column s of index], multiplied
+    in order c = 0, 1, ... from 1, rounded like cmul.  table holds m complex
+    1-D arrays and index is an integer (m, S) array."""
+    import numpy as np
+    wr, wi = np.ones(index.shape[1]), np.zeros(index.shape[1])
+    for values, rows in zip(table, index):
+        g = values.take(rows)
+        wr, wi = wr * g.real - wi * g.imag, wr * g.imag + wi * g.real
+    return list(map(complex, wr.tolist(), wi.tolist()))

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
                      InvalidStateError, SizeGuardError)
-from .numutil import rel_residual, stable_sum
+from .numutil import column_products, rel_residual, stable_sum
 
 MAX_ENUM_N = 7
 ETA_COMBINATORIAL = 2.0 * math.pi / 3.0
@@ -135,6 +135,8 @@ class SixVertexState:
 
 @lru_cache(maxsize=None)
 def _enumerate_dwbc(n: int) -> tuple[SixVertexState, ...]:
+    if not 1 <= n <= MAX_ENUM_N:
+        raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     states: list[SixVertexState] = []
 
     def fill_row(i: int, v_in: tuple[bool, ...], h_rows: list, v_rows: list) -> None:
@@ -168,9 +170,21 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     lexicographic edge order.  Counts follow the alternating-sign-matrix
     sequence 1, 2, 7, 42, 429, ...
     """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     return list(_enumerate_dwbc(n))
+
+
+@lru_cache(maxsize=None)
+def _kind_index(n: int):
+    """int8 array (n*n, states): the VertexKind index (position in the enum)
+    of every vertex, row-major, of every DWBC state in enumeration order."""
+    import numpy as np
+    lookup = np.zeros(16, dtype=np.int8)
+    for (left, right, top, bottom), kind in _KIND_FROM_EDGES.items():
+        lookup[8 * left + 4 * right + 2 * top + bottom] = list(VertexKind).index(kind)
+    h = np.array([s.h for s in _enumerate_dwbc(n)], dtype=np.uint8)
+    v = np.array([s.v for s in _enumerate_dwbc(n)], dtype=np.uint8)
+    code = 8 * h[:, :, :-1] + 4 * h[:, :, 1:] + 2 * v[:, :-1, :] + v[:, 1:, :]
+    return np.ascontiguousarray(lookup[code].reshape(len(h), n * n).T)
 
 
 @dataclass(frozen=True)
@@ -215,11 +229,16 @@ class SpectralAssignment:
         return SpectralAssignment(chi=chi, psi=psi, eta=self.eta)
 
 
-def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
-    """Trigonometric vertex weight at spectral parameter phi."""
+def _sin_eta(eta: complex) -> complex:
     s = cmath.sin(eta)
     if abs(s) < 1e-12:
         raise DegenerateCrossingError(f"sin(eta) ~ 0 at eta = {eta}")
+    return s
+
+
+def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
+    """Trigonometric vertex weight at spectral parameter phi."""
+    s = _sin_eta(eta)
     if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
         return cmath.sin(eta / 2 - phi) / s
     if kind in (VertexKind.BETA, VertexKind.BETA_P):
@@ -227,13 +246,15 @@ def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
     return 1.0 + 0j
 
 
-def _weight_table(assign: SpectralAssignment) -> dict[VertexKind, list[list[complex]]]:
-    n = assign.n
-    table = {}
-    for kind in VertexKind:
-        table[kind] = [[weight6v(kind, assign.chi[i] - assign.psi[j], assign.eta)
-                        for j in range(n)] for i in range(n)]
-    return table
+def _weight_table(assign: SpectralAssignment):
+    """(n*n, 6) array: at every vertex chi_i - psi_j (rows, row-major) the
+    weight6v of every VertexKind (columns, in enum order)."""
+    import numpy as np
+    s = _sin_eta(assign.eta)
+    half = assign.eta / 2
+    phis = [x - y for x in assign.chi for y in assign.psi]
+    return np.array([(a, a, b, b, 1.0 + 0j, 1.0 + 0j) for a, b in
+                     ((cmath.sin(half - phi) / s, cmath.sin(half + phi) / s) for phi in phis)])
 
 
 def partition_function_6v(assign: SpectralAssignment) -> complex:
@@ -244,14 +265,7 @@ def partition_function_6v(assign: SpectralAssignment) -> complex:
     if n == 0:
         return 1.0 + 0j
     table = _weight_table(assign)
-    terms = []
-    for state in enumerate_dwbc_states(n):
-        w = 1.0 + 0j
-        for i in range(n):
-            for j in range(n):
-                w *= table[state.kind_at(i, j)][i][j]
-        terms.append(w)
-    return stable_sum(terms)
+    return stable_sum(column_products(table, _kind_index(n)))
 
 
 def F_n_6v(assign: SpectralAssignment) -> complex:

@@ -127,6 +127,15 @@ def _pow_nome(p: complex, a: float) -> complex:
     return cmath.exp(a * cmath.log(complex(p)))
 
 
+@lru_cache(maxsize=64)
+def _nome_powers(p: complex, imag_sign: float, a: int, offset: float) -> list:
+    """[log|p|, table] of one series (see _series): table[k] = (e_k log|p|,
+    c_k (-1)^k p^{e_k}), filled lazily by replacing the tuple, never changing
+    it, so concurrent callers read consistent entries.  The sign of Im p is
+    in the key: x - 0j equals x + 0j, but their powers differ for x < 0."""
+    return [_nome_log_abs(p), ()]
+
+
 def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
             offset: float = 0.0, derivative: bool = False) -> complex:
     """The q-series kernel behind every theta value:
@@ -140,25 +149,28 @@ def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
     f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
     """
     p = params.p
-    log_ap = _nome_log_abs(p)
+    powers = _nome_powers(p, math.copysign(1.0, p.imag), a, offset)
+    log_ap, table = powers
     phi = complex(phi)
     im = abs(phi.imag)
     trig = cmath.sin if a else cmath.cos
     s = 0j
     for k in range(cfg.max_terms):
-        e = k * (k + a) + offset
         w = 2 * k + a
+        if k == len(table):
+            e = k * (k + a) + offset
+            coef = (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0)
+            table = powers[1] = table + ((e * log_ap if e else 0.0, coef),)
+        log_pe, coef = table[k]
         # log of the term bound 2 |p|^e exp(w |Im phi|), or 2 w |p|^e for the derivative
-        log_env = e * log_ap if e else 0.0
-        log_env = log_env + math.log(2.0 * w) if derivative else log_env + w * im + _LOG_2
+        log_env = log_pe + math.log(2.0 * w) if derivative else log_pe + w * im + _LOG_2
         if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
             return s
         if log_env > _LOG_HUGE:
             raise SeriesTruncationError(
                 f"theta series term overflow at k={k}: |Im phi| = {im} too large "
                 f"for |p| = {abs(p)}")
-        term = w if derivative else trig(w * phi)
-        s += (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0) * term
+        s += coef * (w if derivative else trig(w * phi))
     raise SeriesTruncationError(
         f"theta series not converged in {cfg.max_terms} terms "
         f"(|p| = {abs(p)}, |Im phi| = {im})")

@@ -58,7 +58,7 @@ from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, InvalidColoringError, PoleError,
                      SizeGuardError)
-from .numutil import rel_residual, stable_sum
+from .numutil import column_products, rel_residual, stable_sum
 from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
                     theta1_reduced, theta4, theta_triple)
@@ -335,11 +335,6 @@ def enumerate_colorings(rows: int, cols: int, bc: BoundaryCondition,
     return list(iter_colorings(rows, cols, bc, corner))
 
 
-@lru_cache(maxsize=None)
-def _dwbc_colorings(n: int, corner: int) -> tuple[GridColoring, ...]:
-    return tuple(_iter_dwbc(n, Color(corner)))
-
-
 @dataclass(frozen=True)
 class ColoringCensus:
     """Counts of colorings by color multiplicities (k0, k1, k2)."""
@@ -492,23 +487,19 @@ def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
 # ---------------------------------------------------------------------------
 
 
-def _state_weight(ctx: tuple[ThetaTriple, complex], coloring: GridColoring,
-                  assign: SpectralAssignment, which: str,
-                  memo: dict) -> complex:
-    n = coloring.rows - 1
-    w = 1.0 + 0j
-    evaluate = _raw_weight_ctx if which == "raw" else _tilde_weight_ctx
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            vk = coloring.vertex(i, j)
-            key = (vk.kind, int(vk.r), i, j)
-            val = memo.get(key)
-            if val is None:
-                val = evaluate(ctx, vk.kind, int(vk.r),
-                               assign.chi[i - 1] - assign.psi[j - 1])
-                memo[key] = val
-            w *= val
-    return w
+@lru_cache(maxsize=None)
+def _vertex_codes(n: int, corner: int):
+    """The DWBC colorings of one corner color, coded vertex by vertex: for each
+    internal vertex (i, j), row-major, the distinct (kind, base color) it takes,
+    and an int8 array (n*n, colorings) of positions in those tuples."""
+    import numpy as np
+    vertices = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    codes: list[dict[tuple[VertexKind, int], int]] = [{} for _ in vertices]
+    index = []
+    for coloring in _iter_dwbc(n, Color(corner)):
+        index.append([seen.setdefault((vk.kind, int(vk.r)), len(seen)) for seen, vk
+                      in zip(codes, (coloring.vertex(i, j) for i, j in vertices))])
+    return tuple(tuple(seen) for seen in codes), np.array(index, dtype=np.int8).T.copy()
 
 
 def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
@@ -528,11 +519,14 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
         raise SizeGuardError(f"dwbc n = {n} outside the enumeration guard 1..{MAX_DWBC_N}")
     if assign.n != n:
         raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
+    import numpy as np
     ctx = _weight_constants(params, cfg)
-    memo: dict = {}
-    terms = [_state_weight(ctx, coloring, assign, which, memo)
-             for coloring in _dwbc_colorings(n, int(Color(r)))]
-    return stable_sum(terms)
+    evaluate = _raw_weight_ctx if which == "raw" else _tilde_weight_ctx
+    codes, index = _vertex_codes(n, int(Color(r)))
+    # each distinct (kind, base color, vertex) weight is evaluated once
+    table = [np.array([evaluate(ctx, kind, base, assign.chi[v // n] - assign.psi[v % n])
+                       for kind, base in seen]) for v, seen in enumerate(codes)]
+    return stable_sum(column_products(table, index))
 
 
 def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,

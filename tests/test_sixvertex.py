@@ -11,18 +11,60 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     VertexKind, check_recursion_6v, enumerate_dwbc_states,
                     F_n_6v, functional_residual_6v, functional_sum_6v,
                     partition_function_6v, trig_cubic_residual, weight6v)
+from icelab.numutil import stable_sum
 
 PI = math.pi
 ETA0 = 2 * PI / 3
 
 # domain-wall state counts, alternating-sign-matrix numbers
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
+A6 = 7436
 
 
 def assignment(rnd, n, eta=ETA0):
     return SpectralAssignment(chi=[rnd.uniform(0, PI) for _ in range(n)],
                               psi=[rnd.uniform(0, PI) for _ in range(n)],
                               eta=eta)
+
+
+def _loop_partition_function_6v(assign):
+    """State-by-state reference for partition_function_6v: the vertex kinds
+    walked with kind_at and the weights multiplied in row-major order."""
+    n = assign.n
+    terms = []
+    for state in enumerate_dwbc_states(n):
+        w = 1.0 + 0j
+        for i in range(n):
+            for j in range(n):
+                w *= weight6v(state.kind_at(i, j), assign.chi[i] - assign.psi[j], assign.eta)
+        terms.append(w)
+    return stable_sum(terms)
+
+
+def _izergin_korepin(assign):
+    """Izergin-Korepin determinant for the domain-wall partition function,
+
+        Z_n = sin(eta)^{n(n-1)} prod_{i,j} a_ij b_ij
+              / prod_{i<j} sin(chi_i - chi_j) sin(psi_j - psi_i)
+              * det[1 / (a_ij b_ij)],
+
+    with a, b the alpha and beta weights at chi_i - psi_j.  Evaluated in
+    40-digit arithmetic: the determinant and the sine product are both
+    small when rapidities lie close together, and their ratio loses most
+    of its digits in double precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n, eta = assign.n, mpmath.mpmathify(assign.eta)
+        chi = [mpmath.mpmathify(x) for x in assign.chi]
+        psi = [mpmath.mpmathify(x) for x in assign.psi]
+        ab = [[mpmath.sin(eta / 2 - (x - y)) * mpmath.sin(eta / 2 + (x - y)) / mpmath.sin(eta) ** 2
+               for y in psi] for x in chi]
+        den = mpmath.mpf(1)
+        for i, j in itertools.combinations(range(n), 2):
+            den *= mpmath.sin(chi[i] - chi[j]) * mpmath.sin(psi[j] - psi[i])
+        inv = mpmath.matrix([[1 / v for v in row] for row in ab])
+        z = mpmath.sin(eta) ** (n * (n - 1)) * mpmath.fprod(v for row in ab for v in row)
+        return complex(z / den * mpmath.det(inv))
 
 
 class TestEnumeration:
@@ -118,6 +160,37 @@ class TestPartitionFunction:
             zs = partition_function_6v(a.shift_chi(n, PI))
             assert zs == pytest.approx((-1) ** (n - 1) * z, rel=1e-12)
 
+    def test_matches_loop_reference(self):
+        rnd = random.Random(13)
+        for n in range(1, 6):
+            for shift in (0.0, 0.3j):
+                a = assignment(rnd, n, eta=rnd.uniform(0.3, 2.8)).shift_chi(1, shift)
+                assert partition_function_6v(a) == pytest.approx(
+                    _loop_partition_function_6v(a), rel=1e-15)
+
+    def test_izergin_korepin_determinant(self):
+        # independent O(n^3) oracle; |chi_i - psi_j| < eta/4 keeps every
+        # weight positive, so the state sum has no cancellation
+        rnd = random.Random(14)
+        for n in range(1, 7):
+            eta = rnd.uniform(0.3, 2.8)
+            a = SpectralAssignment(chi=[rnd.uniform(0, eta / 4) for _ in range(n)],
+                                   psi=[rnd.uniform(0, eta / 4) for _ in range(n)], eta=eta)
+            assert partition_function_6v(a) == pytest.approx(_izergin_korepin(a), rel=1e-12)
+
+    def test_zero_rapidities_count_states(self):
+        # at eta = 2pi/3 and chi = psi = 0 every weight is 1, so Z_n = A_n
+        for n, count in {**ASM, 6: A6}.items():
+            a = SpectralAssignment(chi=[0.0] * n, psi=[0.0] * n)
+            assert partition_function_6v(a) == pytest.approx(count, rel=1e-12)
+
+    def test_size_and_crossing_guards(self):
+        with pytest.raises(SizeGuardError):
+            partition_function_6v(SpectralAssignment(chi=[0.1] * 8, psi=[0.2] * 8))
+        # a degenerate crossing is reported before the size guard
+        with pytest.raises(DegenerateCrossingError):
+            partition_function_6v(SpectralAssignment(chi=[0.1] * 8, psi=[0.2] * 8, eta=PI))
+
     def test_f_n1(self):
         a = SpectralAssignment(chi=[0.9], psi=[0.2], eta=1.0)
         assert F_n_6v(a) == pytest.approx(math.sin(0.7))
@@ -125,7 +198,6 @@ class TestPartitionFunction:
     def test_summation_order_independent(self):
         # magnitude-sorted accumulation makes the state sum deterministic
         # under any enumeration order
-        from icelab.numutil import stable_sum
         rnd = random.Random(0)
         terms = [complex(rnd.gauss(0, 10 ** rnd.randrange(-8, 8)), rnd.gauss(0, 1))
                  for _ in range(200)]

@@ -104,6 +104,60 @@ class TestArbitraryPrecisionOracle:
             self.jtheta(1, 0.0, p, derivative=1), rel=1e-14)
 
 
+def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False):
+    """Term-by-term reference for the theta series kernel: every power of
+    the nome and every envelope log computed afresh for each term."""
+    from icelab.theta import _pow_nome
+    p = params.p
+    log_ap = math.log(abs(p)) if p else -math.inf
+    phi = complex(phi)
+    im = abs(phi.imag)
+    trig = cmath.sin if a else cmath.cos
+    s = 0j
+    for k in range(cfg.max_terms):
+        e = k * (k + a) + offset
+        w = 2 * k + a
+        log_env = e * log_ap if e else 0.0
+        log_env = log_env + math.log(2.0 * w) if derivative else log_env + w * im + math.log(2.0)
+        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
+            return s
+        if log_env > 700.0:
+            raise SeriesTruncationError(f"overflow at k={k}")
+        term = w if derivative else trig(w * phi)
+        s += (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0) * term
+    raise SeriesTruncationError(f"not converged in {cfg.max_terms} terms")
+
+
+class TestPowerTable:
+    # negative real nomes with +0.0 and -0.0 imaginary parts compare equal
+    # but sit on different branches of p^{1/4}
+    NOMES = (0.0, 0.01, 0.2, 0.5, 0.3 + 0.2j, complex(-0.2, 0.0), complex(-0.2, -0.0))
+    # growing |Im phi| makes later calls extend the tables of earlier ones
+    PHIS = (0.7, 0.4 + 0.3j, -2.3 + 1.5j, 2.0 - 4.0j)
+
+    def test_bit_identical_to_loop(self):
+        cfg = SeriesConfig()
+        for p in self.NOMES:
+            pr = EllipticParams.from_nome(p, lam=0.3)
+            assert theta1_prime_at_zero(pr) == _loop_series(1, 0.0, pr, cfg, 0.25, True)
+            for phi in self.PHIS:
+                assert theta1(phi, pr) == _loop_series(1, phi, pr, cfg, 0.25)
+                assert theta4(phi, pr) == _loop_series(0, phi, pr, cfg)
+                assert theta1_reduced(phi, pr) == _loop_series(1, phi, pr, cfg)
+
+    def test_sign_of_zero_imaginary_nome(self):
+        up = EllipticParams.from_nome(complex(-0.2, 0.0))
+        down = EllipticParams.from_nome(complex(-0.2, -0.0))
+        assert abs(theta1(0.7, up) - theta1(0.7, down)) > 0.1
+
+    def test_errors_where_loop_raises(self):
+        for cfg, phi in ((SeriesConfig(max_terms=2), 0.5), (SeriesConfig(), 0.5 + 400j)):
+            with pytest.raises(SeriesTruncationError):
+                _loop_series(1, phi, params(0.5), cfg, 0.25)
+            with pytest.raises(SeriesTruncationError):
+                theta1(phi, params(0.5), cfg)
+
+
 class TestDomainErrors:
     def test_nome_outside_disk(self):
         with pytest.raises(NomeDomainError):

@@ -17,6 +17,7 @@ from icelab import (BranchDomainError, Color, ColoredVertexKind,
                     phi_ratio_relation_check, psi_factor, raw_weight,
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
+from icelab.numutil import stable_sum
 
 PI = math.pi
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
@@ -29,6 +30,21 @@ def params(p, lam):
 def assignment(rnd, n):
     return SpectralAssignment(chi=[rnd.uniform(0, PI) for _ in range(n)],
                               psi=[rnd.uniform(0, PI) for _ in range(n)])
+
+
+def _loop_partial_partition_function(n, r, assign, pr, which):
+    """Coloring-by-coloring reference for partial_partition_function: every
+    vertex weight evaluated through the public raw/tilde weights and
+    multiplied in row-major order."""
+    weight = raw_weight if which == "raw" else tilde_weight
+    terms = []
+    for coloring in enumerate_colorings(n + 1, n + 1, "dwbc", corner=r):
+        w = 1.0 + 0j
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                w *= weight(coloring.vertex(i, j), assign.chi[i - 1] - assign.psi[j - 1], pr)
+        terms.append(w)
+    return stable_sum(terms)
 
 
 # a 5x6 coloring and its arrow image, face rows top to bottom
@@ -291,6 +307,17 @@ class TestPartitionFunctions:
             w = tilde_weight(ColoredVertexKind(VertexKind.GAMMA, Color(r)),
                              a.chi[0] - a.psi[0], pr)
             assert z == pytest.approx(w, rel=1e-13)
+
+    def test_matches_loop_reference(self):
+        rnd = random.Random(28)
+        pr = params(0.2, 0.27)
+        for n in (1, 2, 3):
+            for shift in (0.0, 0.2j):
+                a = assignment(rnd, n).shift_chi(1, shift)
+                for r in range(3):
+                    for which in ("raw", "tilde"):
+                        assert partial_partition_function(n, r, a, pr, which) == pytest.approx(
+                            _loop_partial_partition_function(n, r, a, pr, which), rel=1e-15)
 
     def test_lambda_shift_law(self):
         rnd = random.Random(24)

@@ -1,5 +1,6 @@
 """Yang-Baxter sweeps, gauge machinery, and the half-period substitution chain."""
 
+import itertools
 import math
 import random
 
@@ -10,9 +11,37 @@ from icelab import (EllipticParams, appendix_family, appendix_substitution,
                     identity_gauge, raw_family, rosengren_family,
                     rosengren_gauge, rosengren_match, sixvertex_family, theta1,
                     tilde_family, ybe_sweep, zeta_gauge)
-from icelab.yangbaxter import ADMISSIBLE
+from icelab.yangbaxter import ADMISSIBLE, YbeSweep
 
 PI = math.pi
+
+
+def _loop_ybe_sweep(fam, phi, phi_p):
+    """Element-by-element reference for ybe_sweep: both sides of the
+    Yang-Baxter equation summed over the internal face t for each of the
+    3^6 boundary assignments, skipping those with no nonzero triple product."""
+    w_phi, w_php = fam.weight_table(phi), fam.weight_table(phi_p)
+    w_u3 = fam.weight_table(phi - phi_p - fam.ybe_shift)
+
+    def get(table, *quad):
+        return table.get(quad, 0j)
+
+    worst, checked, skipped = 0.0, 0, 0
+    for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
+        lhs = rhs = 0j
+        scale = 0.0
+        for t in range(3):
+            a = get(w_phi, rp, t, rpp, spp) * get(w_php, r, s, rp, t) * get(w_u3, t, s, spp, sp)
+            b = get(w_u3, rp, r, rpp, t) * get(w_php, t, sp, rpp, spp) * get(w_phi, r, s, t, sp)
+            lhs += a
+            rhs += b
+            scale = max(scale, abs(a), abs(b))
+        if scale == 0.0:
+            skipped += 1
+            continue
+        checked += 1
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return YbeSweep(residual=worst, checked=checked, skipped=skipped)
 
 
 def params(p=0.2, lam=0.24):
@@ -67,6 +96,29 @@ class TestYangBaxter:
         fam = sixvertex_family(1.1)
         broken = type(fam)(name="broken", evaluator=fam.evaluator, ybe_shift=0.0)
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
+
+    def test_tensor_sweep_matches_loop(self):
+        # same counts for every family; residuals agree with the loop
+        rnd = random.Random(46)
+        for p, lam in ((0.2, 0.24), (0.35, 0.5), (0.05, 0.9)):
+            pr = params(p, lam)
+            eta = rnd.uniform(0.3, 2.8)
+            phi, php = rnd.uniform(0, PI), rnd.uniform(0, PI)
+            for fam in (raw_family(pr), tilde_family(pr), appendix_family(pr),
+                        rosengren_family(pr), sixvertex_family(eta)):
+                want = _loop_ybe_sweep(fam, phi, php)
+                got = ybe_sweep(fam, phi, php)
+                assert (got.checked, got.skipped) == (want.checked, want.skipped)
+                assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=1e-16)
+
+    def test_broken_family_matches_loop(self):
+        fam = sixvertex_family(1.1)
+        broken = type(fam)(name="broken", evaluator=fam.evaluator, ybe_shift=0.0)
+        want = _loop_ybe_sweep(broken, 0.41, 0.13)
+        got = ybe_sweep(broken, 0.41, 0.13)
+        assert got.residual > 1e-3
+        assert got.residual == pytest.approx(want.residual, rel=1e-12)
+        assert (got.checked, got.skipped) == (want.checked, want.skipped)
 
     def test_appendix_and_rosengren_difference_form(self):
         rnd = random.Random(42)
