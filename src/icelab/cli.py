@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     census_p.add_argument("--rows", type=int, required=True)
     census_p.add_argument("--cols", type=int, required=True)
     census_p.add_argument("--bc", choices=["free", "toroidal", "dwbc"], default="free")
-    census_p.add_argument("--corner", type=int, choices=[0, 1, 2], default=None)
+    census_p.add_argument("--corner", type=int, choices=[0, 1, 2], default=None,
+                          help="fix the top-left face color (dwbc grids only)")
     census_p.add_argument("--z0", type=float, default=1.0)
     census_p.add_argument("--z1", type=float, default=1.0)
     census_p.add_argument("--z2", type=float, default=1.0)

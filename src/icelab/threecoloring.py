@@ -246,6 +246,33 @@ def dwbc_boundary(n: int, corner: int) -> dict[tuple[int, int], Color]:
     return forced
 
 
+def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
+                corner: int | None) -> tuple[BoundaryCondition, bool]:
+    """Size and shape guards shared by iter_colorings and compute_census.
+
+    Returns the boundary condition and whether the grid has no valid coloring
+    at all: a single row or column cannot be toroidal, since some face would
+    be its own first/last neighbour.
+    """
+    bc = BoundaryCondition(bc)
+    if rows < 1 or cols < 1:
+        raise SizeGuardError("grid must be at least 1x1")
+    if bc is BoundaryCondition.DWBC:
+        if rows != cols or rows < 2:
+            raise InvalidColoringError("dwbc requires a square grid of at least 2x2 faces")
+        if rows - 1 > MAX_DWBC_N:
+            raise SizeGuardError(
+                f"dwbc n = {rows - 1} outside the enumeration guard 1..{MAX_DWBC_N}")
+        return bc, False
+    if rows * cols > MAX_FREE_CELLS:
+        raise SizeGuardError(
+            f"{rows}x{cols} = {rows * cols} faces exceeds the guard of {MAX_FREE_CELLS}")
+    if corner is not None:
+        raise InvalidColoringError(
+            f"corner pins the top-left color of dwbc grids only, not of {bc.value} grids")
+    return bc, bc is BoundaryCondition.TOROIDAL and (rows == 1 or cols == 1)
+
+
 def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
                    corner: int | None = None) -> Iterator[GridColoring]:
     """Generate all valid colorings, row-major with colors ascending.
@@ -253,29 +280,15 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     For dwbc, rows == cols == n+1 and corner (when given) pins the top-left
     color; otherwise all three corner choices are produced.
     """
-    bc = BoundaryCondition(bc)
-    if rows < 1 or cols < 1:
-        raise SizeGuardError("grid must be at least 1x1")
-
+    bc, empty = _grid_guard(rows, cols, bc, corner)
     if bc is BoundaryCondition.DWBC:
-        if rows != cols or rows < 2:
-            raise InvalidColoringError("dwbc requires a square grid of at least 2x2 faces")
-        n = rows - 1
-        if n > MAX_DWBC_N:
-            raise SizeGuardError(f"dwbc n = {n} outside the enumeration guard 1..{MAX_DWBC_N}")
         corners = [Color(corner)] if corner is not None else [Color(0), Color(1), Color(2)]
         for c in corners:
-            yield from _iter_dwbc(n, c)
+            yield from _iter_dwbc(rows - 1, c)
         return
-
-    if rows * cols > MAX_FREE_CELLS:
-        raise SizeGuardError(
-            f"{rows}x{cols} = {rows * cols} faces exceeds the guard of {MAX_FREE_CELLS}")
-
+    if empty:
+        return
     toroidal = bc is BoundaryCondition.TOROIDAL
-    if toroidal and (rows == 1 or cols == 1):
-        # a single row or column makes some face its own first/last neighbour
-        return
     grid: list[list[Color | None]] = [[None] * cols for _ in range(rows)]
 
     def ok(i: int, j: int, c: Color) -> bool:
@@ -359,11 +372,103 @@ class ColoringCensus:
 
 def compute_census(rows: int, cols: int, bc: BoundaryCondition,
                    corner: int | None = None) -> ColoringCensus:
+    """Census of the colorings iter_colorings would produce, counted row by
+    row with a transfer matrix (Baxter 1970) instead of one by one."""
+    bc, empty = _grid_guard(rows, cols, bc, corner)
+    counts = {} if empty else _transfer_counts(rows * cols, _row_sectors(rows, cols, bc, corner))
+    return ColoringCensus(rows=rows, cols=cols, bc=bc, counts=counts)
+
+
+RowStates = list[tuple[int, ...]]
+#: allowed states per face row, top to bottom, and the row the last one must
+#: differ from in every column (None: no closing condition)
+Sector = tuple[list[RowStates], tuple[int, ...] | None]
+
+
+def _proper_rows(width: int) -> RowStates:
+    """Rows of faces with adjacent colors distinct, in ascending order."""
+    states = [(c,) for c in range(3)]
+    for _ in range(width - 1):
+        states = [row + (c,) for row in states for c in range(3) if c != row[-1]]
+    return states
+
+
+def _differ(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Whether two face rows may be vertically adjacent."""
+    return all(a != b for a, b in zip(x, y))
+
+
+def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
+                 corner: int | None) -> list[Sector]:
+    """The independent sectors of the row transfer matrix: one for a free
+    grid, one per first row for a toroidal grid (closed against that row) and
+    one per corner color for a domain-wall grid, whose first and last rows
+    are forced and whose other rows have pinned ends.  Free and toroidal
+    counts are unchanged by transposing the grid, so their rows run along the
+    shorter side."""
+    if bc is BoundaryCondition.DWBC:
+        n = rows - 1
+        proper = _proper_rows(rows)
+        sectors = []
+        for c in ([corner % 3] if corner is not None else range(3)):
+            middle = [[row for row in proper
+                       if row[0] == (c + i) % 3 and row[n] == (c + n - i) % 3]
+                      for i in range(1, n)]
+            top = tuple((c + j) % 3 for j in range(rows))
+            bottom = tuple((c + n - j) % 3 for j in range(rows))
+            sectors.append(([[top]] + middle + [[bottom]], None))
+        return sectors
+    width, length = sorted((rows, cols))
+    if bc is BoundaryCondition.FREE:
+        return [([_proper_rows(width)] * length, None)]
+    ring = [row for row in _proper_rows(width) if row[0] != row[-1]]
+    return [([[first]] + [ring] * (length - 1), first) for first in ring]
+
+
+def _transfer_counts(faces: int, sectors: list[Sector]) -> dict[tuple[int, int, int], int]:
+    """Sum the sectors' row transfer products into counts by (k0, k1, k2).
+
+    Each row state carries the polynomial sum x0^k0 x1^k1 over the partial
+    colorings that end in it, packed into one Python integer: the coefficient
+    of x0^k0 x1^k1 sits in bit slot k0 * (faces + 1) + k1.  No coefficient
+    exceeds 3^faces, so slots of that bit width never carry into each other,
+    adding polynomials is integer addition and multiplying by a row's monomial
+    is a left shift.
+    """
+    width = (3 ** faces).bit_length()
+    stride = faces + 1
+
+    def shift(row: tuple[int, ...]) -> int:
+        return width * (row.count(0) * stride + row.count(1))
+
+    # keyed by the identity of the two state lists, which sectors share and
+    # keep alive for the whole call
+    predecessors: dict[tuple[int, int], list[list[int]]] = {}
+    total = 0
+    for row_states, closing in sectors:
+        prev = row_states[0]
+        vec = [1 << shift(row) for row in prev]
+        for nxt in row_states[1:]:
+            key = (id(prev), id(nxt))
+            if key not in predecessors:
+                predecessors[key] = [[a for a, x in enumerate(prev) if _differ(x, y)]
+                                     for y in nxt]
+            vec = [sum(vec[a] for a in pred) << shift(row)
+                   for row, pred in zip(nxt, predecessors[key])]
+            prev = nxt
+        total += sum(v for row, v in zip(prev, vec)
+                     if closing is None or _differ(row, closing))
+
+    mask = (1 << width) - 1
     counts: dict[tuple[int, int, int], int] = {}
-    for coloring in iter_colorings(rows, cols, bc, corner):
-        key = coloring.color_counts()
-        counts[key] = counts.get(key, 0) + 1
-    return ColoringCensus(rows=rows, cols=cols, bc=BoundaryCondition(bc), counts=counts)
+    slot = 0
+    while total:
+        if total & mask:
+            k0, k1 = divmod(slot, stride)
+            counts[(k0, k1, faces - k0 - k1)] = total & mask
+        total >>= width
+        slot += 1
+    return counts
 
 
 def lenard_map(coloring: GridColoring) -> SixVertexState:

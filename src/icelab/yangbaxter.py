@@ -45,7 +45,14 @@ ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tu
                ((bl, tl), (tl, tr), (tr, br), (br, bl)))
     ]
 )
-_ADMISSIBLE_QUADS = frozenset(quad for quad, _ in ADMISSIBLE)
+_KIND_OF_QUAD: dict[tuple[int, int, int, int], ColoredVertexKind] = dict(ADMISSIBLE)
+
+
+def _kind_of(bl: int, br: int, tl: int, tr: int) -> ColoredVertexKind:
+    """Kind and base color of an admissible (bl, br, tl, tr) quadruple, read
+    from ADMISSIBLE; any other quadruple raises InvalidColoringError."""
+    vk = _KIND_OF_QUAD.get((bl % 3, br % 3, tl % 3, tr % 3))
+    return vk if vk is not None else classify_vertex(bl, tl, tr, br)
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class WeightFamily:
         return "difference" if self.ybe_shift == 0 else "shifted"
 
     def evaluate(self, r: int, s: int, rp: int, sp: int, phi: complex) -> complex:
-        if (r % 3, s % 3, rp % 3, sp % 3) not in _ADMISSIBLE_QUADS:
+        if (r % 3, s % 3, rp % 3, sp % 3) not in _KIND_OF_QUAD:
             return 0j
         return self.evaluator(r % 3, s % 3, rp % 3, sp % 3, phi)
 
@@ -77,7 +84,7 @@ class WeightFamily:
 
 def _kindwise_evaluator(weight_of_kind: Callable[[ColoredVertexKind, complex], complex]) -> Evaluator:
     def evaluate(bl: int, br: int, tl: int, tr: int, phi: complex) -> complex:
-        return weight_of_kind(classify_vertex(bl, tl, tr, br), phi)
+        return weight_of_kind(_kind_of(bl, br, tl, tr), phi)
     return evaluate
 
 
@@ -197,7 +204,7 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     """Gauge application through the canonical integer corner lifts of each
     kind (base r in {0,1,2}, neighbours written literally as r-1 / r+1)."""
     def evaluate(bl: int, br: int, tl: int, tr: int, phi: complex) -> complex:
-        vk = classify_vertex(bl, tl, tr, br)
+        vk = _kind_of(bl, br, tl, tr)
         lbl, ltl, ltr, lbr = vk.corner_lifts()
         cc = g.C(lbl) / g.C(ltr)
         ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))

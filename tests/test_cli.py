@@ -72,6 +72,15 @@ class TestCensusCommand:
                                "--bc", "free")
         assert code == 2
 
+    def test_corner_rejected_off_dwbc(self, capsys):
+        for command in (["census"], ["enumerate", "--model", "coloring"]):
+            for bc in ("free", "toroidal"):
+                code, out, err = run_cli(capsys, *command, "--rows", "2", "--cols", "2",
+                                         "--bc", bc, "--corner", "1")
+                assert code == 2
+                assert out == ""
+                assert err.startswith("error: corner pins the top-left color")
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Property tests: six-vertex symmetry and Yang-Baxter over drawn inputs.
+"""Property tests: six-vertex symmetry, Yang-Baxter and census symmetries over
+drawn inputs.
 
 Rapidities are drawn with |chi_i - psi_j| < eta/4, where every six-vertex
 weight is positive, so the state sum has no cancellation and relative
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icelab import SpectralAssignment, partition_function_6v, sixvertex_family, ybe_sweep
+from icelab import (SpectralAssignment, compute_census, partition_function_6v,
+                    sixvertex_family, ybe_sweep)
 
 
 @st.composite
@@ -42,3 +44,25 @@ def test_sixvertex_ybe(data):
     rapidity = st.floats(0.0, eta / 4, exclude_max=True)
     phi, phi_p = data.draw(rapidity), data.draw(rapidity)
     assert ybe_sweep(sixvertex_family(eta), phi, phi_p).residual < 1e-9
+
+
+@st.composite
+def census_grids(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 25 // rows))
+    return rows, cols, draw(st.sampled_from(["free", "toroidal"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(census_grids())
+def test_census_unchanged_by_transposition(grid):
+    rows, cols, bc = grid
+    assert compute_census(cols, rows, bc).counts == compute_census(rows, cols, bc).counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(census_grids(), st.permutations(range(3)))
+def test_census_unchanged_by_color_permutation(grid, perm):
+    counts = compute_census(*grid).counts
+    permuted = {tuple(key[perm[c]] for c in range(3)): count for key, count in counts.items()}
+    assert permuted == counts

@@ -12,6 +12,7 @@ from icelab import (BranchDomainError, Color, ColoredVertexKind,
                     InvalidColoringError, SizeGuardError, SpectralAssignment,
                     VertexKind, check_recursion_3c, classify_vertex,
                     compute_census, dwbc_boundary, enumerate_colorings,
+                    iter_colorings,
                     enumerate_dwbc_states, F_rn, functional_residual_3c,
                     lenard_map, partial_partition_function, phi_ratio_factor,
                     phi_ratio_relation_check, psi_factor, raw_weight,
@@ -142,6 +143,77 @@ class TestCensus:
     def test_census_keys_partition_grid(self):
         census = compute_census(2, 2, "toroidal")
         assert all(sum(k) == 4 for k in census.counts)
+
+
+def _enumerated_counts(rows, cols, bc, corner=None):
+    counts = {}
+    for coloring in iter_colorings(rows, cols, bc, corner):
+        key = coloring.color_counts()
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestTransferCensus:
+    """compute_census runs a row transfer matrix; iter_colorings is its oracle."""
+
+    @pytest.mark.parametrize("bc", ["free", "toroidal"])
+    def test_matches_enumeration_up_to_12_faces(self, bc):
+        for rows in range(1, 13):
+            for cols in range(1, 12 // rows + 1):
+                assert compute_census(rows, cols, bc).counts == \
+                    _enumerated_counts(rows, cols, bc), (rows, cols)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dwbc_matches_enumeration(self, n):
+        for corner in (None, 0, 1, 2):
+            census = compute_census(n + 1, n + 1, "dwbc", corner)
+            assert census.counts == _enumerated_counts(n + 1, n + 1, "dwbc", corner)
+            assert census.total() == ASM[n] * (3 if corner is None else 1)
+
+    def test_exact_5x5_totals(self):
+        assert compute_census(5, 5, "free").total() == 580_986
+        assert compute_census(5, 5, "toroidal").total() == 7_560
+        assert compute_census(6, 6, "dwbc", corner=1).total() == ASM[5]
+
+    def test_counts_are_plain_ints(self):
+        census = compute_census(4, 5, "free")
+        assert all(type(c) is int for c in census.counts.values())
+        assert all(type(k) is int for key in census.counts for k in key)
+        assert all(c > 0 for c in census.counts.values())
+
+
+#: (rows, cols, bc, corner) -> the error both entry points raise, or None
+#: for a grid without colorings; several rows pin which guard fires first
+GUARD_CASES = [
+    ((0, 4, "free", None), SizeGuardError, "grid must be at least 1x1"),
+    ((3, 0, "dwbc", None), SizeGuardError, "grid must be at least 1x1"),
+    ((0, 0, "toroidal", 1), SizeGuardError, "grid must be at least 1x1"),
+    ((3, 4, "dwbc", None), InvalidColoringError,
+     "dwbc requires a square grid of at least 2x2 faces"),
+    ((1, 1, "dwbc", 0), InvalidColoringError,
+     "dwbc requires a square grid of at least 2x2 faces"),
+    ((7, 7, "dwbc", None), SizeGuardError, "dwbc n = 6 outside the enumeration guard 1..5"),
+    ((6, 6, "free", None), SizeGuardError, "6x6 = 36 faces exceeds the guard of 25"),
+    ((2, 13, "toroidal", 2), SizeGuardError, "2x13 = 26 faces exceeds the guard of 25"),
+    ((2, 2, "free", 1), InvalidColoringError,
+     "corner pins the top-left color of dwbc grids only, not of free grids"),
+    ((1, 4, "toroidal", 0), InvalidColoringError,
+     "corner pins the top-left color of dwbc grids only, not of toroidal grids"),
+    ((1, 4, "toroidal", None), None, None),
+    ((5, 1, "toroidal", None), None, None),
+]
+
+
+@pytest.mark.parametrize("args,error,message", GUARD_CASES)
+def test_census_and_enumeration_share_guards(args, error, message):
+    if error is None:
+        assert list(iter_colorings(*args)) == []
+        assert compute_census(*args).counts == {}
+        return
+    for run in (lambda: list(iter_colorings(*args)), lambda: compute_census(*args)):
+        with pytest.raises(error) as exc:
+            run()
+        assert str(exc.value) == message
 
 
 class TestLenardMap:

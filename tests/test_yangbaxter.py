@@ -3,15 +3,17 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
-from icelab import (EllipticParams, appendix_family, appendix_substitution,
-                    apply_gauge_kindwise, gauge_constraint_residual,
-                    identity_gauge, raw_family, rosengren_family,
-                    rosengren_gauge, rosengren_match, sixvertex_family, theta1,
-                    tilde_family, ybe_sweep, zeta_gauge)
-from icelab.yangbaxter import ADMISSIBLE, YbeSweep
+from icelab import (EllipticParams, InvalidColoringError, appendix_family,
+                    appendix_substitution, apply_gauge_kindwise,
+                    classify_vertex, gauge_constraint_residual, identity_gauge,
+                    raw_family, rosengren_family, rosengren_gauge,
+                    rosengren_match, sixvertex_family, theta1, tilde_family,
+                    ybe_sweep, zeta_gauge)
+from icelab.yangbaxter import ADMISSIBLE, YbeSweep, _kind_of
 
 PI = math.pi
 
@@ -54,6 +56,17 @@ def test_admissible_quadruples():
     for _quad, vk in ADMISSIBLE:
         kinds.setdefault(vk.kind, set()).add(int(vk.r))
     assert all(bases == {0, 1, 2} for bases in kinds.values())
+
+
+def test_kind_lookup_matches_classification():
+    for bl, br, tl, tr in itertools.product(range(-1, 4), repeat=4):
+        try:
+            want = classify_vertex(bl, tl, tr, br)
+        except InvalidColoringError as exc:
+            with pytest.raises(InvalidColoringError, match=re.escape(str(exc))):
+                _kind_of(bl, br, tl, tr)
+        else:
+            assert _kind_of(bl, br, tl, tr) == want
 
 
 def test_inadmissible_weight_is_zero():
