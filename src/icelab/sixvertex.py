@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
                      InvalidStateError, SizeGuardError)
@@ -76,12 +77,12 @@ class SixVertexState:
         if rows == 0 or len(self.v) != rows + 1:
             raise InvalidStateError("edge arrays have inconsistent shapes")
         cols = len(self.v[0])
-        if cols == 0 or any(len(r) != cols + 1 for r in self.h) or any(len(r) != cols for r in self.v):
+        if cols == 0 or set(map(len, self.h)) != {cols + 1} or set(map(len, self.v)) != {cols}:
             raise InvalidStateError("edge arrays have inconsistent shapes")
         for i in range(rows):
-            for j in range(cols):
-                if self.edges_at(i, j) not in _KIND_FROM_EDGES:
-                    raise InvalidStateError(f"ice rule violated at vertex ({i}, {j})")
+            j = _first_bad_vertex(tuple(self.h[i]), tuple(self.v[i]), tuple(self.v[i + 1]))
+            if j is not None:
+                raise InvalidStateError(f"ice rule violated at vertex ({i}, {j})")
 
     @property
     def nrows(self) -> int:
@@ -133,35 +134,59 @@ class SixVertexState:
         return (self.h, self.v)
 
 
+@lru_cache(maxsize=4096)
+def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None:
+    """Column of the first vertex in one row of a state that breaks the ice
+    rule, or None.  Rows of the enumerated states repeat across states, so
+    each distinct (h row, v above, v below) triple is checked once."""
+    for j, edges in enumerate(zip(h_row, h_row[1:], v_top, v_bottom)):
+        if edges not in _KIND_FROM_EDGES:
+            return j
+    return None
+
+
+def _row_moves(v_in: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+    """The (h row, v out) pairs of one domain-wall row below the vertical
+    edges v_in, h rows ascending.  The row enters pointing right, leaves
+    pointing left, and every vertex conserves arrows:
+    left - right - top + bottom = 0."""
+    rows = [((True,), ())]
+    for top in v_in:
+        extended = []
+        for h, v in rows:
+            for right in (False, True):
+                bottom = right + top - h[-1]
+                if bottom in (0, 1):
+                    extended.append((h + (right,), v + (bottom == 1,)))
+        rows = extended
+    return [(h, v) for h, v in rows if not h[-1]]
+
+
+Edges = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]
+
+
 @lru_cache(maxsize=None)
-def _enumerate_dwbc(n: int) -> tuple[SixVertexState, ...]:
+def _enumerate_dwbc(n: int) -> tuple[Edges, ...]:
+    """The (h, v) edge tuples of every domain-wall ice state, row by row
+    through a table of row moves.  Each row lowers the number of up arrows
+    by one, so every path from n up arrows ends at none; the moves come in
+    ascending h order and v is fixed by h, so the states come out in
+    SixVertexState.sort_key order.  Rows are shared between states."""
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
-    states: list[SixVertexState] = []
+    moves: dict[tuple[bool, ...], list] = {}
+    states: list[Edges] = []
 
-    def fill_row(i: int, v_in: tuple[bool, ...], h_rows: list, v_rows: list) -> None:
-        if i == n:
-            if not any(v_in):
-                states.append(SixVertexState(h=tuple(h_rows), v=tuple(v_rows) + (v_in,)))
+    def descend(v_in: tuple[bool, ...], h_rows: tuple, v_rows: tuple) -> None:
+        if len(h_rows) == n:
+            states.append((h_rows, v_rows + (v_in,)))
             return
+        if v_in not in moves:
+            moves[v_in] = _row_moves(v_in)
+        for h_row, v_out in moves[v_in]:
+            descend(v_out, h_rows + (h_row,), v_rows + (v_in,))
 
-        def fill_vertex(j: int, left: bool, hrow: list, vout: list) -> None:
-            if j == n:
-                if not left:  # rightmost horizontal arrow must point in (left)
-                    fill_row(i + 1, tuple(vout), h_rows + [tuple(hrow) + (left,)],
-                             v_rows + [v_in])
-                return
-            top = v_in[j]
-            n_in = (1 if left else 0) + (0 if top else 1)
-            for right in (False, True):
-                for bottom in (False, True):
-                    if n_in + (0 if right else 1) + (1 if bottom else 0) == 2:
-                        fill_vertex(j + 1, right, hrow + [left], vout + [bottom])
-
-        fill_vertex(0, True, [], [])
-
-    fill_row(0, tuple([True] * n), [], [])
-    states.sort(key=SixVertexState.sort_key)
+    descend((True,) * n, (), ())
     return tuple(states)
 
 
@@ -170,7 +195,20 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     lexicographic edge order.  Counts follow the alternating-sign-matrix
     sequence 1, 2, 7, 42, 429, ...
     """
-    return list(_enumerate_dwbc(n))
+    return [SixVertexState(h=h, v=v) for h, v in _enumerate_dwbc(n)]
+
+
+def _edge_arrays(n: int):
+    """Read-only uint8 arrays h (states, n, n+1) and v (states, n+1, n) of the
+    DWBC states in enumeration order."""
+    import numpy as np
+    edges = _enumerate_dwbc(n)
+
+    def bits(nested, rows, cols):
+        flat = bytes(chain.from_iterable(chain.from_iterable(nested)))
+        return np.frombuffer(flat, dtype=np.uint8).reshape(len(edges), rows, cols)
+
+    return (bits((h for h, _ in edges), n, n + 1), bits((v for _, v in edges), n + 1, n))
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +219,7 @@ def _kind_index(n: int):
     lookup = np.zeros(16, dtype=np.int8)
     for (left, right, top, bottom), kind in _KIND_FROM_EDGES.items():
         lookup[8 * left + 4 * right + 2 * top + bottom] = list(VertexKind).index(kind)
-    h = np.array([s.h for s in _enumerate_dwbc(n)], dtype=np.uint8)
-    v = np.array([s.v for s in _enumerate_dwbc(n)], dtype=np.uint8)
+    h, v = _edge_arrays(n)
     code = 8 * h[:, :, :-1] + 4 * h[:, :, 1:] + 2 * v[:, :-1, :] + v[:, 1:, :]
     return np.ascontiguousarray(lookup[code].reshape(len(h), n * n).T)
 

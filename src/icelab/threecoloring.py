@@ -62,7 +62,8 @@ from .numutil import column_products, rel_residual, stable_sum
 from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
                     theta1_reduced, theta4, theta_triple)
-from .sixvertex import SixVertexState, SpectralAssignment, VertexKind
+from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind,
+                        _edge_arrays, _kind_index)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -93,6 +94,10 @@ class Color(int):
 
     def __repr__(self) -> str:
         return f"Color({int(self)})"
+
+
+#: the three colors, shared by every face the enumerations build
+_COLORS = (Color(0), Color(1), Color(2))
 
 
 class BoundaryCondition(str, Enum):
@@ -176,7 +181,7 @@ class GridColoring:
 
     @classmethod
     def from_rows(cls, rows) -> "GridColoring":
-        return cls(faces=tuple(tuple(Color(c) for c in row) for row in rows))
+        return cls(faces=tuple(tuple(_COLORS[int(c) % 3] for c in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -192,13 +197,8 @@ class GridColoring:
 
     def is_proper(self) -> bool:
         f = self.faces
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if j + 1 < self.cols and f[i][j] == f[i][j + 1]:
-                    return False
-                if i + 1 < self.rows and f[i][j] == f[i + 1][j]:
-                    return False
-        return True
+        return (all(a != b for row in f for a, b in zip(row, row[1:]))
+                and all(a != b for upper, lower in zip(f, f[1:]) for a, b in zip(upper, lower)))
 
     def satisfies_toroidal(self) -> bool:
         f = self.faces
@@ -263,6 +263,8 @@ def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
         if rows - 1 > MAX_DWBC_N:
             raise SizeGuardError(
                 f"dwbc n = {rows - 1} outside the enumeration guard 1..{MAX_DWBC_N}")
+        if corner is not None and corner not in (0, 1, 2):
+            raise InvalidColoringError(f"corner must be a color 0, 1 or 2, got {corner}")
         return bc, False
     if rows * cols > MAX_FREE_CELLS:
         raise SizeGuardError(
@@ -282,8 +284,7 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     """
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if bc is BoundaryCondition.DWBC:
-        corners = [Color(corner)] if corner is not None else [Color(0), Color(1), Color(2)]
-        for c in corners:
+        for c in [int(corner)] if corner is not None else range(3):
             yield from _iter_dwbc(rows - 1, c)
         return
     if empty:
@@ -308,7 +309,7 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
             yield GridColoring(faces=tuple(tuple(row) for row in grid))
             return
         i, j = divmod(pos, cols)
-        for cval in (Color(0), Color(1), Color(2)):
+        for cval in _COLORS:
             if ok(i, j, cval):
                 grid[i][j] = cval
                 yield from walk(pos + 1)
@@ -317,30 +318,32 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     yield from walk(0)
 
 
-def _iter_dwbc(n: int, corner: Color) -> Iterator[GridColoring]:
-    size = n + 1
-    grid: list[list[Color | None]] = [[None] * size for _ in range(size)]
-    for (i, j), c in dwbc_boundary(n, corner).items():
-        grid[i][j] = c
-    interior = [(i, j) for i in range(1, n) for j in range(1, n)]
+def _dwbc_faces(n: int, corner: int):
+    """Face colors of the DWBC colorings with top-left color corner, read off
+    the DWBC ice states through the height function (the inverse of
+    lenard_map): a face is its north neighbour + 1 below a right-pointing
+    horizontal edge and its west neighbour + 1 right of an up-pointing
+    vertical edge, - 1 otherwise.  The ice rule makes the steps around every
+    vertex cancel, and the boundary arrows give the domain-wall boundary
+    colors, so this is a bijection onto the colorings.
 
-    def walk(pos: int) -> Iterator[GridColoring]:
-        if pos == len(interior):
-            yield GridColoring(faces=tuple(tuple(row) for row in grid))
-            return
-        i, j = interior[pos]
-        for cval in (Color(0), Color(1), Color(2)):
-            if grid[i - 1][j] == cval or grid[i][j - 1] == cval:
-                continue
-            if grid[i][j + 1] is not None and grid[i][j + 1] == cval:
-                continue
-            if grid[i + 1][j] is not None and grid[i + 1][j] == cval:
-                continue
-            grid[i][j] = cval
-            yield from walk(pos + 1)
-            grid[i][j] = None
+    Returns a uint8 array (colorings, n+1, n+1) sorted lexicographically by
+    face grid (the order of a row-major walk trying colors in ascending
+    order) and the ice-state position of each coloring."""
+    import numpy as np
+    h, v = (a.astype(np.int16) for a in _edge_arrays(n))
+    top = np.cumsum(np.concatenate([np.zeros_like(v[:, :1, :1]), 2 * v[:, :1, :] - 1], axis=2),
+                    axis=2)
+    heights = np.cumsum(np.concatenate([top, 2 * h - 1], axis=1), axis=1)
+    faces = ((corner + heights) % 3).astype(np.uint8)
+    order = np.lexsort(faces.reshape(len(faces), -1).T[::-1])
+    return faces[order], order
 
-    yield from walk(0)
+
+def _iter_dwbc(n: int, corner: int) -> Iterator[GridColoring]:
+    faces, _ = _dwbc_faces(n, corner)
+    for grid in faces.tolist():
+        yield GridColoring(faces=tuple(tuple(map(_COLORS.__getitem__, row)) for row in grid))
 
 
 def enumerate_colorings(rows: int, cols: int, bc: BoundaryCondition,
@@ -410,7 +413,7 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
         n = rows - 1
         proper = _proper_rows(rows)
         sectors = []
-        for c in ([corner % 3] if corner is not None else range(3)):
+        for c in ([corner] if corner is not None else range(3)):
             middle = [[row for row in proper
                        if row[0] == (c + i) % 3 and row[n] == (c + n - i) % 3]
                       for i in range(1, n)]
@@ -480,11 +483,10 @@ def lenard_map(coloring: GridColoring) -> SixVertexState:
         raise InvalidColoringError("coloring violates proper adjacency")
     if coloring.rows < 2 or coloring.cols < 2:
         raise InvalidColoringError("need at least one internal vertex")
-    f = coloring.faces
-    h = tuple(tuple(f[i + 1][j] == f[i][j] + 1 for j in range(coloring.cols))
+    f = [list(map(int, row)) for row in coloring.faces]
+    h = tuple(tuple((south - north) % 3 == 1 for north, south in zip(f[i], f[i + 1]))
               for i in range(coloring.rows - 1))
-    v = tuple(tuple(f[i][j + 1] == f[i][j] + 1 for j in range(coloring.cols - 1))
-              for i in range(coloring.rows))
+    v = tuple(tuple((east - west) % 3 == 1 for west, east in zip(row, row[1:])) for row in f)
     return SixVertexState(h=h, v=v)
 
 
@@ -595,16 +597,26 @@ def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
 @lru_cache(maxsize=None)
 def _vertex_codes(n: int, corner: int):
     """The DWBC colorings of one corner color, coded vertex by vertex: for each
-    internal vertex (i, j), row-major, the distinct (kind, base color) it takes,
-    and an int8 array (n*n, colorings) of positions in those tuples."""
+    internal vertex (i, j), row-major, the distinct (kind, base color) it takes
+    in order of first appearance, and an int8 array (n*n, colorings) of
+    positions in those tuples.  The kind is the arrow kind of the coloring's
+    ice state; the base color is the bottom-left face of an alpha vertex and
+    the top-left face of any other (see classify_vertex)."""
     import numpy as np
-    vertices = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    codes: list[dict[tuple[VertexKind, int], int]] = [{} for _ in vertices]
-    index = []
-    for coloring in _iter_dwbc(n, Color(corner)):
-        index.append([seen.setdefault((vk.kind, int(vk.r)), len(seen)) for seen, vk
-                      in zip(codes, (coloring.vertex(i, j) for i, j in vertices))])
-    return tuple(tuple(seen) for seen in codes), np.array(index, dtype=np.int8).T.copy()
+    faces, order = _dwbc_faces(n, corner)
+    kinds = _kind_index(n)[:, order]
+    count = len(order)
+    top_left = faces[:, :-1, :-1].reshape(count, n * n).T
+    bottom_left = faces[:, 1:, :-1].reshape(count, n * n).T
+    kind_list = list(VertexKind)
+    alpha = np.array([k in (VertexKind.ALPHA, VertexKind.ALPHA_P) for k in kind_list])
+    keys = 3 * kinds.astype(np.int16) + np.where(alpha[kinds], bottom_left, top_left)
+    codes, index = [], []
+    for row in keys.tolist():
+        seen: dict[int, int] = {}
+        index.append([seen.setdefault(key, len(seen)) for key in row])
+        codes.append(tuple((kind_list[key // 3], key % 3) for key in seen))
+    return tuple(codes), np.array(index, dtype=np.int8)
 
 
 def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
@@ -627,7 +639,7 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
     import numpy as np
     ctx = _weight_constants(params, cfg)
     evaluate = _raw_weight_ctx if which == "raw" else _tilde_weight_ctx
-    codes, index = _vertex_codes(n, int(Color(r)))
+    codes, index = _vertex_codes(n, r % 3)
     # each distinct (kind, base color, vertex) weight is evaluated once
     table = [np.array([evaluate(ctx, kind, base, assign.chi[v // n] - assign.psi[v % n])
                        for kind, base in seen]) for v, seen in enumerate(codes)]

@@ -7,11 +7,13 @@ import random
 import pytest
 
 from icelab import (DegenerateCrossingError, CrossingParameterError,
-                    SizeGuardError, SpectralAssignment, SixVertexState,
+                    InvalidStateError, SizeGuardError, SpectralAssignment,
+                    SixVertexState,
                     VertexKind, check_recursion_6v, enumerate_dwbc_states,
                     F_n_6v, functional_residual_6v, functional_sum_6v,
                     partition_function_6v, trig_cubic_residual, weight6v)
 from icelab.numutil import stable_sum
+from icelab.sixvertex import _KIND_FROM_EDGES, _kind_index
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -19,12 +21,45 @@ ETA0 = 2 * PI / 3
 # domain-wall state counts, alternating-sign-matrix numbers
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
 A6 = 7436
+F, T = False, True
 
 
 def assignment(rnd, n, eta=ETA0):
     return SpectralAssignment(chi=[rnd.uniform(0, PI) for _ in range(n)],
                               psi=[rnd.uniform(0, PI) for _ in range(n)],
                               eta=eta)
+
+
+def _loop_enumerate_dwbc(n):
+    """Vertex-by-vertex backtracking reference for enumerate_dwbc_states: every
+    (right, bottom) pair tried at each vertex against the two-in two-out rule,
+    the states sorted by edge tuples afterwards."""
+    states = []
+
+    def fill_row(i, v_in, h_rows, v_rows):
+        if i == n:
+            if not any(v_in):
+                states.append(SixVertexState(h=tuple(h_rows), v=tuple(v_rows) + (v_in,)))
+            return
+
+        def fill_vertex(j, left, hrow, vout):
+            if j == n:
+                if not left:  # rightmost horizontal arrow must point in (left)
+                    fill_row(i + 1, tuple(vout), h_rows + [tuple(hrow) + (left,)],
+                             v_rows + [v_in])
+                return
+            top = v_in[j]
+            n_in = (1 if left else 0) + (0 if top else 1)
+            for right in (False, True):
+                for bottom in (False, True):
+                    if n_in + (0 if right else 1) + (1 if bottom else 0) == 2:
+                        fill_vertex(j + 1, right, hrow + [left], vout + [bottom])
+
+        fill_vertex(0, True, [], [])
+
+    fill_row(0, tuple([True] * n), [], [])
+    states.sort(key=SixVertexState.sort_key)
+    return states
 
 
 def _loop_partition_function_6v(assign):
@@ -103,11 +138,66 @@ class TestEnumeration:
         for n in (1, 2, 3, 4):
             assert all(s.gamma_counts_odd() for s in enumerate_dwbc_states(n))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_loop_reference(self, n):
+        states = enumerate_dwbc_states(n)
+        assert [(s.h, s.v) for s in states] == \
+            [(s.h, s.v) for s in _loop_enumerate_dwbc(n)]
+        kinds = list(VertexKind)
+        assert _kind_index(n).tolist() == [
+            [kinds.index(s.kind_at(*divmod(vertex, n))) for s in states]
+            for vertex in range(n * n)]
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             enumerate_dwbc_states(8)
         with pytest.raises(SizeGuardError):
             enumerate_dwbc_states(0)
+
+
+#: the ten (left, right, top, bottom) patterns that break the ice rule
+NON_ICE = [(l, r, t, b) for l, r, t, b in itertools.product([F, T], repeat=4)
+           if l - r - t + b != 0]
+
+
+def _planted(state, i, j, edges):
+    """state's edge arrays with vertex (i, j)'s four edges replaced."""
+    h = [list(row) for row in state.h]
+    v = [list(row) for row in state.v]
+    h[i][j], h[i][j + 1], v[i][j], v[i + 1][j] = edges
+    return tuple(map(tuple, h)), tuple(map(tuple, v))
+
+
+class TestStateValidation:
+    def test_ten_non_ice_patterns(self):
+        assert len(NON_ICE) == 10
+        assert set(itertools.product([F, T], repeat=4)) - set(NON_ICE) == set(_KIND_FROM_EDGES)
+        interior = [(s, i, j) for s in enumerate_dwbc_states(4)
+                    for i in (1, 2) for j in (1, 2)]
+        for edges in NON_ICE:
+            # keep the left and top edges, which the vertices before (i, j)
+            # in row-major order share, so (i, j) is the first bad vertex
+            state, i, j = next((s, i, j) for s, i, j in interior
+                               if (s.h[i][j], s.v[i][j]) == (edges[0], edges[2]))
+            h, v = _planted(state, i, j, edges)
+            with pytest.raises(InvalidStateError) as exc:
+                SixVertexState(h=h, v=v)
+            assert str(exc.value) == f"ice rule violated at vertex ({i}, {j})", edges
+
+    @pytest.mark.parametrize("h,v", [
+        ((), ((T,),)),                                   # no rows
+        (((T, F),), ((T,), (F,), (F,))),                 # one v row too many
+        (((T, F),), ((T,),)),                            # one v row too few
+        (((T, F),), ((), ())),                           # no columns
+        (((T, F, F),), ((T,), (F,))),                    # h row too long
+        (((T, F), (T, F)), ((T,), (F,), (F, F))),        # ragged v
+        (((T, F), (T,)), ((T,), (F,), (F,))),            # ragged h
+        (((T, F), (T, F, F)), ((T,), (F,), (F,))),       # ragged h, longer
+    ])
+    def test_shape_errors(self, h, v):
+        with pytest.raises(InvalidStateError) as exc:
+            SixVertexState(h=h, v=v)
+        assert str(exc.value) == "edge arrays have inconsistent shapes"
 
 
 class TestWeights:

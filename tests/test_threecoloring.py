@@ -19,6 +19,7 @@ from icelab import (BranchDomainError, Color, ColoredVertexKind,
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
 from icelab.numutil import stable_sum
+from icelab.threecoloring import _vertex_codes
 
 PI = math.pi
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
@@ -33,17 +34,82 @@ def assignment(rnd, n):
                               psi=[rnd.uniform(0, PI) for _ in range(n)])
 
 
+def _loop_classify_vertex(bl, tl, tr, br):
+    """Reference for classify_vertex: the constant diagonal of a (bl, tl, tr,
+    br) quadruple gives the kind and its base color."""
+    bl, tl, tr, br = Color(bl), Color(tl), Color(tr), Color(br)
+    for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl)):
+        if a == b:
+            raise InvalidColoringError(f"adjacent faces equal in ({bl},{tl},{tr},{br})")
+    if bl == tr and tl == br:
+        kind = VertexKind.GAMMA if bl == tl + 1 else VertexKind.GAMMA_P
+        return ColoredVertexKind(kind, tl)
+    if bl == tr:
+        kind = VertexKind.ALPHA if tl == bl - 1 else VertexKind.ALPHA_P
+        return ColoredVertexKind(kind, bl)
+    if tl == br:
+        kind = VertexKind.BETA if bl == tl + 1 else VertexKind.BETA_P
+        return ColoredVertexKind(kind, tl)
+    raise InvalidColoringError(f"inadmissible quadruple ({bl},{tl},{tr},{br})")
+
+
+def _loop_iter_dwbc(n, corner):
+    """Backtracking reference for the DWBC colorings of one corner color: the
+    boundary pinned, the interior faces filled row-major with colors tried in
+    ascending order."""
+    size = n + 1
+    grid = [[None] * size for _ in range(size)]
+    for j in range(size):
+        grid[0][j], grid[n][j] = (corner + j) % 3, (corner + n - j) % 3
+        grid[j][0], grid[j][n] = (corner + j) % 3, (corner + n - j) % 3
+    interior = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def walk(pos):
+        if pos == len(interior):
+            yield GridColoring.from_rows(grid)
+            return
+        i, j = interior[pos]
+        for cval in range(3):
+            if grid[i - 1][j] == cval or grid[i][j - 1] == cval:
+                continue
+            if grid[i][j + 1] is not None and grid[i][j + 1] == cval:
+                continue
+            if grid[i + 1][j] is not None and grid[i + 1][j] == cval:
+                continue
+            grid[i][j] = cval
+            yield from walk(pos + 1)
+            grid[i][j] = None
+
+    yield from walk(0)
+
+
+def _loop_vertices(coloring, n):
+    """(kind, base color) of every internal vertex, row-major."""
+    f = coloring.faces
+    return [_loop_classify_vertex(f[i][j - 1], f[i - 1][j - 1], f[i - 1][j], f[i][j])
+            for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def _loop_vertex_codes(n, corner):
+    """Reference for _vertex_codes: every coloring classified vertex by
+    vertex, codes numbered in order of first appearance."""
+    codes = [{} for _ in range(n * n)]
+    index = [[seen.setdefault((vk.kind, int(vk.r)), len(seen))
+              for seen, vk in zip(codes, _loop_vertices(coloring, n))]
+             for coloring in _loop_iter_dwbc(n, corner)]
+    return tuple(tuple(seen) for seen in codes), [list(col) for col in zip(*index)]
+
+
 def _loop_partial_partition_function(n, r, assign, pr, which):
     """Coloring-by-coloring reference for partial_partition_function: every
     vertex weight evaluated through the public raw/tilde weights and
     multiplied in row-major order."""
     weight = raw_weight if which == "raw" else tilde_weight
     terms = []
-    for coloring in enumerate_colorings(n + 1, n + 1, "dwbc", corner=r):
+    for coloring in _loop_iter_dwbc(n, r):
         w = 1.0 + 0j
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                w *= weight(coloring.vertex(i, j), assign.chi[i - 1] - assign.psi[j - 1], pr)
+        for v, vk in enumerate(_loop_vertices(coloring, n)):
+            w *= weight(vk, assign.chi[v // n] - assign.psi[v % n], pr)
         terms.append(w)
     return stable_sum(terms)
 
@@ -116,6 +182,24 @@ class TestEnumeration:
         assert [int(bound[(4, j)]) for j in range(5)] == [0, 2, 1, 0, 2]
         for g in enumerate_colorings(4, 4, "dwbc", corner=1):
             assert g.satisfies_dwbc() and g.is_proper()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dwbc_matches_loop_reference(self, n):
+        for corner in (None, 0, 1, 2):
+            want = [g for c in ([corner] if corner is not None else range(3))
+                    for g in _loop_iter_dwbc(n, c)]
+            got = enumerate_colorings(n + 1, n + 1, "dwbc", corner=corner)
+            assert [g.to_json_obj() for g in got] == [g.to_json_obj() for g in want]
+            assert all(type(c) is Color for g in got for row in g.faces for c in row)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_vertex_codes_match_loop_reference(self, n):
+        for corner in range(3):
+            codes, index = _vertex_codes(n, corner)
+            want_codes, want_index = _loop_vertex_codes(n, corner)
+            assert codes == want_codes
+            assert index.dtype.name == "int8" and index.flags.c_contiguous
+            assert index.tolist() == want_index
 
     def test_guards(self):
         with pytest.raises(SizeGuardError):
@@ -201,6 +285,10 @@ GUARD_CASES = [
      "corner pins the top-left color of dwbc grids only, not of toroidal grids"),
     ((1, 4, "toroidal", None), None, None),
     ((5, 1, "toroidal", None), None, None),
+    ((3, 3, "dwbc", 5), InvalidColoringError, "corner must be a color 0, 1 or 2, got 5"),
+    ((3, 3, "dwbc", -1), InvalidColoringError, "corner must be a color 0, 1 or 2, got -1"),
+    ((4, 4, "dwbc", 3), InvalidColoringError, "corner must be a color 0, 1 or 2, got 3"),
+    ((7, 7, "dwbc", 3), SizeGuardError, "dwbc n = 6 outside the enumeration guard 1..5"),
 ]
 
 
