@@ -34,14 +34,3 @@ def rel_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
     """
     return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs), scale))
 
-
-def column_products(table, index) -> list[complex]:
-    """[prod_c table[c][index[c, s]] for each column s of index], multiplied
-    in order c = 0, 1, ... from 1, rounded like cmul.  table holds m complex
-    1-D arrays and index is an integer (m, S) array."""
-    import numpy as np
-    wr, wi = np.ones(index.shape[1]), np.zeros(index.shape[1])
-    for values, rows in zip(table, index):
-        g = values.take(rows)
-        wr, wi = wr * g.real - wi * g.imag, wr * g.imag + wi * g.real
-    return list(map(complex, wr.tolist(), wi.tolist()))

@@ -10,7 +10,9 @@ square lattice of n vertices per row h has shape n x (n+1) and v has shape
 
 Domain-wall boundary conditions: boundary horizontal arrows point in
 (leftmost right, rightmost left) and boundary vertical arrows point out
-(top up, bottom down).
+(top up, bottom down).  One row transfer table, the moves between tuples of
+vertical edges row by row, yields the states as its paths and the partition
+functions as a complex amplitude per row state, no state being listed.
 
 The six vertex kinds, by (left, right, top, bottom) edge booleans:
 
@@ -36,7 +38,7 @@ from itertools import chain
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
                      InvalidStateError, SizeGuardError)
-from .numutil import column_products, rel_residual, stable_sum
+from .numutil import rel_residual, stable_sum
 
 MAX_ENUM_N = 7
 ETA_COMBINATORIAL = 2.0 * math.pi / 3.0
@@ -162,31 +164,78 @@ def _row_moves(v_in: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], tuple[boo
     return [(h, v) for h, v in rows if not h[-1]]
 
 
+#: VertexKind by position: the kind codes of the row transfer table
+_KINDS = tuple(VertexKind)
+
+
+@lru_cache(maxsize=None)
+def _transfer_table(n: int):
+    """Per row, top first, (below, moves, codes): the row states (vertical
+    edge tuples) under the row, and in moves[src] the moves (dst, h, picks),
+    h ascending, from row state src above to below[dst]; picks[j] indexes
+    codes[j], vertex j's distinct (kind index, offset) codes.  offset is the
+    base color (top-left face; bottom-left for alpha) at top-left color 0,
+    by the height function: faces above row i are i plus the running +-1
+    steps along v_in, faces below are i + 1 plus those along v_out."""
+    rows, states = [], [(True,) * n]
+    for i in range(n):
+        below: dict[tuple[bool, ...], int] = {}
+        codes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+        moves = []
+        for v_in in states:
+            moves.append([])
+            for h, v_out in _row_moves(v_in):
+                picks, top, bottom = [], i, i + 1
+                for j, seen in enumerate(codes):
+                    kind = _KIND_FROM_EDGES[h[j], h[j + 1], v_in[j], v_out[j]]
+                    alpha = kind in (VertexKind.ALPHA, VertexKind.ALPHA_P)
+                    code = (_KINDS.index(kind), (bottom if alpha else top) % 3)
+                    picks.append(seen.setdefault(code, len(seen)))
+                    top, bottom = top + 2 * v_in[j] - 1, bottom + 2 * v_out[j] - 1
+                moves[-1].append((below.setdefault(v_out, len(below)), h, tuple(picks)))
+        states = list(below)
+        rows.append((tuple(states), tuple(map(tuple, moves)), tuple(map(tuple, codes))))
+    return tuple(rows)
+
+
+def _row_transfer(n: int, vertex_weights) -> complex:
+    """Sum over the n x n domain-wall states of their vertex weight products,
+    row by row; vertex_weights(i, j, codes) lists vertex (i, j)'s weights."""
+    amp = [1.0 + 0j]
+    for i, (below, moves, codes) in enumerate(_transfer_table(n)):
+        tables = [vertex_weights(i, j, c) for j, c in enumerate(codes)]
+        summed = [0j] * len(below)
+        for a, out in zip(amp, moves):
+            for dst, _, picks in out:
+                w = a
+                for table, pick in zip(tables, picks):
+                    w *= table[pick]
+                summed[dst] += w
+        amp = summed
+    return amp[0]
+
+
 Edges = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]
 
 
 @lru_cache(maxsize=None)
 def _enumerate_dwbc(n: int) -> tuple[Edges, ...]:
-    """The (h, v) edge tuples of every domain-wall ice state, row by row
-    through a table of row moves.  Each row lowers the number of up arrows
-    by one, so every path from n up arrows ends at none; the moves come in
-    ascending h order and v is fixed by h, so the states come out in
-    SixVertexState.sort_key order.  Rows are shared between states."""
+    """The (h, v) edge tuples of every domain-wall ice state, the paths
+    through the row transfer table.  Moves come in ascending h order and h
+    fixes v, so the states come out in SixVertexState.sort_key order."""
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
-    moves: dict[tuple[bool, ...], list] = {}
-    states: list[Edges] = []
+    table, states = _transfer_table(n), []
 
-    def descend(v_in: tuple[bool, ...], h_rows: tuple, v_rows: tuple) -> None:
-        if len(h_rows) == n:
-            states.append((h_rows, v_rows + (v_in,)))
+    def descend(i: int, src: int, h_rows: tuple, v_rows: tuple) -> None:
+        if i == n:
+            states.append((h_rows, v_rows))
             return
-        if v_in not in moves:
-            moves[v_in] = _row_moves(v_in)
-        for h_row, v_out in moves[v_in]:
-            descend(v_out, h_rows + (h_row,), v_rows + (v_in,))
+        below, moves, _ = table[i]
+        for dst, h_row, _ in moves[src]:
+            descend(i + 1, dst, h_rows + (h_row,), v_rows + (below[dst],))
 
-    descend((True,) * n, (), ())
+    descend(0, 0, (), ((True,) * n,))
     return tuple(states)
 
 
@@ -209,19 +258,6 @@ def _edge_arrays(n: int):
         return np.frombuffer(flat, dtype=np.uint8).reshape(len(edges), rows, cols)
 
     return (bits((h for h, _ in edges), n, n + 1), bits((v for _, v in edges), n + 1, n))
-
-
-@lru_cache(maxsize=None)
-def _kind_index(n: int):
-    """int8 array (n*n, states): the VertexKind index (position in the enum)
-    of every vertex, row-major, of every DWBC state in enumeration order."""
-    import numpy as np
-    lookup = np.zeros(16, dtype=np.int8)
-    for (left, right, top, bottom), kind in _KIND_FROM_EDGES.items():
-        lookup[8 * left + 4 * right + 2 * top + bottom] = list(VertexKind).index(kind)
-    h, v = _edge_arrays(n)
-    code = 8 * h[:, :, :-1] + 4 * h[:, :, 1:] + 2 * v[:, :-1, :] + v[:, 1:, :]
-    return np.ascontiguousarray(lookup[code].reshape(len(h), n * n).T)
 
 
 @dataclass(frozen=True)
@@ -283,26 +319,24 @@ def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
     return 1.0 + 0j
 
 
-def _weight_table(assign: SpectralAssignment):
-    """(n*n, 6) array: at every vertex chi_i - psi_j (rows, row-major) the
-    weight6v of every VertexKind (columns, in enum order)."""
-    import numpy as np
-    s = _sin_eta(assign.eta)
-    half = assign.eta / 2
-    phis = [x - y for x in assign.chi for y in assign.psi]
-    return np.array([(a, a, b, b, 1.0 + 0j, 1.0 + 0j) for a, b in
-                     ((cmath.sin(half - phi) / s, cmath.sin(half + phi) / s) for phi in phis)])
-
-
 def partition_function_6v(assign: SpectralAssignment) -> complex:
     """Domain-wall partition function: sum over ice states of the product of
-    vertex weights at chi_i - psi_j.  Symmetric separately in the chi and in
-    the psi variables; the empty lattice has Z_0 = 1."""
+    vertex weights at chi_i - psi_j, by the row transfer.  Symmetric in the
+    chi and in the psi separately; the empty lattice has Z_0 = 1."""
     n = assign.n
     if n == 0:
         return 1.0 + 0j
-    table = _weight_table(assign)
-    return stable_sum(column_products(table, _kind_index(n)))
+    s = _sin_eta(assign.eta)
+    if n > MAX_ENUM_N:
+        raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
+    half = assign.eta / 2
+
+    def weights(i, j, codes):
+        phi = assign.chi[i] - assign.psi[j]
+        a, b = cmath.sin(half - phi) / s, cmath.sin(half + phi) / s
+        return [(a, a, b, b, 1.0 + 0j, 1.0 + 0j)[kind] for kind, _ in codes]
+
+    return _row_transfer(n, weights)
 
 
 def F_n_6v(assign: SpectralAssignment) -> complex:

@@ -38,6 +38,7 @@ TWO_PI_OVER_3 = 2.0 * PI / 3.0
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
 _LOG_2 = math.log(2.0)
 _POLE_TOL = 1e-12
+_STOP_MARGIN = 1e-6  # far above the roundoff of log(tol) + |s| and log(tol (1 + |s|))
 
 
 @dataclass(frozen=True)
@@ -105,26 +106,13 @@ class EllipticParams:
         return EllipticParams(p=self.p ** 3, tau=3 * self.tau, lam=self.lam)
 
 
-def _nome_log_abs(p: complex) -> float:
-    ap = abs(p)
-    if ap >= 1.0:
-        raise NomeDomainError(f"|p| = {ap} >= 1: series diverge")
-    if ap == 0.0:
-        return -math.inf
-    return math.log(ap)
-
-
 def _pow_nome(p: complex, a: float) -> complex:
     """p**a for the series exponents (a > 0); 0**a := 0."""
     if p == 0:
         return 0j
-    if isinstance(p, complex):
-        if p.imag == 0.0 and p.real > 0.0:
-            return complex(math.exp(a * math.log(p.real)))
-        return cmath.exp(a * cmath.log(p))
-    if p > 0:
-        return complex(math.exp(a * math.log(p)))
-    return cmath.exp(a * cmath.log(complex(p)))
+    if p.imag == 0.0 and p.real > 0.0:
+        return complex(math.exp(a * math.log(p.real)))
+    return cmath.exp(a * cmath.log(p))
 
 
 @lru_cache(maxsize=64)
@@ -132,8 +120,9 @@ def _nome_powers(p: complex, imag_sign: float, a: int, offset: float) -> list:
     """[log|p|, table] of one series (see _series): table[k] = (e_k log|p|,
     c_k (-1)^k p^{e_k}), filled lazily by replacing the tuple, never changing
     it, so concurrent callers read consistent entries.  The sign of Im p is
-    in the key: x - 0j equals x + 0j, but their powers differ for x < 0."""
-    return [_nome_log_abs(p), ()]
+    in the key: x - 0j equals x + 0j, but their powers differ for x < 0.
+    EllipticParams keeps |p| < 1."""
+    return [math.log(abs(p)) if p else -math.inf, ()]
 
 
 def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
@@ -147,15 +136,27 @@ def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
     finite at p = 0; offset = 1/4 carries the p^{1/4} into every exponent,
     (k + 1/2)^2, and gives theta1 itself.  derivative=True replaces
     f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
+    Sums are kept in a bounded cache keyed by the nome, not params, and by
+    the signs of phi's parts and of Im p: -0.0 == 0.0 and x - 0j == x + 0j,
+    but negative nomes have different powers on the two sides of the cut.
     """
-    p = params.p
-    powers = _nome_powers(p, math.copysign(1.0, p.imag), a, offset)
+    phi, p = complex(phi), params.p
+    return _series_sum(a, phi, math.copysign(1.0, phi.real), math.copysign(1.0, phi.imag),
+                       p, math.copysign(1.0, p.imag), cfg.term_tolerance, cfg.max_terms,
+                       offset, derivative)
+
+
+@lru_cache(maxsize=256)
+def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, p: complex,
+                p_sign: float, tol: float, max_terms: int, offset: float,
+                derivative: bool) -> complex:
+    powers = _nome_powers(p, p_sign, a, offset)
     log_ap, table = powers
-    phi = complex(phi)
+    log_tol = math.log(tol)
     im = abs(phi.imag)
     trig = cmath.sin if a else cmath.cos
     s = 0j
-    for k in range(cfg.max_terms):
+    for k in range(max_terms):
         w = 2 * k + a
         if k == len(table):
             e = k * (k + a) + offset
@@ -164,7 +165,10 @@ def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
         log_pe, coef = table[k]
         # log of the term bound 2 |p|^e exp(w |Im phi|), or 2 w |p|^e for the derivative
         log_env = log_pe + math.log(2.0 * w) if derivative else log_pe + w * im + _LOG_2
-        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
+        # stop once log_env < log(tol (1 + |s|)); since log(1 + x) <= x that
+        # log is only needed below log(tol) + |s| (plus a margin for roundoff)
+        if (log_env < log_tol + abs(s) + _STOP_MARGIN
+                and log_env < math.log(tol * (1.0 + abs(s)))):
             return s
         if log_env > _LOG_HUGE:
             raise SeriesTruncationError(
@@ -172,7 +176,7 @@ def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
                 f"for |p| = {abs(p)}")
         s += coef * (w if derivative else trig(w * phi))
     raise SeriesTruncationError(
-        f"theta series not converged in {cfg.max_terms} terms "
+        f"theta series not converged in {max_terms} terms "
         f"(|p| = {abs(p)}, |Im phi| = {im})")
 
 

@@ -24,7 +24,9 @@ in (bl, tl, tr, br) order.  The arrow map sends a coloring to an ice state:
 a horizontal edge points right iff its south face is its north face + 1, a
 vertical edge points up iff its east face is its west face + 1; the vertex
 kind of the face quadruple equals the arrow kind, and the map is three to
-one (fixing any single face color makes it a bijection).
+one (fixing any single face color makes it a bijection).  The domain-wall
+partial partition functions therefore run the six-vertex row transfer, the
+base colors read off the height function of each row move.
 
 Two weight families are evaluated for a vertex of kind/base (k, r) at
 spectral parameter phi, both built on theta functions of nome p with the
@@ -58,12 +60,12 @@ from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, InvalidColoringError, PoleError,
                      SizeGuardError)
-from .numutil import column_products, rel_residual, stable_sum
+from .numutil import rel_residual, stable_sum
 from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
                     theta1_reduced, theta4, theta_triple)
-from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind,
-                        _edge_arrays, _kind_index)
+from .sixvertex import (_KINDS, SixVertexState, SpectralAssignment,
+                        VertexKind, _edge_arrays, _row_transfer)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -178,6 +180,8 @@ class GridColoring:
         cols = len(self.faces[0])
         if any(len(row) != cols for row in self.faces):
             raise InvalidColoringError("ragged face grid")
+        if any(c not in _COLORS for row in self.faces for c in row):
+            raise InvalidColoringError("face colors must be 0, 1 or 2")
 
     @classmethod
     def from_rows(cls, rows) -> "GridColoring":
@@ -285,7 +289,8 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if bc is BoundaryCondition.DWBC:
         for c in [int(corner)] if corner is not None else range(3):
-            yield from _iter_dwbc(rows - 1, c)
+            for grid in _dwbc_faces(rows - 1, c).tolist():
+                yield GridColoring.from_rows(grid)
         return
     if empty:
         return
@@ -329,21 +334,14 @@ def _dwbc_faces(n: int, corner: int):
 
     Returns a uint8 array (colorings, n+1, n+1) sorted lexicographically by
     face grid (the order of a row-major walk trying colors in ascending
-    order) and the ice-state position of each coloring."""
+    order)."""
     import numpy as np
     h, v = (a.astype(np.int16) for a in _edge_arrays(n))
     top = np.cumsum(np.concatenate([np.zeros_like(v[:, :1, :1]), 2 * v[:, :1, :] - 1], axis=2),
                     axis=2)
     heights = np.cumsum(np.concatenate([top, 2 * h - 1], axis=1), axis=1)
     faces = ((corner + heights) % 3).astype(np.uint8)
-    order = np.lexsort(faces.reshape(len(faces), -1).T[::-1])
-    return faces[order], order
-
-
-def _iter_dwbc(n: int, corner: int) -> Iterator[GridColoring]:
-    faces, _ = _dwbc_faces(n, corner)
-    for grid in faces.tolist():
-        yield GridColoring(faces=tuple(tuple(map(_COLORS.__getitem__, row)) for row in grid))
+    return faces[np.lexsort(faces.reshape(len(faces), -1).T[::-1])]
 
 
 def enumerate_colorings(rows: int, cols: int, bc: BoundaryCondition,
@@ -594,40 +592,15 @@ def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _vertex_codes(n: int, corner: int):
-    """The DWBC colorings of one corner color, coded vertex by vertex: for each
-    internal vertex (i, j), row-major, the distinct (kind, base color) it takes
-    in order of first appearance, and an int8 array (n*n, colorings) of
-    positions in those tuples.  The kind is the arrow kind of the coloring's
-    ice state; the base color is the bottom-left face of an alpha vertex and
-    the top-left face of any other (see classify_vertex)."""
-    import numpy as np
-    faces, order = _dwbc_faces(n, corner)
-    kinds = _kind_index(n)[:, order]
-    count = len(order)
-    top_left = faces[:, :-1, :-1].reshape(count, n * n).T
-    bottom_left = faces[:, 1:, :-1].reshape(count, n * n).T
-    kind_list = list(VertexKind)
-    alpha = np.array([k in (VertexKind.ALPHA, VertexKind.ALPHA_P) for k in kind_list])
-    keys = 3 * kinds.astype(np.int16) + np.where(alpha[kinds], bottom_left, top_left)
-    codes, index = [], []
-    for row in keys.tolist():
-        seen: dict[int, int] = {}
-        index.append([seen.setdefault(key, len(seen)) for key in row])
-        codes.append(tuple((kind_list[key // 3], key % 3) for key in seen))
-    return tuple(codes), np.array(index, dtype=np.int8)
-
-
 def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
                                params: EllipticParams, which: str = "tilde",
                                cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
     """Domain-wall coloring sum restricted to top-left corner color r.
 
     Summands are products of vertex weights at chi_i - psi_j over the n x n
-    internal vertices; which selects the raw or the tilde family.  The empty
-    lattice has value 1 by convention.
-    """
+    internal vertices; which selects the raw or the tilde family.  Summed by
+    the six-vertex row transfer, a row move and the corner fixing each
+    vertex's kind and base color.  The empty lattice has value 1."""
     if which not in ("raw", "tilde"):
         raise ValueError("which must be 'raw' or 'tilde'")
     if n == 0:
@@ -636,14 +609,14 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
         raise SizeGuardError(f"dwbc n = {n} outside the enumeration guard 1..{MAX_DWBC_N}")
     if assign.n != n:
         raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
-    import numpy as np
     ctx = _weight_constants(params, cfg)
     evaluate = _raw_weight_ctx if which == "raw" else _tilde_weight_ctx
-    codes, index = _vertex_codes(n, r % 3)
-    # each distinct (kind, base color, vertex) weight is evaluated once
-    table = [np.array([evaluate(ctx, kind, base, assign.chi[v // n] - assign.psi[v % n])
-                       for kind, base in seen]) for v, seen in enumerate(codes)]
-    return stable_sum(column_products(table, index))
+
+    def weights(i, j, codes):
+        phi = assign.chi[i] - assign.psi[j]
+        return [evaluate(ctx, _KINDS[kind], (r + offset) % 3, phi) for kind, offset in codes]
+
+    return _row_transfer(n, weights)
 
 
 def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,

@@ -13,7 +13,7 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     F_n_6v, functional_residual_6v, functional_sum_6v,
                     partition_function_6v, trig_cubic_residual, weight6v)
 from icelab.numutil import stable_sum
-from icelab.sixvertex import _KIND_FROM_EDGES, _kind_index
+from icelab.sixvertex import _KIND_FROM_EDGES, _transfer_table
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -74,6 +74,24 @@ def _loop_partition_function_6v(assign):
                 w *= weight6v(state.kind_at(i, j), assign.chi[i] - assign.psi[j], assign.eta)
         terms.append(w)
     return stable_sum(terms)
+
+
+def _transfer_paths(n):
+    """Every path of row moves through the transfer table, depth first in
+    table order, as the row-major tuple of its vertex codes."""
+    table = _transfer_table(n)
+    paths = []
+
+    def descend(i, state, codes):
+        if i == n:
+            paths.append(codes)
+            return
+        _, moves, row_codes = table[i]
+        for dst, _, picks in moves[state]:
+            descend(i + 1, dst, codes + tuple(c[p] for c, p in zip(row_codes, picks)))
+
+    descend(0, 0, ())
+    return paths
 
 
 def _izergin_korepin(assign):
@@ -144,9 +162,8 @@ class TestEnumeration:
         assert [(s.h, s.v) for s in states] == \
             [(s.h, s.v) for s in _loop_enumerate_dwbc(n)]
         kinds = list(VertexKind)
-        assert _kind_index(n).tolist() == [
-            [kinds.index(s.kind_at(*divmod(vertex, n))) for s in states]
-            for vertex in range(n * n)]
+        assert [tuple(kinds[kind] for kind, _ in path) for path in _transfer_paths(n)] == [
+            tuple(s.kind_at(*divmod(vertex, n)) for vertex in range(n * n)) for s in states]
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -274,8 +291,25 @@ class TestPartitionFunction:
             a = SpectralAssignment(chi=[0.0] * n, psi=[0.0] * n)
             assert partition_function_6v(a) == pytest.approx(count, rel=1e-12)
 
+    @pytest.mark.parametrize("eta, x_enumeration", [
+        # the x-enumerations A_n(x) of alternating sign matrices, x = 2 + 2 cos(eta)
+        (2 * PI / 3, {n: math.prod(math.factorial(3 * k + 1) / math.factorial(n + k)
+                                   for k in range(n)) for n in range(1, 8)}),
+        (PI / 2, {n: 2 ** (n * (n - 1) // 2) for n in range(1, 8)}),
+        (PI / 3, dict(enumerate([1, 2, 9, 90, 2025, 102060, 11573604], start=1))),
+    ])
+    def test_zero_rapidity_x_enumerations(self, eta, x_enumeration):
+        # at chi = psi = 0, a = b = 1 / (2 cos(eta/2)) and c = 1; a state with
+        # k reversed gamma pairs has n^2 - n - 2k alpha and beta vertices, so
+        # Z_n = a^{n^2 - n} A_n(1 / a^2)
+        a = 1 / (2 * math.cos(eta / 2))
+        for n, count in x_enumeration.items():
+            z = partition_function_6v(SpectralAssignment(chi=[0.0] * n, psi=[0.0] * n, eta=eta))
+            assert z == pytest.approx(a ** (n * n - n) * count, rel=1e-13)
+
     def test_size_and_crossing_guards(self):
-        with pytest.raises(SizeGuardError):
+        # the row transfer lists no state, so the evaluator has its own guard
+        with pytest.raises(SizeGuardError, match=r"^n = 8 outside the enumeration guard 1\.\.7$"):
             partition_function_6v(SpectralAssignment(chi=[0.1] * 8, psi=[0.2] * 8))
         # a degenerate crossing is reported before the size guard
         with pytest.raises(DegenerateCrossingError):

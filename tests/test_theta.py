@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 
 import pytest
 
@@ -10,6 +11,7 @@ from icelab import (EllipticParams, NomeDomainError, PoleError, SeriesConfig,
                     SeriesTruncationError, cubic_factor_D, quasi_period_factor,
                     theta1, theta1_prime_at_zero, theta1_reduced, theta4, zeta,
                     zeta_log_table)
+from icelab.theta import _series, _series_sum
 
 PI = math.pi
 
@@ -104,9 +106,10 @@ class TestArbitraryPrecisionOracle:
             self.jtheta(1, 0.0, p, derivative=1), rel=1e-14)
 
 
-def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False):
+def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False, count=False):
     """Term-by-term reference for the theta series kernel: every power of
-    the nome and every envelope log computed afresh for each term."""
+    the nome, every envelope log and the log of the stopping bound computed
+    afresh for each term.  count=True also returns the number of terms."""
     from icelab.theta import _pow_nome
     p = params.p
     log_ap = math.log(abs(p)) if p else -math.inf
@@ -120,12 +123,17 @@ def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False):
         log_env = e * log_ap if e else 0.0
         log_env = log_env + math.log(2.0 * w) if derivative else log_env + w * im + math.log(2.0)
         if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
-            return s
+            return (s, k) if count else s
         if log_env > 700.0:
             raise SeriesTruncationError(f"overflow at k={k}")
         term = w if derivative else trig(w * phi)
         s += (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0) * term
     raise SeriesTruncationError(f"not converged in {cfg.max_terms} terms")
+
+
+def _bits(z):
+    """The bytes of a complex value, so that -0.0 and 0.0 differ."""
+    return struct.pack("dd", z.real, z.imag)
 
 
 class TestPowerTable:
@@ -144,6 +152,46 @@ class TestPowerTable:
                 assert theta1(phi, pr) == _loop_series(1, phi, pr, cfg, 0.25)
                 assert theta4(phi, pr) == _loop_series(0, phi, pr, cfg)
                 assert theta1_reduced(phi, pr) == _loop_series(1, phi, pr, cfg)
+
+    def test_stop_rule_matches_reference(self):
+        # the bound log(tol) + |s| skips the log of the stopping test but not
+        # its decision: values agree bit for bit, and so does the term count
+        # T, which shows as convergence with max_terms = T + 1 and a
+        # SeriesTruncationError with max_terms = T
+        kernels = [(a, offset, phi, False) for a, offset in ((0, 0.0), (1, 0.0), (1, 0.25))
+                   for phi in self.PHIS + (0.0, -1.1, 3.0 + 0.02j)]
+        kernels += [(1, offset, 0.0, True) for offset in (0.0, 0.25)]
+        for p in self.NOMES:
+            pr = EllipticParams.from_nome(p, lam=0.3)
+            for tol in (1e-16, 1e-9, 0.3):
+                for a, offset, phi, derivative in kernels:
+                    want, terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset,
+                                               derivative, count=True)
+                    for max_terms in (64, terms + 1):
+                        got = _series(a, phi, pr, SeriesConfig(tol, max_terms), offset, derivative)
+                        assert _bits(got) == _bits(want), (p, tol, a, offset, phi, derivative)
+                    if terms:
+                        with pytest.raises(SeriesTruncationError):
+                            _series(a, phi, pr, SeriesConfig(tol, terms), offset, derivative)
+
+    def test_cache_keeps_signed_zeros_apart(self):
+        # -0.0 == 0.0 and x - 0j == x + 0j, so the cache key carries the signs:
+        # whichever comes first, the other is summed afresh, not looked up
+        up = EllipticParams.from_nome(complex(-0.2, 0.0), lam=0.3)
+        down = EllipticParams.from_nome(complex(-0.2, -0.0), lam=0.3)
+        cfg = SeriesConfig()
+        for order in (1, -1):
+            _series_sum.cache_clear()
+            for pr in (up, down)[::order]:
+                assert _bits(theta1(0.7, pr)) == _bits(_loop_series(1, 0.7, pr, cfg, 0.25))
+            assert _series_sum.cache_info().misses == 2
+            zeros = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.5, -0.0))
+            for phi in zeros[::order]:
+                assert _bits(theta1(phi, up)) == _bits(_loop_series(1, phi, up, cfg, 0.25))
+            assert _series_sum.cache_info().misses == 2 + len(zeros)
+            for phi in zeros:
+                assert _bits(theta1(phi, up)) == _bits(_loop_series(1, phi, up, cfg, 0.25))
+            assert _series_sum.cache_info().hits == len(zeros)
 
     def test_sign_of_zero_imaginary_nome(self):
         up = EllipticParams.from_nome(complex(-0.2, 0.0))

@@ -19,7 +19,7 @@ from icelab import (BranchDomainError, Color, ColoredVertexKind,
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
 from icelab.numutil import stable_sum
-from icelab.threecoloring import _vertex_codes
+from icelab.sixvertex import _transfer_table
 
 PI = math.pi
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
@@ -90,14 +90,24 @@ def _loop_vertices(coloring, n):
             for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _loop_vertex_codes(n, corner):
-    """Reference for _vertex_codes: every coloring classified vertex by
-    vertex, codes numbered in order of first appearance."""
-    codes = [{} for _ in range(n * n)]
-    index = [[seen.setdefault((vk.kind, int(vk.r)), len(seen))
-              for seen, vk in zip(codes, _loop_vertices(coloring, n))]
-             for coloring in _loop_iter_dwbc(n, corner)]
-    return tuple(tuple(seen) for seen in codes), [list(col) for col in zip(*index)]
+def _transfer_vertices(n, corner):
+    """(kind, base color) of every vertex, row-major, of every path of row
+    moves through the transfer table, the base color being the corner plus
+    the code's offset."""
+    table, kinds = _transfer_table(n), list(VertexKind)
+    paths = []
+
+    def descend(i, state, vertices):
+        if i == n:
+            paths.append(vertices)
+            return
+        _, moves, row_codes = table[i]
+        for dst, _, picks in moves[state]:
+            descend(i + 1, dst, vertices + tuple(
+                (kinds[c[p][0]], (corner + c[p][1]) % 3) for c, p in zip(row_codes, picks)))
+
+    descend(0, 0, ())
+    return paths
 
 
 def _loop_partial_partition_function(n, r, assign, pr, which):
@@ -147,6 +157,12 @@ class TestColor:
         assert -Color(1) == Color(2)
         assert int(Color(7)) == 1
 
+    def test_grid_rejects_colors_outside_z3(self):
+        for faces in (((0, 3), (1, 2)), ((0, 4), (1, 2)), ((0, -1), (1, 2))):
+            with pytest.raises(InvalidColoringError):
+                GridColoring(faces=faces)
+        assert GridColoring(faces=((0, 1), (1, 2))).color_counts() == (1, 2, 1)
+
 
 class TestEnumeration:
     def test_free_1x1(self):
@@ -193,13 +209,15 @@ class TestEnumeration:
             assert all(type(c) is Color for g in got for row in g.faces for c in row)
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_vertex_codes_match_loop_reference(self, n):
+    def test_transfer_codes_match_loop_reference(self, n):
+        # the row moves with their height-function offsets are the colorings
+        # of every corner, vertex by vertex
+        key = lambda vertices: [(kind.value, r) for kind, r in vertices]
         for corner in range(3):
-            codes, index = _vertex_codes(n, corner)
-            want_codes, want_index = _loop_vertex_codes(n, corner)
-            assert codes == want_codes
-            assert index.dtype.name == "int8" and index.flags.c_contiguous
-            assert index.tolist() == want_index
+            got = sorted(map(key, _transfer_vertices(n, corner)))
+            want = sorted(key((vk.kind, int(vk.r)) for vk in _loop_vertices(coloring, n))
+                          for coloring in _loop_iter_dwbc(n, corner))
+            assert got == want
 
     def test_guards(self):
         with pytest.raises(SizeGuardError):
@@ -478,6 +496,29 @@ class TestPartitionFunctions:
                     for which in ("raw", "tilde"):
                         assert partial_partition_function(n, r, a, pr, which) == pytest.approx(
                             _loop_partial_partition_function(n, r, a, pr, which), rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_coloring_product(self, n):
+        # the public enumeration and vertex classifier against the row transfer
+        rnd = random.Random(40 + n)
+        pr = params(0.2, 0.27)
+        a = assignment(rnd, n).shift_chi(1, 0.1j)
+        for which, weight in (("raw", raw_weight), ("tilde", tilde_weight)):
+            for r in range(3):
+                terms = []
+                for coloring in enumerate_colorings(n + 1, n + 1, "dwbc", corner=r):
+                    w = 1.0 + 0j
+                    for i, j in itertools.product(range(n), repeat=2):
+                        w *= weight(coloring.vertex(i + 1, j + 1), a.chi[i] - a.psi[j], pr)
+                    terms.append(w)
+                assert partial_partition_function(n, r, a, pr, which) == pytest.approx(
+                    stable_sum(terms), rel=1e-13)
+
+    def test_size_guard(self):
+        a = SpectralAssignment(chi=[0.1] * 6, psi=[0.2] * 6)
+        message = r"^dwbc n = 6 outside the enumeration guard 1\.\.5$"
+        with pytest.raises(SizeGuardError, match=message):
+            partial_partition_function(6, 0, a, params(0.2, 0.3))
 
     def test_lambda_shift_law(self):
         rnd = random.Random(24)
