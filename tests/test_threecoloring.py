@@ -209,7 +209,7 @@ class TestEnumeration:
             assert all(type(c) is Color for g in got for row in g.faces for c in row)
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_transfer_codes_match_loop_reference(self, n):
+    def test_vertex_codes_match_loop_reference(self, n):
         # the row moves with their height-function offsets are the colorings
         # of every corner, vertex by vertex
         key = lambda vertices: [(kind.value, r) for kind, r in vertices]
