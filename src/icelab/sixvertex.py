@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
                      InvalidStateError, SizeGuardError)
@@ -245,19 +244,6 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     sequence 1, 2, 7, 42, 429, ...
     """
     return [SixVertexState(h=h, v=v) for h, v in _enumerate_dwbc(n)]
-
-
-def _edge_arrays(n: int):
-    """Read-only uint8 arrays h (states, n, n+1) and v (states, n+1, n) of the
-    DWBC states in enumeration order."""
-    import numpy as np
-    edges = _enumerate_dwbc(n)
-
-    def bits(nested, rows, cols):
-        flat = bytes(chain.from_iterable(chain.from_iterable(nested)))
-        return np.frombuffer(flat, dtype=np.uint8).reshape(len(edges), rows, cols)
-
-    return (bits((h for h, _ in edges), n, n + 1), bits((v for _, v in edges), n + 1, n))
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,6 @@ def cubic_factor_D(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -
     Computed from the reduced series; the p^{3/4} factors cancel exactly, so
     the value extends continuously to D(0) = 1.
     """
-    if abs(params.p) ** 3 >= 1.0:
-        raise NomeDomainError("|p^3| >= 1")
     den = _series(1, 0.0, params.cubed(), cfg, derivative=True)
     if abs(den) < _POLE_TOL:
         raise PoleError("theta1'(0 | p^3) vanishes")

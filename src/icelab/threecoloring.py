@@ -56,6 +56,7 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import ne
 from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, InvalidColoringError, PoleError,
@@ -65,7 +66,7 @@ from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
                     theta1_reduced, theta4, theta_triple)
 from .sixvertex import (_KINDS, SixVertexState, SpectralAssignment,
-                        VertexKind, _edge_arrays, _row_transfer)
+                        VertexKind, _row_transfer)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -204,11 +205,6 @@ class GridColoring:
         return (all(a != b for row in f for a, b in zip(row, row[1:]))
                 and all(a != b for upper, lower in zip(f, f[1:]) for a, b in zip(upper, lower)))
 
-    def satisfies_toroidal(self) -> bool:
-        f = self.faces
-        return (all(f[i][0] != f[i][self.cols - 1] for i in range(self.rows))
-                and all(f[0][j] != f[self.rows - 1][j] for j in range(self.cols)))
-
     def satisfies_dwbc(self) -> bool:
         if self.rows != self.cols or self.rows < 2:
             return False
@@ -281,67 +277,32 @@ def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
 
 def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
                    corner: int | None = None) -> Iterator[GridColoring]:
-    """Generate all valid colorings, row-major with colors ascending.
+    """Generate all valid colorings in lexicographic face-grid order
+    (row-major, colors ascending).
 
-    For dwbc, rows == cols == n+1 and corner (when given) pins the top-left
-    color; otherwise all three corner choices are produced.
+    A depth-first walk over the face-row states of the row transfer sectors:
+    a row joins the grid when it differs from the row above it, and the last
+    row of a toroidal sector also from the sector's closing row.  For dwbc,
+    rows == cols == n+1 and corner (when given) pins the top-left color;
+    otherwise all three corner choices are produced.
     """
     bc, empty = _grid_guard(rows, cols, bc, corner)
-    if bc is BoundaryCondition.DWBC:
-        for c in [int(corner)] if corner is not None else range(3):
-            for grid in _dwbc_faces(rows - 1, c).tolist():
-                yield GridColoring.from_rows(grid)
-        return
     if empty:
         return
-    toroidal = bc is BoundaryCondition.TOROIDAL
-    grid: list[list[Color | None]] = [[None] * cols for _ in range(rows)]
+    for row_states, closing in _row_sectors(rows, cols, bc, corner):
+        last = len(row_states) - 1
 
-    def ok(i: int, j: int, c: Color) -> bool:
-        if j > 0 and grid[i][j - 1] == c:
-            return False
-        if i > 0 and grid[i - 1][j] == c:
-            return False
-        if toroidal:
-            if j == cols - 1 and grid[i][0] == c:
-                return False
-            if i == rows - 1 and grid[0][j] == c:
-                return False
-        return True
+        def walk(grid: tuple[tuple[int, ...], ...]) -> Iterator[GridColoring]:
+            i = len(grid)
+            for row in row_states[i]:
+                if i and not _differ(grid[-1], row):
+                    continue
+                if i < last:
+                    yield from walk(grid + (row,))
+                elif closing is None or _differ(row, closing):
+                    yield GridColoring.from_rows(grid + (row,))
 
-    def walk(pos: int) -> Iterator[GridColoring]:
-        if pos == rows * cols:
-            yield GridColoring(faces=tuple(tuple(row) for row in grid))
-            return
-        i, j = divmod(pos, cols)
-        for cval in _COLORS:
-            if ok(i, j, cval):
-                grid[i][j] = cval
-                yield from walk(pos + 1)
-                grid[i][j] = None
-
-    yield from walk(0)
-
-
-def _dwbc_faces(n: int, corner: int):
-    """Face colors of the DWBC colorings with top-left color corner, read off
-    the DWBC ice states through the height function (the inverse of
-    lenard_map): a face is its north neighbour + 1 below a right-pointing
-    horizontal edge and its west neighbour + 1 right of an up-pointing
-    vertical edge, - 1 otherwise.  The ice rule makes the steps around every
-    vertex cancel, and the boundary arrows give the domain-wall boundary
-    colors, so this is a bijection onto the colorings.
-
-    Returns a uint8 array (colorings, n+1, n+1) sorted lexicographically by
-    face grid (the order of a row-major walk trying colors in ascending
-    order)."""
-    import numpy as np
-    h, v = (a.astype(np.int16) for a in _edge_arrays(n))
-    top = np.cumsum(np.concatenate([np.zeros_like(v[:, :1, :1]), 2 * v[:, :1, :] - 1], axis=2),
-                    axis=2)
-    heights = np.cumsum(np.concatenate([top, 2 * h - 1], axis=1), axis=1)
-    faces = ((corner + heights) % 3).astype(np.uint8)
-    return faces[np.lexsort(faces.reshape(len(faces), -1).T[::-1])]
+        yield from walk(())
 
 
 def enumerate_colorings(rows: int, cols: int, bc: BoundaryCondition,
@@ -376,7 +337,10 @@ def compute_census(rows: int, cols: int, bc: BoundaryCondition,
     """Census of the colorings iter_colorings would produce, counted row by
     row with a transfer matrix (Baxter 1970) instead of one by one."""
     bc, empty = _grid_guard(rows, cols, bc, corner)
-    counts = {} if empty else _transfer_counts(rows * cols, _row_sectors(rows, cols, bc, corner))
+    # free and toroidal counts are unchanged by transposing the grid, so the
+    # rows run along the shorter side
+    counts = {} if empty else _transfer_counts(
+        rows * cols, _row_sectors(max(rows, cols), min(rows, cols), bc, corner))
     return ColoringCensus(rows=rows, cols=cols, bc=bc, counts=counts)
 
 
@@ -396,17 +360,17 @@ def _proper_rows(width: int) -> RowStates:
 
 def _differ(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
     """Whether two face rows may be vertically adjacent."""
-    return all(a != b for a, b in zip(x, y))
+    return all(map(ne, x, y))
 
 
 def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
                  corner: int | None) -> list[Sector]:
-    """The independent sectors of the row transfer matrix: one for a free
-    grid, one per first row for a toroidal grid (closed against that row) and
-    one per corner color for a domain-wall grid, whose first and last rows
-    are forced and whose other rows have pinned ends.  Free and toroidal
-    counts are unchanged by transposing the grid, so their rows run along the
-    shorter side."""
+    """The independent sectors of the row transfer matrix over rows face rows
+    of cols faces: one for a free grid, one per first row for a toroidal grid
+    (closed against that row) and one per corner color for a domain-wall
+    grid, whose first and last rows are forced and whose other rows have
+    pinned ends.  Every state list is in ascending order and the sectors come
+    in ascending first-row or corner order."""
     if bc is BoundaryCondition.DWBC:
         n = rows - 1
         proper = _proper_rows(rows)
@@ -419,11 +383,10 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
             bottom = tuple((c + n - j) % 3 for j in range(rows))
             sectors.append(([[top]] + middle + [[bottom]], None))
         return sectors
-    width, length = sorted((rows, cols))
     if bc is BoundaryCondition.FREE:
-        return [([_proper_rows(width)] * length, None)]
-    ring = [row for row in _proper_rows(width) if row[0] != row[-1]]
-    return [([[first]] + [ring] * (length - 1), first) for first in ring]
+        return [([_proper_rows(cols)] * rows, None)]
+    ring = [row for row in _proper_rows(cols) if row[0] != row[-1]]
+    return [([[first]] + [ring] * (rows - 1), first) for first in ring]
 
 
 def _transfer_counts(faces: int, sectors: list[Sector]) -> dict[tuple[int, int, int], int]:

@@ -71,6 +71,17 @@ class Config:
     tol_gauge: float = 1e-12
     tol_appendix: float = 1e-9
 
+    def __post_init__(self) -> None:
+        try:
+            self.series()
+        except ValueError as exc:
+            raise ConfigError(f"bad series settings: {exc}") from exc
+        for low, high in (("lambda_min", "lambda_max"), ("p_min", "p_max")):
+            if not getattr(self, low) < getattr(self, high):
+                raise ConfigError(f"{low} must be below {high}")
+        if not 2 * self.eta_margin < PI:
+            raise ConfigError("2 * eta_margin must be below pi")
+
     def series(self) -> SeriesConfig:
         return SeriesConfig(term_tolerance=self.term_tolerance, max_terms=self.max_terms)
 

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, exit codes, report stability."""
 
 import json
+import math
 
+import pytest
+
+from icelab import ConfigError
 from icelab.cli import main
 from icelab.verify import Config, load_config, run_suite, suite_rng
 
@@ -115,6 +119,22 @@ class TestVerifyCommand:
         cfg.write_text("not_a_key = 1\n")
         code, _, _ = run_cli(capsys, "verify", "--suite", "theta", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["max_terms = 0", "eta_margin = 2.0"])
+    def test_bad_config_value_exit_two(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "verify", "--suite", "ybe", "--samples", "1",
+                               "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("values", [
+        {"term_tolerance": 0.0}, {"max_terms": 0}, {"lambda_min": 0.5, "lambda_max": 0.5},
+        {"p_min": 0.4, "p_max": 0.3}, {"eta_margin": math.pi / 2}, {"p_max": float("nan")}])
+    def test_config_rejects_bad_values(self, values):
+        with pytest.raises(ConfigError):
+            Config(**values)
 
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"

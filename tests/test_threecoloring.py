@@ -3,10 +3,15 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import icelab
 from icelab import (BranchDomainError, Color, ColoredVertexKind,
                     EllipticParams, FaceWeightParams, GridColoring,
                     InvalidColoringError, SizeGuardError, SpectralAssignment,
@@ -51,6 +56,40 @@ def _loop_classify_vertex(bl, tl, tr, br):
         kind = VertexKind.BETA if bl == tl + 1 else VertexKind.BETA_P
         return ColoredVertexKind(kind, tl)
     raise InvalidColoringError(f"inadmissible quadruple ({bl},{tl},{tr},{br})")
+
+
+def _loop_iter_colorings(rows, cols, bc):
+    """Backtracking reference for the free and toroidal colorings: faces
+    filled row-major with colors tried in ascending order, a toroidal grid's
+    last column and last row also checked against its first."""
+    toroidal = bc == "toroidal"
+    grid = [[None] * cols for _ in range(rows)]
+
+    def ok(i, j, c):
+        if j > 0 and grid[i][j - 1] == c:
+            return False
+        if i > 0 and grid[i - 1][j] == c:
+            return False
+        if toroidal:
+            if j == cols - 1 and grid[i][0] == c:
+                return False
+            if i == rows - 1 and grid[0][j] == c:
+                return False
+        return True
+
+    def walk(pos):
+        if pos == rows * cols:
+            yield GridColoring.from_rows(grid)
+            return
+        i, j = divmod(pos, cols)
+        for cval in range(3):
+            if ok(i, j, cval):
+                grid[i][j] = cval
+                yield from walk(pos + 1)
+                grid[i][j] = None
+
+    if not (toroidal and (rows == 1 or cols == 1)):
+        yield from walk(0)
 
 
 def _loop_iter_dwbc(n, corner):
@@ -199,6 +238,14 @@ class TestEnumeration:
         for g in enumerate_colorings(4, 4, "dwbc", corner=1):
             assert g.satisfies_dwbc() and g.is_proper()
 
+    @pytest.mark.parametrize("shape", [(r, c) for r in range(1, 13) for c in range(1, 12 // r + 1)])
+    @pytest.mark.parametrize("bc", ["free", "toroidal"])
+    def test_matches_loop_reference(self, bc, shape):
+        # every shape up to 12 faces comes in both orientations
+        got = enumerate_colorings(*shape, bc)
+        assert [g.faces for g in got] == [g.faces for g in _loop_iter_colorings(*shape, bc)]
+        assert all(type(c) is Color for g in got for row in g.faces for c in row)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dwbc_matches_loop_reference(self, n):
         for corner in (None, 0, 1, 2):
@@ -247,29 +294,25 @@ class TestCensus:
         assert all(sum(k) == 4 for k in census.counts)
 
 
-def _enumerated_counts(rows, cols, bc, corner=None):
-    counts = {}
-    for coloring in iter_colorings(rows, cols, bc, corner):
-        key = coloring.color_counts()
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 class TestTransferCensus:
-    """compute_census runs a row transfer matrix; iter_colorings is its oracle."""
+    """compute_census runs a row transfer matrix; the loop references, which
+    share no code with it, are its oracle."""
 
     @pytest.mark.parametrize("bc", ["free", "toroidal"])
     def test_matches_enumeration_up_to_12_faces(self, bc):
         for rows in range(1, 13):
             for cols in range(1, 12 // rows + 1):
                 assert compute_census(rows, cols, bc).counts == \
-                    _enumerated_counts(rows, cols, bc), (rows, cols)
+                    Counter(g.color_counts() for g in _loop_iter_colorings(rows, cols, bc)), \
+                    (rows, cols)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dwbc_matches_enumeration(self, n):
         for corner in (None, 0, 1, 2):
             census = compute_census(n + 1, n + 1, "dwbc", corner)
-            assert census.counts == _enumerated_counts(n + 1, n + 1, "dwbc", corner)
+            colorings = [g for c in ([corner] if corner is not None else range(3))
+                         for g in _loop_iter_dwbc(n, c)]
+            assert census.counts == Counter(g.color_counts() for g in colorings)
             assert census.total() == ASM[n] * (3 if corner is None else 1)
 
     def test_exact_5x5_totals(self):
@@ -320,6 +363,24 @@ def test_census_and_enumeration_share_guards(args, error, message):
         with pytest.raises(error) as exc:
             run()
         assert str(exc.value) == message
+
+
+def test_enumeration_and_census_leave_numpy_unloaded():
+    # numpy serves the verify suites only; the enumerations are pure Python
+    script = "\n".join([
+        "import sys, icelab",
+        "assert 'numpy' not in sys.modules, 'import icelab'",
+        "for args in [(2, 3, 'free'), (3, 3, 'toroidal'), (4, 4, 'dwbc')]:",
+        "    icelab.enumerate_colorings(*args)",
+        "    assert 'numpy' not in sys.modules, ('enumerate_colorings',) + args",
+        "    icelab.compute_census(*args)",
+        "    assert 'numpy' not in sys.modules, ('compute_census',) + args",
+    ])
+    src = os.path.dirname(os.path.dirname(icelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestLenardMap:
