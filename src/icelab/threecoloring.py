@@ -280,27 +280,24 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     """Generate all valid colorings in lexicographic face-grid order
     (row-major, colors ascending).
 
-    A depth-first walk over the face-row states of the row transfer sectors:
-    a row joins the grid when it differs from the row above it, and the last
-    row of a toroidal sector also from the sector's closing row.  For dwbc,
-    rows == cols == n+1 and corner (when given) pins the top-left color;
-    otherwise all three corner choices are produced.
+    A depth-first walk over the face rows of the row transfer sectors, each
+    row generated lazily among those that differ from the row above it.
+    For dwbc, rows == cols == n+1 and corner (when given) pins the top-left
+    color; otherwise all three corner choices are produced.
     """
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if empty:
         return
-    for row_states, closing in _row_sectors(rows, cols, bc, corner):
-        last = len(row_states) - 1
+    for levels, ring in _row_sectors(rows, cols, bc, corner):
+        last = len(levels) - 1
 
-        def walk(grid: tuple[tuple[int, ...], ...]) -> Iterator[GridColoring]:
+        def walk(grid: tuple[Row, ...]) -> Iterator[GridColoring]:
             i = len(grid)
-            for row in row_states[i]:
-                if i and not _differ(grid[-1], row):
-                    continue
+            for row in _rows(levels[i], ring, grid[-1:]):
                 if i < last:
                     yield from walk(grid + (row,))
-                elif closing is None or _differ(row, closing):
-                    yield GridColoring.from_rows(grid + (row,))
+                else:
+                    yield GridColoring(grid + (row,))
 
         yield from walk(())
 
@@ -344,52 +341,53 @@ def compute_census(rows: int, cols: int, bc: BoundaryCondition,
     return ColoringCensus(rows=rows, cols=cols, bc=bc, counts=counts)
 
 
-RowStates = list[tuple[int, ...]]
-#: allowed states per face row, top to bottom, and the row the last one must
-#: differ from in every column (None: no closing condition)
-Sector = tuple[list[RowStates], tuple[int, ...] | None]
+Row = tuple[int, ...]
+#: the colors allowed in each column of a face row
+Level = tuple[tuple[int, ...], ...]
+#: the allowed colors per face row, top to bottom, and whether the rows are
+#: rings, their first and last faces adjacent
+Sector = tuple[list[Level], bool]
 
 
-def _proper_rows(width: int) -> RowStates:
-    """Rows of faces with adjacent colors distinct, in ascending order."""
-    states = [(c,) for c in range(3)]
-    for _ in range(width - 1):
-        states = [row + (c,) for row in states for c in range(3) if c != row[-1]]
-    return states
-
-
-def _differ(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    """Whether two face rows may be vertically adjacent."""
-    return all(map(ne, x, y))
+def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row]:
+    """Face rows in ascending order, generated lazily: column j colored from
+    level[j] and unlike column j of each row in avoid, adjacent faces (also
+    the first and last when ring) colored differently."""
+    choices = [[c for c in reversed(cs) if c not in ban] for cs, *ban in zip(level, *avoid)]
+    # tails[j][left]: the one-face extensions of a row ending in color left
+    tails = [[[(c,) for c in cs if c != left] for left in range(3)] for cs in choices]
+    stack: list[Row] = [(c,) for c in choices[0]]
+    while stack:
+        row = stack.pop()
+        if len(row) < len(level):
+            stack.extend(map(row.__add__, tails[len(row)][row[-1]]))
+        elif not ring or row[0] != row[-1]:
+            yield row
 
 
 def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
-                 corner: int | None) -> list[Sector]:
+                 corner: int | None) -> Iterator[Sector]:
     """The independent sectors of the row transfer matrix over rows face rows
-    of cols faces: one for a free grid, one per first row for a toroidal grid
-    (closed against that row) and one per corner color for a domain-wall
-    grid, whose first and last rows are forced and whose other rows have
-    pinned ends.  Every state list is in ascending order and the sectors come
-    in ascending first-row or corner order."""
-    if bc is BoundaryCondition.DWBC:
-        n = rows - 1
-        proper = _proper_rows(rows)
-        sectors = []
-        for c in ([corner] if corner is not None else range(3)):
-            middle = [[row for row in proper
-                       if row[0] == (c + i) % 3 and row[n] == (c + n - i) % 3]
-                      for i in range(1, n)]
-            top = tuple((c + j) % 3 for j in range(rows))
-            bottom = tuple((c + n - j) % 3 for j in range(rows))
-            sectors.append(([[top]] + middle + [[bottom]], None))
-        return sectors
+    of cols faces, generated lazily in ascending first-row or corner order:
+    one for a free grid, one per first row for a toroidal grid (whose last
+    row is then colored unlike it in every column) and one per corner color
+    for a domain-wall grid (first and last rows forced, the others' ends
+    pinned)."""
+    anything = (_COLORS,) * cols
     if bc is BoundaryCondition.FREE:
-        return [([_proper_rows(cols)] * rows, None)]
-    ring = [row for row in _proper_rows(cols) if row[0] != row[-1]]
-    return [([[first]] + [ring] * (rows - 1), first) for first in ring]
+        yield [anything] * rows, False
+    elif bc is BoundaryCondition.TOROIDAL:
+        for first in _rows(anything, True):
+            unlike = tuple(tuple(c for c in _COLORS if c != f) for f in first)
+            yield [tuple((f,) for f in first)] + [anything] * (rows - 2) + [unlike], True
+    else:
+        for c in [corner] if corner is not None else range(3):
+            forced = dwbc_boundary(rows - 1, c)
+            yield [tuple((_COLORS[forced[i, j]],) if (i, j) in forced else _COLORS
+                         for j in range(cols)) for i in range(rows)], False
 
 
-def _transfer_counts(faces: int, sectors: list[Sector]) -> dict[tuple[int, int, int], int]:
+def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, int, int], int]:
     """Sum the sectors' row transfer products into counts by (k0, k1, k2).
 
     Each row state carries the polynomial sum x0^k0 x1^k1 over the partial
@@ -402,26 +400,26 @@ def _transfer_counts(faces: int, sectors: list[Sector]) -> dict[tuple[int, int, 
     width = (3 ** faces).bit_length()
     stride = faces + 1
 
-    def shift(row: tuple[int, ...]) -> int:
+    def shift(row: Row) -> int:
         return width * (row.count(0) * stride + row.count(1))
 
-    # keyed by the identity of the two state lists, which sectors share and
-    # keep alive for the whole call
-    predecessors: dict[tuple[int, int], list[list[int]]] = {}
+    # state and predecessor lists by level, shared by the sectors
+    @lru_cache(maxsize=None)
+    def states(level: Level, ring: bool) -> list[Row]:
+        return list(_rows(level, ring))
+
+    @lru_cache(maxsize=None)
+    def predecessors(above: Level, level: Level, ring: bool) -> list[list[int]]:
+        return [[a for a, x in enumerate(states(above, ring)) if all(map(ne, x, y))]
+                for y in states(level, ring)]
+
     total = 0
-    for row_states, closing in sectors:
-        prev = row_states[0]
-        vec = [1 << shift(row) for row in prev]
-        for nxt in row_states[1:]:
-            key = (id(prev), id(nxt))
-            if key not in predecessors:
-                predecessors[key] = [[a for a, x in enumerate(prev) if _differ(x, y)]
-                                     for y in nxt]
-            vec = [sum(vec[a] for a in pred) << shift(row)
-                   for row, pred in zip(nxt, predecessors[key])]
-            prev = nxt
-        total += sum(v for row, v in zip(prev, vec)
-                     if closing is None or _differ(row, closing))
+    for levels, ring in sectors:
+        vec = [1 << shift(row) for row in states(levels[0], ring)]
+        for above, level in zip(levels, levels[1:]):
+            vec = [sum(vec[a] for a in pred) << shift(row) for row, pred
+                   in zip(states(level, ring), predecessors(above, level, ring))]
+        total += sum(vec)
 
     mask = (1 << width) - 1
     counts: dict[tuple[int, int, int], int] = {}

@@ -365,9 +365,19 @@ def test_census_and_enumeration_share_guards(args, error, message):
         assert str(exc.value) == message
 
 
+def _run_fresh(*lines):
+    """Run the script lines in a fresh interpreter that imports this icelab."""
+    src = os.path.dirname(os.path.dirname(icelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_enumeration_and_census_leave_numpy_unloaded():
     # numpy serves the verify suites only; the enumerations are pure Python
-    script = "\n".join([
+    _run_fresh(
         "import sys, icelab",
         "assert 'numpy' not in sys.modules, 'import icelab'",
         "for args in [(2, 3, 'free'), (3, 3, 'toroidal'), (4, 4, 'dwbc')]:",
@@ -375,12 +385,23 @@ def test_enumeration_and_census_leave_numpy_unloaded():
         "    assert 'numpy' not in sys.modules, ('enumerate_colorings',) + args",
         "    icelab.compute_census(*args)",
         "    assert 'numpy' not in sys.modules, ('compute_census',) + args",
-    ])
-    src = os.path.dirname(os.path.dirname(icelab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    )
+
+
+def test_first_coloring_streams():
+    # the 1x25 strip has 3 * 2^24 colorings, each a row state: the first must
+    # come in kilobytes, without listing the rows.  The address-space cap turns
+    # a walk that lists them up front into a quick MemoryError.
+    _run_fresh(
+        "import resource, tracemalloc, icelab",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+        "for args in [(1, 25, 'free'), (2, 12, 'toroidal'), (12, 2, 'toroidal'), (6, 6, 'dwbc')]:",
+        "    tracemalloc.start()",
+        "    next(icelab.iter_colorings(*args))",
+        "    peak = tracemalloc.get_traced_memory()[1]",
+        "    tracemalloc.stop()",
+        "    assert peak < 1 << 18, (args, peak)",
+    )
 
 
 class TestLenardMap:
