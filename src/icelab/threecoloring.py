@@ -289,12 +289,10 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     if empty:
         return
     for levels, ring in _row_sectors(rows, cols, bc, corner):
-        last = len(levels) - 1
-
         def walk(grid: tuple[Row, ...]) -> Iterator[GridColoring]:
             i = len(grid)
             for row in _rows(levels[i], ring, grid[-1:]):
-                if i < last:
+                if i + 1 < len(levels):
                     yield from walk(grid + (row,))
                 else:
                     yield GridColoring(grid + (row,))
@@ -353,10 +351,8 @@ def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row
     """Face rows in ascending order, generated lazily: column j colored from
     level[j] and unlike column j of each row in avoid, adjacent faces (also
     the first and last when ring) colored differently."""
-    choices = [[c for c in reversed(cs) if c not in ban] for cs, *ban in zip(level, *avoid)]
-    # tails[j][left]: the one-face extensions of a row ending in color left
-    tails = [[[(c,) for c in cs if c != left] for left in range(3)] for cs in choices]
-    stack: list[Row] = [(c,) for c in choices[0]]
+    tails = [_tails(colors, *banned) for colors, *banned in zip(level, *avoid)]
+    stack = list(tails[0][3])
     while stack:
         row = stack.pop()
         if len(row) < len(level):
@@ -365,14 +361,21 @@ def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row
             yield row
 
 
+@lru_cache(maxsize=None)
+def _tails(colors: tuple[int, ...], *banned: int) -> tuple[tuple[Row, ...], ...]:
+    """One-face extensions, colored from colors but not banned, of a row ending
+    in color 0, 1 or 2 (3: the empty row), descending for _rows' stack."""
+    ok = [_COLORS[c] for c in reversed(colors) if c not in banned]
+    return tuple(tuple((c,) for c in ok if c != left) for left in range(4))
+
+
 def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
                  corner: int | None) -> Iterator[Sector]:
     """The independent sectors of the row transfer matrix over rows face rows
-    of cols faces, generated lazily in ascending first-row or corner order:
-    one for a free grid, one per first row for a toroidal grid (whose last
-    row is then colored unlike it in every column) and one per corner color
-    for a domain-wall grid (first and last rows forced, the others' ends
-    pinned)."""
+    of cols faces, lazily in ascending first-row or corner order: one for a
+    free grid, one per first row for a toroidal grid (its last row colored
+    unlike the first in every column) and one per corner color for a
+    domain-wall grid (first and last rows forced, the others' ends pinned)."""
     anything = (_COLORS,) * cols
     if bc is BoundaryCondition.FREE:
         yield [anything] * rows, False
