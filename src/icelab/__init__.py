@@ -11,15 +11,14 @@ from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
                     zeta_log_table)
 from .sixvertex import (ETA_COMBINATORIAL, SixVertexState, SpectralAssignment,
                         VertexKind, check_recursion_6v, enumerate_dwbc_states,
-                        F_n_6v, functional_residual_6v, functional_sum_6v,
-                        partition_function_6v, trig_cubic_residual, weight6v)
+                        F_n_6v, functional_residual_6v, partition_function_6v,
+                        trig_cubic_residual, weight6v)
 from .threecoloring import (BoundaryCondition, Color, ColoredVertexKind,
                             ColoringCensus, FaceWeightParams, GridColoring,
                             check_recursion_3c, classify_vertex,
                             compute_census, dwbc_boundary, enumerate_colorings,
-                            F_rn, functional_residual_3c, functional_sum_3c,
-                            iter_colorings, lenard_map,
-                            partial_partition_function, phi_ratio_factor,
+                            F_rn, functional_residual_3c, iter_colorings,
+                            lenard_map, partial_partition_function, phi_ratio_factor,
                             phi_ratio_relation_check, psi_factor, raw_weight,
                             tilde_quasi_period_residual, tilde_weight)
 from .yangbaxter import (GaugeData, WeightFamily, YbeSweep, appendix_family,

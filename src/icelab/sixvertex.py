@@ -351,19 +351,16 @@ def _require_combinatorial_eta(eta: complex) -> None:
             f"functional sums require eta = 2*pi/3, got eta = {eta}")
 
 
-def functional_sum_6v(assign: SpectralAssignment, k: int, side: str = "chi",
-                      shift_sign: int | None = None) -> complex:
-    """Three-term sum of F_n over 2*pi/3 shifts of one rapidity.
+def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi",
+                           shift_sign: int | None = None) -> float:
+    """Residual of the three-term sum of F_n over 2*pi/3 shifts of one rapidity.
 
     side="chi" shifts chi_k by +2*pi*s/3, side="psi" shifts psi_k by
     -2*pi*s/3 (s = 0, 1, 2).  Both sums vanish identically at eta = 2*pi/3;
     shift_sign overrides the shift direction (the psi-side sum vanishes with
-    either sign for this model).
+    either sign for this model).  |S| is normalized by the largest of the
+    three summands.
     """
-    return stable_sum(_functional_terms_6v(assign, k, side, shift_sign))
-
-
-def _functional_terms_6v(assign, k, side, shift_sign):
     _require_combinatorial_eta(assign.eta)
     if not 1 <= k <= assign.n:
         raise IndexError(f"k = {k} outside 1..{assign.n}")
@@ -375,13 +372,6 @@ def _functional_terms_6v(assign, k, side, shift_sign):
         delta = sign * ETA_COMBINATORIAL * s
         shifted = assign.shift_chi(k, delta) if side == "chi" else assign.shift_psi(k, delta)
         terms.append(F_n_6v(shifted))
-    return terms
-
-
-def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi",
-                           shift_sign: int | None = None) -> float:
-    """|S| normalized by the largest of the three summands."""
-    terms = _functional_terms_6v(assign, k, side, shift_sign)
     return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
 
 

@@ -642,16 +642,12 @@ def F_rn(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
     return pre * partial_partition_function(n, r, assign, params, "tilde", cfg)
 
 
-def functional_sum_3c(n: int, r: int, k: int, side: str,
-                      assign: SpectralAssignment, params: EllipticParams,
-                      cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
-    """S^r_{n,k} = sum_{s=0}^2 F^{r+s}_n with chi_k shifted by +2pi s/3
-    (psi_k by -2pi s/3 for side='psi'); vanishes identically."""
-    terms = _functional_terms_3c(n, r, k, side, assign, params, cfg)
-    return stable_sum(terms)
-
-
-def _functional_terms_3c(n, r, k, side, assign, params, cfg):
+def functional_residual_3c(n: int, r: int, k: int, side: str,
+                           assign: SpectralAssignment, params: EllipticParams,
+                           cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+    """Residual of S^r_{n,k} = sum_{s=0}^2 F^{r+s}_n with chi_k shifted by
+    +2pi s/3 (psi_k by -2pi s/3 for side='psi'), which vanishes identically;
+    |S| is normalized by the largest of the three summands."""
     if not 1 <= k <= n:
         raise IndexError(f"k = {k} outside 1..{n}")
     if side not in ("chi", "psi"):
@@ -662,13 +658,6 @@ def _functional_terms_3c(n, r, k, side, assign, params, cfg):
         shifted = (assign.shift_chi(k, delta) if side == "chi"
                    else assign.shift_psi(k, -delta))
         terms.append(F_rn(n, (r + s) % 3, shifted, params, cfg))
-    return terms
-
-
-def functional_residual_3c(n: int, r: int, k: int, side: str,
-                           assign: SpectralAssignment, params: EllipticParams,
-                           cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    terms = _functional_terms_3c(n, r, k, side, assign, params, cfg)
     return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
 
 

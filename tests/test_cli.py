@@ -1,13 +1,57 @@
 """Command-line interface: outputs, exit codes, report stability."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
 from icelab import ConfigError
 from icelab.cli import main
-from icelab.verify import Config, load_config, run_suite, suite_rng
+from icelab.sixvertex import MAX_ENUM_N
+from icelab.threecoloring import MAX_DWBC_N
+from icelab.verify import SUITES, Config, load_config, run_suite, suite_rng
+
+#: the Config tolerance key of every identity family in "all" (identities
+#: with their "-n<size>" suffix dropped)
+TOLERANCE_KEYS = {
+    "theta/theta1-odd": "tol_theta",
+    "theta/theta4-even": "tol_theta",
+    "theta/theta1-pi-antiperiodic": "tol_theta",
+    "theta/theta4-pi-periodic": "tol_theta",
+    "theta/theta1-pi-tau-shift": "tol_theta",
+    "theta/theta4-pi-tau-shift": "tol_theta",
+    "theta/theta4-from-theta1-half-shift": "tol_theta",
+    "theta/theta1-cubic-nome": "tol_theta",
+    "theta/zeta-product-one": "tol_theta",
+    "theta/theta1-derivative-central-difference": "tol_theta_derivative",
+    "ybe/ybe-raw": "tol_ybe",
+    "ybe/ybe-tilde": "tol_ybe",
+    "ybe/ybe-appendix": "tol_ybe",
+    "ybe/ybe-rosengren": "tol_ybe",
+    "ybe/ybe-sixvertex-trig": "tol_ybe",
+    "recursion6v/z-recursion-plus": "tol_recursion",
+    "recursion6v/f-recursion-plus": "tol_recursion",
+    "recursion6v/z-recursion-minus": "tol_recursion",
+    "recursion6v/f-recursion-minus": "tol_recursion",
+    "recursion3c/coloring-z-recursion-plus": "tol_recursion",
+    "recursion3c/coloring-f-recursion-plus": "tol_recursion",
+    "recursion3c/coloring-z-recursion-minus": "tol_recursion",
+    "recursion3c/coloring-f-recursion-minus": "tol_recursion",
+    "functional6v/f-sum-chi": "tol_functional6v",
+    "functional6v/f-sum-psi": "tol_functional6v",
+    "functional6v/f-sum-psi-plus-variant": "tol_functional6v",
+    "functional6v/pi-shift-parity": "tol_parity",
+    "functional3c/s-sum-chi": "tol_functional3c",
+    "functional3c/s-sum-psi": "tol_functional3c",
+    "functional3c/s-sum-n1-term-by-term": "tol_functional3c",
+    "appendix/substitution-matches-closed-forms": "tol_appendix",
+    "appendix/rosengren-gauge-match": "tol_appendix",
+    "appendix/gauge-constraint-shifted": "tol_gauge",
+    "appendix/gauge-constraint-difference": "tol_gauge",
+    "appendix/appendix-zeta-product-one": "tol_gauge",
+}
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +180,33 @@ class TestVerifyCommand:
         with pytest.raises(ConfigError):
             Config(**values)
 
+    @pytest.mark.parametrize("line", [
+        "max_n_sixvertex = 0", f"max_n_sixvertex = {MAX_ENUM_N + 1}",
+        "max_n_coloring = 0", f"max_n_coloring = {MAX_DWBC_N + 1}"])
+    def test_size_limit_outside_guard_exit_two(self, capsys, tmp_path, line):
+        # rejected when the config is read, whichever suite would run
+        cfg = tmp_path / "sizes.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "theta", "--samples", "1",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: max_n_")
+
+    def test_size_limits_at_the_guards_accepted(self):
+        Config(max_n_sixvertex=1, max_n_coloring=1)
+        Config(max_n_sixvertex=MAX_ENUM_N, max_n_coloring=MAX_DWBC_N)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_two(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: samples must be at least 1")
+        for suite in ("theta", "all"):
+            with pytest.raises(ConfigError):
+                run_suite(suite, samples=int(samples))
+
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\np_max = 0.3\nmax_terms = 48\n")
@@ -145,13 +216,27 @@ class TestVerifyCommand:
         assert parsed.p_min == Config().p_min
 
     def test_seed_split_is_stable_across_all(self):
-        solo = run_suite("recursion3c", seed=13, samples=1)
-        combined = run_suite("all", seed=13, samples=1)
-        combined_map = {c.identity.split("/", 1)[1]: c.residual
-                        for c in combined.cases
-                        if c.identity.startswith("recursion3c/")}
-        for case in solo.cases:
-            assert combined_map[case.identity] == case.residual
+        # every suite alone gives the cases of "all", field for field and in
+        # the same order, apart from the suite prefix of the identity
+        combined = [c.to_json_obj() for c in run_suite("all", seed=13, samples=1).cases]
+        solo = []
+        for name in SUITES:
+            for case in run_suite(name, seed=13, samples=1).cases:
+                obj = case.to_json_obj()
+                obj["identity"] = f"{name}/{case.identity}"
+                solo.append(obj)
+        assert solo == combined
+
+    def test_tolerance_routing(self):
+        keys = [f.name for f in dataclasses.fields(Config) if f.name.startswith("tol_")]
+        cfg = Config(**{key: 10.0 ** -(i + 3) for i, key in enumerate(keys)})
+        key_of = {getattr(cfg, key): key for key in keys}
+        routed = {}
+        for case in run_suite("all", seed=3, samples=1, config=cfg).cases:
+            family = re.sub(r"-n\d+$", "", case.identity)
+            assert key_of[case.tolerance] == TOLERANCE_KEYS[family], case.identity
+            routed[family] = key_of[case.tolerance]
+        assert routed == TOLERANCE_KEYS
 
     def test_suite_rng_is_per_suite(self):
         a = suite_rng(3, "theta").uniform(0, 1)

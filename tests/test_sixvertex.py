@@ -10,8 +10,8 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     InvalidStateError, SizeGuardError, SpectralAssignment,
                     SixVertexState,
                     VertexKind, check_recursion_6v, enumerate_dwbc_states,
-                    F_n_6v, functional_residual_6v, functional_sum_6v,
-                    partition_function_6v, trig_cubic_residual, weight6v)
+                    F_n_6v, functional_residual_6v, partition_function_6v,
+                    trig_cubic_residual, weight6v)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import _KIND_FROM_EDGES, _transfer_table
 
@@ -379,11 +379,12 @@ class TestRecursions:
 
 class TestFunctionalSums:
     def test_n1_three_sines(self):
+        # F_1 = sin(chi - psi): each shifted term against its sine, then the sum
         a = SpectralAssignment(chi=[0.77], psi=[0.13])
-        s = functional_sum_6v(a, 1, "chi")
-        explicit = sum(math.sin(0.77 - 0.13 + 2 * PI * k / 3) for k in range(3))
-        assert abs(s - explicit) < 1e-15
-        assert abs(s) < 1e-15
+        for s in range(3):
+            term = F_n_6v(a.shift_chi(1, ETA0 * s))
+            assert abs(term - math.sin(0.77 - 0.13 + 2 * PI * s / 3)) < 1e-15
+        assert functional_residual_6v(a, 1, "chi") < 1e-15
 
     def test_sums_vanish(self):
         rnd = random.Random(10)
@@ -399,18 +400,17 @@ class TestFunctionalSums:
     def test_eta_guard(self):
         a = assignment(random.Random(11), 2, eta=1.0)
         with pytest.raises(CrossingParameterError):
-            functional_sum_6v(a, 1, "chi")
+            functional_residual_6v(a, 1, "chi")
 
     def test_index_and_side_guards(self):
-        # both entry points reject an out-of-range k and an unknown side
-        # instead of shifting chi[-1] or treating the side as psi
+        # an out-of-range k and an unknown side are rejected instead of
+        # shifting chi[-1] or treating the side as psi
         a = SpectralAssignment(chi=[0.3, 0.7], psi=[0.1, 0.5])
-        for fn in (functional_residual_6v, functional_sum_6v):
-            for k in (0, 3):
-                with pytest.raises(IndexError):
-                    fn(a, k, "chi")
-            with pytest.raises(ValueError):
-                fn(a, 1, "bogus")
+        for k in (0, 3):
+            with pytest.raises(IndexError):
+                functional_residual_6v(a, k, "chi")
+        with pytest.raises(ValueError):
+            functional_residual_6v(a, 1, "bogus")
 
     def test_trig_cubic_identity(self):
         rnd = random.Random(12)
