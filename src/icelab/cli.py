@@ -28,15 +28,12 @@ EXIT_USAGE = 2
 
 
 def _write_output(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _cmd_enumerate(args) -> int:

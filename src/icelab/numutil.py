@@ -5,14 +5,6 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def cmul(x, y):
-    """Elementwise x * y of complex numpy arrays, rounded like Python's complex
-    product (numpy's own may fuse multiply-adds and move the last bit)."""
-    import numpy as np  # deferred: importing icelab should not load numpy
-    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
-    return np.stack((re, im), axis=-1).view(complex)[..., 0]
-
-
 def stable_sum(terms: Iterable[complex]) -> complex:
     """Sum in ascending magnitude.
 

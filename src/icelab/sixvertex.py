@@ -256,11 +256,22 @@ class SpectralAssignment:
     eta: complex = ETA_COMBINATORIAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chi", tuple(complex(x) for x in self.chi))
-        object.__setattr__(self, "psi", tuple(complex(x) for x in self.psi))
-        object.__setattr__(self, "eta", complex(self.eta))
-        if len(self.chi) != len(self.psi):
+        self._init(tuple(complex(x) for x in self.chi),
+                   tuple(complex(x) for x in self.psi), complex(self.eta))
+
+    def _init(self, chi: tuple[complex, ...], psi: tuple[complex, ...], eta: complex) -> None:
+        if len(chi) != len(psi):
             raise ValueError("chi and psi must have equal length")
+        self.__dict__.update(chi=chi, psi=psi, eta=eta)
+
+    @classmethod
+    def _derived(cls, chi: tuple[complex, ...], psi: tuple[complex, ...],
+                 eta: complex) -> "SpectralAssignment":
+        """Assignment from tuples that are already complex: the length check
+        of the public constructor without its coercion."""
+        new = object.__new__(cls)
+        new._init(chi, psi, eta)
+        return new
 
     @property
     def n(self) -> int:
@@ -269,23 +280,23 @@ class SpectralAssignment:
     def replace_chi(self, k: int, value: complex) -> "SpectralAssignment":
         """New assignment with chi_k (1-based) replaced."""
         chi = list(self.chi)
-        chi[k - 1] = value
-        return SpectralAssignment(chi=tuple(chi), psi=self.psi, eta=self.eta)
+        chi[k - 1] = complex(value)
+        return self._derived(tuple(chi), self.psi, self.eta)
 
     def shift_chi(self, k: int, delta: complex) -> "SpectralAssignment":
         return self.replace_chi(k, self.chi[k - 1] + delta)
 
     def shift_psi(self, k: int, delta: complex) -> "SpectralAssignment":
         psi = list(self.psi)
-        psi[k - 1] += delta
-        return SpectralAssignment(chi=self.chi, psi=tuple(psi), eta=self.eta)
+        psi[k - 1] = complex(psi[k - 1] + delta)
+        return self._derived(self.chi, tuple(psi), self.eta)
 
     def drop(self, k: int, l: int) -> "SpectralAssignment":
         """Remove chi_k and psi_l (1-based), for the reduced-lattice side of
         the recursion relations."""
         chi = tuple(x for i, x in enumerate(self.chi) if i != k - 1)
         psi = tuple(x for i, x in enumerate(self.psi) if i != l - 1)
-        return SpectralAssignment(chi=chi, psi=psi, eta=self.eta)
+        return self._derived(chi, psi, self.eta)
 
 
 def _sin_eta(eta: complex) -> complex:
@@ -406,29 +417,27 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
 
     if form == "Z":
         pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * eta / 2)
+        reduced = pinned.drop(k, l)  # its chi are the i != k, its psi the i != l
         lhs = partition_function_6v(pinned)
         pre = cmath.sin(eta) ** (2 - 2 * n)
-        for i in range(n):
-            if i != k - 1:
-                pre *= cmath.sin(pinned.chi[i] - assign.psi[l - 1] + sign * eta / 2)
-        for i in range(n):
-            if i != l - 1:
-                pre *= cmath.sin(assign.psi[l - 1] - assign.psi[i] + sign * eta)
-        rhs = pre * partition_function_6v(pinned.drop(k, l))
+        for x in reduced.chi:
+            pre *= cmath.sin(x - assign.psi[l - 1] + sign * eta / 2)
+        for y in reduced.psi:
+            pre *= cmath.sin(assign.psi[l - 1] - y + sign * eta)
+        rhs = pre * partition_function_6v(reduced)
         return rel_residual(lhs, rhs)
 
     _require_combinatorial_eta(eta)
     pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * math.pi / 3)
+    reduced = pinned.drop(k, l)
     lhs = F_n_6v(pinned)
     pre = (sign * (-1) ** (n - k + l - 1) * 4.0 ** (2 - 2 * n)
            * cmath.sin(ETA_COMBINATORIAL) ** (3 - 2 * n))
-    for i in range(n):
-        if i != k - 1:
-            pre *= cmath.sin(3 * (assign.psi[l - 1] - pinned.chi[i]))
-    for i in range(n):
-        if i != l - 1:
-            pre *= cmath.sin(3 * (assign.psi[l - 1] - assign.psi[i]))
-    rhs = pre * F_n_6v(pinned.drop(k, l))
+    for x in reduced.chi:
+        pre *= cmath.sin(3 * (assign.psi[l - 1] - x))
+    for y in reduced.psi:
+        pre *= cmath.sin(3 * (assign.psi[l - 1] - y))
+    rhs = pre * F_n_6v(reduced)
     return rel_residual(lhs, rhs)
 
 

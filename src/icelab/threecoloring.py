@@ -564,7 +564,14 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
     Summands are products of vertex weights at chi_i - psi_j over the n x n
     internal vertices; which selects the raw or the tilde family.  Summed by
     the six-vertex row transfer, a row move and the corner fixing each
-    vertex's kind and base color.  The empty lattice has value 1."""
+    vertex's kind and base color.  The empty lattice has value 1.  The last
+    64 distinct sums are cached, keyed by every argument."""
+    return _partial_sum(n, r, assign, params, which, cfg)
+
+
+@lru_cache(maxsize=64)  # called positionally: defaults share the explicit key
+def _partial_sum(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
+                 which: str, cfg: SeriesConfig) -> complex:
     if which not in ("raw", "tilde"):
         raise ValueError("which must be 'raw' or 'tilde'")
     if n == 0:
@@ -695,7 +702,7 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
         raise ValueError("form must be 'Z' or 'F'")
     pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * PI / 3)
     psival = assign.psi[l - 1]
-    reduced = pinned.drop(k, l)
+    reduced = pinned.drop(k, l)  # its chi are the i != k, its psi the i != l
 
     if form == "Z":
         lhs = partial_partition_function(n, r, pinned, params, "tilde", cfg)
@@ -703,12 +710,10 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
         if sign > 0:
             b = theta_triple(theta4, params, cfg).values
             pre *= b[(r + n) % 3] / b[(r + n - 1) % 3]
-        for i in range(n):
-            if i != k - 1:
-                pre *= theta1(pinned.chi[i] - psival + sign * PI / 3, params, cfg)
-        for i in range(n):
-            if i != l - 1:
-                pre *= theta1(psival - assign.psi[i] + sign * TWO_PI_OVER_3, params, cfg)
+        for x in reduced.chi:
+            pre *= theta1(x - psival + sign * PI / 3, params, cfg)
+        for y in reduced.psi:
+            pre *= theta1(psival - y + sign * TWO_PI_OVER_3, params, cfg)
         r_sub = r if sign > 0 else (r + 1) % 3
         rhs = pre * partial_partition_function(n - 1, r_sub, reduced, params, "tilde", cfg)
         return rel_residual(lhs, rhs)
@@ -718,12 +723,10 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
     pre = (sign * (-1) ** (n - k + l - 1)
            * cubic_factor_D(params, cfg) ** (2 * n - 2)
            * theta1(TWO_PI_OVER_3, params, cfg) ** (3 - 2 * n))
-    for i in range(n):
-        if i != k - 1:
-            pre *= theta1(3 * (psival - pinned.chi[i]), params3, cfg)
-    for i in range(n):
-        if i != l - 1:
-            pre *= theta1(3 * (psival - assign.psi[i]), params3, cfg)
+    for x in reduced.chi:
+        pre *= theta1(3 * (psival - x), params3, cfg)
+    for y in reduced.psi:
+        pre *= theta1(3 * (psival - y), params3, cfg)
     r_sub = r if sign > 0 else (r + 1) % 3
     rhs = pre * F_rn(n - 1, r_sub, reduced, params, cfg)
     return rel_residual(lhs, rhs)

@@ -165,8 +165,6 @@ class VerificationReport:
         return lines
 
 
-
-
 # ---------------------------------------------------------------------------
 # individual suites: each yields (identity, residual, point), ybe also the
 # sweep's {"skipped", "checked"} counts

@@ -23,10 +23,13 @@ multiplicative constraint Phi_r(phi - phi' - shift) = Phi_r(phi)/Phi_r(phi').
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Sequence
 
-from .numutil import cmul, rel_residual
+from .numutil import rel_residual
 from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, theta1, theta4, theta_triple)
 from .sixvertex import VertexKind, weight6v
@@ -118,39 +121,47 @@ class YbeSweep:
     skipped: int
 
 
+@lru_cache(maxsize=None)
+def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
+    """Each boundary assignment (r, r', r'', s, s', s'') that has an
+    admissible internal face, with its LHS and RHS terms (t, i, j, k) in
+    ascending t: the weights at ADMISSIBLE positions i, j, k, multiplied in
+    the order of the module docstring.  Built on the first sweep."""
+    pos = {quad: i for i, (quad, _) in enumerate(ADMISSIBLE)}
+    rows = []
+    for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
+        lhs, rhs = [], []
+        for t in range(3):
+            a = ((rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp))
+            b = ((rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp))
+            for side, quads in ((lhs, a), (rhs, b)):
+                if all(q in pos for q in quads):
+                    side.append((t, *(pos[q] for q in quads)))
+        if lhs or rhs:
+            rows.append(((r, rp, rpp, s, sp, spp), tuple(lhs), tuple(rhs)))
+    return tuple(rows)
+
+
 def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     """Check the Yang-Baxter equation over all 3^6 boundary color assignments.
 
-    Each side is one broadcast product of dense (3, 3, 3, 3) weight tensors,
-    zero at inadmissible quadruples.  Returns the worst |LHS - RHS| normalized
-    by the largest triple product of an assignment, plus how many assignments
-    were skipped because no admissible internal face exists on either side.
+    Each side of an assignment of _live_assignments() is summed over its
+    admissible t in ascending order.  Returns the worst |LHS - RHS|
+    normalized by the largest triple product of an assignment, plus how many
+    assignments were skipped because every triple product is zero.
     """
-    import numpy as np
-
-    def tensor(table):
-        w = np.zeros((3, 3, 3, 3), dtype=complex)
-        for quad, value in table.items():
-            w[quad] = value
-        return w
-
-    def spread(w, idx):
-        # w[idx] over the axes abcdefg = (r, r', r'', s, s', s'', t); 1 where unused
-        v = w.transpose([idx.index(c) for c in sorted(idx)])
-        return v.reshape([3 if c in idx else 1 for c in "abcdefg"])
-
-    w_phi = tensor(fam.weight_table(phi))
-    w_php = tensor(fam.weight_table(phi_p))
-    w_u3 = tensor(fam.weight_table(phi - phi_p - fam.ybe_shift))
-    a = cmul(cmul(spread(w_phi, "bgcf"), spread(w_php, "adbg")), spread(w_u3, "gdfe"))
-    b = cmul(cmul(spread(w_u3, "bacg"), spread(w_php, "gecf")), spread(w_phi, "adge"))
-    gap = (a[..., 0] + a[..., 1] + a[..., 2]) - (b[..., 0] + b[..., 1] + b[..., 2])
-    # np.hypot rounds like abs() on Python complex numbers; np.abs may not
-    scale = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)).max(axis=-1)
-    live = scale != 0.0
-    checked = int(live.sum())
-    worst = (np.hypot(gap.real, gap.imag)[live] / scale[live]).max() if checked else 0.0
-    return YbeSweep(residual=float(worst), checked=checked, skipped=live.size - checked)
+    # weight_table lists the 18 weights in ADMISSIBLE order
+    w_phi, w_php, w_u3 = (list(fam.weight_table(x).values())
+                          for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
+    worst, checked = 0.0, 0
+    for _, lhs, rhs in _live_assignments():
+        a = [w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
+        b = [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs]
+        scale = max(map(abs, a + b))
+        if scale != 0.0:
+            checked += 1
+            worst = max(worst, abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / scale)
+    return YbeSweep(residual=worst, checked=checked, skipped=3 ** 6 - checked)
 
 
 # ---------------------------------------------------------------------------

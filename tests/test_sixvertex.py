@@ -239,6 +239,48 @@ class TestWeights:
             weight6v(VertexKind.BETA, 0.3, PI)
 
 
+def _bits(assign):
+    """Every rapidity and eta as (real, imag) float pairs, with their types."""
+    return [(type(x), x.real, x.imag) for x in (*assign.chi, *assign.psi, assign.eta)]
+
+
+class TestSpectralAssignment:
+    def test_derived_equal_public(self):
+        # replace_chi, shift_chi, shift_psi and drop skip the coercion, yet
+        # give the assignment the public constructor builds from the same values
+        rnd = random.Random(5)
+        a = assignment(rnd, 4, eta=1.3)
+        chi, psi = list(a.chi), list(a.psi)
+        cases = [
+            (a.replace_chi(2, 1), chi[:1] + [1] + chi[2:], psi),
+            (a.replace_chi(3, 0.4 - 0.2j), chi[:2] + [0.4 - 0.2j] + chi[3:], psi),
+            (a.shift_chi(1, 0.25), [chi[0] + 0.25] + chi[1:], psi),
+            (a.shift_psi(4, -0.5j), chi, psi[:3] + [psi[3] - 0.5j]),
+            (a.drop(2, 3), chi[:1] + chi[2:], psi[:2] + psi[3:]),
+            (a.drop(4, 1).drop(1, 1), chi[1:3], psi[2:]),
+        ]
+        for got, want_chi, want_psi in cases:
+            want = SpectralAssignment(chi=want_chi, psi=want_psi, eta=a.eta)
+            assert got == want
+            assert hash(got) == hash(want)
+            assert _bits(got) == _bits(want)
+
+    def test_public_constructor_coerces(self):
+        a = SpectralAssignment(chi=[1, 0.5, -0.0], psi=(2, 0.25j, 3.0), eta=2)
+        assert all(type(x) is complex for x in (*a.chi, *a.psi, a.eta))
+        assert isinstance(a.chi, tuple) and isinstance(a.psi, tuple)
+        assert a.chi == (1 + 0j, 0.5 + 0j, 0j) and a.eta == 2 + 0j
+        assert math.copysign(1.0, a.chi[2].real) == -1.0
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="^chi and psi must have equal length$"):
+            SpectralAssignment(chi=[0.1, 0.2], psi=[0.3])
+        # a derived assignment keeps the check: k = 0 removes no chi
+        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
+        with pytest.raises(ValueError, match="^chi and psi must have equal length$"):
+            a.drop(0, 1)
+
+
 class TestPartitionFunction:
     def test_z1_is_one(self):
         rnd = random.Random(2)

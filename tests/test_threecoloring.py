@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -12,10 +13,11 @@ from collections import Counter
 import pytest
 
 import icelab
-from icelab import (BranchDomainError, Color, ColoredVertexKind,
-                    EllipticParams, FaceWeightParams, GridColoring,
-                    InvalidColoringError, SizeGuardError, SpectralAssignment,
-                    VertexKind, check_recursion_3c, classify_vertex,
+from icelab import (DEFAULT_SERIES, BranchDomainError, Color,
+                    ColoredVertexKind, EllipticParams, FaceWeightParams,
+                    GridColoring, InvalidColoringError, SeriesConfig,
+                    SizeGuardError, SpectralAssignment, VertexKind,
+                    check_recursion_3c, classify_vertex,
                     compute_census, dwbc_boundary, enumerate_colorings,
                     iter_colorings,
                     enumerate_dwbc_states, F_rn, functional_residual_3c,
@@ -25,9 +27,14 @@ from icelab import (BranchDomainError, Color, ColoredVertexKind,
                     weight6v, zeta)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import _transfer_table
+from icelab.threecoloring import _partial_sum
 
 PI = math.pi
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
+
+
+def _bits(z):
+    return struct.pack("<2d", z.real, z.imag)
 
 
 def params(p, lam):
@@ -595,6 +602,49 @@ class TestPartitionFunctions:
                     terms.append(w)
                 assert partial_partition_function(n, r, a, pr, which) == pytest.approx(
                     stable_sum(terms), rel=1e-13)
+
+    def test_cached_sum_is_bitwise_fresh(self):
+        # 0.0 == -0.0 and x + 0j == x - 0j, so such assignments share one
+        # cache entry; the sums must not depend on the sign of a zero
+        pr = params(0.2, 0.27)
+        zeros = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0))
+        inexact = (complex(0.4, 0.0), complex(0.4, -0.0), 0.4)
+        variants = [SpectralAssignment(chi=[c] + [0.3] * (n - 1), psi=[p] + [-0.0] * (n - 1))
+                    for n in (1, 2) for group in (zeros, inexact)
+                    for c, p in itertools.product(group, zeros + inexact[:1])]
+        for which in ("raw", "tilde"):
+            for r in range(3):
+                fresh = []
+                for a in variants:
+                    _partial_sum.cache_clear()
+                    fresh.append(_bits(partial_partition_function(a.n, r, a, pr, which)))
+                _partial_sum.cache_clear()
+                cached = [_bits(partial_partition_function(a.n, r, a, pr, which))
+                          for a in variants]
+                assert cached == fresh
+                assert _partial_sum.cache_info().hits > 0
+
+    def test_cache_keys_every_argument(self):
+        rnd = random.Random(29)
+        pr = params(0.2, 0.27)
+        a = assignment(rnd, 2).shift_chi(1, 0.1j)
+        base = (2, 0, a, pr, "tilde", DEFAULT_SERIES)
+        others = [(2, 0, a, pr, "raw", DEFAULT_SERIES),
+                  (2, 1, a, pr, "tilde", DEFAULT_SERIES),
+                  (2, 0, a, params(0.2, 0.28), "tilde", DEFAULT_SERIES),
+                  (2, 0, a, pr, "tilde", SeriesConfig(term_tolerance=1e-12))]
+        fresh = []
+        for args in others:
+            _partial_sum.cache_clear()
+            fresh.append(partial_partition_function(*args))
+        _partial_sum.cache_clear()
+        # the default and explicit spellings of one call share an entry
+        partial_partition_function(2, 0, a, pr)
+        assert partial_partition_function(*base) == partial_partition_function(2, 0, a, pr)
+        assert _partial_sum.cache_info()[:2] == (2, 1)
+        for args, want in zip(others, fresh):
+            assert partial_partition_function(*args) == want
+        assert _partial_sum.cache_info()[:2] == (2, 1 + len(others))
 
     def test_size_guard(self):
         a = SpectralAssignment(chi=[0.1] * 6, psi=[0.2] * 6)

@@ -13,7 +13,9 @@ from icelab import (EllipticParams, InvalidColoringError, appendix_family,
                     raw_family, rosengren_family, rosengren_gauge,
                     rosengren_match, sixvertex_family, theta1, tilde_family,
                     ybe_sweep, zeta_gauge)
-from icelab.yangbaxter import ADMISSIBLE, YbeSweep, _kind_of
+from icelab.yangbaxter import (ADMISSIBLE, WeightFamily, YbeSweep, _kind_of,
+                               _live_assignments)
+from test_threecoloring import _run_fresh
 
 PI = math.pi
 
@@ -111,27 +113,60 @@ class TestYangBaxter:
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_tensor_sweep_matches_loop(self):
-        # same counts for every family; residuals agree with the loop
+        # the sparse sweep does the loop's arithmetic: results are equal
         rnd = random.Random(46)
         for p, lam in ((0.2, 0.24), (0.35, 0.5), (0.05, 0.9)):
             pr = params(p, lam)
             eta = rnd.uniform(0.3, 2.8)
             phi, php = rnd.uniform(0, PI), rnd.uniform(0, PI)
             for fam in (raw_family(pr), tilde_family(pr), appendix_family(pr),
-                        rosengren_family(pr), sixvertex_family(eta)):
-                want = _loop_ybe_sweep(fam, phi, php)
-                got = ybe_sweep(fam, phi, php)
-                assert (got.checked, got.skipped) == (want.checked, want.skipped)
-                assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=1e-16)
+                        appendix_substitution(pr), rosengren_family(pr),
+                        sixvertex_family(eta)):
+                assert ybe_sweep(fam, phi, php) == _loop_ybe_sweep(fam, phi, php)
 
     def test_broken_family_matches_loop(self):
         fam = sixvertex_family(1.1)
         broken = type(fam)(name="broken", evaluator=fam.evaluator, ybe_shift=0.0)
-        want = _loop_ybe_sweep(broken, 0.41, 0.13)
         got = ybe_sweep(broken, 0.41, 0.13)
         assert got.residual > 1e-3
-        assert got.residual == pytest.approx(want.residual, rel=1e-12)
-        assert (got.checked, got.skipped) == (want.checked, want.skipped)
+        assert got == _loop_ybe_sweep(broken, 0.41, 0.13)
+
+    def test_live_assignments_are_the_nonzero_products(self):
+        # every (assignment, side, t) whose three quadruples are admissible,
+        # read off the loop reference's products with all 18 weights nonzero
+        weights = WeightFamily(name="ones", evaluator=lambda *args: 1.0 + 0j)
+        tables = (weights.weight_table(0.0),) * 3
+        want = set()
+        for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
+            for t in range(3):
+                for side, quads in (("lhs", ((rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp))),
+                                    ("rhs", ((rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp)))):
+                    if all(q in table for q, table in zip(quads, tables)):
+                        want.add(((r, rp, rpp, s, sp, spp), side, t, quads))
+        quad_at = [quad for quad, _ in ADMISSIBLE]
+        got = set()
+        rows = _live_assignments()
+        for assignment, lhs, rhs in rows:
+            for side, terms in (("lhs", lhs), ("rhs", rhs)):
+                assert [t for t, *_ in terms] == sorted({t for t, *_ in terms})
+                for t, *idx in terms:
+                    got.add((assignment, side, t, tuple(quad_at[i] for i in idx)))
+        assert got == want
+        assert len(rows) == len({row[0] for row in rows}) == 60
+        assert len(got) == 168
+        assert _loop_ybe_sweep(weights, 0.0, 0.0).checked == 60
+
+    def test_table_built_on_first_sweep_without_numpy(self):
+        _run_fresh(
+            "import sys, icelab",
+            "from icelab.yangbaxter import _live_assignments",
+            "assert _live_assignments.cache_info().currsize == 0",
+            "pr = icelab.EllipticParams.from_nome(0.2, lam=0.24)",
+            "sweep = icelab.ybe_sweep(icelab.tilde_family(pr), 0.5, 0.2)",
+            "assert (sweep.checked, sweep.skipped) == (60, 669), sweep",
+            "assert _live_assignments.cache_info().currsize == 1",
+            "assert 'numpy' not in sys.modules",
+        )
 
     def test_appendix_and_rosengren_difference_form(self):
         rnd = random.Random(42)
