@@ -277,25 +277,33 @@ class SpectralAssignment:
     def n(self) -> int:
         return len(self.chi)
 
+    def _index(self, k: int) -> int:
+        """Position of the 1-based line index k; IndexError outside 1..n."""
+        if not 1 <= k <= self.n:
+            raise IndexError(f"line index {k} outside 1..{self.n}")
+        return k - 1
+
     def replace_chi(self, k: int, value: complex) -> "SpectralAssignment":
         """New assignment with chi_k (1-based) replaced."""
         chi = list(self.chi)
-        chi[k - 1] = complex(value)
+        chi[self._index(k)] = complex(value)
         return self._derived(tuple(chi), self.psi, self.eta)
 
     def shift_chi(self, k: int, delta: complex) -> "SpectralAssignment":
-        return self.replace_chi(k, self.chi[k - 1] + delta)
+        return self.replace_chi(k, self.chi[self._index(k)] + delta)
 
     def shift_psi(self, k: int, delta: complex) -> "SpectralAssignment":
         psi = list(self.psi)
-        psi[k - 1] = complex(psi[k - 1] + delta)
+        i = self._index(k)
+        psi[i] = complex(psi[i] + delta)
         return self._derived(self.chi, tuple(psi), self.eta)
 
     def drop(self, k: int, l: int) -> "SpectralAssignment":
         """Remove chi_k and psi_l (1-based), for the reduced-lattice side of
         the recursion relations."""
-        chi = tuple(x for i, x in enumerate(self.chi) if i != k - 1)
-        psi = tuple(x for i, x in enumerate(self.psi) if i != l - 1)
+        k, l = self._index(k), self._index(l)
+        chi = tuple(x for i, x in enumerate(self.chi) if i != k)
+        psi = tuple(x for i, x in enumerate(self.psi) if i != l)
         return self._derived(chi, psi, self.eta)
 
 

@@ -18,6 +18,7 @@ import cmath
 import dataclasses
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -73,6 +74,10 @@ class Config:
                             ("max_n_coloring", tc.MAX_DWBC_N)):
             if not 1 <= getattr(self, name) <= limit:
                 raise ConfigError(f"{name} must be in 1..{limit}")
+        for f in dataclasses.fields(self):
+            # an infinite tolerance passes every case and 0 or below none
+            if f.name.startswith("tol_") and not 0.0 < getattr(self, f.name) < math.inf:
+                raise ConfigError(f"{f.name} must be finite and positive")
 
     def series(self) -> SeriesConfig:
         return SeriesConfig(term_tolerance=self.term_tolerance, max_terms=self.max_terms)
@@ -352,8 +357,9 @@ def _suite_appendix(rng, samples: int, cfg: Config):
         substituted = yb.appendix_substitution(params, series)
         closed = yb.appendix_family(params, series)
         yield "substitution-matches-closed-forms", max(0.0, *(
-            rel_residual(substituted.evaluator(*quad, phi), closed.evaluator(*quad, phi))
-            for quad, _vk in yb.ADMISSIBLE)), point
+            rel_residual(substituted.weight(vk.kind, int(vk.r), phi),
+                         closed.weight(vk.kind, int(vk.r), phi))
+            for _quad, vk in yb.ADMISSIBLE)), point
 
         yield ("rosengren-gauge-match",
                yb.rosengren_match(params, series, phis=(phi, php)), point)

@@ -31,12 +31,11 @@ from typing import Callable, Sequence
 
 from .numutil import rel_residual
 from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
-                    SeriesConfig, theta1, theta4, theta_triple)
+                    SeriesConfig, ThetaTriple, theta1, theta1_reduced, theta4,
+                    theta_triple)
 from .sixvertex import VertexKind, weight6v
-from .threecoloring import (ColoredVertexKind, classify_vertex, raw_weight,
-                            tilde_weight)
-
-Evaluator = Callable[[int, int, int, int, complex], complex]
+from .threecoloring import (_CORNER_PATTERN, ColoredVertexKind, _raw_weight_ctx,
+                            _tilde_weight_ctx, _weight_constants, classify_vertex)
 
 #: the 18 admissible (bl, br, tl, tr) quadruples with their kind and base
 ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(
@@ -51,23 +50,18 @@ ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tu
 _KIND_OF_QUAD: dict[tuple[int, int, int, int], ColoredVertexKind] = dict(ADMISSIBLE)
 
 
-def _kind_of(bl: int, br: int, tl: int, tr: int) -> ColoredVertexKind:
-    """Kind and base color of an admissible (bl, br, tl, tr) quadruple, read
-    from ADMISSIBLE; any other quadruple raises InvalidColoringError."""
-    vk = _KIND_OF_QUAD.get((bl % 3, br % 3, tl % 3, tr % 3))
-    return vk if vk is not None else classify_vertex(bl, tl, tr, br)
-
-
 @dataclass(frozen=True)
 class WeightFamily:
-    """Evaluator for W^{tl tr}_{bl br}(phi) plus its Yang-Baxter shift.
+    """Face weights given kind by kind, plus their Yang-Baxter shift.
 
-    evaluate(r, s, rp, sp, phi) follows the index picture: r bottom-left,
-    s bottom-right, rp top-left, sp top-right.
+    weight(kind, r, phi) is the weight of the vertex of that kind with base
+    color r in {0, 1, 2}.  evaluate(r, s, rp, sp, phi) is W^{rp sp}_{r s}(phi)
+    in the index picture: r bottom-left, s bottom-right, rp top-left, sp
+    top-right.
     """
 
     name: str
-    evaluator: Evaluator = field(repr=False)
+    weight: Callable[[VertexKind, int, complex], complex] = field(repr=False)
     ybe_shift: complex = PI / 3
 
     @property
@@ -75,33 +69,27 @@ class WeightFamily:
         return "difference" if self.ybe_shift == 0 else "shifted"
 
     def evaluate(self, r: int, s: int, rp: int, sp: int, phi: complex) -> complex:
-        if (r % 3, s % 3, rp % 3, sp % 3) not in _KIND_OF_QUAD:
-            return 0j
-        return self.evaluator(r % 3, s % 3, rp % 3, sp % 3, phi)
+        vk = _KIND_OF_QUAD.get((r % 3, s % 3, rp % 3, sp % 3))
+        return 0j if vk is None else self.weight(vk.kind, int(vk.r), phi)
 
     def weight_table(self, phi: complex) -> dict[tuple[int, int, int, int], complex]:
         """All 18 admissible weights at one spectral parameter."""
-        return {(bl, br, tl, tr): self.evaluator(bl, br, tl, tr, phi)
-                for (bl, br, tl, tr), _ in ADMISSIBLE}
-
-
-def _kindwise_evaluator(weight_of_kind: Callable[[ColoredVertexKind, complex], complex]) -> Evaluator:
-    def evaluate(bl: int, br: int, tl: int, tr: int, phi: complex) -> complex:
-        return weight_of_kind(_kind_of(bl, br, tl, tr), phi)
-    return evaluate
+        return {quad: self.weight(vk.kind, int(vk.r), phi) for quad, vk in ADMISSIBLE}
 
 
 def raw_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
+    ctx = _weight_constants(params, cfg)
     return WeightFamily(
         name="raw",
-        evaluator=_kindwise_evaluator(lambda v, phi: raw_weight(v, phi, params, cfg)),
+        weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, complex(phi)),
         ybe_shift=PI / 3)
 
 
 def tilde_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
+    ctx = _weight_constants(params, cfg)
     return WeightFamily(
         name="tilde",
-        evaluator=_kindwise_evaluator(lambda v, phi: tilde_weight(v, phi, params, cfg)),
+        weight=lambda kind, r, phi: _tilde_weight_ctx(ctx, kind, r, complex(phi)),
         ybe_shift=PI / 3)
 
 
@@ -110,7 +98,7 @@ def sixvertex_family(eta: complex) -> WeightFamily:
     is ignored).  Satisfies the Yang-Baxter equation with shift eta/2."""
     return WeightFamily(
         name="sixvertex",
-        evaluator=_kindwise_evaluator(lambda v, phi: weight6v(v.kind, phi, eta)),
+        weight=lambda kind, r, phi: weight6v(kind, phi, eta),
         ybe_shift=eta / 2)
 
 
@@ -214,15 +202,13 @@ def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, compl
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     """Gauge application through the canonical integer corner lifts of each
     kind (base r in {0,1,2}, neighbours written literally as r-1 / r+1)."""
-    def evaluate(bl: int, br: int, tl: int, tr: int, phi: complex) -> complex:
-        vk = _kind_of(bl, br, tl, tr)
-        lbl, ltl, ltr, lbr = vk.corner_lifts()
+    def weight(kind: VertexKind, r: int, phi: complex) -> complex:
+        lbl, ltl, ltr, lbr = (r + d for d in _CORNER_PATTERN[kind])
         cc = g.C(lbl) / g.C(ltr)
         ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
-        return cc * ff * fam.evaluator(bl, br, tl, tr, phi)
+        return cc * ff * fam.weight(kind, r, phi)
 
-    return WeightFamily(name=f"{fam.name}+gauge", evaluator=evaluate,
-                        ybe_shift=fam.ybe_shift)
+    return WeightFamily(name=f"{fam.name}+gauge", weight=weight, ybe_shift=fam.ybe_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -230,64 +216,35 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
 # ---------------------------------------------------------------------------
 
 
-def _substituted_evaluator(params: EllipticParams, cfg: SeriesConfig) -> Evaluator:
-    """Raw family at (lambda + pi*tau/2, -phi - pi/3), with every theta4 at
-    the shifted lambda reduced through
+def appendix_substitution(params: EllipticParams,
+                          cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
+    """The raw family, threecoloring._raw_weight_ctx itself, at
+    (lambda + pi*tau/2, -phi - pi/3).
+
+    Its theta4 context sits at the shifted lambda, every value reduced through
 
         theta4(x + pi*tau/2 | p) = i p^{-1/4} e^{-i x} theta1(x | p)
 
-    so that values and fractional powers stay on the theta1 sheet.  The logs
-    of the shifted theta4 values are assembled as sums (the i p^{-1/4} e^{-ix}
-    parts cancel in every zeta combination), never re-wrapped.
+    so that values stay on the theta1 sheet, and its log-zeta table is the
+    theta1 triple's: the i p^{-1/4} e^{-ix} parts cancel in every zeta
+    combination, so the logs are never re-wrapped.  The result is a
+    difference-form family whose values coincide with the theta1-based closed
+    forms of appendix_family.
     """
-    sheet = theta_triple(theta1, params, cfg)
-    lam = params.lam
-    p = params.p
-    log_pref = cmath.log(1j) - 0.25 * cmath.log(p)
+    sheet = theta_triple(theta1, params, cfg)  # PoleError at p = 0, before log(p)
+    half = PI * params.tau / 2
+    pref = 1j * cmath.exp(-0.25 * cmath.log(params.p))
 
-    def log_a_at(m: int) -> complex:
-        # log of theta4(lambda + pi*tau/2 + 2pi m/3) assembled analytically;
-        # the linear part keeps the literal integer m so that the zeta
-        # combination below cancels it exactly
-        return log_pref - 1j * (lam + TWO_PI_OVER_3 * m) + sheet.logs[m % 3]
+    def theta4_at_half_period(x: complex, prm: EllipticParams, c: SeriesConfig) -> complex:
+        return pref * cmath.exp(-1j * (x - half)) * theta1(x - half, prm, c)
 
-    log_zeta = [log_a_at(m - 1) + log_a_at(m + 1) - 2 * log_a_at(m) for m in range(3)]
-
-    def theta4_shifted(x: complex) -> complex:
-        return cmath.exp(log_pref) * cmath.exp(-1j * x) * sheet(x)
-
-    t1_23 = sheet(TWO_PI_OVER_3)
-
-    def weight_of_kind(vk: ColoredVertexKind, phi: complex) -> complex:
-        r = int(vk.r)
-        fsub = -phi - PI / 3
-        kind = vk.kind
-        if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
-            return (cmath.exp((0.25 + 3 * fsub / (4 * PI)) * log_zeta[r])
-                    * sheet(PI / 3 - fsub) / t1_23)
-        if kind in (VertexKind.BETA, VertexKind.BETA_P):
-            return (cmath.exp((0.25 - 3 * fsub / (4 * PI)) * log_zeta[r])
-                    * sheet(PI / 3 + fsub) / t1_23)
-        expo = 1.0 / 6.0 + fsub / (2 * PI)
-        if kind is VertexKind.GAMMA:
-            pre = cmath.exp(expo * (log_zeta[(r + 1) % 3] - log_zeta[r]))
-            return pre * (theta4_shifted(lam + TWO_PI_OVER_3 * r + PI / 3 + fsub)
-                          / theta4_shifted(lam + TWO_PI_OVER_3 * r))
-        pre = cmath.exp(expo * (log_zeta[(r - 1) % 3] - log_zeta[r]))
-        return pre * (theta4_shifted(lam + TWO_PI_OVER_3 * r - PI / 3 - fsub)
-                      / theta4_shifted(lam + TWO_PI_OVER_3 * r))
-
-    return _kindwise_evaluator(weight_of_kind)
-
-
-def appendix_substitution(params: EllipticParams,
-                          cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
-    """The raw family after lambda -> lambda + pi*tau/2, phi -> -phi - pi/3.
-
-    The result is a difference-form family whose values coincide with the
-    theta1-based closed forms of appendix_family.
-    """
-    return WeightFamily(name="substituted", evaluator=_substituted_evaluator(params, cfg),
+    # a triple of this family's own, not the shared cache's: its principal
+    # logs may wrap, so its log-zeta table is replaced by the theta1 sheet's
+    tri = ThetaTriple(theta4_at_half_period, params.shifted_lambda(half), cfg)
+    tri.log_zeta = sheet.log_zeta
+    ctx = (tri, theta1_reduced(TWO_PI_OVER_3, params, cfg))
+    return WeightFamily(name="substituted",
+                        weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, -phi - PI / 3),
                         ybe_shift=0.0)
 
 
@@ -308,9 +265,7 @@ def appendix_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
     t1_23 = sheet(TWO_PI_OVER_3)
     lam = params.lam
 
-    def weight_of_kind(vk: ColoredVertexKind, phi: complex) -> complex:
-        r = int(vk.r)
-        kind = vk.kind
+    def weight(kind: VertexKind, r: int, phi: complex) -> complex:
         if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
             return sheet.zeta_pow(r, -3 * phi / (4 * PI)) * sheet(TWO_PI_OVER_3 + phi) / t1_23
         if kind in (VertexKind.BETA, VertexKind.BETA_P):
@@ -322,8 +277,7 @@ def appendix_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
         pre = cmath.exp(-1j * phi) * cmath.exp(expo * (sheet.log_zeta[r] - sheet.log_zeta[(r - 1) % 3]))
         return pre * sheet(lam + TWO_PI_OVER_3 * r + phi) / sheet.values[r]
 
-    return WeightFamily(name="appendix", evaluator=_kindwise_evaluator(weight_of_kind),
-                        ybe_shift=0.0)
+    return WeightFamily(name="appendix", weight=weight, ybe_shift=0.0)
 
 
 def rosengren_gauge(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> GaugeData:
@@ -362,9 +316,7 @@ def rosengren_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES)
     t1_23 = sheet(TWO_PI_OVER_3)
     lam = params.lam
 
-    def weight_of_kind(vk: ColoredVertexKind, phi: complex) -> complex:
-        r = int(vk.r)
-        kind = vk.kind
+    def weight(kind: VertexKind, r: int, phi: complex) -> complex:
         if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
             return sheet(TWO_PI_OVER_3 + phi) / t1_23
         if kind is VertexKind.BETA:
@@ -375,8 +327,7 @@ def rosengren_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES)
             return sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r]
         return sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r]
 
-    return WeightFamily(name="rosengren", evaluator=_kindwise_evaluator(weight_of_kind),
-                        ybe_shift=0.0)
+    return WeightFamily(name="rosengren", weight=weight, ybe_shift=0.0)
 
 
 def rosengren_match(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES,
@@ -387,9 +338,9 @@ def rosengren_match(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES,
     gauged = apply_gauge_kindwise(appendix_family(params, cfg), rosengren_gauge(params, cfg))
     target = rosengren_family(params, cfg)
     worst = 0.0
-    for (bl, br, tl, tr), _ in ADMISSIBLE:
+    for _quad, vk in ADMISSIBLE:
         for phi in phis:
-            got = gauged.evaluator(bl, br, tl, tr, phi)
-            want = target.evaluator(bl, br, tl, tr, phi)
+            got = gauged.weight(vk.kind, int(vk.r), phi)
+            want = target.weight(vk.kind, int(vk.r), phi)
             worst = max(worst, rel_residual(got, want))
     return worst

@@ -193,6 +193,25 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: max_n_")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_tolerance_not_finite_positive_exit_two(self, capsys, tmp_path, value):
+        # a tolerance of inf would pass every case, nan or 0 fail every case
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"tol_ybe = {value}\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "ybe", "--samples", "1",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol_ybe must be finite and positive")
+
+    def test_tiny_tolerance_accepted(self, capsys, tmp_path):
+        # the benchmark's negative control: a gate this strict fails, exit 1
+        cfg = tmp_path / "strict.cfg"
+        cfg.write_text("tol_ybe = 1e-300\n")
+        code, _, _ = run_cli(capsys, "verify", "--suite", "ybe", "--samples", "1",
+                             "--config", str(cfg))
+        assert code == 1
+
     def test_size_limits_at_the_guards_accepted(self):
         Config(max_n_sixvertex=1, max_n_coloring=1)
         Config(max_n_sixvertex=MAX_ENUM_N, max_n_coloring=MAX_DWBC_N)

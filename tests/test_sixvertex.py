@@ -275,10 +275,22 @@ class TestSpectralAssignment:
     def test_unequal_lengths_raise(self):
         with pytest.raises(ValueError, match="^chi and psi must have equal length$"):
             SpectralAssignment(chi=[0.1, 0.2], psi=[0.3])
-        # a derived assignment keeps the check: k = 0 removes no chi
-        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
+        # a derived assignment keeps the check
         with pytest.raises(ValueError, match="^chi and psi must have equal length$"):
-            a.drop(0, 1)
+            SpectralAssignment._derived((0.1 + 0j, 0.2 + 0j), (0.3 + 0j,), 2.0 + 0j)
+
+    @pytest.mark.parametrize("edit", [
+        lambda a, k: a.replace_chi(k, 9.0), lambda a, k: a.shift_chi(k, 0.5),
+        lambda a, k: a.shift_psi(k, 0.5), lambda a, k: a.drop(k, 1),
+        lambda a, k: a.drop(1, k)])
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_line_index_outside_range_raises(self, edit, k):
+        # 1-based indices: 0 and -1 must not wrap round to the last line, and
+        # 4 is past the end of a 3-line assignment
+        a = SpectralAssignment(chi=[0.1, 0.2, 0.3], psi=[0.4, 0.5, 0.6])
+        with pytest.raises(IndexError, match=f"^line index {k} outside 1..3$"):
+            edit(a, k)
+        assert edit(a, 3).n in (2, 3)
 
 
 class TestPartitionFunction:

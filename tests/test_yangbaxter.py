@@ -3,17 +3,18 @@
 import itertools
 import math
 import random
-import re
 
 import pytest
 
-from icelab import (EllipticParams, InvalidColoringError, appendix_family,
-                    appendix_substitution, apply_gauge_kindwise,
-                    classify_vertex, gauge_constraint_residual, identity_gauge,
-                    raw_family, rosengren_family, rosengren_gauge,
-                    rosengren_match, sixvertex_family, theta1, tilde_family,
-                    ybe_sweep, zeta_gauge)
-from icelab.yangbaxter import (ADMISSIBLE, WeightFamily, YbeSweep, _kind_of,
+from icelab import (EllipticParams, InvalidColoringError, PoleError, VertexKind,
+                    appendix_family, appendix_substitution,
+                    apply_gauge_kindwise, classify_vertex,
+                    gauge_constraint_residual, identity_gauge, raw_family,
+                    rosengren_family, rosengren_gauge, rosengren_match,
+                    sixvertex_family, theta1, tilde_family, ybe_sweep,
+                    zeta_gauge)
+from icelab.numutil import rel_residual
+from icelab.yangbaxter import (ADMISSIBLE, WeightFamily, YbeSweep,
                                _live_assignments)
 from test_threecoloring import _run_fresh
 
@@ -61,14 +62,17 @@ def test_admissible_quadruples():
 
 
 def test_kind_lookup_matches_classification():
+    # a family whose 18 weights are distinct and nonzero: evaluate must give
+    # the weight of the classified kind and base, and 0 off the admissible set
+    fam = WeightFamily(name="tags", weight=lambda kind, r, phi:
+                       complex(list(VertexKind).index(kind) + 1, r + phi))
     for bl, br, tl, tr in itertools.product(range(-1, 4), repeat=4):
         try:
-            want = classify_vertex(bl, tl, tr, br)
-        except InvalidColoringError as exc:
-            with pytest.raises(InvalidColoringError, match=re.escape(str(exc))):
-                _kind_of(bl, br, tl, tr)
+            vk = classify_vertex(bl, tl, tr, br)
+        except InvalidColoringError:
+            assert fam.evaluate(bl, br, tl, tr, 0.3) == 0
         else:
-            assert _kind_of(bl, br, tl, tr) == want
+            assert fam.evaluate(bl, br, tl, tr, 0.3) == fam.weight(vk.kind, int(vk.r), 0.3)
 
 
 def test_inadmissible_weight_is_zero():
@@ -100,16 +104,16 @@ class TestYangBaxter:
         pr = params(0.0, 0.3)
         fam = tilde_family(pr)
         ref = sixvertex_family(2 * PI / 3)
-        for (quad, _vk) in ADMISSIBLE:
-            assert fam.evaluator(*quad, 0.37) == pytest.approx(
-                ref.evaluator(*quad, 0.37), rel=1e-12)
+        for _quad, vk in ADMISSIBLE:
+            assert fam.weight(vk.kind, int(vk.r), 0.37) == pytest.approx(
+                ref.weight(vk.kind, int(vk.r), 0.37), rel=1e-12)
         assert ybe_sweep(fam, 0.41, 0.13).residual < 1e-10
 
     def test_sixvertex_difference_form_fails_at_generic_eta(self):
         # the trigonometric family needs the eta/2 offset in the third
         # argument; a plain difference form only coincides at eta = 2pi/3
         fam = sixvertex_family(1.1)
-        broken = type(fam)(name="broken", evaluator=fam.evaluator, ybe_shift=0.0)
+        broken = type(fam)(name="broken", weight=fam.weight, ybe_shift=0.0)
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_tensor_sweep_matches_loop(self):
@@ -126,7 +130,7 @@ class TestYangBaxter:
 
     def test_broken_family_matches_loop(self):
         fam = sixvertex_family(1.1)
-        broken = type(fam)(name="broken", evaluator=fam.evaluator, ybe_shift=0.0)
+        broken = type(fam)(name="broken", weight=fam.weight, ybe_shift=0.0)
         got = ybe_sweep(broken, 0.41, 0.13)
         assert got.residual > 1e-3
         assert got == _loop_ybe_sweep(broken, 0.41, 0.13)
@@ -134,7 +138,7 @@ class TestYangBaxter:
     def test_live_assignments_are_the_nonzero_products(self):
         # every (assignment, side, t) whose three quadruples are admissible,
         # read off the loop reference's products with all 18 weights nonzero
-        weights = WeightFamily(name="ones", evaluator=lambda *args: 1.0 + 0j)
+        weights = WeightFamily(name="ones", weight=lambda *args: 1.0 + 0j)
         tables = (weights.weight_table(0.0),) * 3
         want = set()
         for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
@@ -181,18 +185,18 @@ class TestGauge:
         pr = params()
         fam = tilde_family(pr)
         gauged = apply_gauge_kindwise(fam, identity_gauge())
-        for (quad, _vk) in ADMISSIBLE:
-            assert gauged.evaluator(*quad, 0.37) == fam.evaluator(*quad, 0.37)
+        for _quad, vk in ADMISSIBLE:
+            assert gauged.weight(vk.kind, int(vk.r), 0.37) == fam.weight(vk.kind, int(vk.r), 0.37)
 
     def test_zeta_gauge_sends_raw_to_tilde(self):
         rnd = random.Random(43)
         pr = params()
         gauged = apply_gauge_kindwise(raw_family(pr), zeta_gauge(pr))
         target = tilde_family(pr)
-        for (quad, _vk) in ADMISSIBLE:
+        for _quad, vk in ADMISSIBLE:
             x = rnd.uniform(-1, 1)
-            got = gauged.evaluator(*quad, x)
-            want = target.evaluator(*quad, x)
+            got = gauged.weight(vk.kind, int(vk.r), x)
+            want = target.weight(vk.kind, int(vk.r), x)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_constraints(self):
@@ -215,12 +219,43 @@ class TestSubstitutionChain:
         pr = params(0.2, 0.22)
         sub = appendix_substitution(pr)
         closed = appendix_family(pr)
-        for (quad, _vk) in ADMISSIBLE:
+        for _quad, vk in ADMISSIBLE:
             for _ in range(3):
                 x = rnd.uniform(-1.2, 1.2)
-                got = sub.evaluator(*quad, x)
-                want = closed.evaluator(*quad, x)
+                got = sub.weight(vk.kind, int(vk.r), x)
+                want = closed.weight(vk.kind, int(vk.r), x)
                 assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("wrong_map, shift", [
+        # sub.weight(phi - pi/3) is the raw family at -phi: the -pi/3 dropped
+        ("phi -> -phi", lambda phi: phi - PI / 3),
+        # sub.weight(-phi - 2pi/3) is the raw family at phi + pi/3: sign wrong
+        ("phi -> phi + pi/3", lambda phi: -phi - 2 * PI / 3),
+    ])
+    def test_wrong_phi_map_misses_closed_forms(self, wrong_map, shift):
+        # negative controls of the substitution chain: the substituted raw
+        # family under a wrong phi map is far from the closed forms, while the
+        # right map matches them to roundoff
+        rnd = random.Random(47)
+        for p, lam in ((0.2, 0.22), (0.35, 0.5), (0.05, 0.9)):
+            pr = params(p, lam)
+            sub, closed = appendix_substitution(pr), appendix_family(pr)
+            phis = [rnd.uniform(-1.2, 1.2) for _ in range(3)]
+
+            def miss(weight):
+                return max(rel_residual(weight(vk.kind, int(vk.r), x),
+                                        closed.weight(vk.kind, int(vk.r), x))
+                           for _quad, vk in ADMISSIBLE for x in phis)
+
+            assert miss(sub.weight) < 1e-12
+            assert miss(lambda kind, r, x: sub.weight(kind, r, shift(x))) > 1e-3, wrong_map
+
+    def test_substitution_at_zero_nome_raises_pole_error(self):
+        # every theta1(lambda + 2pi m/3 | 0) vanishes: a typed error comes
+        # before the substitution's log(p)
+        for fam in (appendix_substitution, appendix_family):
+            with pytest.raises(PoleError):
+                fam(params(0.0, 0.3))
 
     def test_appendix_zeta_product(self):
         # the theta1-based zeta values also multiply to one
