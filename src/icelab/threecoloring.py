@@ -1,7 +1,7 @@
 """Proper three-colorings of a square face lattice and their Boltzmann weights.
 
-Faces carry colors from Z3; horizontally and vertically adjacent faces must
-differ (equivalently, differ by +1 or -1 mod 3).  Boundary conditions:
+Faces carry colors 0, 1, 2 of Z3; horizontally and vertically adjacent faces
+must differ (equivalently, differ by +1 or -1 mod 3).  Boundary conditions:
 
   free      no extra constraint;
   toroidal  additionally first != last in every row and every column;
@@ -20,7 +20,8 @@ kinds with a base color r:
     BETA    (r+1, r,   r-1, r  )      BETA_P  (r-1, r,   r+1, r  )
     GAMMA   (r+1, r,   r+1, r  )      GAMMA_P (r-1, r,   r-1, r  )
 
-in (bl, tl, tr, br) order.  The arrow map sends a coloring to an ice state:
+in (bl, tl, tr, br) order; every classification reads the 18 quadruples that
+_CORNER_PATTERN generates.  The arrow map sends a coloring to an ice state:
 a horizontal edge points right iff its south face is its north face + 1, a
 vertical edge points up iff its east face is its west face + 1; the vertex
 kind of the face quadruple equals the arrow kind, and the map is three to
@@ -72,37 +73,6 @@ MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
 
 
-class Color(int):
-    """Element of Z3 with wrap-around arithmetic.
-
-    Integers coerce by reduction mod 3; arithmetic stays in Z3.
-    """
-
-    def __new__(cls, value: int) -> "Color":
-        return super().__new__(cls, int(value) % 3)
-
-    def __add__(self, other):  # type: ignore[override]
-        return Color(int(self) + int(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):  # type: ignore[override]
-        return Color(int(self) - int(other))
-
-    def __rsub__(self, other):  # type: ignore[override]
-        return Color(int(other) - int(self))
-
-    def __neg__(self) -> "Color":
-        return Color(-int(self))
-
-    def __repr__(self) -> str:
-        return f"Color({int(self)})"
-
-
-#: the three colors, shared by every face the enumerations build
-_COLORS = (Color(0), Color(1), Color(2))
-
-
 class BoundaryCondition(str, Enum):
     FREE = "free"
     TOROIDAL = "toroidal"
@@ -121,26 +91,6 @@ class FaceWeightParams:
         return (self.z0, self.z1, self.z2)[c % 3]
 
 
-@dataclass(frozen=True)
-class ColoredVertexKind:
-    """A vertex kind together with the base color of its four-face pattern."""
-
-    kind: VertexKind
-    r: Color
-
-    def corner_lifts(self) -> tuple[int, int, int, int]:
-        """(bl, tl, tr, br) as plain integers with the base color in {0,1,2}
-        and its neighbours written literally as r-1 / r+1 (possibly -1 or 3).
-        Gauge factors that are not periodic in the integer label (such as
-        exp(i r phi / 2) terms) must be fed these lifts."""
-        r = int(self.r)
-        pattern = _CORNER_PATTERN[self.kind]
-        return tuple(r + d for d in pattern)
-
-    def corner_colors(self) -> tuple[Color, Color, Color, Color]:
-        return tuple(Color(x) for x in self.corner_lifts())
-
-
 _CORNER_PATTERN: dict[VertexKind, tuple[int, int, int, int]] = {
     VertexKind.ALPHA: (0, -1, 0, 1),
     VertexKind.ALPHA_P: (0, 1, 0, -1),
@@ -151,29 +101,49 @@ _CORNER_PATTERN: dict[VertexKind, tuple[int, int, int, int]] = {
 }
 
 
+@dataclass(frozen=True)
+class ColoredVertexKind:
+    """A vertex kind together with the base color r in {0, 1, 2} of its
+    four-face pattern."""
+
+    kind: VertexKind
+    r: int
+
+    def __post_init__(self) -> None:
+        if type(self.r) is not int or not 0 <= self.r <= 2:
+            raise InvalidColoringError(f"base color must be the int 0, 1 or 2, got {self.r!r}")
+
+    def corner_lifts(self) -> tuple[int, int, int, int]:
+        """(bl, tl, tr, br) with the base color in {0,1,2} and its neighbours
+        written literally as r-1 / r+1 (possibly -1 or 3).  Gauge factors that
+        are not periodic in the integer label (such as exp(i r phi / 2) terms)
+        must be fed these lifts."""
+        return tuple(self.r + d for d in _CORNER_PATTERN[self.kind])
+
+    def corner_colors(self) -> tuple[int, int, int, int]:
+        return tuple(x % 3 for x in self.corner_lifts())
+
+
+#: the 18 admissible (bl, tl, tr, br) color quadruples and their kinds
+_KIND_OF_CORNERS: dict[tuple[int, int, int, int], ColoredVertexKind] = {
+    vk.corner_colors(): vk
+    for vk in (ColoredVertexKind(kind, r) for kind in _CORNER_PATTERN for r in range(3))}
+
+
 def classify_vertex(bl: int, tl: int, tr: int, br: int) -> ColoredVertexKind:
-    """Sort a four-face quadruple into its kind and base color."""
-    bl, tl, tr, br = Color(bl), Color(tl), Color(tr), Color(br)
-    for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl)):
-        if a == b:
-            raise InvalidColoringError(f"adjacent faces equal in ({bl},{tl},{tr},{br})")
-    if bl == tr and tl == br:
-        kind = VertexKind.GAMMA if bl == tl + 1 else VertexKind.GAMMA_P
-        return ColoredVertexKind(kind, tl)
-    if bl == tr:
-        kind = VertexKind.ALPHA if tl == bl - 1 else VertexKind.ALPHA_P
-        return ColoredVertexKind(kind, bl)
-    if tl == br:
-        kind = VertexKind.BETA if bl == tl + 1 else VertexKind.BETA_P
-        return ColoredVertexKind(kind, tl)
-    raise InvalidColoringError(f"inadmissible quadruple ({bl},{tl},{tr},{br})")
+    """Sort a four-face quadruple, its colors read mod 3, into its kind and
+    base color."""
+    vk = _KIND_OF_CORNERS.get((bl % 3, tl % 3, tr % 3, br % 3))
+    if vk is None:
+        raise InvalidColoringError(f"inadmissible quadruple ({bl},{tl},{tr},{br})")
+    return vk
 
 
 @dataclass(frozen=True)
 class GridColoring:
     """rows x cols face colors, row 0 at the top."""
 
-    faces: tuple[tuple[Color, ...], ...]
+    faces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.faces or not self.faces[0]:
@@ -181,12 +151,12 @@ class GridColoring:
         cols = len(self.faces[0])
         if any(len(row) != cols for row in self.faces):
             raise InvalidColoringError("ragged face grid")
-        if any(c not in _COLORS for row in self.faces for c in row):
-            raise InvalidColoringError("face colors must be 0, 1 or 2")
+        if any(type(c) is not int or not 0 <= c <= 2 for row in self.faces for c in row):
+            raise InvalidColoringError("face colors must be the ints 0, 1 or 2")
 
     @classmethod
     def from_rows(cls, rows) -> "GridColoring":
-        return cls(faces=tuple(tuple(_COLORS[int(c) % 3] for c in row) for row in rows))
+        return cls(faces=tuple(tuple(int(c) % 3 for c in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -197,7 +167,7 @@ class GridColoring:
         return len(self.faces[0])
 
     @property
-    def corner(self) -> Color:
+    def corner(self) -> int:
         return self.faces[0][0]
 
     def is_proper(self) -> bool:
@@ -214,7 +184,7 @@ class GridColoring:
 
     def shifted(self, delta: int) -> "GridColoring":
         """Add delta to every face color."""
-        return GridColoring(faces=tuple(tuple(c + delta for c in row) for row in self.faces))
+        return GridColoring(faces=tuple(tuple((c + delta) % 3 for c in row) for row in self.faces))
 
     def vertex(self, i: int, j: int) -> ColoredVertexKind:
         """Kind of the internal vertex between face rows i-1, i and columns
@@ -226,23 +196,22 @@ class GridColoring:
         counts = [0, 0, 0]
         for row in self.faces:
             for c in row:
-                counts[int(c)] += 1
+                counts[c] += 1
         return tuple(counts)
 
     def to_json_obj(self) -> list[list[int]]:
-        return [[int(c) for c in row] for row in self.faces]
+        return [list(row) for row in self.faces]
 
 
-def dwbc_boundary(n: int, corner: int) -> dict[tuple[int, int], Color]:
+def dwbc_boundary(n: int, corner: int) -> dict[tuple[int, int], int]:
     """Boundary colors forced by the domain-wall walk on an (n+1)x(n+1) grid."""
-    c = Color(corner)
-    forced: dict[tuple[int, int], Color] = {}
+    forced: dict[tuple[int, int], int] = {}
     for j in range(n + 1):
-        forced[(0, j)] = c + j
-        forced[(n, j)] = c + n - j
+        forced[(0, j)] = (corner + j) % 3
+        forced[(n, j)] = (corner + n - j) % 3
     for i in range(n + 1):
-        forced[(i, 0)] = c + i
-        forced[(i, n)] = c + n - i
+        forced[(i, 0)] = (corner + i) % 3
+        forced[(i, n)] = (corner + n - i) % 3
     return forced
 
 
@@ -263,7 +232,7 @@ def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
         if rows - 1 > MAX_DWBC_N:
             raise SizeGuardError(
                 f"dwbc n = {rows - 1} outside the enumeration guard 1..{MAX_DWBC_N}")
-        if corner is not None and corner not in (0, 1, 2):
+        if corner is not None and (type(corner) is not int or not 0 <= corner <= 2):
             raise InvalidColoringError(f"corner must be a color 0, 1 or 2, got {corner}")
         return bc, False
     if rows * cols > MAX_FREE_CELLS:
@@ -365,7 +334,7 @@ def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row
 def _tails(colors: tuple[int, ...], *banned: int) -> tuple[tuple[Row, ...], ...]:
     """One-face extensions, colored from colors but not banned, of a row ending
     in color 0, 1 or 2 (3: the empty row), descending for _rows' stack."""
-    ok = [_COLORS[c] for c in reversed(colors) if c not in banned]
+    ok = [c for c in reversed(colors) if c not in banned]
     return tuple(tuple((c,) for c in ok if c != left) for left in range(4))
 
 
@@ -376,17 +345,18 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
     free grid, one per first row for a toroidal grid (its last row colored
     unlike the first in every column) and one per corner color for a
     domain-wall grid (first and last rows forced, the others' ends pinned)."""
-    anything = (_COLORS,) * cols
+    colors = (0, 1, 2)
+    anything = (colors,) * cols
     if bc is BoundaryCondition.FREE:
         yield [anything] * rows, False
     elif bc is BoundaryCondition.TOROIDAL:
         for first in _rows(anything, True):
-            unlike = tuple(tuple(c for c in _COLORS if c != f) for f in first)
+            unlike = tuple(tuple(c for c in colors if c != f) for f in first)
             yield [tuple((f,) for f in first)] + [anything] * (rows - 2) + [unlike], True
     else:
         for c in [corner] if corner is not None else range(3):
             forced = dwbc_boundary(rows - 1, c)
-            yield [tuple((_COLORS[forced[i, j]],) if (i, j) in forced else _COLORS
+            yield [tuple((forced[i, j],) if (i, j) in forced else colors
                          for j in range(cols)) for i in range(rows)], False
 
 
@@ -445,7 +415,7 @@ def lenard_map(coloring: GridColoring) -> SixVertexState:
         raise InvalidColoringError("coloring violates proper adjacency")
     if coloring.rows < 2 or coloring.cols < 2:
         raise InvalidColoringError("need at least one internal vertex")
-    f = [list(map(int, row)) for row in coloring.faces]
+    f = coloring.faces
     h = tuple(tuple((south - north) % 3 == 1 for north, south in zip(f[i], f[i + 1]))
               for i in range(coloring.rows - 1))
     v = tuple(tuple((east - west) % 3 == 1 for west, east in zip(row, row[1:])) for row in f)
@@ -482,7 +452,7 @@ def raw_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
     Fractional zeta powers are taken on the positive-real domain (real
     lambda, real p); elsewhere a BranchDomainError is raised.
     """
-    return _raw_weight_ctx(_weight_constants(params, cfg), v.kind, int(v.r), complex(phi))
+    return _raw_weight_ctx(_weight_constants(params, cfg), v.kind, v.r, complex(phi))
 
 
 def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
@@ -507,7 +477,7 @@ def tilde_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
                  cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
     """Gauged face weight of vertex v; equals the raw weight times
     Phi_{tl} Phi_{br} / (Phi_{bl} Phi_{tr}) with Phi_r = zeta_r^{1/12 + phi/4pi}."""
-    return _tilde_weight_ctx(_weight_constants(params, cfg), v.kind, int(v.r), complex(phi))
+    return _tilde_weight_ctx(_weight_constants(params, cfg), v.kind, v.r, complex(phi))
 
 
 def _tilde_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,

@@ -68,8 +68,12 @@ class Config:
         for low, high in (("lambda_min", "lambda_max"), ("p_min", "p_max")):
             if not getattr(self, low) < getattr(self, high):
                 raise ConfigError(f"{low} must be below {high}")
-        if not 2 * self.eta_margin < PI:
-            raise ConfigError("2 * eta_margin must be below pi")
+        if not (math.isfinite(self.lambda_min) and math.isfinite(self.lambda_max)):
+            raise ConfigError("lambda_min and lambda_max must be finite")
+        if not (0.0 < self.p_min and self.p_max < 1.0):
+            raise ConfigError("p_min and p_max must lie in (0, 1), the nome's domain")
+        if not 0.0 < 2 * self.eta_margin < PI:
+            raise ConfigError("2 * eta_margin must lie in (0, pi)")
         for name, limit in (("max_n_sixvertex", sv.MAX_ENUM_N),
                             ("max_n_coloring", tc.MAX_DWBC_N)):
             if not 1 <= getattr(self, name) <= limit:
@@ -357,8 +361,8 @@ def _suite_appendix(rng, samples: int, cfg: Config):
         substituted = yb.appendix_substitution(params, series)
         closed = yb.appendix_family(params, series)
         yield "substitution-matches-closed-forms", max(0.0, *(
-            rel_residual(substituted.weight(vk.kind, int(vk.r), phi),
-                         closed.weight(vk.kind, int(vk.r), phi))
+            rel_residual(substituted.weight(vk.kind, vk.r, phi),
+                         closed.weight(vk.kind, vk.r, phi))
             for _quad, vk in yb.ADMISSIBLE)), point
 
         yield ("rosengren-gauge-match",

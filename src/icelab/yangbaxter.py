@@ -34,20 +34,15 @@ from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, ThetaTriple, theta1, theta1_reduced, theta4,
                     theta_triple)
 from .sixvertex import VertexKind, weight6v
-from .threecoloring import (_CORNER_PATTERN, ColoredVertexKind, _raw_weight_ctx,
-                            _tilde_weight_ctx, _weight_constants, classify_vertex)
+from .threecoloring import (_CORNER_PATTERN, _KIND_OF_CORNERS, ColoredVertexKind,
+                            _raw_weight_ctx, _tilde_weight_ctx, _weight_constants)
 
-#: the 18 admissible (bl, br, tl, tr) quadruples with their kind and base
+#: the 18 admissible (bl, br, tl, tr) quadruples, ascending, with their kind
+#: and base: threecoloring's pattern table re-keyed to the index picture
+_KIND_OF_QUAD: dict[tuple[int, int, int, int], ColoredVertexKind] = dict(sorted(
+    ((bl, br, tl, tr), vk) for (bl, tl, tr, br), vk in _KIND_OF_CORNERS.items()))
 ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(
-    (quad, classify_vertex(*(quad[0], quad[2], quad[3], quad[1])))
-    for quad in [
-        (bl, br, tl, tr)
-        for bl in range(3) for br in range(3) for tl in range(3) for tr in range(3)
-        if all((a - b) % 3 in (1, 2) for a, b in
-               ((bl, tl), (tl, tr), (tr, br), (br, bl)))
-    ]
-)
-_KIND_OF_QUAD: dict[tuple[int, int, int, int], ColoredVertexKind] = dict(ADMISSIBLE)
+    _KIND_OF_QUAD.items())
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,11 @@ class WeightFamily:
 
     def evaluate(self, r: int, s: int, rp: int, sp: int, phi: complex) -> complex:
         vk = _KIND_OF_QUAD.get((r % 3, s % 3, rp % 3, sp % 3))
-        return 0j if vk is None else self.weight(vk.kind, int(vk.r), phi)
+        return 0j if vk is None else self.weight(vk.kind, vk.r, phi)
 
     def weight_table(self, phi: complex) -> dict[tuple[int, int, int, int], complex]:
         """All 18 admissible weights at one spectral parameter."""
-        return {quad: self.weight(vk.kind, int(vk.r), phi) for quad, vk in ADMISSIBLE}
+        return {quad: self.weight(vk.kind, vk.r, phi) for quad, vk in ADMISSIBLE}
 
 
 def raw_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
@@ -340,7 +335,7 @@ def rosengren_match(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES,
     worst = 0.0
     for _quad, vk in ADMISSIBLE:
         for phi in phis:
-            got = gauged.weight(vk.kind, int(vk.r), phi)
-            want = target.weight(vk.kind, int(vk.r), phi)
+            got = gauged.weight(vk.kind, vk.r, phi)
+            want = target.weight(vk.kind, vk.r, phi)
             worst = max(worst, rel_residual(got, want))
     return worst

@@ -175,7 +175,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("values", [
         {"term_tolerance": 0.0}, {"max_terms": 0}, {"lambda_min": 0.5, "lambda_max": 0.5},
-        {"p_min": 0.4, "p_max": 0.3}, {"eta_margin": math.pi / 2}, {"p_max": float("nan")}])
+        {"p_min": 0.4, "p_max": 0.3}, {"eta_margin": math.pi / 2}, {"p_max": float("nan")},
+        {"lambda_max": math.inf}, {"p_min": 0.0}, {"p_max": 1.0}, {"eta_margin": 0.0}])
     def test_config_rejects_bad_values(self, values):
         with pytest.raises(ConfigError):
             Config(**values)
@@ -203,6 +204,21 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: tol_ybe must be finite and positive")
+
+    @pytest.mark.parametrize("line, message", [
+        ("lambda_min = -inf", "lambda_min and lambda_max must be finite"),
+        ("p_min = -0.4", "p_min and p_max must lie in (0, 1)"),
+        ("eta_margin = -5", "2 * eta_margin must lie in (0, pi)")])
+    def test_parameter_domain_exit_two(self, capsys, tmp_path, line, message):
+        # an infinite lambda overflowed the sampler, a negative nome failed
+        # theta1-cubic-nome and a negative margin drew eta outside (0, pi)
+        cfg = tmp_path / "domain.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--samples", "1",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_tiny_tolerance_accepted(self, capsys, tmp_path):
         # the benchmark's negative control: a gate this strict fails, exit 1

@@ -13,8 +13,7 @@ from collections import Counter
 import pytest
 
 import icelab
-from icelab import (DEFAULT_SERIES, BranchDomainError, Color,
-                    ColoredVertexKind, EllipticParams, FaceWeightParams,
+from icelab import (DEFAULT_SERIES, BranchDomainError, ColoredVertexKind, EllipticParams, FaceWeightParams,
                     GridColoring, InvalidColoringError, SeriesConfig,
                     SizeGuardError, SpectralAssignment, VertexKind,
                     check_recursion_3c, classify_vertex,
@@ -47,20 +46,21 @@ def assignment(rnd, n):
 
 
 def _loop_classify_vertex(bl, tl, tr, br):
-    """Reference for classify_vertex: the constant diagonal of a (bl, tl, tr,
-    br) quadruple gives the kind and its base color."""
-    bl, tl, tr, br = Color(bl), Color(tl), Color(tr), Color(br)
+    """Reference for classify_vertex, by % 3 arithmetic rather than the
+    pattern table: the constant diagonal of a (bl, tl, tr, br) quadruple gives
+    the kind and its base color."""
+    bl, tl, tr, br = bl % 3, tl % 3, tr % 3, br % 3
     for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl)):
         if a == b:
             raise InvalidColoringError(f"adjacent faces equal in ({bl},{tl},{tr},{br})")
     if bl == tr and tl == br:
-        kind = VertexKind.GAMMA if bl == tl + 1 else VertexKind.GAMMA_P
+        kind = VertexKind.GAMMA if bl == (tl + 1) % 3 else VertexKind.GAMMA_P
         return ColoredVertexKind(kind, tl)
     if bl == tr:
-        kind = VertexKind.ALPHA if tl == bl - 1 else VertexKind.ALPHA_P
+        kind = VertexKind.ALPHA if tl == (bl - 1) % 3 else VertexKind.ALPHA_P
         return ColoredVertexKind(kind, bl)
     if tl == br:
-        kind = VertexKind.BETA if bl == tl + 1 else VertexKind.BETA_P
+        kind = VertexKind.BETA if bl == (tl + 1) % 3 else VertexKind.BETA_P
         return ColoredVertexKind(kind, tl)
     raise InvalidColoringError(f"inadmissible quadruple ({bl},{tl},{tr},{br})")
 
@@ -195,19 +195,21 @@ FIVE_BY_SIX_V = (  # vertical segments per face row, top first; True = up
 
 
 class TestColor:
-    def test_wraparound(self):
-        assert Color(5) == Color(2)
-        assert Color(2) + 1 == Color(0)
-        assert Color(0) - 1 == Color(2)
-        assert Color(1) + Color(2) == Color(0)
-        assert -Color(1) == Color(2)
-        assert int(Color(7)) == 1
-
     def test_grid_rejects_colors_outside_z3(self):
-        for faces in (((0, 3), (1, 2)), ((0, 4), (1, 2)), ((0, -1), (1, 2))):
+        # out of range, or equal to a color without being a plain int
+        for faces in (((0, 3), (1, 2)), ((0, 4), (1, 2)), ((0, -1), (1, 2)),
+                      ((0, 1.0), (1, 2)), ((0, True), (1, 2))):
             with pytest.raises(InvalidColoringError):
                 GridColoring(faces=faces)
         assert GridColoring(faces=((0, 1), (1, 2))).color_counts() == (1, 2, 1)
+
+    def test_shifted_reduces_mod_3(self):
+        g = GridColoring.from_rows([[0, 1, 2], [1, 2, 0]])
+        assert g.shifted(5) == g.shifted(2)
+        assert g.shifted(2).faces == ((2, 0, 1), (0, 1, 2))
+        assert g.shifted(-1) == g.shifted(2)
+        assert all(type(c) is int and 0 <= c <= 2
+                   for row in g.shifted(5).faces for c in row)
 
 
 class TestEnumeration:
@@ -238,7 +240,7 @@ class TestEnumeration:
 
     def test_dwbc_boundary_walk(self):
         bound = dwbc_boundary(4, 2)
-        assert bound[(0, 0)] == Color(2)
+        assert bound[(0, 0)] == 2
         # anticlockwise: +1 down the left side, -1 along the bottom
         assert [int(bound[(i, 0)]) for i in range(5)] == [2, 0, 1, 2, 0]
         assert [int(bound[(4, j)]) for j in range(5)] == [0, 2, 1, 0, 2]
@@ -251,7 +253,7 @@ class TestEnumeration:
         # every shape up to 12 faces comes in both orientations
         got = enumerate_colorings(*shape, bc)
         assert [g.faces for g in got] == [g.faces for g in _loop_iter_colorings(*shape, bc)]
-        assert all(type(c) is Color for g in got for row in g.faces for c in row)
+        assert all(type(c) is int for g in got for row in g.faces for c in row)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dwbc_matches_loop_reference(self, n):
@@ -260,7 +262,7 @@ class TestEnumeration:
                     for g in _loop_iter_dwbc(n, c)]
             got = enumerate_colorings(n + 1, n + 1, "dwbc", corner=corner)
             assert [g.to_json_obj() for g in got] == [g.to_json_obj() for g in want]
-            assert all(type(c) is Color for g in got for row in g.faces for c in row)
+            assert all(type(c) is int for g in got for row in g.faces for c in row)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_vertex_codes_match_loop_reference(self, n):
@@ -269,7 +271,7 @@ class TestEnumeration:
         key = lambda vertices: [(kind.value, r) for kind, r in vertices]
         for corner in range(3):
             got = sorted(map(key, _transfer_vertices(n, corner)))
-            want = sorted(key((vk.kind, int(vk.r)) for vk in _loop_vertices(coloring, n))
+            want = sorted(key((vk.kind, vk.r) for vk in _loop_vertices(coloring, n))
                           for coloring in _loop_iter_dwbc(n, corner))
             assert got == want
 
@@ -357,6 +359,7 @@ GUARD_CASES = [
     ((3, 3, "dwbc", -1), InvalidColoringError, "corner must be a color 0, 1 or 2, got -1"),
     ((4, 4, "dwbc", 3), InvalidColoringError, "corner must be a color 0, 1 or 2, got 3"),
     ((7, 7, "dwbc", 3), SizeGuardError, "dwbc n = 6 outside the enumeration guard 1..5"),
+    ((3, 3, "dwbc", 1.0), InvalidColoringError, "corner must be a color 0, 1 or 2, got 1.0"),
 ]
 
 
@@ -446,9 +449,35 @@ class TestLenardMap:
 class TestClassification:
     def test_all_patterns(self):
         for kind, r in itertools.product(VertexKind, range(3)):
-            vk = ColoredVertexKind(kind, Color(r))
+            vk = ColoredVertexKind(kind, r)
             bl, tl, tr, br = vk.corner_colors()
             assert classify_vertex(bl, tl, tr, br) == vk
+            assert classify_vertex(*vk.corner_lifts()) == vk
+
+    def test_matches_loop_reference_on_all_lifts(self):
+        # every quadruple of lifts in -1..3: the same kind and base as the
+        # % 3 reference, and InvalidColoringError exactly where it raises
+        admissible = 0
+        for quad in itertools.product(range(-1, 4), repeat=4):
+            try:
+                want = _loop_classify_vertex(*quad)
+            except InvalidColoringError:
+                with pytest.raises(InvalidColoringError):
+                    classify_vertex(*quad)
+            else:
+                assert classify_vertex(*quad) == want
+                admissible += 1
+        # the 18 patterns, each face 0 or 2 with two lifts in -1..3, 1 with one
+        assert admissible == 128
+
+    @pytest.mark.parametrize("r", [3, -1, 5, 1.0, True])
+    def test_base_color_outside_z3_rejected(self, r):
+        # a base of 3 or -1 would give lifts off the canonical r-1, r, r+1
+        # window that the non-periodic psi_factor cocycle needs; a float or
+        # bool base is rejected like a float or bool face
+        for kind in VertexKind:
+            with pytest.raises(InvalidColoringError):
+                ColoredVertexKind(kind, r)
 
     def test_inadmissible(self):
         with pytest.raises(InvalidColoringError):
@@ -462,14 +491,14 @@ class TestWeights:
         pr = params(0.2, 0.3)
         for r in range(3):
             zr = zeta(r, pr)
-            a0 = raw_weight(ColoredVertexKind(VertexKind.ALPHA, Color(r)), 0.0, pr)
+            a0 = raw_weight(ColoredVertexKind(VertexKind.ALPHA, r), 0.0, pr)
             assert a0 == pytest.approx(zr ** 0.25, rel=1e-12)
-            b0 = raw_weight(ColoredVertexKind(VertexKind.BETA, Color(r)), 0.0, pr)
+            b0 = raw_weight(ColoredVertexKind(VertexKind.BETA, r), 0.0, pr)
             assert b0 == pytest.approx(zr ** 0.25, rel=1e-12)
-            g0 = raw_weight(ColoredVertexKind(VertexKind.GAMMA, Color(r)), 0.0, pr)
+            g0 = raw_weight(ColoredVertexKind(VertexKind.GAMMA, r), 0.0, pr)
             want = zeta(r + 1, pr) ** 0.5 * zr ** 0.5
             assert g0 == pytest.approx(want, rel=1e-12)
-            gp0 = raw_weight(ColoredVertexKind(VertexKind.GAMMA_P, Color(r)), 0.0, pr)
+            gp0 = raw_weight(ColoredVertexKind(VertexKind.GAMMA_P, r), 0.0, pr)
             assert gp0 == pytest.approx(zeta(r - 1, pr) ** 0.5 * zr ** 0.5, rel=1e-12)
 
     def test_color_shift_equals_lambda_shift(self):
@@ -480,8 +509,8 @@ class TestWeights:
         for kind in VertexKind:
             for r in range(3):
                 phi = rnd.uniform(-1, 1)
-                lhs = raw_weight(ColoredVertexKind(kind, Color(r + 1)), phi, pr)
-                rhs = raw_weight(ColoredVertexKind(kind, Color(r)), phi, shifted)
+                lhs = raw_weight(ColoredVertexKind(kind, (r + 1) % 3), phi, pr)
+                rhs = raw_weight(ColoredVertexKind(kind, r), phi, shifted)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_beta_shift_is_not_alpha(self):
@@ -489,13 +518,13 @@ class TestWeights:
         pr = params(0.2, 0.27)
         shifted = pr.shifted_lambda(2 * PI / 3)
         phi = 0.37
-        lhs = raw_weight(ColoredVertexKind(VertexKind.BETA, Color(1)), phi, pr)
-        rhs = raw_weight(ColoredVertexKind(VertexKind.ALPHA, Color(0)), phi, shifted)
+        lhs = raw_weight(ColoredVertexKind(VertexKind.BETA, 1), phi, pr)
+        rhs = raw_weight(ColoredVertexKind(VertexKind.ALPHA, 0), phi, shifted)
         assert abs(lhs - rhs) > 1e-3
 
     def test_trigonometric_limit(self):
         # raw alpha over its p -> 0 limit tends to 1
-        vk = ColoredVertexKind(VertexKind.ALPHA, Color(1))
+        vk = ColoredVertexKind(VertexKind.ALPHA, 1)
         phi = 0.43
         limit = math.sin(PI / 3 - phi) / math.sin(2 * PI / 3)
         for p, tol in ((1e-3, 5e-3), (1e-4, 5e-4)):
@@ -508,13 +537,13 @@ class TestWeights:
         for kind in VertexKind:
             for r in range(3):
                 phi = rnd.uniform(-1, 1)
-                tw = tilde_weight(ColoredVertexKind(kind, Color(r)), phi, pr)
+                tw = tilde_weight(ColoredVertexKind(kind, r), phi, pr)
                 assert tw == pytest.approx(weight6v(kind, phi, 2 * PI / 3), rel=1e-12)
 
     def test_tilde_beta_at_zero(self):
         pr = params(0.2, 0.3)
         for r in range(3):
-            tb = tilde_weight(ColoredVertexKind(VertexKind.BETA, Color(r)), 0.0, pr)
+            tb = tilde_weight(ColoredVertexKind(VertexKind.BETA, r), 0.0, pr)
             want = zeta(r, pr) ** 0.5 * theta1(PI / 3, pr) / theta1(2 * PI / 3, pr)
             assert tb == pytest.approx(want, rel=1e-12)
 
@@ -530,7 +559,7 @@ class TestWeights:
             for r in range(3):
                 for _ in range(3):
                     x = rnd.uniform(-1, 1)
-                    vk = ColoredVertexKind(kind, Color(r))
+                    vk = ColoredVertexKind(kind, r)
                     bl, tl, tr, br = vk.corner_colors()
                     factor = phi_fn(tl, x) * phi_fn(br, x) / (phi_fn(bl, x) * phi_fn(tr, x))
                     lhs = tilde_weight(vk, x, pr)
@@ -540,7 +569,7 @@ class TestWeights:
     def test_branch_domain_guard(self):
         pr = EllipticParams.from_nome(0.2, lam=0.3 + 0.4j)
         with pytest.raises(BranchDomainError):
-            raw_weight(ColoredVertexKind(VertexKind.ALPHA, Color(0)), 0.1, pr)
+            raw_weight(ColoredVertexKind(VertexKind.ALPHA, 0), 0.1, pr)
 
 
 class TestQuasiPeriodicity:
@@ -548,15 +577,15 @@ class TestQuasiPeriodicity:
         pr = params(0.2, 0.26)
         for kind in VertexKind:
             for r in range(3):
-                vk = ColoredVertexKind(kind, Color(r))
+                vk = ColoredVertexKind(kind, r)
                 assert tilde_quasi_period_residual(vk, 0.31, pr) < 1e-9
 
     def test_reduced_representatives_break_the_law(self):
         # reducing the corner labels mod 3 inside the cocycle ratio spoils it:
         # the cocycle is quadratic, not periodic, in the integer label
         pr = params(0.2, 0.26)
-        vk = ColoredVertexKind(VertexKind.GAMMA, Color(2))
-        bl, tl, tr, br = (int(Color(x)) for x in vk.corner_lifts())
+        vk = ColoredVertexKind(VertexKind.GAMMA, 2)
+        bl, tl, tr, br = (x % 3 for x in vk.corner_lifts())
         lhs = tilde_weight(vk, 0.31 + PI * pr.tau, pr)
         factor = (psi_factor(tl, pr) * psi_factor(br, pr)
                   / (psi_factor(bl, pr) * psi_factor(tr, pr)))
@@ -571,7 +600,7 @@ class TestPartitionFunctions:
         a = assignment(rnd, 1)
         for r in range(3):
             z = partial_partition_function(1, r, a, pr)
-            w = tilde_weight(ColoredVertexKind(VertexKind.GAMMA, Color(r)),
+            w = tilde_weight(ColoredVertexKind(VertexKind.GAMMA, r),
                              a.chi[0] - a.psi[0], pr)
             assert z == pytest.approx(w, rel=1e-13)
 

@@ -16,7 +16,7 @@ from icelab import (EllipticParams, InvalidColoringError, PoleError, VertexKind,
 from icelab.numutil import rel_residual
 from icelab.yangbaxter import (ADMISSIBLE, WeightFamily, YbeSweep,
                                _live_assignments)
-from test_threecoloring import _run_fresh
+from test_threecoloring import _loop_classify_vertex, _run_fresh
 
 PI = math.pi
 
@@ -54,10 +54,18 @@ def params(p=0.2, lam=0.24):
 
 
 def test_admissible_quadruples():
+    # the pattern table re-keyed to (bl, br, tl, tr) equals the adjacency
+    # filter over all 81 quadruples, classified by the % 3 loop reference,
+    # in the same ascending order
+    want = tuple(
+        ((bl, br, tl, tr), _loop_classify_vertex(bl, tl, tr, br))
+        for bl, br, tl, tr in itertools.product(range(3), repeat=4)
+        if all((a - b) % 3 in (1, 2) for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl))))
+    assert ADMISSIBLE == want
     assert len(ADMISSIBLE) == 18
     kinds = {}
     for _quad, vk in ADMISSIBLE:
-        kinds.setdefault(vk.kind, set()).add(int(vk.r))
+        kinds.setdefault(vk.kind, set()).add(vk.r)
     assert all(bases == {0, 1, 2} for bases in kinds.values())
 
 
@@ -72,7 +80,7 @@ def test_kind_lookup_matches_classification():
         except InvalidColoringError:
             assert fam.evaluate(bl, br, tl, tr, 0.3) == 0
         else:
-            assert fam.evaluate(bl, br, tl, tr, 0.3) == fam.weight(vk.kind, int(vk.r), 0.3)
+            assert fam.evaluate(bl, br, tl, tr, 0.3) == fam.weight(vk.kind, vk.r, 0.3)
 
 
 def test_inadmissible_weight_is_zero():
@@ -105,8 +113,8 @@ class TestYangBaxter:
         fam = tilde_family(pr)
         ref = sixvertex_family(2 * PI / 3)
         for _quad, vk in ADMISSIBLE:
-            assert fam.weight(vk.kind, int(vk.r), 0.37) == pytest.approx(
-                ref.weight(vk.kind, int(vk.r), 0.37), rel=1e-12)
+            assert fam.weight(vk.kind, vk.r, 0.37) == pytest.approx(
+                ref.weight(vk.kind, vk.r, 0.37), rel=1e-12)
         assert ybe_sweep(fam, 0.41, 0.13).residual < 1e-10
 
     def test_sixvertex_difference_form_fails_at_generic_eta(self):
@@ -186,7 +194,7 @@ class TestGauge:
         fam = tilde_family(pr)
         gauged = apply_gauge_kindwise(fam, identity_gauge())
         for _quad, vk in ADMISSIBLE:
-            assert gauged.weight(vk.kind, int(vk.r), 0.37) == fam.weight(vk.kind, int(vk.r), 0.37)
+            assert gauged.weight(vk.kind, vk.r, 0.37) == fam.weight(vk.kind, vk.r, 0.37)
 
     def test_zeta_gauge_sends_raw_to_tilde(self):
         rnd = random.Random(43)
@@ -195,8 +203,8 @@ class TestGauge:
         target = tilde_family(pr)
         for _quad, vk in ADMISSIBLE:
             x = rnd.uniform(-1, 1)
-            got = gauged.weight(vk.kind, int(vk.r), x)
-            want = target.weight(vk.kind, int(vk.r), x)
+            got = gauged.weight(vk.kind, vk.r, x)
+            want = target.weight(vk.kind, vk.r, x)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_constraints(self):
@@ -222,8 +230,8 @@ class TestSubstitutionChain:
         for _quad, vk in ADMISSIBLE:
             for _ in range(3):
                 x = rnd.uniform(-1.2, 1.2)
-                got = sub.weight(vk.kind, int(vk.r), x)
-                want = closed.weight(vk.kind, int(vk.r), x)
+                got = sub.weight(vk.kind, vk.r, x)
+                want = closed.weight(vk.kind, vk.r, x)
                 assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("wrong_map, shift", [
@@ -243,8 +251,8 @@ class TestSubstitutionChain:
             phis = [rnd.uniform(-1.2, 1.2) for _ in range(3)]
 
             def miss(weight):
-                return max(rel_residual(weight(vk.kind, int(vk.r), x),
-                                        closed.weight(vk.kind, int(vk.r), x))
+                return max(rel_residual(weight(vk.kind, vk.r, x),
+                                        closed.weight(vk.kind, vk.r, x))
                            for _quad, vk in ADMISSIBLE for x in phis)
 
             assert miss(sub.weight) < 1e-12
