@@ -22,7 +22,7 @@ class BranchDomainError(IcelabError):
 
 
 class SizeGuardError(IcelabError):
-    """Requested lattice exceeds the exact-enumeration guard."""
+    """Requested lattice exceeds an enumeration or evaluation guard."""
 
 
 class DegenerateCrossingError(IcelabError):

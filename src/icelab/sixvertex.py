@@ -10,9 +10,9 @@ square lattice of n vertices per row h has shape n x (n+1) and v has shape
 
 Domain-wall boundary conditions: boundary horizontal arrows point in
 (leftmost right, rightmost left) and boundary vertical arrows point out
-(top up, bottom down).  One row transfer table, the moves between tuples of
-vertical edges row by row, yields the states as its paths and the partition
-functions as a complex amplitude per row state, no state being listed.
+(top up, bottom down).  States are enumerated by a depth-first walk over the
+ice-rule moves of one row; the partition functions list none, a sweep adding
+one vertex at a time with one amplitude per mask of vertical edges under it.
 
 The six vertex kinds, by (left, right, top, bottom) edge booleans:
 
@@ -30,6 +30,7 @@ Trigonometric weights with spectral parameter phi and crossing parameter eta:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,7 @@ from .errors import (CrossingParameterError, DegenerateCrossingError,
 from .numutil import rel_residual, stable_sum
 
 MAX_ENUM_N = 7
+MAX_EVAL_N = 12
 ETA_COMBINATORIAL = 2.0 * math.pi / 3.0
 
 
@@ -64,6 +66,13 @@ _KIND_FROM_EDGES = {
     (True, False, True, False): VertexKind.GAMMA,
     (False, True, False, True): VertexKind.GAMMA_P,
 }
+#: per (left, top) edge pair, the (right, bottom, kind) completing a vertex
+#: under the ice rule, right ascending
+_COMPLETIONS = {(left, top): sorted((r, b, kind) for (l, r, t, b), kind
+                                    in _KIND_FROM_EDGES.items() if (l, t) == (left, top))
+                for left in (False, True) for top in (False, True)}
+_ALPHAS = (VertexKind.ALPHA, VertexKind.ALPHA_P)
+_BETAS = (VertexKind.BETA, VertexKind.BETA_P)
 
 
 @dataclass(frozen=True)
@@ -146,72 +155,16 @@ def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None
     return None
 
 
-def _row_moves(v_in: tuple[bool, ...]) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+@lru_cache(maxsize=None)
+def _row_moves(v_in: tuple[bool, ...]) -> tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]:
     """The (h row, v out) pairs of one domain-wall row below the vertical
-    edges v_in, h rows ascending.  The row enters pointing right, leaves
-    pointing left, and every vertex conserves arrows:
-    left - right - top + bottom = 0."""
+    edges v_in, h rows ascending: the row enters pointing right, leaves
+    pointing left, and every vertex obeys the ice rule."""
     rows = [((True,), ())]
     for top in v_in:
-        extended = []
-        for h, v in rows:
-            for right in (False, True):
-                bottom = right + top - h[-1]
-                if bottom in (0, 1):
-                    extended.append((h + (right,), v + (bottom == 1,)))
-        rows = extended
-    return [(h, v) for h, v in rows if not h[-1]]
-
-
-#: VertexKind by position: the kind codes of the row transfer table
-_KINDS = tuple(VertexKind)
-
-
-@lru_cache(maxsize=None)
-def _transfer_table(n: int):
-    """Per row, top first, (below, moves, codes): the row states (vertical
-    edge tuples) under the row, and in moves[src] the moves (dst, h, picks),
-    h ascending, from row state src above to below[dst]; picks[j] indexes
-    codes[j], vertex j's distinct (kind index, offset) codes.  offset is the
-    base color (top-left face; bottom-left for alpha) at top-left color 0,
-    by the height function: faces above row i are i plus the running +-1
-    steps along v_in, faces below are i + 1 plus those along v_out."""
-    rows, states = [], [(True,) * n]
-    for i in range(n):
-        below: dict[tuple[bool, ...], int] = {}
-        codes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-        moves = []
-        for v_in in states:
-            moves.append([])
-            for h, v_out in _row_moves(v_in):
-                picks, top, bottom = [], i, i + 1
-                for j, seen in enumerate(codes):
-                    kind = _KIND_FROM_EDGES[h[j], h[j + 1], v_in[j], v_out[j]]
-                    alpha = kind in (VertexKind.ALPHA, VertexKind.ALPHA_P)
-                    code = (_KINDS.index(kind), (bottom if alpha else top) % 3)
-                    picks.append(seen.setdefault(code, len(seen)))
-                    top, bottom = top + 2 * v_in[j] - 1, bottom + 2 * v_out[j] - 1
-                moves[-1].append((below.setdefault(v_out, len(below)), h, tuple(picks)))
-        states = list(below)
-        rows.append((tuple(states), tuple(map(tuple, moves)), tuple(map(tuple, codes))))
-    return tuple(rows)
-
-
-def _row_transfer(n: int, vertex_weights) -> complex:
-    """Sum over the n x n domain-wall states of their vertex weight products,
-    row by row; vertex_weights(i, j, codes) lists vertex (i, j)'s weights."""
-    amp = [1.0 + 0j]
-    for i, (below, moves, codes) in enumerate(_transfer_table(n)):
-        tables = [vertex_weights(i, j, c) for j, c in enumerate(codes)]
-        summed = [0j] * len(below)
-        for a, out in zip(amp, moves):
-            for dst, _, picks in out:
-                w = a
-                for table, pick in zip(tables, picks):
-                    w *= table[pick]
-                summed[dst] += w
-        amp = summed
-    return amp[0]
+        rows = [(h + (right,), v + (bottom,))
+                for h, v in rows for right, bottom, _ in _COMPLETIONS[h[-1], top]]
+    return tuple((h, v) for h, v in rows if not h[-1])
 
 
 Edges = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]
@@ -219,22 +172,21 @@ Edges = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]
 
 @lru_cache(maxsize=None)
 def _enumerate_dwbc(n: int) -> tuple[Edges, ...]:
-    """The (h, v) edge tuples of every domain-wall ice state, the paths
-    through the row transfer table.  Moves come in ascending h order and h
-    fixes v, so the states come out in SixVertexState.sort_key order."""
+    """The (h, v) edge tuples of every domain-wall ice state, by a depth-first
+    walk over the row moves.  Moves come in ascending h order and h fixes v,
+    so the states come out in SixVertexState.sort_key order."""
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
-    table, states = _transfer_table(n), []
+    states = []
 
-    def descend(i: int, src: int, h_rows: tuple, v_rows: tuple) -> None:
-        if i == n:
+    def descend(h_rows: tuple, v_rows: tuple) -> None:
+        if len(h_rows) == n:
             states.append((h_rows, v_rows))
             return
-        below, moves, _ = table[i]
-        for dst, h_row, _ in moves[src]:
-            descend(i + 1, dst, h_rows + (h_row,), v_rows + (below[dst],))
+        for h_row, v_out in _row_moves(v_rows[-1]):
+            descend(h_rows + (h_row,), v_rows + (v_out,))
 
-    descend(0, 0, (), ((True,) * n,))
+    descend((), ((True,) * n,))
     return tuple(states)
 
 
@@ -317,31 +269,81 @@ def _sin_eta(eta: complex) -> complex:
 def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
     """Trigonometric vertex weight at spectral parameter phi."""
     s = _sin_eta(eta)
-    if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+    if kind in _ALPHAS:
         return cmath.sin(eta / 2 - phi) / s
-    if kind in (VertexKind.BETA, VertexKind.BETA_P):
+    if kind in _BETAS:
         return cmath.sin(eta / 2 + phi) / s
     return 1.0 + 0j
 
 
+@lru_cache(maxsize=None)
+def _vertex_program(n: int):
+    """The domain-wall sweep over the n x n lattice, one vertex at a time:
+    per vertex (i, j), row-major, (i, j, codes, two, one).
+
+    A state is the mask of the vertical edges under the sweep front, bit k
+    set if the edge points up (column k's bottom edge for k < j, its top
+    edge from j on).  Arrow conservation along the row fixes the arrow
+    carried into the vertex, left = popcount(mask) - (n - i - 1), 1 pointing
+    right.  An arrow carried right must meet an up edge later in its row;
+    every other state reaches the bottom boundary.  codes are the vertex's
+    distinct (kind, offset), offset the base color at top-left corner color
+    0: the bottom-left face i + 1 + 2 popcount(mask below j) - j for alpha,
+    else the top-left face, that - 2 left + 1.  The states behind the vertex
+    are numbered those with two predecessors first, (a, p, b, q) in two,
+    then the others, (a, p) in one: a, b number states in front, p, q codes."""
+    program, index = [], {(1 << n) - 1: 0}
+    for i, j in itertools.product(range(n), repeat=2):
+        codes, preds = {}, {}
+        for mask, a in index.items():
+            left = mask.bit_count() - (n - i - 1)
+            bl = i + 1 + 2 * (mask & ((1 << j) - 1)).bit_count() - j
+            for right, bottom, kind in _COMPLETIONS[left, mask >> j & 1]:
+                if right and not mask >> (j + 1):
+                    continue
+                base = bl if kind in _ALPHAS else bl - 2 * left + 1
+                p = codes.setdefault((kind, base % 3), len(codes))
+                dst = mask & ~(1 << j) | bottom << j
+                preds[dst] = preds.get(dst, ()) + (a, p)
+        two = [dst for dst, p in preds.items() if len(p) == 4]
+        one = [dst for dst, p in preds.items() if len(p) == 2]
+        index = {dst: k for k, dst in enumerate(two + one)}
+        program.append((i, j, tuple(codes), tuple(preds[dst] for dst in two),
+                        tuple(preds[dst] for dst in one)))
+    return tuple(program)
+
+
+def _vertex_sweep(n: int, vertex_weights) -> complex:
+    """Sum over the n x n domain-wall states of their vertex weight products,
+    one vertex at a time; vertex_weights(i, j, codes) lists vertex (i, j)'s
+    weights, one per code of _vertex_program.  The empty lattice sums to 1."""
+    if n > MAX_EVAL_N:
+        raise SizeGuardError(f"n = {n} outside the evaluation guard 0..{MAX_EVAL_N}")
+    amp = [1.0 + 0j]
+    for i, j, codes, two, one in _vertex_program(n):
+        w = vertex_weights(i, j, codes)
+        amp = ([amp[a] * w[p] + amp[b] * w[q] for a, p, b, q in two]
+               + [amp[a] * w[p] for a, p in one])
+    return amp[0]
+
+
 def partition_function_6v(assign: SpectralAssignment) -> complex:
     """Domain-wall partition function: sum over ice states of the product of
-    vertex weights at chi_i - psi_j, by the row transfer.  Symmetric in the
+    vertex weights at chi_i - psi_j, by the vertex sweep.  Symmetric in the
     chi and in the psi separately; the empty lattice has Z_0 = 1."""
     n = assign.n
     if n == 0:
         return 1.0 + 0j
     s = _sin_eta(assign.eta)
-    if n > MAX_ENUM_N:
-        raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     half = assign.eta / 2
 
     def weights(i, j, codes):
         phi = assign.chi[i] - assign.psi[j]
         a, b = cmath.sin(half - phi) / s, cmath.sin(half + phi) / s
-        return [(a, a, b, b, 1.0 + 0j, 1.0 + 0j)[kind] for kind, _ in codes]
+        return [a if kind in _ALPHAS else b if kind in _BETAS else 1.0 + 0j
+                for kind, _ in codes]
 
-    return _row_transfer(n, weights)
+    return _vertex_sweep(n, weights)
 
 
 def F_n_6v(assign: SpectralAssignment) -> complex:
@@ -351,8 +353,6 @@ def F_n_6v(assign: SpectralAssignment) -> complex:
               * prod_{i<j} sin(psi_i - psi_j) * Z_n
     """
     n = assign.n
-    if n == 0:
-        return 1.0 + 0j
     pre = 1.0 + 0j
     for i in range(n):
         for j in range(i + 1, n):

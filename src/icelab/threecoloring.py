@@ -26,8 +26,8 @@ a horizontal edge points right iff its south face is its north face + 1, a
 vertical edge points up iff its east face is its west face + 1; the vertex
 kind of the face quadruple equals the arrow kind, and the map is three to
 one (fixing any single face color makes it a bijection).  The domain-wall
-partial partition functions therefore run the six-vertex row transfer, the
-base colors read off the height function of each row move.
+partial partition functions therefore run the six-vertex vertex sweep, the
+base colors read off the height function of each sweep state.
 
 Two weight families are evaluated for a vertex of kind/base (k, r) at
 spectral parameter phi, both built on theta functions of nome p with the
@@ -66,8 +66,8 @@ from .numutil import rel_residual, stable_sum
 from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
                     SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
                     theta1_reduced, theta4, theta_triple)
-from .sixvertex import (_KINDS, SixVertexState, SpectralAssignment,
-                        VertexKind, _row_transfer)
+from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind,
+                        _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -533,9 +533,10 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
 
     Summands are products of vertex weights at chi_i - psi_j over the n x n
     internal vertices; which selects the raw or the tilde family.  Summed by
-    the six-vertex row transfer, a row move and the corner fixing each
-    vertex's kind and base color.  The empty lattice has value 1.  The last
-    64 distinct sums are cached, keyed by every argument."""
+    the six-vertex vertex sweep, a sweep state and the corner fixing each
+    vertex's kind and base color, for n up to sixvertex.MAX_EVAL_N.  assign
+    must have n rapidities, also at n = 0; the empty lattice has value 1.
+    The last 64 distinct sums are cached, keyed by every argument."""
     return _partial_sum(n, r, assign, params, which, cfg)
 
 
@@ -544,20 +545,18 @@ def _partial_sum(n: int, r: int, assign: SpectralAssignment, params: EllipticPar
                  which: str, cfg: SeriesConfig) -> complex:
     if which not in ("raw", "tilde"):
         raise ValueError("which must be 'raw' or 'tilde'")
-    if n == 0:
-        return 1.0 + 0j
-    if n > MAX_DWBC_N:
-        raise SizeGuardError(f"dwbc n = {n} outside the enumeration guard 1..{MAX_DWBC_N}")
     if assign.n != n:
         raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
+    if n == 0:
+        return 1.0 + 0j
     ctx = _weight_constants(params, cfg)
     evaluate = _raw_weight_ctx if which == "raw" else _tilde_weight_ctx
 
     def weights(i, j, codes):
         phi = assign.chi[i] - assign.psi[j]
-        return [evaluate(ctx, _KINDS[kind], (r + offset) % 3, phi) for kind, offset in codes]
+        return [evaluate(ctx, kind, (r + offset) % 3, phi) for kind, offset in codes]
 
-    return _row_transfer(n, weights)
+    return _vertex_sweep(n, weights)
 
 
 def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,

@@ -39,7 +39,7 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class Config:
     """Resolved verification configuration (series control, parameter domain,
-    enumeration guards and per-suite tolerances)."""
+    lattice sizes up to the evaluation guard and per-suite tolerances)."""
 
     term_tolerance: float = 1e-16
     max_terms: int = 64
@@ -74,10 +74,9 @@ class Config:
             raise ConfigError("p_min and p_max must lie in (0, 1), the nome's domain")
         if not 0.0 < 2 * self.eta_margin < PI:
             raise ConfigError("2 * eta_margin must lie in (0, pi)")
-        for name, limit in (("max_n_sixvertex", sv.MAX_ENUM_N),
-                            ("max_n_coloring", tc.MAX_DWBC_N)):
-            if not 1 <= getattr(self, name) <= limit:
-                raise ConfigError(f"{name} must be in 1..{limit}")
+        for name in ("max_n_sixvertex", "max_n_coloring"):
+            if not 1 <= getattr(self, name) <= sv.MAX_EVAL_N:
+                raise ConfigError(f"{name} must be in 1..{sv.MAX_EVAL_N}")
         for f in dataclasses.fields(self):
             # an infinite tolerance passes every case and 0 or below none
             if f.name.startswith("tol_") and not 0.0 < getattr(self, f.name) < math.inf:

@@ -9,8 +9,7 @@ import pytest
 
 from icelab import ConfigError
 from icelab.cli import main
-from icelab.sixvertex import MAX_ENUM_N
-from icelab.threecoloring import MAX_DWBC_N
+from icelab.sixvertex import MAX_EVAL_N
 from icelab.verify import SUITES, Config, load_config, run_suite, suite_rng
 
 #: the Config tolerance key of every identity family in "all" (identities
@@ -182,8 +181,8 @@ class TestVerifyCommand:
             Config(**values)
 
     @pytest.mark.parametrize("line", [
-        "max_n_sixvertex = 0", f"max_n_sixvertex = {MAX_ENUM_N + 1}",
-        "max_n_coloring = 0", f"max_n_coloring = {MAX_DWBC_N + 1}"])
+        "max_n_sixvertex = 0", f"max_n_sixvertex = {MAX_EVAL_N + 1}",
+        "max_n_coloring = 0", f"max_n_coloring = {MAX_EVAL_N + 1}"])
     def test_size_limit_outside_guard_exit_two(self, capsys, tmp_path, line):
         # rejected when the config is read, whichever suite would run
         cfg = tmp_path / "sizes.cfg"
@@ -230,7 +229,7 @@ class TestVerifyCommand:
 
     def test_size_limits_at_the_guards_accepted(self):
         Config(max_n_sixvertex=1, max_n_coloring=1)
-        Config(max_n_sixvertex=MAX_ENUM_N, max_n_coloring=MAX_DWBC_N)
+        Config(max_n_sixvertex=MAX_EVAL_N, max_n_coloring=MAX_EVAL_N)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_two(self, capsys, samples):

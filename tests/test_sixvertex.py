@@ -13,7 +13,7 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     F_n_6v, functional_residual_6v, partition_function_6v,
                     trig_cubic_residual, weight6v)
 from icelab.numutil import stable_sum
-from icelab.sixvertex import _KIND_FROM_EDGES, _transfer_table
+from icelab.sixvertex import MAX_EVAL_N, _KIND_FROM_EDGES, _vertex_sweep
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -76,22 +76,20 @@ def _loop_partition_function_6v(assign):
     return stable_sum(terms)
 
 
-def _transfer_paths(n):
-    """Every path of row moves through the transfer table, depth first in
-    table order, as the row-major tuple of its vertex codes."""
-    table = _transfer_table(n)
-    paths = []
+def _asm_count(n):
+    """A_n = prod_{k<n} (3k+1)! / (n+k)!, exactly."""
+    return (math.prod(math.factorial(3 * k + 1) for k in range(n))
+            // math.prod(math.factorial(n + k) for k in range(n)))
 
-    def descend(i, state, codes):
-        if i == n:
-            paths.append(codes)
-            return
-        _, moves, row_codes = table[i]
-        for dst, _, picks in moves[state]:
-            descend(i + 1, dst, codes + tuple(c[p] for c, p in zip(row_codes, picks)))
 
-    descend(0, 0, ())
-    return paths
+def _asm_3_enumeration_odd(n):
+    """Kuperberg's 3-enumeration at odd n = 2m + 1,
+    A_n(3) = 3^{m(m+1)} prod_{k=1}^{m} ((3k-1)! / (m+k)!)^2, exactly."""
+    m = (n - 1) // 2
+    num = math.prod(math.factorial(3 * k - 1) for k in range(1, m + 1)) ** 2
+    den = math.prod(math.factorial(m + k) for k in range(1, m + 1)) ** 2
+    assert 3 ** (m * (m + 1)) * num % den == 0
+    return 3 ** (m * (m + 1)) * num // den
 
 
 def _izergin_korepin(assign):
@@ -158,12 +156,22 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_loop_reference(self, n):
-        states = enumerate_dwbc_states(n)
-        assert [(s.h, s.v) for s in states] == \
-            [(s.h, s.v) for s in _loop_enumerate_dwbc(n)]
-        kinds = list(VertexKind)
-        assert [tuple(kinds[kind] for kind, _ in path) for path in _transfer_paths(n)] == [
-            tuple(s.kind_at(*divmod(vertex, n)) for vertex in range(n * n)) for s in states]
+        # the states, and with a fixed random complex weight per (i, j, kind)
+        # the vertex sweep's sum of their products; with gamma and gamma'
+        # swapped the sweep misses it
+        states = _loop_enumerate_dwbc(n)
+        assert [(s.h, s.v) for s in enumerate_dwbc_states(n)] == [(s.h, s.v) for s in states]
+        rnd = random.Random(n)
+        w = {(i, j, kind): complex(rnd.uniform(0.5, 1.5), rnd.uniform(-0.5, 0.5))
+             for i in range(n) for j in range(n) for kind in VertexKind}
+        want = stable_sum([math.prod(w[i, j, s.kind_at(i, j)] for i in range(n) for j in range(n))
+                           for s in states])
+        got = _vertex_sweep(n, lambda i, j, codes: [w[i, j, kind] for kind, _ in codes])
+        assert got == pytest.approx(want, rel=1e-13)
+        swapped = {VertexKind.GAMMA: VertexKind.GAMMA_P, VertexKind.GAMMA_P: VertexKind.GAMMA}
+        wrong = _vertex_sweep(n, lambda i, j, codes: [w[i, j, swapped.get(kind, kind)]
+                                                      for kind, _ in codes])
+        assert wrong != pytest.approx(want, rel=1e-2)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -333,7 +341,7 @@ class TestPartitionFunction:
         # independent O(n^3) oracle; |chi_i - psi_j| < eta/4 keeps every
         # weight positive, so the state sum has no cancellation
         rnd = random.Random(14)
-        for n in range(1, 7):
+        for n in range(1, MAX_EVAL_N + 1):
             eta = rnd.uniform(0.3, 2.8)
             a = SpectralAssignment(chi=[rnd.uniform(0, eta / 4) for _ in range(n)],
                                    psi=[rnd.uniform(0, eta / 4) for _ in range(n)], eta=eta)
@@ -346,11 +354,13 @@ class TestPartitionFunction:
             assert partition_function_6v(a) == pytest.approx(count, rel=1e-12)
 
     @pytest.mark.parametrize("eta, x_enumeration", [
-        # the x-enumerations A_n(x) of alternating sign matrices, x = 2 + 2 cos(eta)
-        (2 * PI / 3, {n: math.prod(math.factorial(3 * k + 1) / math.factorial(n + k)
-                                   for k in range(n)) for n in range(1, 8)}),
-        (PI / 2, {n: 2 ** (n * (n - 1) // 2) for n in range(1, 8)}),
-        (PI / 3, dict(enumerate([1, 2, 9, 90, 2025, 102060, 11573604], start=1))),
+        # the x-enumerations A_n(x) of alternating sign matrices, x = 2 + 2 cos(eta),
+        # up to the evaluation guard: x = 1 and 2 in closed form, x = 3 listed
+        # to n = 7 and at odd n by Kuperberg's product
+        (2 * PI / 3, {n: _asm_count(n) for n in range(1, MAX_EVAL_N + 1)}),
+        (PI / 2, {n: 2 ** (n * (n - 1) // 2) for n in range(1, MAX_EVAL_N + 1)}),
+        (PI / 3, {**dict(enumerate([1, 2, 9, 90, 2025, 102060, 11573604], start=1)),
+                  **{n: _asm_3_enumeration_odd(n) for n in range(9, MAX_EVAL_N + 1, 2)}}),
     ])
     def test_zero_rapidity_x_enumerations(self, eta, x_enumeration):
         # at chi = psi = 0, a = b = 1 / (2 cos(eta/2)) and c = 1; a state with
@@ -362,12 +372,17 @@ class TestPartitionFunction:
             assert z == pytest.approx(a ** (n * n - n) * count, rel=1e-13)
 
     def test_size_and_crossing_guards(self):
-        # the row transfer lists no state, so the evaluator has its own guard
-        with pytest.raises(SizeGuardError, match=r"^n = 8 outside the enumeration guard 1\.\.7$"):
-            partition_function_6v(SpectralAssignment(chi=[0.1] * 8, psi=[0.2] * 8))
+        # the vertex sweep lists no state, so it has a guard of its own, above
+        # the enumeration guard
+        n = MAX_EVAL_N + 1
+        message = r"^n = 13 outside the evaluation guard 0\.\.12$"
+        with pytest.raises(SizeGuardError, match=message):
+            partition_function_6v(SpectralAssignment(chi=[0.1] * n, psi=[0.2] * n))
         # a degenerate crossing is reported before the size guard
         with pytest.raises(DegenerateCrossingError):
-            partition_function_6v(SpectralAssignment(chi=[0.1] * 8, psi=[0.2] * 8, eta=PI))
+            partition_function_6v(SpectralAssignment(chi=[0.1] * n, psi=[0.2] * n, eta=PI))
+        with pytest.raises(SizeGuardError, match=r"^n = 8 outside the enumeration guard 1\.\.7$"):
+            enumerate_dwbc_states(8)
 
     def test_f_n1(self):
         a = SpectralAssignment(chi=[0.9], psi=[0.2], eta=1.0)

@@ -25,7 +25,7 @@ from icelab import (DEFAULT_SERIES, BranchDomainError, ColoredVertexKind, Ellipt
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
 from icelab.numutil import stable_sum
-from icelab.sixvertex import _transfer_table
+from icelab.sixvertex import MAX_EVAL_N, _vertex_sweep
 from icelab.threecoloring import _partial_sum
 
 PI = math.pi
@@ -134,26 +134,6 @@ def _loop_vertices(coloring, n):
     f = coloring.faces
     return [_loop_classify_vertex(f[i][j - 1], f[i - 1][j - 1], f[i - 1][j], f[i][j])
             for i in range(1, n + 1) for j in range(1, n + 1)]
-
-
-def _transfer_vertices(n, corner):
-    """(kind, base color) of every vertex, row-major, of every path of row
-    moves through the transfer table, the base color being the corner plus
-    the code's offset."""
-    table, kinds = _transfer_table(n), list(VertexKind)
-    paths = []
-
-    def descend(i, state, vertices):
-        if i == n:
-            paths.append(vertices)
-            return
-        _, moves, row_codes = table[i]
-        for dst, _, picks in moves[state]:
-            descend(i + 1, dst, vertices + tuple(
-                (kinds[c[p][0]], (corner + c[p][1]) % 3) for c, p in zip(row_codes, picks)))
-
-    descend(0, 0, ())
-    return paths
 
 
 def _loop_partial_partition_function(n, r, assign, pr, which):
@@ -266,14 +246,33 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_vertex_codes_match_loop_reference(self, n):
-        # the row moves with their height-function offsets are the colorings
-        # of every corner, vertex by vertex
-        key = lambda vertices: [(kind.value, r) for kind, r in vertices]
+        # a fixed random complex weight per (i, j, kind, base): for every
+        # corner the vertex sweep sums the products of the loop colorings,
+        # each vertex's codes are the (kind, base) that occur there, and with
+        # every base shifted by one the sums miss
+        rnd = random.Random(n)
+        w = {(i, j, kind, r): complex(rnd.uniform(0.5, 1.5), rnd.uniform(-0.5, 0.5))
+             for i in range(n) for j in range(n) for kind in VertexKind for r in range(3)}
         for corner in range(3):
-            got = sorted(map(key, _transfer_vertices(n, corner)))
-            want = sorted(key((vk.kind, vk.r) for vk in _loop_vertices(coloring, n))
-                          for coloring in _loop_iter_dwbc(n, corner))
-            assert got == want
+            colorings = [_loop_vertices(c, n) for c in _loop_iter_dwbc(n, corner)]
+            want = stable_sum([math.prod(w[v // n, v % n, vk.kind, vk.r]
+                                         for v, vk in enumerate(vertices))
+                               for vertices in colorings])
+
+            def sweep(shift):
+                seen = {}
+
+                def weights(i, j, codes):
+                    seen[i, j] = [(kind, (corner + offset + shift) % 3) for kind, offset in codes]
+                    return [w[i, j, kind, r] for kind, r in seen[i, j]]
+
+                return _vertex_sweep(n, weights), seen
+
+            got, seen = sweep(0)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert {ij: set(codes) for ij, codes in seen.items()} == {
+                divmod(v, n): {(vs[v].kind, vs[v].r) for vs in colorings} for v in range(n * n)}
+            assert sweep(1)[0] != pytest.approx(want, rel=1e-2)
 
     def test_guards(self):
         with pytest.raises(SizeGuardError):
@@ -676,10 +675,23 @@ class TestPartitionFunctions:
         assert _partial_sum.cache_info()[:2] == (2, 1 + len(others))
 
     def test_size_guard(self):
-        a = SpectralAssignment(chi=[0.1] * 6, psi=[0.2] * 6)
-        message = r"^dwbc n = 6 outside the enumeration guard 1\.\.5$"
-        with pytest.raises(SizeGuardError, match=message):
-            partial_partition_function(6, 0, a, params(0.2, 0.3))
+        # the vertex sweep's evaluation guard, not the enumeration guard
+        n = MAX_EVAL_N + 1
+        a = SpectralAssignment(chi=[0.1] * n, psi=[0.2] * n)
+        message = r"^n = 13 outside the evaluation guard 0\.\.12$"
+        for which in ("raw", "tilde"):
+            with pytest.raises(SizeGuardError, match=message):
+                partial_partition_function(n, 0, a, params(0.2, 0.3), which)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rapidity_count_checked_at_every_n(self, n):
+        # the empty lattice is no exception: two rapidities fit neither n
+        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
+        message = f"^assignment has 2 rapidities, lattice needs {n}$"
+        for run in (lambda: partial_partition_function(n, 0, a, params(0.2, 0.3)),
+                    lambda: F_rn(n, 0, a, params(0.2, 0.3))):
+            with pytest.raises(ValueError, match=message):
+                run()
 
     def test_lambda_shift_law(self):
         rnd = random.Random(24)
@@ -747,6 +759,27 @@ class TestPhiRatio:
         residuals = [phi_ratio_relation_check(2, r, a, pr, corrected=False)
                      for r in range(3)]
         assert max(residuals) > 1e-3
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_relation_holds_beyond_loop_reference(self, n):
+        # the gauge factor telescopes over every vertex's base color, an
+        # oracle for the height function past the loop references; with
+        # |chi - psi| < pi/6 every face weight is positive.  At n = 0 mod 3
+        # the boundary constant is exactly 1, so only there the uncorrected
+        # product matches too
+        rnd = random.Random(50 + n)
+        pr = params(0.22, 0.26)
+        a = SpectralAssignment(chi=[rnd.uniform(0, PI / 6) for _ in range(n)],
+                               psi=[rnd.uniform(0, PI / 6) for _ in range(n)])
+        for r in range(3):
+            zt = partial_partition_function(n, r, a, pr, "tilde")
+            zr = partial_partition_function(n, r, a, pr, "raw")
+            assert zt == pytest.approx(phi_ratio_factor(n, r, a, pr) * zr, rel=1e-12)
+            uncorrected = phi_ratio_factor(n, r, a, pr, corrected=False)
+            if n % 3:
+                assert zt != pytest.approx(uncorrected * zr, rel=1e-2)
+            else:
+                assert uncorrected == phi_ratio_factor(n, r, a, pr)
 
     def test_trivial_at_p_zero(self):
         a = SpectralAssignment(chi=[0.5, 1.1], psi=[0.2, 0.9])
