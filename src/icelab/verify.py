@@ -5,7 +5,10 @@ set of identities at those points and records the worst residual per
 identity.  All randomness flows from one 64-bit seed: the seed is expanded
 with numpy's SeedSequence and child sequence number i is assigned to the
 i-th suite in SUITES, so a suite reproduces the same draws whether it is run
-alone or as part of "all".
+alone or as part of "all".  That independence lets "all" run its suites at
+the same time: it forks one worker per usable CPU (at most one per suite)
+and collects each suite's cases in SUITES order, so the report is the same
+byte for byte as the one-process run, which a single usable CPU gives.
 
 Reports are byte-stable for a fixed (seed, samples, config): the JSON
 serialization contains no timing information (the CLI prints wall time to
@@ -16,9 +19,11 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -435,23 +440,54 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng(children[SUITES.index(suite)])
 
 
+def _suite_cases(name: str, seed: int, samples: int | None, cfg: Config,
+                 prefixed: bool) -> list[CaseResult]:
+    """The worst cases of one suite, drawn from its own SeedSequence child."""
+    fn, default, tol_key = _SUITES[name]
+    rows = fn(suite_rng(seed, name), samples or default, cfg)
+    return _worst_cases(rows, cfg, tol_key, f"{name}/" if prefixed else "")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can report its affinity
+        return 1
+
+
 def run_suite(suite: str, seed: int = 0, samples: int | None = None,
               config: Config | None = None) -> VerificationReport:
     """Run one named suite (or 'all', every suite with its name as identity
-    prefix) and return its report; samples defaults per suite."""
+    prefix) and return its report; samples defaults per suite.
+
+    'all' runs its suites on a fork-context process pool, one worker per
+    usable CPU and at most one per suite; with one usable CPU, as with one
+    suite, they run in this process.  Either way the cases come back in
+    SUITES order, and a failing suite raises the error of the first failing
+    suite in that order, so the report and the error do not depend on the
+    number of CPUs."""
     cfg = config or Config()
     if suite != "all" and suite not in _SUITES:
         raise ConfigError(f"unknown suite '{suite}'; choose from {SUITES + ('all',)}")
     if samples is not None and samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     started = time.monotonic()
-    cases: list[CaseResult] = []
-    for name in SUITES if suite == "all" else (suite,):
-        fn, default, tol_key = _SUITES[name]
-        rows = fn(suite_rng(seed, name), samples or default, cfg)
-        cases += _worst_cases(rows, cfg, tol_key, f"{name}/" if suite == "all" else "")
+    names = SUITES if suite == "all" else (suite,)
+    body = functools.partial(_suite_cases, seed=seed, samples=samples, cfg=cfg,
+                             prefixed=suite == "all")
+    workers = min(len(names), _usable_cpus())
+    if workers > 1:
+        # imported here only: at module level it slows every CLI start; fork
+        # keeps the loaded modules, where spawn would import them again
+        import multiprocessing
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            per_suite = list(pool.imap(body, names))
+    else:
+        per_suite = list(map(body, names))
     recorded = samples or (0 if suite == "all" else _SUITES[suite][1])
-    report = VerificationReport(suite=suite, seed=seed, samples=recorded,
-                                config=cfg, cases=cases)
+    report = VerificationReport(suite=suite, seed=seed, samples=recorded, config=cfg,
+                                cases=[case for cases in per_suite for case in cases])
     report.wall_time_s = time.monotonic() - started
     return report

@@ -3,11 +3,17 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from icelab import ConfigError
+import icelab
+from icelab import ConfigError, SeriesTruncationError
+from icelab import verify
 from icelab.cli import main
 from icelab.sixvertex import MAX_EVAL_N
 from icelab.verify import SUITES, Config, load_config, run_suite, suite_rng
@@ -241,6 +247,30 @@ class TestVerifyCommand:
             with pytest.raises(ConfigError):
                 run_suite(suite, samples=int(samples))
 
+    @pytest.mark.parametrize("suite", ["theta", "all"])
+    def test_negative_seed_exit_two(self, capsys, monkeypatch, suite):
+        # numpy's SeedSequence rejected it with a traceback and exit 1; now
+        # it is refused before any suite runs or forks
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed must be non-negative, got -1")
+        monkeypatch.setattr(verify, "_suite_cases", None)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            run_suite(suite, seed=-1, samples=1)
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "theta", "--samples", "1"],
+        ["census", "--rows", "2", "--cols", "2"],
+        ["enumerate", "--model", "sixvertex", "--n", "2"]])
+    def test_out_into_missing_directory_exit_two(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\np_max = 0.3\nmax_terms = 48\n")
@@ -284,3 +314,39 @@ class TestVerifyCommand:
                 "--out", str(out_path))
         report = json.loads(out_path.read_text())
         assert "wall_time" not in json.dumps(report)
+
+
+class TestParallelSuites:
+    """'all' forks one worker per usable CPU; one usable CPU runs the same
+    suites in-process.  Both must give the same report and the same error."""
+
+    @staticmethod
+    def run_on(monkeypatch, cpus, *args, **kwargs):
+        # a fake affinity of two CPUs forks two workers on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        return run_suite("all", *args, **kwargs)
+
+    @pytest.mark.parametrize("seed, samples", [(2, 1), (13, 1), (0, None)])
+    def test_pooled_report_equals_in_process(self, monkeypatch, seed, samples):
+        pooled = self.run_on(monkeypatch, 2, seed=seed, samples=samples).to_json()
+        alone = self.run_on(monkeypatch, 1, seed=seed, samples=samples).to_json()
+        assert pooled == alone
+
+    def test_same_truncation_error_on_both_paths(self, monkeypatch):
+        messages = []
+        for cpus in (2, 1):
+            with pytest.raises(SeriesTruncationError) as info:
+                self.run_on(monkeypatch, cpus, samples=1, config=Config(max_terms=1))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_import_and_single_suite_do_not_load_multiprocessing(self):
+        code = ("import sys, icelab.cli\n"
+                "from icelab.verify import run_suite\n"
+                "run_suite('theta', samples=1)\n"
+                "print('multiprocessing' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(icelab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True)
+        assert result.stdout == "False\n"
