@@ -25,6 +25,11 @@ Trigonometric weights with spectral parameter phi and crossing parameter eta:
     alpha = alpha' = sin(eta/2 - phi) / sin(eta)
     beta  = beta'  = sin(eta/2 + phi) / sin(eta)
     gamma = gamma' = 1
+
+The dressed sums, the reduce-by-one recursions and the three-term
+functional sums have one shape in both models, the three-coloring one with
+sin replaced by theta1: _dressed, _pin and _three_term_residual implement
+each shape once, and the model functions add only their own prefactors.
 """
 
 from __future__ import annotations
@@ -167,35 +172,26 @@ def _row_moves(v_in: tuple[bool, ...]) -> tuple[tuple[tuple[bool, ...], tuple[bo
     return tuple((h, v) for h, v in rows if not h[-1])
 
 
-Edges = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[bool, ...], ...]]
-
-
-@lru_cache(maxsize=None)
-def _enumerate_dwbc(n: int) -> tuple[Edges, ...]:
-    """The (h, v) edge tuples of every domain-wall ice state, by a depth-first
-    walk over the row moves.  Moves come in ascending h order and h fixes v,
-    so the states come out in SixVertexState.sort_key order."""
+def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
+    """All domain-wall ice states on the n x n lattice, in row-major
+    lexicographic edge order, by a depth-first walk over the row moves:
+    moves come in ascending h order and h fixes v, so the states come out in
+    SixVertexState.sort_key order.  Counts follow the alternating-sign-matrix
+    sequence 1, 2, 7, 42, 429, ...
+    """
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     states = []
 
     def descend(h_rows: tuple, v_rows: tuple) -> None:
         if len(h_rows) == n:
-            states.append((h_rows, v_rows))
+            states.append(SixVertexState(h=h_rows, v=v_rows))
             return
         for h_row, v_out in _row_moves(v_rows[-1]):
             descend(h_rows + (h_row,), v_rows + (v_out,))
 
     descend((), ((True,) * n,))
-    return tuple(states)
-
-
-def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
-    """All domain-wall ice states on the n x n lattice, in row-major
-    lexicographic edge order.  Counts follow the alternating-sign-matrix
-    sequence 1, 2, 7, 42, 429, ...
-    """
-    return [SixVertexState(h=h, v=v) for h, v in _enumerate_dwbc(n)]
+    return states
 
 
 @dataclass(frozen=True)
@@ -346,28 +342,48 @@ def partition_function_6v(assign: SpectralAssignment) -> complex:
     return _vertex_sweep(n, weights)
 
 
+def _dressed(f, assign: SpectralAssignment, pre: complex) -> complex:
+    """pre times the antisymmetrizing prefactor of the dressed sums,
+
+        prod_{i<j} f(chi_i - chi_j) f(psi_i - psi_j) * prod_{i,j} f(chi_i - psi_j),
+
+    multiplied in that order; f is sin for the six-vertex model and theta1
+    for the three-coloring model."""
+    chi, psi = assign.chi, assign.psi
+    pairs = itertools.combinations(range(assign.n), 2)
+    return math.prod(itertools.chain(
+        (f(d) for i, j in pairs for d in (chi[i] - chi[j], psi[i] - psi[j])),
+        (f(x - y) for x in chi for y in psi)), start=pre)
+
+
 def F_n_6v(assign: SpectralAssignment) -> complex:
     """Partition function dressed with the antisymmetrizing sine prefactor:
 
         F_n = prod_{i<j} sin(chi_i - chi_j) * prod_{i,j} sin(chi_i - psi_j)
               * prod_{i<j} sin(psi_i - psi_j) * Z_n
     """
-    n = assign.n
-    pre = 1.0 + 0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            pre *= cmath.sin(assign.chi[i] - assign.chi[j])
-            pre *= cmath.sin(assign.psi[i] - assign.psi[j])
-    for i in range(n):
-        for j in range(n):
-            pre *= cmath.sin(assign.chi[i] - assign.psi[j])
-    return pre * partition_function_6v(assign)
+    return _dressed(cmath.sin, assign, 1.0 + 0j) * partition_function_6v(assign)
 
 
 def _require_combinatorial_eta(eta: complex) -> None:
     if abs(eta - ETA_COMBINATORIAL) > 1e-12:
         raise CrossingParameterError(
             f"functional sums require eta = 2*pi/3, got eta = {eta}")
+
+
+def _three_term_residual(term, assign: SpectralAssignment, k: int, side: str,
+                         delta: complex) -> float:
+    """Residual of the three-term sum S = sum_{s=0}^{2} term(s, shifted_s),
+    shifted_s the assignment with chi_k (side="chi") or psi_k (side="psi")
+    shifted by s * delta, which vanishes identically in both models.  |S|
+    is normalized by the largest of the three summands."""
+    if not 1 <= k <= assign.n:
+        raise IndexError(f"k = {k} outside 1..{assign.n}")
+    if side not in ("chi", "psi"):
+        raise ValueError("side must be 'chi' or 'psi'")
+    shift = assign.shift_chi if side == "chi" else assign.shift_psi
+    terms = [term(s, shift(k, delta * s)) for s in range(3)]
+    return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
 
 
 def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi",
@@ -381,17 +397,25 @@ def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi"
     three summands.
     """
     _require_combinatorial_eta(assign.eta)
-    if not 1 <= k <= assign.n:
-        raise IndexError(f"k = {k} outside 1..{assign.n}")
-    if side not in ("chi", "psi"):
-        raise ValueError("side must be 'chi' or 'psi'")
     sign = shift_sign if shift_sign is not None else (1 if side == "chi" else -1)
-    terms = []
-    for s in range(3):
-        delta = sign * ETA_COMBINATORIAL * s
-        shifted = assign.shift_chi(k, delta) if side == "chi" else assign.shift_psi(k, delta)
-        terms.append(F_n_6v(shifted))
-    return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
+    return _three_term_residual(lambda s, shifted: F_n_6v(shifted), assign, k, side,
+                                sign * ETA_COMBINATORIAL)
+
+
+def _pin(assign: SpectralAssignment, n: int, k: int, l: int, sign: int, form: str,
+         offset: complex) -> tuple[SpectralAssignment, SpectralAssignment]:
+    """Check a reduce-by-one recursion's (k, l), sign and form, in that
+    order, then pin chi_k = psi_l + sign * offset: the pinned lattice and
+    the reduced one without chi_k and psi_l (its chi are the i != k, its
+    psi the i != l)."""
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise IndexError(f"(k, l) = ({k}, {l}) outside 1..{n}")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if form not in ("Z", "F"):
+        raise ValueError("form must be 'Z' or 'F'")
+    pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * offset)
+    return pinned, pinned.drop(k, l)
 
 
 def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
@@ -414,39 +438,23 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
     the corner through the antisymmetric prefactor; at k = l = n it reduces
     to (-1)^{n-1}.
     """
-    n = assign.n
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise IndexError(f"(k, l) = ({k}, {l}) outside 1..{n}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if form not in ("Z", "F"):
-        raise ValueError("form must be 'Z' or 'F'")
-    eta = assign.eta
-
+    n, eta = assign.n, assign.eta
+    pinned, reduced = _pin(assign, n, k, l, sign, form, eta / 2 if form == "Z" else math.pi / 3)
+    psi_l = assign.psi[l - 1]
     if form == "Z":
-        pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * eta / 2)
-        reduced = pinned.drop(k, l)  # its chi are the i != k, its psi the i != l
         lhs = partition_function_6v(pinned)
-        pre = cmath.sin(eta) ** (2 - 2 * n)
-        for x in reduced.chi:
-            pre *= cmath.sin(x - assign.psi[l - 1] + sign * eta / 2)
-        for y in reduced.psi:
-            pre *= cmath.sin(assign.psi[l - 1] - y + sign * eta)
-        rhs = pre * partition_function_6v(reduced)
-        return rel_residual(lhs, rhs)
+        pre = math.prod(itertools.chain(
+            (cmath.sin(x - psi_l + sign * eta / 2) for x in reduced.chi),
+            (cmath.sin(psi_l - y + sign * eta) for y in reduced.psi)),
+            start=cmath.sin(eta) ** (2 - 2 * n))
+        return rel_residual(lhs, pre * partition_function_6v(reduced))
 
     _require_combinatorial_eta(eta)
-    pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * math.pi / 3)
-    reduced = pinned.drop(k, l)
     lhs = F_n_6v(pinned)
-    pre = (sign * (-1) ** (n - k + l - 1) * 4.0 ** (2 - 2 * n)
-           * cmath.sin(ETA_COMBINATORIAL) ** (3 - 2 * n))
-    for x in reduced.chi:
-        pre *= cmath.sin(3 * (assign.psi[l - 1] - x))
-    for y in reduced.psi:
-        pre *= cmath.sin(3 * (assign.psi[l - 1] - y))
-    rhs = pre * F_n_6v(reduced)
-    return rel_residual(lhs, rhs)
+    pre = math.prod((cmath.sin(3 * (psi_l - y)) for y in reduced.chi + reduced.psi),
+                    start=(sign * (-1) ** (n - k + l - 1) * 4.0 ** (2 - 2 * n)
+                           * cmath.sin(ETA_COMBINATORIAL) ** (3 - 2 * n)))
+    return rel_residual(lhs, pre * F_n_6v(reduced))
 
 
 def trig_cubic_residual(phi: complex) -> float:

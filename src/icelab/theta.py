@@ -20,7 +20,9 @@ with D(p) = theta1'(0|p) theta1(pi/3|p) theta1(2pi/3|p) / (3 theta1'(0|p^3)).
 
 Series are truncated when a term-magnitude envelope falls below
 term_tolerance * (1 + |partial sum|); the q-series converge
-super-exponentially on the working domain |p| <= 0.5.
+super-exponentially on the working domain |p| <= 0.5.  The truncation
+rule (SeriesConfig) is a field of EllipticParams, so the functions here
+and in the model modules take the params alone.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ class SeriesConfig:
     max_terms: int = 64
 
     def __post_init__(self) -> None:
-        if not self.term_tolerance > 0.0:
-            raise ValueError("term_tolerance must be positive")
+        if not 0.0 < self.term_tolerance < math.inf:
+            raise ValueError("term_tolerance must be finite and positive")
+        if type(self.max_terms) is not int:
+            raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -60,50 +64,57 @@ DEFAULT_SERIES = SeriesConfig()
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Global elliptic context: nome p, half-period ratio tau, parameter lambda.
+    """Global elliptic context: nome p, half-period ratio tau, parameter
+    lambda, and the truncation rule of every q-series evaluated at them.
 
     tau is kept alongside p (redundantly) because the pi*tau shift laws and
-    the half-period substitution need it explicitly.  The default
-    verification domain is real p in (0, 0.5] and real lambda.
+    the half-period substitution need it explicitly.  The series settings
+    travel with the nome: the constructors and the derived parameters
+    (with_lambda, cubed) keep them, so every theta value reached from one
+    params object is summed under one rule.  The default verification
+    domain is real p in (0, 0.5] and real lambda.
     """
 
     p: complex
     tau: complex
     lam: complex
+    series: SeriesConfig = DEFAULT_SERIES
 
     def __post_init__(self) -> None:
-        if abs(self.p) >= 1.0:
-            raise NomeDomainError(f"|p| = {abs(self.p)} >= 1: series diverge")
+        if not abs(self.p) < 1.0:  # also NaN, which compares false both ways
+            raise NomeDomainError(f"|p| = {abs(self.p)} >= 1: series diverge"
+                                  if abs(self.p) >= 1.0 else f"nome p = {self.p} is not a number")
         if abs(self.p) > 0.0:
             expected = cmath.exp(1j * math.pi * self.tau)
             if abs(expected - self.p) > 1e-10 * (1.0 + abs(self.p)):
                 raise ValueError("p and tau inconsistent: require p = exp(i*pi*tau)")
 
     @classmethod
-    def from_nome(cls, p: complex, lam: complex = 0.0) -> "EllipticParams":
+    def from_nome(cls, p: complex, lam: complex = 0.0,
+                  series: SeriesConfig = DEFAULT_SERIES) -> "EllipticParams":
         """Build from the nome; tau = log(p) / (i*pi) on the principal branch."""
         p = complex(p)
-        if abs(p) >= 1.0:
-            raise NomeDomainError(f"|p| = {abs(p)} >= 1: series diverge")
         if p == 0:
             # degenerate trigonometric limit; tau is formally i*infinity
-            return cls(p=0j, tau=complex(0.0, math.inf), lam=complex(lam))
+            return cls(p=0j, tau=complex(0.0, math.inf), lam=complex(lam), series=series)
         tau = cmath.log(p) / (1j * math.pi)
-        return cls(p=p, tau=tau, lam=complex(lam))
+        return cls(p=p, tau=tau, lam=complex(lam), series=series)
 
     @classmethod
-    def from_tau(cls, tau: complex, lam: complex = 0.0) -> "EllipticParams":
-        return cls(p=cmath.exp(1j * math.pi * complex(tau)), tau=complex(tau), lam=complex(lam))
+    def from_tau(cls, tau: complex, lam: complex = 0.0,
+                 series: SeriesConfig = DEFAULT_SERIES) -> "EllipticParams":
+        return cls(p=cmath.exp(1j * math.pi * complex(tau)), tau=complex(tau), lam=complex(lam),
+                   series=series)
 
     def with_lambda(self, lam: complex) -> "EllipticParams":
-        return EllipticParams(p=self.p, tau=self.tau, lam=complex(lam))
+        return EllipticParams(p=self.p, tau=self.tau, lam=complex(lam), series=self.series)
 
     def shifted_lambda(self, delta: complex) -> "EllipticParams":
         return self.with_lambda(self.lam + delta)
 
     def cubed(self) -> "EllipticParams":
-        """Parameters at nome p^3 (tau -> 3*tau), same lambda."""
-        return EllipticParams(p=self.p ** 3, tau=3 * self.tau, lam=self.lam)
+        """Parameters at nome p^3 (tau -> 3*tau), same lambda and series."""
+        return EllipticParams(p=self.p ** 3, tau=3 * self.tau, lam=self.lam, series=self.series)
 
 
 def _pow_nome(p: complex, a: float) -> complex:
@@ -125,8 +136,8 @@ def _nome_powers(p: complex, imag_sign: float, a: int, offset: float) -> list:
     return [math.log(abs(p)) if p else -math.inf, ()]
 
 
-def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
-            offset: float = 0.0, derivative: bool = False) -> complex:
+def _series(a: int, phi: complex, params: EllipticParams, offset: float = 0.0,
+            derivative: bool = False) -> complex:
     """The q-series kernel behind every theta value:
 
         sum_{k>=0} c_k (-1)^k p^{k^2 + a k + offset} f((2k + a) phi)
@@ -136,13 +147,14 @@ def _series(a: int, phi: complex, params: EllipticParams, cfg: SeriesConfig,
     finite at p = 0; offset = 1/4 carries the p^{1/4} into every exponent,
     (k + 1/2)^2, and gives theta1 itself.  derivative=True replaces
     f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
-    Sums are kept in a bounded cache keyed by the nome, not params, and by
+    The params' series settings give the truncation rule.  Sums are kept in
+    a bounded cache keyed by the nome and that rule, not params, and by
     the signs of phi's parts and of Im p: -0.0 == 0.0 and x - 0j == x + 0j,
     but negative nomes have different powers on the two sides of the cut.
     """
-    phi, p = complex(phi), params.p
+    phi, p, series = complex(phi), params.p, params.series
     return _series_sum(a, phi, math.copysign(1.0, phi.real), math.copysign(1.0, phi.imag),
-                       p, math.copysign(1.0, p.imag), cfg.term_tolerance, cfg.max_terms,
+                       p, math.copysign(1.0, p.imag), series.term_tolerance, series.max_terms,
                        offset, derivative)
 
 
@@ -180,30 +192,29 @@ def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, p: complex
         f"(|p| = {abs(p)}, |Im phi| = {im})")
 
 
-def theta1(phi: complex, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def theta1(phi: complex, params: EllipticParams) -> complex:
     """theta1(phi | p), odd and pi-antiperiodic in phi."""
-    return _series(1, phi, params, cfg, offset=0.25)
+    return _series(1, phi, params, offset=0.25)
 
 
-def theta4(phi: complex, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def theta4(phi: complex, params: EllipticParams) -> complex:
     """theta4(phi | p), even and pi-periodic in phi."""
-    return _series(0, phi, params, cfg)
+    return _series(0, phi, params)
 
 
-def theta1_reduced(phi: complex, params: EllipticParams,
-                   cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
     """theta1(phi | p) / p^{1/4} = 2 * sum_k (-1)^k p^{k(k+1)} sin((2k+1) phi).
 
     The p^{1/4} prefactor cancels in every theta1 ratio, so the Boltzmann
     weights are built from this reduced series; it stays finite at p = 0,
     where it degenerates to 2 sin(phi).
     """
-    return _series(1, phi, params, cfg)
+    return _series(1, phi, params)
 
 
-def theta1_prime_at_zero(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def theta1_prime_at_zero(params: EllipticParams) -> complex:
     """d/dphi theta1(phi | p) at phi = 0, by termwise differentiation."""
-    return _series(1, 0.0, params, cfg, offset=0.25, derivative=True)
+    return _series(1, 0.0, params, offset=0.25, derivative=True)
 
 
 class ThetaTriple:
@@ -220,11 +231,10 @@ class ThetaTriple:
     real domain all b_m are positive and the table is plainly real.
     """
 
-    def __init__(self, theta, params: EllipticParams, cfg: SeriesConfig):
+    def __init__(self, theta, params: EllipticParams):
         self.theta = theta
         self.params = params
-        self.cfg = cfg
-        self.values = tuple(theta(params.lam + TWO_PI_OVER_3 * m, params, cfg) for m in range(3))
+        self.values = tuple(theta(params.lam + TWO_PI_OVER_3 * m, params) for m in range(3))
         for m, val in enumerate(self.values):
             if abs(val) < _POLE_TOL:
                 raise PoleError(f"{theta.__name__}(lambda + 2*pi*{m}/3) vanishes "
@@ -234,19 +244,19 @@ class ThetaTriple:
                               for m in range(3))
 
     def __call__(self, x: complex) -> complex:
-        return self.theta(x, self.params, self.cfg)
+        return self.theta(x, self.params)
 
     def zeta_pow(self, m: int, exponent: complex) -> complex:
         return cmath.exp(exponent * self.log_zeta[m % 3])
 
 
 @lru_cache(maxsize=64)
-def theta_triple(theta, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> ThetaTriple:
-    """The shared ThetaTriple of one theta function at one (params, cfg)."""
-    return ThetaTriple(theta, params, cfg)
+def theta_triple(theta, params: EllipticParams) -> ThetaTriple:
+    """The shared ThetaTriple of one theta function at one params."""
+    return ThetaTriple(theta, params)
 
 
-def zeta(r: int, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def zeta(r: int, params: EllipticParams) -> complex:
     """Face weight ratio zeta_r(lambda, p) built from theta4 at lambda + 2*pi*r/3.
 
         zeta_r = theta4(lambda + 2pi(r-1)/3) theta4(lambda + 2pi(r+1)/3)
@@ -254,28 +264,28 @@ def zeta(r: int, params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> 
 
     The three values multiply to 1 because theta4 is pi-periodic.
     """
-    b = theta_triple(theta4, params, cfg).values
+    b = theta_triple(theta4, params).values
     return b[(r - 1) % 3] * b[(r + 1) % 3] / (b[r % 3] * b[r % 3])
 
 
-def zeta_log_table(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[complex, complex, complex]:
+def zeta_log_table(params: EllipticParams) -> tuple[complex, complex, complex]:
     """(log zeta_0, log zeta_1, log zeta_2) on the zero-sum sheet of ThetaTriple."""
-    return theta_triple(theta4, params, cfg).log_zeta
+    return theta_triple(theta4, params).log_zeta
 
 
-def cubic_factor_D(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def cubic_factor_D(params: EllipticParams) -> complex:
     """Proportionality factor D(p) in the nome-cubing identity.
 
     D(p) = theta1'(0|p) theta1(pi/3|p) theta1(2pi/3|p) / (3 theta1'(0|p^3)).
     Computed from the reduced series; the p^{3/4} factors cancel exactly, so
     the value extends continuously to D(0) = 1.
     """
-    den = _series(1, 0.0, params.cubed(), cfg, derivative=True)
+    den = _series(1, 0.0, params.cubed(), derivative=True)
     if abs(den) < _POLE_TOL:
         raise PoleError("theta1'(0 | p^3) vanishes")
-    num = (_series(1, 0.0, params, cfg, derivative=True)
-           * theta1_reduced(PI / 3, params, cfg)
-           * theta1_reduced(TWO_PI_OVER_3, params, cfg))
+    num = (_series(1, 0.0, params, derivative=True)
+           * theta1_reduced(PI / 3, params)
+           * theta1_reduced(TWO_PI_OVER_3, params))
     return num / (3.0 * den)
 
 

@@ -49,11 +49,17 @@ tilde family (the raw family gauged by Phi_r = zeta_r^{1/12 + phi/4pi}):
 
 alpha' = alpha and beta' = beta in both families.  At p -> 0 the tilde
 family degenerates to the six-vertex trigonometric weights at eta = 2pi/3.
+Every theta value is summed under the series settings of the
+EllipticParams passed in.  The dressed sums F^r_n, their recursions and
+functional sums are the six-vertex ones with sin replaced by theta1, built
+on the same sixvertex helpers (_dressed, _pin, _three_term_residual).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -62,12 +68,11 @@ from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, InvalidColoringError, PoleError,
                      SizeGuardError)
-from .numutil import rel_residual, stable_sum
-from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
-                    SeriesConfig, ThetaTriple, cubic_factor_D, theta1,
-                    theta1_reduced, theta4, theta_triple)
-from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind,
-                        _vertex_sweep)
+from .numutil import rel_residual
+from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple,
+                    cubic_factor_D, theta1, theta1_reduced, theta4, theta_triple)
+from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind, _dressed, _pin,
+                        _three_term_residual, _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -430,29 +435,28 @@ _BRANCH_TOL = 1e-9
 
 
 @lru_cache(maxsize=64)
-def _weight_constants(params: EllipticParams, cfg: SeriesConfig) -> tuple[ThetaTriple, complex]:
+def _weight_constants(params: EllipticParams) -> tuple[ThetaTriple, complex]:
     """The theta4 triple behind zeta_r, checked to have positive-real zeta_r,
     and theta1(2pi/3) / p^{1/4}, the denominator of the alpha and beta weights."""
-    tri = theta_triple(theta4, params, cfg)
+    tri = theta_triple(theta4, params)
     for r, lz in enumerate(tri.log_zeta):
         if abs(lz.imag) > _BRANCH_TOL:
             raise BranchDomainError(
                 f"zeta_{r} is not positive real (log zeta = {lz}); fractional "
                 "powers are only taken on the positive-real domain")
-    t1_23 = theta1_reduced(TWO_PI_OVER_3, params, cfg)
+    t1_23 = theta1_reduced(TWO_PI_OVER_3, params)
     if abs(t1_23) < 1e-12:
         raise PoleError("theta1(2*pi/3) vanishes")
     return tri, t1_23
 
 
-def raw_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
-               cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def raw_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams) -> complex:
     """Ungauged face weight of vertex v at spectral parameter phi.
 
     Fractional zeta powers are taken on the positive-real domain (real
     lambda, real p); elsewhere a BranchDomainError is raised.
     """
-    return _raw_weight_ctx(_weight_constants(params, cfg), v.kind, v.r, complex(phi))
+    return _raw_weight_ctx(_weight_constants(params), v.kind, v.r, complex(phi))
 
 
 def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
@@ -461,10 +465,10 @@ def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
     lam = tri.params.lam
     if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
         return (tri.zeta_pow(r, 0.25 + 3 * phi / (4 * PI))
-                * theta1_reduced(PI / 3 - phi, tri.params, tri.cfg) / t1_23)
+                * theta1_reduced(PI / 3 - phi, tri.params) / t1_23)
     if kind in (VertexKind.BETA, VertexKind.BETA_P):
         return (tri.zeta_pow(r, 0.25 - 3 * phi / (4 * PI))
-                * theta1_reduced(PI / 3 + phi, tri.params, tri.cfg) / t1_23)
+                * theta1_reduced(PI / 3 + phi, tri.params) / t1_23)
     expo = 1.0 / 6.0 + phi / (2 * PI)
     if kind is VertexKind.GAMMA:
         pre = cmath.exp(expo * (tri.log_zeta[(r + 1) % 3] - tri.log_zeta[r % 3]))
@@ -473,11 +477,10 @@ def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
     return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
 
 
-def tilde_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams,
-                 cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def tilde_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams) -> complex:
     """Gauged face weight of vertex v; equals the raw weight times
     Phi_{tl} Phi_{br} / (Phi_{bl} Phi_{tr}) with Phi_r = zeta_r^{1/12 + phi/4pi}."""
-    return _tilde_weight_ctx(_weight_constants(params, cfg), v.kind, v.r, complex(phi))
+    return _tilde_weight_ctx(_weight_constants(params), v.kind, v.r, complex(phi))
 
 
 def _tilde_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
@@ -485,9 +488,9 @@ def _tilde_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int
     tri, t1_23 = ctx
     lam = tri.params.lam
     if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
-        return theta1_reduced(PI / 3 - phi, tri.params, tri.cfg) / t1_23
+        return theta1_reduced(PI / 3 - phi, tri.params) / t1_23
     if kind in (VertexKind.BETA, VertexKind.BETA_P):
-        return tri.zeta_pow(r, 0.5) * theta1_reduced(PI / 3 + phi, tri.params, tri.cfg) / t1_23
+        return tri.zeta_pow(r, 0.5) * theta1_reduced(PI / 3 + phi, tri.params) / t1_23
     if kind is VertexKind.GAMMA:
         return tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]
     return tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
@@ -509,15 +512,14 @@ def psi_factor(m: int, params: EllipticParams) -> complex:
 
 
 def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
-                                params: EllipticParams,
-                                cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+                                params: EllipticParams) -> float:
     """Residual of the pi*tau shift law for one tilde weight."""
     bl, tl, tr, br = v.corner_lifts()
-    lhs = tilde_weight(v, complex(phi) + PI * params.tau, params, cfg)
+    lhs = tilde_weight(v, complex(phi) + PI * params.tau, params)
     factor = (psi_factor(tl, params) * psi_factor(br, params)
               / (psi_factor(bl, params) * psi_factor(tr, params)))
     rhs = (-1.0 / params.p) * cmath.exp(-2j * complex(phi)) * factor \
-        * tilde_weight(v, phi, params, cfg)
+        * tilde_weight(v, phi, params)
     return rel_residual(lhs, rhs)
 
 
@@ -527,8 +529,7 @@ def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
 
 
 def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
-                               params: EllipticParams, which: str = "tilde",
-                               cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+                               params: EllipticParams, which: str = "tilde") -> complex:
     """Domain-wall coloring sum restricted to top-left corner color r.
 
     Summands are products of vertex weights at chi_i - psi_j over the n x n
@@ -537,19 +538,19 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
     vertex's kind and base color, for n up to sixvertex.MAX_EVAL_N.  assign
     must have n rapidities, also at n = 0; the empty lattice has value 1.
     The last 64 distinct sums are cached, keyed by every argument."""
-    return _partial_sum(n, r, assign, params, which, cfg)
+    return _partial_sum(n, r, assign, params, which)
 
 
 @lru_cache(maxsize=64)  # called positionally: defaults share the explicit key
 def _partial_sum(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
-                 which: str, cfg: SeriesConfig) -> complex:
+                 which: str) -> complex:
     if which not in ("raw", "tilde"):
         raise ValueError("which must be 'raw' or 'tilde'")
     if assign.n != n:
         raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
     if n == 0:
         return 1.0 + 0j
-    ctx = _weight_constants(params, cfg)
+    ctx = _weight_constants(params)
     evaluate = _raw_weight_ctx if which == "raw" else _tilde_weight_ctx
 
     def weights(i, j, codes):
@@ -560,8 +561,7 @@ def _partial_sum(n: int, r: int, assign: SpectralAssignment, params: EllipticPar
 
 
 def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
-                     params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES,
-                     corrected: bool = True) -> complex:
+                     params: EllipticParams, corrected: bool = True) -> complex:
     """State-independent factor connecting the tilde and raw partial sums,
 
         tildeZ^r_n = factor * Z^r_n,
@@ -573,7 +573,7 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
     boundary gives an extra (zeta_r / zeta_{r+n})^{1/12}, which corrected=True
     includes (set False to evaluate the uncorrected product).
     """
-    lz = _weight_constants(params, cfg)[0].log_zeta
+    lz = _weight_constants(params)[0].log_zeta
     expo = 0j
     for i in range(1, n + 1):
         u = (assign.chi[i - 1] - assign.psi[i - 1]
@@ -585,18 +585,15 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
 
 
 def phi_ratio_relation_check(n: int, r: int, assign: SpectralAssignment,
-                             params: EllipticParams,
-                             cfg: SeriesConfig = DEFAULT_SERIES,
-                             corrected: bool = True) -> float:
+                             params: EllipticParams, corrected: bool = True) -> float:
     """Residual of tildeZ^r_n = phi_ratio_factor * Z^r_n."""
-    zt = partial_partition_function(n, r, assign, params, "tilde", cfg)
-    zr = partial_partition_function(n, r, assign, params, "raw", cfg)
-    factor = phi_ratio_factor(n, r, assign, params, cfg, corrected=corrected)
+    zt = partial_partition_function(n, r, assign, params, "tilde")
+    zr = partial_partition_function(n, r, assign, params, "raw")
+    factor = phi_ratio_factor(n, r, assign, params, corrected=corrected)
     return rel_residual(zt, factor * zr)
 
 
-def F_rn(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
-         cfg: SeriesConfig = DEFAULT_SERIES) -> complex:
+def F_rn(n: int, r: int, assign: SpectralAssignment, params: EllipticParams) -> complex:
     """Partial partition function dressed for the functional equations:
 
         F^r_n = theta4(lambda + 2pi(r+n)/3)^{-1}
@@ -607,39 +604,24 @@ def F_rn(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
     closing the reduce-by-one recursions.  The lambda shift law
     F^{r+1}_n(lambda) = F^r_n(lambda + 2pi/3) holds termwise.
     """
-    pre = 1.0 / theta_triple(theta4, params, cfg).values[(r + n) % 3]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pre *= theta1(assign.chi[i] - assign.chi[j], params, cfg)
-            pre *= theta1(assign.psi[i] - assign.psi[j], params, cfg)
-    for i in range(n):
-        for j in range(n):
-            pre *= theta1(assign.chi[i] - assign.psi[j], params, cfg)
-    return pre * partial_partition_function(n, r, assign, params, "tilde", cfg)
+    pre = 1.0 / theta_triple(theta4, params).values[(r + n) % 3]
+    return (_dressed(lambda x: theta1(x, params), assign, pre)
+            * partial_partition_function(n, r, assign, params, "tilde"))
 
 
 def functional_residual_3c(n: int, r: int, k: int, side: str,
-                           assign: SpectralAssignment, params: EllipticParams,
-                           cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+                           assign: SpectralAssignment, params: EllipticParams) -> float:
     """Residual of S^r_{n,k} = sum_{s=0}^2 F^{r+s}_n with chi_k shifted by
     +2pi s/3 (psi_k by -2pi s/3 for side='psi'), which vanishes identically;
     |S| is normalized by the largest of the three summands."""
-    if not 1 <= k <= n:
-        raise IndexError(f"k = {k} outside 1..{n}")
-    if side not in ("chi", "psi"):
-        raise ValueError("side must be 'chi' or 'psi'")
-    terms = []
-    for s in range(3):
-        delta = TWO_PI_OVER_3 * s
-        shifted = (assign.shift_chi(k, delta) if side == "chi"
-                   else assign.shift_psi(k, -delta))
-        terms.append(F_rn(n, (r + s) % 3, shifted, params, cfg))
-    return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
+    return _three_term_residual(lambda s, shifted: F_rn(n, (r + s) % 3, shifted, params),
+                                assign, k, side,
+                                TWO_PI_OVER_3 if side == "chi" else -TWO_PI_OVER_3)
 
 
 def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
                        assign: SpectralAssignment, params: EllipticParams,
-                       form: str = "Z", cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+                       form: str = "Z") -> float:
     """Relative residual of a reduce-by-one recursion at chi_k = psi_l + sign*pi/3.
 
     form="Z" (tilde partial sums):
@@ -663,39 +645,27 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
     (-1)^{n-k+l-1} factor carries the antisymmetric-prefactor parity of
     moving the pinned pair to the corner; at k = l = n it is (-1)^{n-1}.
     """
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise IndexError(f"(k, l) = ({k}, {l}) outside 1..{n}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if form not in ("Z", "F"):
-        raise ValueError("form must be 'Z' or 'F'")
-    pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * PI / 3)
+    pinned, reduced = _pin(assign, n, k, l, sign, form, PI / 3)
     psival = assign.psi[l - 1]
-    reduced = pinned.drop(k, l)  # its chi are the i != k, its psi the i != l
+    r_sub = r if sign > 0 else (r + 1) % 3
 
     if form == "Z":
-        lhs = partial_partition_function(n, r, pinned, params, "tilde", cfg)
-        pre = theta1(TWO_PI_OVER_3, params, cfg) ** (2 - 2 * n)
+        lhs = partial_partition_function(n, r, pinned, params, "tilde")
+        pre = theta1(TWO_PI_OVER_3, params) ** (2 - 2 * n)
         if sign > 0:
-            b = theta_triple(theta4, params, cfg).values
+            b = theta_triple(theta4, params).values
             pre *= b[(r + n) % 3] / b[(r + n - 1) % 3]
-        for x in reduced.chi:
-            pre *= theta1(x - psival + sign * PI / 3, params, cfg)
-        for y in reduced.psi:
-            pre *= theta1(psival - y + sign * TWO_PI_OVER_3, params, cfg)
-        r_sub = r if sign > 0 else (r + 1) % 3
-        rhs = pre * partial_partition_function(n - 1, r_sub, reduced, params, "tilde", cfg)
-        return rel_residual(lhs, rhs)
+        pre = math.prod(itertools.chain(
+            (theta1(x - psival + sign * PI / 3, params) for x in reduced.chi),
+            (theta1(psival - y + sign * TWO_PI_OVER_3, params) for y in reduced.psi)),
+            start=pre)
+        return rel_residual(lhs, pre * partial_partition_function(n - 1, r_sub, reduced,
+                                                                  params, "tilde"))
 
-    lhs = F_rn(n, r, pinned, params, cfg)
+    lhs = F_rn(n, r, pinned, params)
     params3 = params.cubed()
-    pre = (sign * (-1) ** (n - k + l - 1)
-           * cubic_factor_D(params, cfg) ** (2 * n - 2)
-           * theta1(TWO_PI_OVER_3, params, cfg) ** (3 - 2 * n))
-    for x in reduced.chi:
-        pre *= theta1(3 * (psival - x), params3, cfg)
-    for y in reduced.psi:
-        pre *= theta1(3 * (psival - y), params3, cfg)
-    r_sub = r if sign > 0 else (r + 1) % 3
-    rhs = pre * F_rn(n - 1, r_sub, reduced, params, cfg)
-    return rel_residual(lhs, rhs)
+    pre = math.prod((theta1(3 * (psival - y), params3) for y in reduced.chi + reduced.psi),
+                    start=(sign * (-1) ** (n - k + l - 1)
+                           * cubic_factor_D(params) ** (2 * n - 2)
+                           * theta1(TWO_PI_OVER_3, params) ** (3 - 2 * n)))
+    return rel_residual(lhs, pre * F_rn(n - 1, r_sub, reduced, params))

@@ -44,7 +44,8 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class Config:
     """Resolved verification configuration (series control, parameter domain,
-    lattice sizes up to the evaluation guard and per-suite tolerances)."""
+    lattice sizes up to the evaluation guard and per-suite tolerances).  The
+    series control reaches the theta layer inside every drawn EllipticParams."""
 
     term_tolerance: float = 1e-16
     max_terms: int = 64
@@ -187,7 +188,7 @@ class VerificationReport:
 def _draw_params(rng, cfg: Config) -> EllipticParams:
     p = float(rng.uniform(cfg.p_min, cfg.p_max))
     lam = float(rng.uniform(cfg.lambda_min, cfg.lambda_max))
-    return EllipticParams.from_nome(p, lam=lam)
+    return EllipticParams.from_nome(p, lam=lam, series=cfg.series())
 
 
 def _draw_rapidities(rng, n: int) -> sv.SpectralAssignment:
@@ -204,48 +205,45 @@ def _pins(max_n: int):
 
 
 def _suite_theta(rng, samples: int, cfg: Config):
-    series = cfg.series()
     for _ in range(samples):
         params = _draw_params(rng, cfg)
         p = params.p.real
         phi = float(rng.uniform(0.0, PI))
         point = {"p": p, "lambda": params.lam.real, "phi": phi}
 
-        t1 = theta1(phi, params, series)
-        t4 = theta4(phi, params, series)
-        yield "theta1-odd", rel_residual(theta1(-phi, params, series), -t1), point
-        yield "theta4-even", rel_residual(theta4(-phi, params, series), t4), point
+        t1 = theta1(phi, params)
+        t4 = theta4(phi, params)
+        yield "theta1-odd", rel_residual(theta1(-phi, params), -t1), point
+        yield "theta4-even", rel_residual(theta4(-phi, params), t4), point
         yield ("theta1-pi-antiperiodic",
-               rel_residual(theta1(phi + PI, params, series), -t1), point)
+               rel_residual(theta1(phi + PI, params), -t1), point)
         yield ("theta4-pi-periodic",
-               rel_residual(theta4(phi + PI, params, series), t4), point)
+               rel_residual(theta4(phi + PI, params), t4), point)
 
         shift = PI * params.tau
         factor = quasi_period_factor(phi, params)
         yield ("theta1-pi-tau-shift",
-               rel_residual(theta1(phi + shift, params, series), factor * t1), point)
+               rel_residual(theta1(phi + shift, params), factor * t1), point)
         yield ("theta4-pi-tau-shift",
-               rel_residual(theta4(phi + shift, params, series), factor * t4), point)
+               rel_residual(theta4(phi + shift, params), factor * t4), point)
         half = 1j * (p ** 0.25) * cmath.exp(-1j * phi) \
-            * theta1(phi - PI * params.tau / 2, params, series)
+            * theta1(phi - PI * params.tau / 2, params)
         yield "theta4-from-theta1-half-shift", rel_residual(t4, half), point
 
-        triple = (t1 * theta1(phi + PI / 3, params, series)
-                  * theta1(phi + 2 * PI / 3, params, series))
-        rhs = cubic_factor_D(params, series) * theta1(3 * phi, params.cubed(), series)
+        triple = t1 * theta1(phi + PI / 3, params) * theta1(phi + 2 * PI / 3, params)
+        rhs = cubic_factor_D(params) * theta1(3 * phi, params.cubed())
         yield "theta1-cubic-nome", rel_residual(triple, rhs), point
 
-        prod = zeta(0, params, series) * zeta(1, params, series) * zeta(2, params, series)
+        prod = zeta(0, params) * zeta(1, params) * zeta(2, params)
         yield "zeta-product-one", rel_residual(prod, 1.0), point
 
         h = 1e-5
-        fd = (theta1(h, params, series) - theta1(-h, params, series)) / (2 * h)
+        fd = (theta1(h, params) - theta1(-h, params)) / (2 * h)
         yield ("theta1-derivative-central-difference",
-               rel_residual(theta1_prime_at_zero(params, series), fd), point)
+               rel_residual(theta1_prime_at_zero(params), fd), point)
 
 
 def _suite_ybe(rng, samples: int, cfg: Config):
-    series = cfg.series()
     for _ in range(samples):
         params = _draw_params(rng, cfg)
         phi = float(rng.uniform(0.0, PI))
@@ -254,10 +252,10 @@ def _suite_ybe(rng, samples: int, cfg: Config):
         point = {"p": params.p.real, "lambda": params.lam.real,
                  "phi": phi, "phi_prime": php}
         families = [
-            ("ybe-raw", yb.raw_family(params, series), point),
-            ("ybe-tilde", yb.tilde_family(params, series), point),
-            ("ybe-appendix", yb.appendix_family(params, series), point),
-            ("ybe-rosengren", yb.rosengren_family(params, series), point),
+            ("ybe-raw", yb.raw_family(params), point),
+            ("ybe-tilde", yb.tilde_family(params), point),
+            ("ybe-appendix", yb.appendix_family(params), point),
+            ("ybe-rosengren", yb.rosengren_family(params), point),
             ("ybe-sixvertex-trig", yb.sixvertex_family(eta), {**point, "eta": eta}),
         ]
         for name, fam, pt in families:
@@ -281,7 +279,6 @@ def _suite_recursion6v(rng, samples: int, cfg: Config):
 
 
 def _suite_recursion3c(rng, samples: int, cfg: Config):
-    series = cfg.series()
     for n, k, l, sign, sgn in _pins(cfg.max_n_coloring):
         for _ in range(samples):
             params = _draw_params(rng, cfg)
@@ -291,7 +288,7 @@ def _suite_recursion3c(rng, samples: int, cfg: Config):
                      "p": params.p.real, "lambda": params.lam.real}
             for form in ("Z", "F"):
                 yield (f"coloring-{form.lower()}-recursion-{sgn}-n{n}",
-                       tc.check_recursion_3c(n, r, k, l, sign, a, params, form, series),
+                       tc.check_recursion_3c(n, r, k, l, sign, a, params, form),
                        point)
 
 
@@ -315,7 +312,6 @@ def _suite_functional6v(rng, samples: int, cfg: Config):
 
 
 def _suite_functional3c(rng, samples: int, cfg: Config):
-    series = cfg.series()
     for n in range(1, cfg.max_n_coloring + 1):
         for r in range(3):
             for _ in range(samples):
@@ -326,7 +322,7 @@ def _suite_functional3c(rng, samples: int, cfg: Config):
                          "p": params.p.real, "lambda": params.lam.real}
                 for side in ("chi", "psi"):
                     yield (f"s-sum-{side}-n{n}",
-                           tc.functional_residual_3c(n, r, k, side, a, params, series),
+                           tc.functional_residual_3c(n, r, k, side, a, params),
                            point)
 
     # the n = 1 sum written out: each shifted term against its explicit
@@ -337,49 +333,44 @@ def _suite_functional3c(rng, samples: int, cfg: Config):
         phi = float(rng.uniform(0.0, PI))
         point = {"p": params.p.real, "lambda": lam.real, "phi": phi}
         explicit = [
-            theta1(phi, params, series) * theta4(lam + phi + PI / 3, params, series)
-            / (theta4(lam + 2 * PI / 3, params, series) * theta4(lam, params, series)),
-            theta1(phi + 2 * PI / 3, params, series)
-            * theta4(lam + phi + 5 * PI / 3, params, series)
-            / (theta4(lam + 4 * PI / 3, params, series)
-               * theta4(lam + 2 * PI / 3, params, series)),
-            theta1(phi + 4 * PI / 3, params, series)
-            * theta4(lam + phi + 3 * PI, params, series)
-            / (theta4(lam + 2 * PI, params, series)
-               * theta4(lam + 4 * PI / 3, params, series)),
+            theta1(phi, params) * theta4(lam + phi + PI / 3, params)
+            / (theta4(lam + 2 * PI / 3, params) * theta4(lam, params)),
+            theta1(phi + 2 * PI / 3, params) * theta4(lam + phi + 5 * PI / 3, params)
+            / (theta4(lam + 4 * PI / 3, params) * theta4(lam + 2 * PI / 3, params)),
+            theta1(phi + 4 * PI / 3, params) * theta4(lam + phi + 3 * PI, params)
+            / (theta4(lam + 2 * PI, params) * theta4(lam + 4 * PI / 3, params)),
         ]
         a1 = sv.SpectralAssignment(chi=[phi], psi=[0.0])
         yield "s-sum-n1-term-by-term", max(0.0, *(
-            rel_residual(tc.F_rn(1, s, a1.shift_chi(1, 2 * PI * s / 3), params, series),
+            rel_residual(tc.F_rn(1, s, a1.shift_chi(1, 2 * PI * s / 3), params),
                          explicit[s]) for s in range(3))), point
 
 
 def _suite_appendix(rng, samples: int, cfg: Config):
-    series = cfg.series()
     for _ in range(samples):
         params = _draw_params(rng, cfg)
         phi = float(rng.uniform(-1.2, 1.2))
         php = float(rng.uniform(-1.2, 1.2))
         point = {"p": params.p.real, "lambda": params.lam.real, "phi": phi}
 
-        substituted = yb.appendix_substitution(params, series)
-        closed = yb.appendix_family(params, series)
+        substituted = yb.appendix_substitution(params)
+        closed = yb.appendix_family(params)
         yield "substitution-matches-closed-forms", max(0.0, *(
             rel_residual(substituted.weight(vk.kind, vk.r, phi),
                          closed.weight(vk.kind, vk.r, phi))
             for _quad, vk in yb.ADMISSIBLE)), point
 
         yield ("rosengren-gauge-match",
-               yb.rosengren_match(params, series, phis=(phi, php)), point)
+               yb.rosengren_match(params, phis=(phi, php)), point)
 
         pairs = [(phi, php), (php, -phi)]
         yield ("gauge-constraint-shifted",
-               yb.gauge_constraint_residual(yb.zeta_gauge(params, series), pairs), point)
+               yb.gauge_constraint_residual(yb.zeta_gauge(params), pairs), point)
         yield ("gauge-constraint-difference",
-               yb.gauge_constraint_residual(yb.rosengren_gauge(params, series), pairs),
+               yb.gauge_constraint_residual(yb.rosengren_gauge(params), pairs),
                point)
 
-        b = [theta1(params.lam + 2 * PI * m / 3, params, series) for m in range(3)]
+        b = [theta1(params.lam + 2 * PI * m / 3, params) for m in range(3)]
         prod = 1.0 + 0j
         for m in range(3):
             prod *= b[(m - 1) % 3] * b[(m + 1) % 3] / b[m] ** 2

@@ -30,9 +30,8 @@ from operator import add
 from typing import Callable, Sequence
 
 from .numutil import rel_residual
-from .theta import (DEFAULT_SERIES, PI, TWO_PI_OVER_3, EllipticParams,
-                    SeriesConfig, ThetaTriple, theta1, theta1_reduced, theta4,
-                    theta_triple)
+from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
+                    theta1_reduced, theta4, theta_triple)
 from .sixvertex import VertexKind, weight6v
 from .threecoloring import (_CORNER_PATTERN, _KIND_OF_CORNERS, ColoredVertexKind,
                             _raw_weight_ctx, _tilde_weight_ctx, _weight_constants)
@@ -72,16 +71,16 @@ class WeightFamily:
         return {quad: self.weight(vk.kind, vk.r, phi) for quad, vk in ADMISSIBLE}
 
 
-def raw_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
-    ctx = _weight_constants(params, cfg)
+def raw_family(params: EllipticParams) -> WeightFamily:
+    ctx = _weight_constants(params)
     return WeightFamily(
         name="raw",
         weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, complex(phi)),
         ybe_shift=PI / 3)
 
 
-def tilde_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
-    ctx = _weight_constants(params, cfg)
+def tilde_family(params: EllipticParams) -> WeightFamily:
+    ctx = _weight_constants(params)
     return WeightFamily(
         name="tilde",
         weight=lambda kind, r, phi: _tilde_weight_ctx(ctx, kind, r, complex(phi)),
@@ -172,10 +171,10 @@ def identity_gauge(shift: complex = PI / 3) -> GaugeData:
     return GaugeData(C=lambda m: 1.0 + 0j, Phi=lambda m, phi: 1.0 + 0j, shift=shift)
 
 
-def zeta_gauge(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> GaugeData:
+def zeta_gauge(params: EllipticParams) -> GaugeData:
     """C = 1, Phi_r(phi) = zeta_r^{1/12 + phi/4pi}; turns the raw family into
     the tilde family."""
-    tri = theta_triple(theta4, params, cfg)
+    tri = theta_triple(theta4, params)
 
     def phi_fn(m: int, phi: complex) -> complex:
         return tri.zeta_pow(m, 1.0 / 12.0 + phi / (4 * PI))
@@ -211,8 +210,7 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
 # ---------------------------------------------------------------------------
 
 
-def appendix_substitution(params: EllipticParams,
-                          cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
+def appendix_substitution(params: EllipticParams) -> WeightFamily:
     """The raw family, threecoloring._raw_weight_ctx itself, at
     (lambda + pi*tau/2, -phi - pi/3).
 
@@ -226,24 +224,24 @@ def appendix_substitution(params: EllipticParams,
     difference-form family whose values coincide with the theta1-based closed
     forms of appendix_family.
     """
-    sheet = theta_triple(theta1, params, cfg)  # PoleError at p = 0, before log(p)
+    sheet = theta_triple(theta1, params)  # PoleError at p = 0, before log(p)
     half = PI * params.tau / 2
     pref = 1j * cmath.exp(-0.25 * cmath.log(params.p))
 
-    def theta4_at_half_period(x: complex, prm: EllipticParams, c: SeriesConfig) -> complex:
-        return pref * cmath.exp(-1j * (x - half)) * theta1(x - half, prm, c)
+    def theta4_at_half_period(x: complex, prm: EllipticParams) -> complex:
+        return pref * cmath.exp(-1j * (x - half)) * theta1(x - half, prm)
 
     # a triple of this family's own, not the shared cache's: its principal
     # logs may wrap, so its log-zeta table is replaced by the theta1 sheet's
-    tri = ThetaTriple(theta4_at_half_period, params.shifted_lambda(half), cfg)
+    tri = ThetaTriple(theta4_at_half_period, params.shifted_lambda(half))
     tri.log_zeta = sheet.log_zeta
-    ctx = (tri, theta1_reduced(TWO_PI_OVER_3, params, cfg))
+    ctx = (tri, theta1_reduced(TWO_PI_OVER_3, params))
     return WeightFamily(name="substituted",
                         weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, -phi - PI / 3),
                         ybe_shift=0.0)
 
 
-def appendix_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
+def appendix_family(params: EllipticParams) -> WeightFamily:
     """theta1-based closed forms of the substituted weights:
 
         alpha_r  = zeta_r^{-3phi/4pi} theta1(2pi/3 + phi) / theta1(2pi/3)
@@ -256,7 +254,7 @@ def appendix_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
     with the theta1-based zeta_r; powers live on the zero-sum sheet of
     theta.ThetaTriple.
     """
-    sheet = theta_triple(theta1, params, cfg)
+    sheet = theta_triple(theta1, params)
     t1_23 = sheet(TWO_PI_OVER_3)
     lam = params.lam
 
@@ -275,14 +273,14 @@ def appendix_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
     return WeightFamily(name="appendix", weight=weight, ybe_shift=0.0)
 
 
-def rosengren_gauge(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> GaugeData:
+def rosengren_gauge(params: EllipticParams) -> GaugeData:
     """C_m = e^{i pi/2} theta1(lambda + 2pi m/3)^{-1/2},
     Phi_m(phi) = e^{i m phi/2} zeta_m^{-phi/4pi} (theta1-based zeta).
 
     Phi is label-sensitive through e^{i m phi/2}; apply it with
     apply_gauge_kindwise.  Satisfies the difference-form constraint.
     """
-    sheet = theta_triple(theta1, params, cfg)
+    sheet = theta_triple(theta1, params)
 
     def c_fn(m: int) -> complex:
         return 1j * cmath.exp(-0.5 * sheet.logs[m % 3])
@@ -293,7 +291,7 @@ def rosengren_gauge(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) 
     return GaugeData(C=c_fn, Phi=phi_fn, shift=0.0)
 
 
-def rosengren_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES) -> WeightFamily:
+def rosengren_family(params: EllipticParams) -> WeightFamily:
     """Closed forms of the appendix family after the rosengren_gauge:
 
         alpha_r  = theta1(2pi/3 + phi) / theta1(2pi/3)            (r-independent)
@@ -306,7 +304,7 @@ def rosengren_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES)
     forced by the gauge bookkeeping (no constant gauge can remove it while
     fixing the other kinds) and flips nothing in the Yang-Baxter equation.
     """
-    sheet = theta_triple(theta1, params, cfg)
+    sheet = theta_triple(theta1, params)
     b = sheet.values
     t1_23 = sheet(TWO_PI_OVER_3)
     lam = params.lam
@@ -325,13 +323,13 @@ def rosengren_family(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES)
     return WeightFamily(name="rosengren", weight=weight, ybe_shift=0.0)
 
 
-def rosengren_match(params: EllipticParams, cfg: SeriesConfig = DEFAULT_SERIES,
+def rosengren_match(params: EllipticParams,
                     phis: Sequence[complex] = (0.17, 0.53, -0.4, 0.91, -0.08)) -> float:
     """Worst residual, over all kinds, bases and sample arguments, of the
     rosengren_gauge applied kindwise to the appendix family against the
     rosengren_family closed forms."""
-    gauged = apply_gauge_kindwise(appendix_family(params, cfg), rosengren_gauge(params, cfg))
-    target = rosengren_family(params, cfg)
+    gauged = apply_gauge_kindwise(appendix_family(params), rosengren_gauge(params))
+    target = rosengren_family(params)
     worst = 0.0
     for _quad, vk in ADMISSIBLE:
         for phi in phis:

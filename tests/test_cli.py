@@ -13,7 +13,7 @@ import pytest
 
 import icelab
 from icelab import ConfigError, SeriesTruncationError
-from icelab import verify
+from icelab import theta, verify
 from icelab.cli import main
 from icelab.sixvertex import MAX_EVAL_N
 from icelab.verify import SUITES, Config, load_config, run_suite, suite_rng
@@ -178,10 +178,23 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("line", ["term_tolerance = inf", "max_terms = 0"])
+    def test_bad_series_settings_exit_two(self, capsys, tmp_path, line):
+        # an infinite tolerance stopped every series at its first term, so
+        # theta1 read 0 and the run died on a misleading pole error
+        cfg = tmp_path / "series.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--samples", "1",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad series settings: ")
+
     @pytest.mark.parametrize("values", [
         {"term_tolerance": 0.0}, {"max_terms": 0}, {"lambda_min": 0.5, "lambda_max": 0.5},
         {"p_min": 0.4, "p_max": 0.3}, {"eta_margin": math.pi / 2}, {"p_max": float("nan")},
-        {"lambda_max": math.inf}, {"p_min": 0.0}, {"p_max": 1.0}, {"eta_margin": 0.0}])
+        {"lambda_max": math.inf}, {"p_min": 0.0}, {"p_max": 1.0}, {"eta_margin": 0.0},
+        {"term_tolerance": math.inf}, {"max_terms": 2.5}])
     def test_config_rejects_bad_values(self, values):
         with pytest.raises(ConfigError):
             Config(**values)
@@ -301,6 +314,27 @@ class TestVerifyCommand:
             assert key_of[case.tolerance] == TOLERANCE_KEYS[family], case.identity
             routed[family] = key_of[case.tolerance]
         assert routed == TOLERANCE_KEYS
+
+    def test_configured_series_reaches_every_theta_sum(self, monkeypatch):
+        # params built without their series would sum under DEFAULT_SERIES
+        # silently; every sum must see the configured (tol, max_terms)
+        original = theta._series_sum
+        seen = []
+
+        def recording(*args):
+            seen[-1].add(args[6:8])
+            return original(*args)
+
+        monkeypatch.setattr(theta, "_series_sum", recording)
+        cfg = Config(term_tolerance=1e-13, max_terms=40)
+        calls = {}
+        for name in SUITES:
+            seen.append(set())
+            run_suite(name, samples=1, config=cfg)
+            calls[name] = seen[-1]
+        assert set().union(*calls.values()) == {(1e-13, 40)}
+        assert [name for name in SUITES if calls[name]] == [
+            "theta", "ybe", "recursion3c", "functional3c", "appendix"]
 
     def test_suite_rng_is_per_suite(self):
         a = suite_rng(3, "theta").uniform(0, 1)

@@ -1,13 +1,14 @@
 """Theta kernel: series oracles, symmetry laws, quasi-periodicity, cubing."""
 
 import cmath
+import dataclasses
 import math
 import random
 import struct
 
 import pytest
 
-from icelab import (EllipticParams, NomeDomainError, PoleError, SeriesConfig,
+from icelab import (DEFAULT_SERIES, EllipticParams, NomeDomainError, PoleError, SeriesConfig,
                     SeriesTruncationError, cubic_factor_D, quasi_period_factor,
                     theta1, theta1_prime_at_zero, theta1_reduced, theta4, zeta,
                     zeta_log_table)
@@ -168,11 +169,13 @@ class TestPowerTable:
                     want, terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset,
                                                derivative, count=True)
                     for max_terms in (64, terms + 1):
-                        got = _series(a, phi, pr, SeriesConfig(tol, max_terms), offset, derivative)
+                        ruled = dataclasses.replace(pr, series=SeriesConfig(tol, max_terms))
+                        got = _series(a, phi, ruled, offset, derivative)
                         assert _bits(got) == _bits(want), (p, tol, a, offset, phi, derivative)
                     if terms:
+                        ruled = dataclasses.replace(pr, series=SeriesConfig(tol, terms))
                         with pytest.raises(SeriesTruncationError):
-                            _series(a, phi, pr, SeriesConfig(tol, terms), offset, derivative)
+                            _series(a, phi, ruled, offset, derivative)
 
     def test_cache_keeps_signed_zeros_apart(self):
         # -0.0 == 0.0 and x - 0j == x + 0j, so the cache key carries the signs:
@@ -203,15 +206,27 @@ class TestPowerTable:
             with pytest.raises(SeriesTruncationError):
                 _loop_series(1, phi, params(0.5), cfg, 0.25)
             with pytest.raises(SeriesTruncationError):
-                theta1(phi, params(0.5), cfg)
+                theta1(phi, EllipticParams.from_nome(0.5, series=cfg))
 
 
 class TestDomainErrors:
     def test_nome_outside_disk(self):
         with pytest.raises(NomeDomainError):
             EllipticParams.from_nome(1.0)
-        with pytest.raises(NomeDomainError):
+        with pytest.raises(NomeDomainError, match=r"^\|p\| = 1\.3 >= 1: series diverge$"):
             EllipticParams.from_nome(1.3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: EllipticParams.from_nome(math.nan),
+        lambda: EllipticParams.from_nome(complex(0.2, math.nan)),
+        lambda: EllipticParams.from_tau(math.nan),
+        lambda: EllipticParams.from_tau(complex(0.0, math.nan)),
+        lambda: EllipticParams(p=math.nan, tau=0j, lam=0j)])
+    def test_nan_nome(self, make):
+        # abs(nan) >= 1 is False, so a NaN nome used to pass and fail later
+        # as an unconverged series
+        with pytest.raises(NomeDomainError, match="is not a number"):
+            make()
 
     def test_inconsistent_tau(self):
         with pytest.raises(ValueError):
@@ -220,13 +235,25 @@ class TestDomainErrors:
     def test_truncation_error(self):
         tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)
         with pytest.raises(SeriesTruncationError):
-            theta1(0.5, params(0.5), tight)
+            theta1(0.5, EllipticParams.from_nome(0.5, series=tight))
 
     def test_series_config_validation(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(term_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(max_terms=0)
+        # an infinite tolerance stopped every series at its first term, so
+        # theta1 read 0; a fractional max_terms failed later, in range()
+        for kwargs in ({"term_tolerance": 0.0}, {"term_tolerance": math.inf},
+                       {"term_tolerance": math.nan}, {"max_terms": 0}, {"max_terms": 2.5},
+                       {"max_terms": True}):
+            with pytest.raises(ValueError):
+                SeriesConfig(**kwargs)
+
+    def test_derived_params_keep_series(self):
+        tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)
+        for pr in (EllipticParams.from_nome(0.2, lam=0.3, series=tight),
+                   EllipticParams.from_nome(0.0, lam=0.3, series=tight),
+                   EllipticParams.from_tau(0.5j, lam=0.3, series=tight)):
+            derived = (pr, pr.with_lambda(0.1), pr.shifted_lambda(0.2), pr.cubed())
+            assert [d.series for d in derived] == [tight] * 4
+        assert EllipticParams.from_nome(0.2).series == DEFAULT_SERIES
 
 
 class TestSymmetryLaws:

@@ -1,6 +1,7 @@
 """Colorings: enumeration, census, arrow map, weights, partition functions."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ from collections import Counter
 import pytest
 
 import icelab
-from icelab import (DEFAULT_SERIES, BranchDomainError, ColoredVertexKind, EllipticParams, FaceWeightParams,
+from icelab import (BranchDomainError, ColoredVertexKind, EllipticParams, FaceWeightParams,
                     GridColoring, InvalidColoringError, SeriesConfig,
                     SizeGuardError, SpectralAssignment, VertexKind,
                     check_recursion_3c, classify_vertex,
@@ -656,11 +657,12 @@ class TestPartitionFunctions:
         rnd = random.Random(29)
         pr = params(0.2, 0.27)
         a = assignment(rnd, 2).shift_chi(1, 0.1j)
-        base = (2, 0, a, pr, "tilde", DEFAULT_SERIES)
-        others = [(2, 0, a, pr, "raw", DEFAULT_SERIES),
-                  (2, 1, a, pr, "tilde", DEFAULT_SERIES),
-                  (2, 0, a, params(0.2, 0.28), "tilde", DEFAULT_SERIES),
-                  (2, 0, a, pr, "tilde", SeriesConfig(term_tolerance=1e-12))]
+        base = (2, 0, a, pr, "tilde")
+        others = [(2, 0, a, pr, "raw"),
+                  (2, 1, a, pr, "tilde"),
+                  (2, 0, a, params(0.2, 0.28), "tilde"),
+                  (2, 0, a, dataclasses.replace(pr, series=SeriesConfig(term_tolerance=1e-12)),
+                   "tilde")]
         fresh = []
         for args in others:
             _partial_sum.cache_clear()
