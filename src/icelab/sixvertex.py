@@ -11,8 +11,10 @@ square lattice of n vertices per row h has shape n x (n+1) and v has shape
 Domain-wall boundary conditions: boundary horizontal arrows point in
 (leftmost right, rightmost left) and boundary vertical arrows point out
 (top up, bottom down).  States are enumerated by a depth-first walk over the
-ice-rule moves of one row; the partition functions list none, a sweep adding
-one vertex at a time with one amplitude per mask of vertical edges under it.
+ice-rule moves of one row, each move checked once when its table is built,
+so the walk's states skip the public constructor's per-row check; the
+partition functions list none, a sweep adding one vertex at a time with one
+amplitude per mask of vertical edges under it.
 
 The six vertex kinds, by (left, right, top, bottom) edge booleans:
 
@@ -88,16 +90,29 @@ class SixVertexState:
     v: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = len(self.h)
-        if rows == 0 or len(self.v) != rows + 1:
+        h, v = tuple(map(tuple, self.h)), tuple(map(tuple, self.v))
+        rows = len(h)
+        if rows == 0 or len(v) != rows + 1:
             raise InvalidStateError("edge arrays have inconsistent shapes")
-        cols = len(self.v[0])
-        if cols == 0 or set(map(len, self.h)) != {cols + 1} or set(map(len, self.v)) != {cols}:
+        cols = len(v[0])
+        if cols == 0 or set(map(len, h)) != {cols + 1} or set(map(len, v)) != {cols}:
             raise InvalidStateError("edge arrays have inconsistent shapes")
-        for i in range(rows):
-            j = _first_bad_vertex(tuple(self.h[i]), tuple(self.v[i]), tuple(self.v[i + 1]))
-            if j is not None:
-                raise InvalidStateError(f"ice rule violated at vertex ({i}, {j})")
+        bad = list(map(_first_bad_vertex, h, v, v[1:]))
+        if bad.count(None) != rows:
+            i = next(i for i, j in enumerate(bad) if j is not None)
+            raise InvalidStateError(f"ice rule violated at vertex ({i}, {bad[i]})")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "v", v)
+
+    @classmethod
+    def _checked(cls, h: tuple[tuple[bool, ...], ...],
+                 v: tuple[tuple[bool, ...], ...]) -> "SixVertexState":
+        """State from edge tuples whose rows already passed the shape and
+        ice checks of the public constructor, which it skips."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "h", h)
+        object.__setattr__(new, "v", v)
+        return new
 
     @property
     def nrows(self) -> int:
@@ -152,8 +167,9 @@ class SixVertexState:
 @lru_cache(maxsize=4096)
 def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None:
     """Column of the first vertex in one row of a state that breaks the ice
-    rule, or None.  Rows of the enumerated states repeat across states, so
-    each distinct (h row, v above, v below) triple is checked once."""
+    rule, or None.  The public SixVertexState constructor checks its rows
+    through this cache; _row_moves checks each move it builds once, so the
+    enumerated states skip the per-state check."""
     for j, edges in enumerate(zip(h_row, h_row[1:], v_top, v_bottom)):
         if edges not in _KIND_FROM_EDGES:
             return j
@@ -164,12 +180,21 @@ def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None
 def _row_moves(v_in: tuple[bool, ...]) -> tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]:
     """The (h row, v out) pairs of one domain-wall row below the vertical
     edges v_in, h rows ascending: the row enters pointing right, leaves
-    pointing left, and every vertex obeys the ice rule."""
+    pointing left, and every vertex obeys the ice rule.  Each move is
+    checked here, its lengths and its vertices, the one check the states
+    built from it get."""
     rows = [((True,), ())]
     for top in v_in:
         rows = [(h + (right,), v + (bottom,))
                 for h, v in rows for right, bottom, _ in _COMPLETIONS[h[-1], top]]
-    return tuple((h, v) for h, v in rows if not h[-1])
+    moves = tuple((h, v) for h, v in rows if not h[-1])
+    for h, v in moves:
+        if len(h) != len(v_in) + 1 or len(v) != len(v_in):
+            raise InvalidStateError(f"row move {h} under {v_in} has inconsistent shapes")
+        j = _first_bad_vertex(h, v_in, v)
+        if j is not None:
+            raise InvalidStateError(f"row move {h} under {v_in} breaks the ice rule at column {j}")
+    return moves
 
 
 def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
@@ -182,10 +207,11 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     states = []
+    checked = SixVertexState._checked
 
     def descend(h_rows: tuple, v_rows: tuple) -> None:
         if len(h_rows) == n:
-            states.append(SixVertexState(h=h_rows, v=v_rows))
+            states.append(checked(h_rows, v_rows))
             return
         for h_row, v_out in _row_moves(v_rows[-1]):
             descend(h_rows + (h_row,), v_rows + (v_out,))

@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import ne
+from operator import eq, ne
 from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, InvalidColoringError, PoleError,
@@ -151,13 +151,15 @@ class GridColoring:
     faces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.faces or not self.faces[0]:
+        faces = tuple(map(tuple, self.faces))
+        if not faces or not faces[0]:
             raise InvalidColoringError("empty face grid")
-        cols = len(self.faces[0])
-        if any(len(row) != cols for row in self.faces):
+        if set(map(len, faces)) != {len(faces[0])}:
             raise InvalidColoringError("ragged face grid")
-        if any(type(c) is not int or not 0 <= c <= 2 for row in self.faces for c in row):
+        flat = list(itertools.chain.from_iterable(faces))
+        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) > 2:
             raise InvalidColoringError("face colors must be the ints 0, 1 or 2")
+        object.__setattr__(self, "faces", faces)
 
     @classmethod
     def from_rows(cls, rows) -> "GridColoring":
@@ -262,10 +264,12 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if empty:
         return
+    dwbc = bc is BoundaryCondition.DWBC
     for levels, ring in _row_sectors(rows, cols, bc, corner):
         def walk(grid: tuple[Row, ...]) -> Iterator[GridColoring]:
             i = len(grid)
-            for row in _rows(levels[i], ring, grid[-1:]):
+            for row in (_rows_under(levels[i], grid[-1:]) if dwbc
+                        else _rows(levels[i], ring, grid[-1:])):
                 if i + 1 < len(levels):
                     yield from walk(grid + (row,))
                 else:
@@ -333,6 +337,15 @@ def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row
             stack.extend(map(row.__add__, tails[len(row)][row[-1]]))
         elif not ring or row[0] != row[-1]:
             yield row
+
+
+@lru_cache(maxsize=256)
+def _rows_under(level: Level, above: tuple[Row, ...]) -> tuple[Row, ...]:
+    """The face rows of a domain-wall level under the row in above (none
+    for a first row), listed once: the pinned ends leave few distinct
+    (level, row above) pairs, 96 at n = 5.  Free and toroidal rows are far
+    more numerous and stay lazy."""
+    return tuple(_rows(level, False, above))
 
 
 @lru_cache(maxsize=None)
@@ -411,19 +424,30 @@ def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, i
     return counts
 
 
+@lru_cache(maxsize=4096)
+def _arrow_row(near: Row, far: Row) -> tuple[bool, ...] | None:
+    """Arrows between two face rows, face by face: True where the far face
+    is the near face + 1, None if two facing faces are equal.  The arrows
+    below a face row come from (row, row below), those along it from
+    (row, row[1:])."""
+    if any(map(eq, near, far)):
+        return None
+    return tuple((b - a) % 3 == 1 for a, b in zip(near, far))
+
+
 def lenard_map(coloring: GridColoring) -> SixVertexState:
     """Arrow state of a coloring: horizontal edges point right iff the south
     face is the north face + 1, vertical edges point up iff the east face is
     the west face + 1.  Adding a constant to all colors leaves the image
-    unchanged, so the map is three to one."""
-    if not coloring.is_proper():
+    unchanged, so the map is three to one.  Each arrow row is read from a
+    table of the last 4096 distinct face-row pairs."""
+    f = coloring.faces
+    h = tuple(map(_arrow_row, f, f[1:]))
+    v = tuple(_arrow_row(row, row[1:]) for row in f)
+    if None in h or None in v:
         raise InvalidColoringError("coloring violates proper adjacency")
     if coloring.rows < 2 or coloring.cols < 2:
         raise InvalidColoringError("need at least one internal vertex")
-    f = coloring.faces
-    h = tuple(tuple((south - north) % 3 == 1 for north, south in zip(f[i], f[i + 1]))
-              for i in range(coloring.rows - 1))
-    v = tuple(tuple((east - west) % 3 == 1 for west, east in zip(row, row[1:])) for row in f)
     return SixVertexState(h=h, v=v)
 
 

@@ -17,7 +17,8 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     F_n_6v, functional_residual_6v, partition_function_6v,
                     trig_cubic_residual, weight6v)
 from icelab.numutil import stable_sum
-from icelab.sixvertex import MAX_EVAL_N, _KIND_FROM_EDGES, _vertex_sweep
+from icelab.sixvertex import (MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES, _row_moves,
+                              _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -177,6 +178,27 @@ class TestEnumeration:
                                                       for kind, _ in codes])
         assert wrong != pytest.approx(want, rel=1e-2)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_states_pass_the_public_check(self, n):
+        # the walk builds its states without the constructor's check
+        for s in enumerate_dwbc_states(n):
+            rebuilt = SixVertexState(s.h, s.v)
+            assert rebuilt == s and hash(rebuilt) == hash(s)
+
+    def test_row_move_check_can_fail(self, monkeypatch):
+        # one wrong completion: a row entering right under an up edge leaves
+        # right and down, four arrows out of (0, 0) and every move of the
+        # first row broken there; the moves are checked where they are built
+        monkeypatch.setitem(_COMPLETIONS, (T, T), [(F, T, VertexKind.ALPHA)])
+        _row_moves.cache_clear()
+        try:
+            with pytest.raises(InvalidStateError, match="breaks the ice rule at column 0"):
+                enumerate_dwbc_states(3)
+        finally:
+            monkeypatch.undo()
+            _row_moves.cache_clear()
+        assert len(enumerate_dwbc_states(3)) == 7
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             enumerate_dwbc_states(8)
@@ -246,6 +268,13 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError) as exc:
             SixVertexState(h=h, v=v)
         assert str(exc.value) == "edge arrays have inconsistent shapes"
+
+    def test_list_rows_stored_as_tuples(self):
+        state = SixVertexState(h=[[T, F]], v=[[T], [F]])
+        want = SixVertexState(h=((T, F),), v=((T,), (F,)))
+        assert state == want and hash(state) == hash(want)
+        assert (state.h, state.v) == (((T, F),), ((T,), (F,)))
+        assert type(state.h[0]) is tuple and type(state.v[1]) is tuple
 
 
 class TestWeights:

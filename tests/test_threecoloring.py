@@ -177,11 +177,14 @@ FIVE_BY_SIX_V = (  # vertical segments per face row, top first; True = up
 
 class TestColor:
     def test_grid_rejects_colors_outside_z3(self):
-        # out of range, or equal to a color without being a plain int
-        for faces in (((0, 3), (1, 2)), ((0, 4), (1, 2)), ((0, -1), (1, 2)),
-                      ((0, 1.0), (1, 2)), ((0, True), (1, 2))):
-            with pytest.raises(InvalidColoringError):
-                GridColoring(faces=faces)
+        # out of range, or equal to a color without being a plain int, in
+        # tuple or list rows
+        import numpy
+        for c in (3, 4, -1, 1.0, True, numpy.int64(1)):
+            for faces in (((0, c), (1, 2)), [[0, 1], [c, 2]]):
+                with pytest.raises(InvalidColoringError,
+                                   match="face colors must be the ints 0, 1 or 2"):
+                    GridColoring(faces=faces)
         assert GridColoring(faces=((0, 1), (1, 2))).color_counts() == (1, 2, 1)
 
     def test_shifted_reduces_mod_3(self):
@@ -414,6 +417,18 @@ def test_first_coloring_streams():
     )
 
 
+def _per_face_arrows(coloring):
+    """Reference for lenard_map, one edge at a time from its two faces: a
+    horizontal edge points right iff south = north + 1, a vertical edge
+    points up iff east = west + 1."""
+    f, rows, cols = coloring.faces, coloring.rows, coloring.cols
+    h = tuple(tuple((f[i + 1][j] - f[i][j]) % 3 == 1 for j in range(cols))
+              for i in range(rows - 1))
+    v = tuple(tuple((f[i][j + 1] - f[i][j]) % 3 == 1 for j in range(cols - 1))
+              for i in range(rows))
+    return h, v
+
+
 class TestLenardMap:
     def test_five_by_six_figure(self):
         state = lenard_map(FIVE_BY_SIX)
@@ -439,11 +454,33 @@ class TestLenardMap:
             assert all(s.satisfies_dwbc() and s.gamma_counts_odd() for s in images)
 
     def test_rejects_improper(self):
-        bad = GridColoring.from_rows([[0, 0], [1, 2]])
-        with pytest.raises(InvalidColoringError):
-            lenard_map(bad)
-        with pytest.raises(InvalidColoringError):
-            lenard_map(GridColoring.from_rows([[0, 1, 2]]))
+        # adjacency is checked before the size: the 1x3 and 3x1 grids have
+        # no internal vertex
+        for faces, message in ((((0, 0), (1, 2)), "violates proper adjacency"),
+                               (((0, 0, 1),), "violates proper adjacency"),
+                               (((0,), (0,), (1,)), "violates proper adjacency"),
+                               (((0, 1, 2),), "need at least one internal vertex")):
+            with pytest.raises(InvalidColoringError, match=message):
+                lenard_map(GridColoring(faces=faces))
+
+    def test_list_rows(self):
+        g = GridColoring(faces=[[0, 1], [1, 2]])
+        want = GridColoring(faces=((0, 1), (1, 2)))
+        assert g == want and hash(g) == hash(want)
+        assert lenard_map(g) == lenard_map(want)
+
+    @pytest.mark.parametrize("grids", [
+        [(n + 1, n + 1, "dwbc") for n in range(1, 6)],
+        [(3, 4, "free")],
+    ])
+    def test_matches_per_face_reference(self, grids):
+        for args in grids:
+            colorings = enumerate_colorings(*args)
+            if args[2] == "dwbc":
+                assert {g.corner for g in colorings} == {0, 1, 2}
+            for g in colorings:
+                s = lenard_map(g)
+                assert (s.h, s.v) == _per_face_arrows(g)
 
 
 class TestClassification:
