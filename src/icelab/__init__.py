@@ -12,7 +12,7 @@ from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
 from .sixvertex import (ETA_COMBINATORIAL, SixVertexState, SpectralAssignment,
                         VertexKind, check_recursion_6v, enumerate_dwbc_states,
                         F_n_6v, functional_residual_6v, partition_function_6v,
-                        trig_cubic_residual, weight6v)
+                        weight6v)
 from .threecoloring import (BoundaryCondition, ColoredVertexKind,
                             ColoringCensus, FaceWeightParams, GridColoring,
                             check_recursion_3c, classify_vertex,

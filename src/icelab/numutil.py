@@ -26,3 +26,9 @@ def rel_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
     """
     return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs), scale))
 
+
+def severity(residual: float) -> tuple[bool, float]:
+    """Sort key for the worst of several residuals: a larger residual is
+    worse, and NaN is worse than any number.  A plain max or > skips a NaN,
+    so a check that computed one would pass its gate."""
+    return residual != residual, residual  # only NaN is unequal to itself

@@ -236,7 +236,9 @@ class SpectralAssignment:
     def _init(self, chi: tuple[complex, ...], psi: tuple[complex, ...], eta: complex) -> None:
         if len(chi) != len(psi):
             raise ValueError("chi and psi must have equal length")
-        self.__dict__.update(chi=chi, psi=psi, eta=eta)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "eta", eta)
 
     @classmethod
     def _derived(cls, chi: tuple[complex, ...], psi: tuple[complex, ...],
@@ -481,10 +483,3 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
                     start=(sign * (-1) ** (n - k + l - 1) * 4.0 ** (2 - 2 * n)
                            * cmath.sin(ETA_COMBINATORIAL) ** (3 - 2 * n)))
     return rel_residual(lhs, pre * F_n_6v(reduced))
-
-
-def trig_cubic_residual(phi: complex) -> float:
-    """Residual of sin(phi) sin(phi + pi/3) sin(phi + 2pi/3) = sin(3 phi)/4."""
-    lhs = (cmath.sin(phi) * cmath.sin(phi + math.pi / 3)
-           * cmath.sin(phi + 2 * math.pi / 3))
-    return rel_residual(lhs, cmath.sin(3 * phi) / 4.0)

@@ -1,14 +1,14 @@
 """Verification suites and their machine-readable reports.
 
-Each suite draws random parameter points from the configured domain, runs a
-set of identities at those points and records the worst residual per
-identity.  All randomness flows from one 64-bit seed: the seed is expanded
-with numpy's SeedSequence and child sequence number i is assigned to the
-i-th suite in SUITES, so a suite reproduces the same draws whether it is run
-alone or as part of "all".  That independence lets "all" run its suites at
-the same time: it forks one worker per usable CPU (at most one per suite)
-and collects each suite's cases in SUITES order, so the report is the same
-byte for byte as the one-process run, which a single usable CPU gives.
+Each suite is a generator of draws: a random point of the configured domain
+and the rows of its identities there, each a residual that a model function
+returned or an (lhs, rhs) pair.  One driver, _worst_cases, computes every
+residual, keeps the worst per identity and reads its tolerance.  All
+randomness flows from one 64-bit seed: numpy's SeedSequence expands it and
+child i goes to the i-th suite in SUITES, so a suite draws the same points
+alone or in "all".  "all" thus forks one worker per usable CPU (at most one
+per suite) and collects the cases in SUITES order, byte for byte the report
+of the one-process run, which a single usable CPU gives.
 
 Reports are byte-stable for a fixed (seed, samples, config): the JSON
 serialization contains no timing information (the CLI prints wall time to
@@ -25,7 +25,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import sixvertex as sv
 from . import threecoloring as tc
 from . import yangbaxter as yb
 from .errors import ConfigError
-from .numutil import rel_residual
+from .numutil import rel_residual, severity
 from .theta import (PI, EllipticParams, SeriesConfig, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta4,
                     zeta)
@@ -81,8 +81,9 @@ class Config:
         if not 0.0 < 2 * self.eta_margin < PI:
             raise ConfigError("2 * eta_margin must lie in (0, pi)")
         for name in ("max_n_sixvertex", "max_n_coloring"):
-            if not 1 <= getattr(self, name) <= sv.MAX_EVAL_N:
-                raise ConfigError(f"{name} must be in 1..{sv.MAX_EVAL_N}")
+            size = getattr(self, name)
+            if type(size) is not int or not 1 <= size <= sv.MAX_EVAL_N:
+                raise ConfigError(f"{name} must be an int in 1..{sv.MAX_EVAL_N}, got {size!r}")
         for f in dataclasses.fields(self):
             # an infinite tolerance passes every case and 0 or below none
             if f.name.startswith("tol_") and not 0.0 < getattr(self, f.name) < math.inf:
@@ -128,19 +129,11 @@ class CaseResult:
     residual: float
     tolerance: float
     passed: bool
-    extra: dict = field(default_factory=dict)
+    extra: dict  # summed counts, ybe's {"skipped", "checked"}, else empty
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "identity": self.identity,
-            "point": self.point,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        if self.extra:
-            obj.update(self.extra)
-        return obj
+        return {"identity": self.identity, "point": self.point, "residual": self.residual,
+                "tolerance": self.tolerance, "pass": self.passed, **self.extra}
 
 
 @dataclass
@@ -171,24 +164,26 @@ class VerificationReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.cases:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"{status}  {c.identity}: residual {c.residual:.3e} "
-                         f"(tolerance {c.tolerance:.1e})")
-        return lines
+        return [f"{'pass' if c.passed else 'FAIL'}  {c.identity}: residual {c.residual:.3e} "
+                f"(tolerance {c.tolerance:.1e})" for c in self.cases]
 
 
 # ---------------------------------------------------------------------------
-# individual suites: each yields (identity, residual, point), ybe also the
-# sweep's {"skipped", "checked"} counts
+# individual suites: each yields draws (point, rows); a row is
+# (family, value[, counts]) with value a residual or an (lhs, rhs) pair
 # ---------------------------------------------------------------------------
 
 
-def _draw_params(rng, cfg: Config) -> EllipticParams:
+def _draw_params(rng, cfg: Config) -> tuple[EllipticParams, dict]:
+    """Params at a drawn nome and lambda, and the point recording them."""
     p = float(rng.uniform(cfg.p_min, cfg.p_max))
     lam = float(rng.uniform(cfg.lambda_min, cfg.lambda_max))
-    return EllipticParams.from_nome(p, lam=lam, series=cfg.series())
+    params = EllipticParams.from_nome(p, lam=lam, series=cfg.series())
+    return params, {"p": params.p.real, "lambda": params.lam.real}
+
+
+def _draw_eta(rng, cfg: Config) -> float:
+    return float(rng.uniform(cfg.eta_margin, PI - cfg.eta_margin))
 
 
 def _draw_rapidities(rng, n: int) -> sv.SpectralAssignment:
@@ -206,90 +201,72 @@ def _pins(max_n: int):
 
 def _suite_theta(rng, samples: int, cfg: Config):
     for _ in range(samples):
-        params = _draw_params(rng, cfg)
-        p = params.p.real
+        params, point = _draw_params(rng, cfg)
         phi = float(rng.uniform(0.0, PI))
-        point = {"p": p, "lambda": params.lam.real, "phi": phi}
-
-        t1 = theta1(phi, params)
-        t4 = theta4(phi, params)
-        yield "theta1-odd", rel_residual(theta1(-phi, params), -t1), point
-        yield "theta4-even", rel_residual(theta4(-phi, params), t4), point
-        yield ("theta1-pi-antiperiodic",
-               rel_residual(theta1(phi + PI, params), -t1), point)
-        yield ("theta4-pi-periodic",
-               rel_residual(theta4(phi + PI, params), t4), point)
-
+        t1, t4 = theta1(phi, params), theta4(phi, params)
         shift = PI * params.tau
         factor = quasi_period_factor(phi, params)
-        yield ("theta1-pi-tau-shift",
-               rel_residual(theta1(phi + shift, params), factor * t1), point)
-        yield ("theta4-pi-tau-shift",
-               rel_residual(theta4(phi + shift, params), factor * t4), point)
-        half = 1j * (p ** 0.25) * cmath.exp(-1j * phi) \
-            * theta1(phi - PI * params.tau / 2, params)
-        yield "theta4-from-theta1-half-shift", rel_residual(t4, half), point
-
-        triple = t1 * theta1(phi + PI / 3, params) * theta1(phi + 2 * PI / 3, params)
-        rhs = cubic_factor_D(params) * theta1(3 * phi, params.cubed())
-        yield "theta1-cubic-nome", rel_residual(triple, rhs), point
-
-        prod = zeta(0, params) * zeta(1, params) * zeta(2, params)
-        yield "zeta-product-one", rel_residual(prod, 1.0), point
-
         h = 1e-5
-        fd = (theta1(h, params) - theta1(-h, params)) / (2 * h)
-        yield ("theta1-derivative-central-difference",
-               rel_residual(theta1_prime_at_zero(params), fd), point)
+        yield {**point, "phi": phi}, [
+            ("theta1-odd", (theta1(-phi, params), -t1)),
+            ("theta4-even", (theta4(-phi, params), t4)),
+            ("theta1-pi-antiperiodic", (theta1(phi + PI, params), -t1)),
+            ("theta4-pi-periodic", (theta4(phi + PI, params), t4)),
+            ("theta1-pi-tau-shift", (theta1(phi + shift, params), factor * t1)),
+            ("theta4-pi-tau-shift", (theta4(phi + shift, params), factor * t4)),
+            ("theta4-from-theta1-half-shift",
+             (t4, 1j * (point["p"] ** 0.25) * cmath.exp(-1j * phi)
+              * theta1(phi - PI * params.tau / 2, params))),
+            ("theta1-cubic-nome",
+             (t1 * theta1(phi + PI / 3, params) * theta1(phi + 2 * PI / 3, params),
+              cubic_factor_D(params) * theta1(3 * phi, params.cubed()))),
+            ("zeta-product-one", (zeta(0, params) * zeta(1, params) * zeta(2, params), 1.0)),
+            ("theta1-derivative-central-difference",
+             (theta1_prime_at_zero(params), (theta1(h, params) - theta1(-h, params)) / (2 * h))),
+        ]
 
 
 def _suite_ybe(rng, samples: int, cfg: Config):
     for _ in range(samples):
-        params = _draw_params(rng, cfg)
+        params, point = _draw_params(rng, cfg)
         phi = float(rng.uniform(0.0, PI))
         php = float(rng.uniform(0.0, PI))
-        eta = float(rng.uniform(cfg.eta_margin, PI - cfg.eta_margin))
-        point = {"p": params.p.real, "lambda": params.lam.real,
-                 "phi": phi, "phi_prime": php}
-        families = [
-            ("ybe-raw", yb.raw_family(params), point),
-            ("ybe-tilde", yb.tilde_family(params), point),
-            ("ybe-appendix", yb.appendix_family(params), point),
-            ("ybe-rosengren", yb.rosengren_family(params), point),
-            ("ybe-sixvertex-trig", yb.sixvertex_family(eta), {**point, "eta": eta}),
-        ]
-        for name, fam, pt in families:
+        eta = _draw_eta(rng, cfg)
+        point = {**point, "phi": phi, "phi_prime": php}
+        for family, fam, pt in (
+                ("ybe-raw", yb.raw_family(params), point),
+                ("ybe-tilde", yb.tilde_family(params), point),
+                ("ybe-appendix", yb.appendix_family(params), point),
+                ("ybe-rosengren", yb.rosengren_family(params), point),
+                ("ybe-sixvertex-trig", yb.sixvertex_family(eta), {**point, "eta": eta})):
             sweep = yb.ybe_sweep(fam, phi, php)
-            yield name, sweep.residual, pt, {"skipped": sweep.skipped,
-                                             "checked": sweep.checked}
+            yield pt, [(family, sweep.residual,
+                        {"skipped": sweep.skipped, "checked": sweep.checked})]
 
 
 def _suite_recursion6v(rng, samples: int, cfg: Config):
     for n, k, l, sign, sgn in _pins(cfg.max_n_sixvertex):
         for _ in range(samples):
-            eta = float(rng.uniform(cfg.eta_margin, PI - cfg.eta_margin))
+            eta = _draw_eta(rng, cfg)
             a = _draw_rapidities(rng, n)
-            point = {"n": n, "k": k, "l": l, "sign": sign, "eta": eta}
-            yield (f"z-recursion-{sgn}-n{n}",
-                   sv.check_recursion_6v(dataclasses.replace(a, eta=eta), k, l, sign,
-                                         form="Z"), point)
-            yield (f"f-recursion-{sgn}-n{n}",
-                   sv.check_recursion_6v(a, k, l, sign, form="F"),
-                   {**point, "eta": sv.ETA_COMBINATORIAL})
+            point = {"n": n, "k": k, "l": l, "sign": sign}
+            yield {**point, "eta": eta}, [
+                (f"z-recursion-{sgn}", sv.check_recursion_6v(dataclasses.replace(a, eta=eta),
+                                                             k, l, sign, form="Z"))]
+            yield {**point, "eta": sv.ETA_COMBINATORIAL}, [
+                (f"f-recursion-{sgn}", sv.check_recursion_6v(a, k, l, sign, form="F"))]
 
 
 def _suite_recursion3c(rng, samples: int, cfg: Config):
     for n, k, l, sign, sgn in _pins(cfg.max_n_coloring):
         for _ in range(samples):
-            params = _draw_params(rng, cfg)
+            params, point = _draw_params(rng, cfg)
             a = _draw_rapidities(rng, n)
             r = int(rng.integers(0, 3))
-            point = {"n": n, "k": k, "l": l, "sign": sign, "r": r,
-                     "p": params.p.real, "lambda": params.lam.real}
-            for form in ("Z", "F"):
-                yield (f"coloring-{form.lower()}-recursion-{sgn}-n{n}",
-                       tc.check_recursion_3c(n, r, k, l, sign, a, params, form),
-                       point)
+            yield {**point, "n": n, "k": k, "l": l, "sign": sign, "r": r}, [
+                (f"coloring-{form.lower()}-recursion-{sgn}",
+                 tc.check_recursion_3c(n, r, k, l, sign, a, params, form))
+                for form in ("Z", "F")]
 
 
 def _suite_functional6v(rng, samples: int, cfg: Config):
@@ -298,40 +275,35 @@ def _suite_functional6v(rng, samples: int, cfg: Config):
             a = _draw_rapidities(rng, n)
             k = int(rng.integers(1, n + 1))
             point = {"n": n, "k": k}
-            yield f"f-sum-chi-n{n}", sv.functional_residual_6v(a, k, "chi"), point
-            yield f"f-sum-psi-n{n}", sv.functional_residual_6v(a, k, "psi"), point
-            yield (f"f-sum-psi-plus-variant-n{n}",
-                   sv.functional_residual_6v(a, k, "psi", shift_sign=1), point)
-
-            eta = float(rng.uniform(cfg.eta_margin, PI - cfg.eta_margin))
+            yield point, [
+                ("f-sum-chi", sv.functional_residual_6v(a, k, "chi")),
+                ("f-sum-psi", sv.functional_residual_6v(a, k, "psi")),
+                ("f-sum-psi-plus-variant",
+                 sv.functional_residual_6v(a, k, "psi", shift_sign=1))]
+            eta = _draw_eta(rng, cfg)
             ag = dataclasses.replace(a, eta=eta)
-            z = sv.partition_function_6v(ag)
-            zs = sv.partition_function_6v(ag.shift_chi(n, PI))
-            yield (f"pi-shift-parity-n{n}", rel_residual(zs, (-1) ** (n - 1) * z),
-                   {**point, "eta": eta})
+            yield {**point, "eta": eta}, [
+                ("pi-shift-parity", (sv.partition_function_6v(ag.shift_chi(n, PI)),
+                                     (-1) ** (n - 1) * sv.partition_function_6v(ag)))]
 
 
 def _suite_functional3c(rng, samples: int, cfg: Config):
     for n in range(1, cfg.max_n_coloring + 1):
         for r in range(3):
             for _ in range(samples):
-                params = _draw_params(rng, cfg)
+                params, point = _draw_params(rng, cfg)
                 a = _draw_rapidities(rng, n)
                 k = int(rng.integers(1, n + 1))
-                point = {"n": n, "r": r, "k": k,
-                         "p": params.p.real, "lambda": params.lam.real}
-                for side in ("chi", "psi"):
-                    yield (f"s-sum-{side}-n{n}",
-                           tc.functional_residual_3c(n, r, k, side, a, params),
-                           point)
+                yield {**point, "n": n, "r": r, "k": k}, [
+                    (f"s-sum-{side}", tc.functional_residual_3c(n, r, k, side, a, params))
+                    for side in ("chi", "psi")]
 
     # the n = 1 sum written out: each shifted term against its explicit
     # theta1 * theta4 / (theta4 theta4) form
     for _ in range(samples):
-        params = _draw_params(rng, cfg)
+        params, point = _draw_params(rng, cfg)
         lam = params.lam
         phi = float(rng.uniform(0.0, PI))
-        point = {"p": params.p.real, "lambda": lam.real, "phi": phi}
         explicit = [
             theta1(phi, params) * theta4(lam + phi + PI / 3, params)
             / (theta4(lam + 2 * PI / 3, params) * theta4(lam, params)),
@@ -341,40 +313,34 @@ def _suite_functional3c(rng, samples: int, cfg: Config):
             / (theta4(lam + 2 * PI, params) * theta4(lam + 4 * PI / 3, params)),
         ]
         a1 = sv.SpectralAssignment(chi=[phi], psi=[0.0])
-        yield "s-sum-n1-term-by-term", max(0.0, *(
-            rel_residual(tc.F_rn(1, s, a1.shift_chi(1, 2 * PI * s / 3), params),
-                         explicit[s]) for s in range(3))), point
+        yield {**point, "phi": phi}, [
+            ("s-sum-n1-term-by-term",
+             (tc.F_rn(1, s, a1.shift_chi(1, 2 * PI * s / 3), params), explicit[s]))
+            for s in range(3)]
 
 
 def _suite_appendix(rng, samples: int, cfg: Config):
     for _ in range(samples):
-        params = _draw_params(rng, cfg)
+        params, point = _draw_params(rng, cfg)
         phi = float(rng.uniform(-1.2, 1.2))
         php = float(rng.uniform(-1.2, 1.2))
-        point = {"p": params.p.real, "lambda": params.lam.real, "phi": phi}
-
         substituted = yb.appendix_substitution(params)
         closed = yb.appendix_family(params)
-        yield "substitution-matches-closed-forms", max(0.0, *(
-            rel_residual(substituted.weight(vk.kind, vk.r, phi),
-                         closed.weight(vk.kind, vk.r, phi))
-            for _quad, vk in yb.ADMISSIBLE)), point
-
-        yield ("rosengren-gauge-match",
-               yb.rosengren_match(params, phis=(phi, php)), point)
-
         pairs = [(phi, php), (php, -phi)]
-        yield ("gauge-constraint-shifted",
-               yb.gauge_constraint_residual(yb.zeta_gauge(params), pairs), point)
-        yield ("gauge-constraint-difference",
-               yb.gauge_constraint_residual(yb.rosengren_gauge(params), pairs),
-               point)
-
         b = [theta1(params.lam + 2 * PI * m / 3, params) for m in range(3)]
-        prod = 1.0 + 0j
-        for m in range(3):
-            prod *= b[(m - 1) % 3] * b[(m + 1) % 3] / b[m] ** 2
-        yield "appendix-zeta-product-one", rel_residual(prod, 1.0), point
+        prod = math.prod((b[(m - 1) % 3] * b[(m + 1) % 3] / b[m] ** 2 for m in range(3)),
+                         start=1.0 + 0j)
+        yield {**point, "phi": phi}, [
+            *(("substitution-matches-closed-forms",
+               (substituted.weight(vk.kind, vk.r, phi), closed.weight(vk.kind, vk.r, phi)))
+              for _quad, vk in yb.ADMISSIBLE),
+            ("rosengren-gauge-match", yb.rosengren_match(params, phis=(phi, php))),
+            ("gauge-constraint-shifted",
+             yb.gauge_constraint_residual(yb.zeta_gauge(params), pairs)),
+            ("gauge-constraint-difference",
+             yb.gauge_constraint_residual(yb.rosengren_gauge(params), pairs)),
+            ("appendix-zeta-product-one", (prod, 1.0)),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -394,34 +360,39 @@ _SUITES = {
 
 SUITES = tuple(_SUITES)
 
-#: identity prefixes whose tolerance is not their suite's, checked first
-_TOLERANCE_EXCEPTIONS = (
-    ("theta1-derivative", "tol_theta_derivative"),
-    ("pi-shift", "tol_parity"),
-    ("gauge-constraint", "tol_gauge"),
-    ("appendix-zeta-product-one", "tol_gauge"),
-)
+#: the identity families whose Config tolerance key is not their suite's
+_OWN_TOLERANCE = {
+    "theta1-derivative-central-difference": "tol_theta_derivative",
+    "pi-shift-parity": "tol_parity",
+    "gauge-constraint-shifted": "tol_gauge",
+    "gauge-constraint-difference": "tol_gauge",
+    "appendix-zeta-product-one": "tol_gauge",
+}
 
 
-def _worst_cases(rows, cfg: Config, tol_key: str, prefix: str) -> list[CaseResult]:
-    """One case per identity, in first-seen order, holding its worst residual
-    (a later draw replaces it only when strictly larger) and summed counts."""
-    worst: dict[str, tuple[float, dict]] = {}
+def _worst_cases(draws, cfg: Config, tol_key: str, prefix: str = "") -> list[CaseResult]:
+    """One case per identity, in first-seen order, from draws (point, rows).
+
+    A row (family, value[, counts]) is of identity family-n<n> when the point
+    has a lattice size n, else of the family itself; rel_residual turns an
+    (lhs, rhs) value into its residual.  A case holds the worst row of its
+    identity (numutil.severity: NaN sticks, a tie keeps the first point) and
+    its counts summed over all rows."""
+    worst: dict[str, tuple[float, dict, float]] = {}
     counts: dict[str, dict] = {}
-    for identity, residual, point, *extra in rows:
-        if identity not in worst or residual > worst[identity][0]:
-            worst[identity] = (residual, point)
-        for name, amount in (extra[0].items() if extra else ()):
-            slot = counts.setdefault(identity, {})
-            slot[name] = slot.get(name, 0) + amount
-    cases = []
-    for identity, (residual, point) in worst.items():
-        tol = getattr(cfg, next((key for head, key in _TOLERANCE_EXCEPTIONS
-                                 if identity.startswith(head)), tol_key))
-        cases.append(CaseResult(identity=prefix + identity, point=point, residual=residual,
-                                tolerance=tol, passed=residual < tol,
-                                extra=counts.get(identity, {})))
-    return cases
+    for point, rows in draws:
+        for family, value, *extra in rows:
+            identity = f"{family}-n{point['n']}" if "n" in point else family
+            residual = rel_residual(*value) if isinstance(value, tuple) else value
+            if identity not in worst or severity(residual) > severity(worst[identity][0]):
+                tol = getattr(cfg, _OWN_TOLERANCE.get(family, tol_key))
+                worst[identity] = (residual, point, tol)
+            for name, amount in (extra[0].items() if extra else ()):
+                slot = counts.setdefault(identity, {})
+                slot[name] = slot.get(name, 0) + amount
+    return [CaseResult(identity=prefix + identity, point=point, residual=residual,
+                       tolerance=tol, passed=residual < tol, extra=counts.get(identity, {}))
+            for identity, (residual, point, tol) in worst.items()]
 
 
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
@@ -460,6 +431,8 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     cfg = config or Config()
     if suite != "all" and suite not in _SUITES:
         raise ConfigError(f"unknown suite '{suite}'; choose from {SUITES + ('all',)}")
+    if type(seed) is not int or not (samples is None or type(samples) is int):
+        raise ConfigError(f"seed and samples must be ints, got {seed!r} and {samples!r}")
     if samples is not None and samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     if seed < 0:

@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Sequence
 
-from .numutil import rel_residual
+from .numutil import rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
 from .sixvertex import VertexKind, weight6v
@@ -135,15 +135,15 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     # weight_table lists the 18 weights in ADMISSIBLE order
     w_phi, w_php, w_u3 = (list(fam.weight_table(x).values())
                           for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
-    worst, checked = 0.0, 0
+    residuals = []
     for _, lhs, rhs in _live_assignments():
         a = [w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
         b = [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs]
         scale = max(map(abs, a + b))
         if scale != 0.0:
-            checked += 1
-            worst = max(worst, abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / scale)
-    return YbeSweep(residual=worst, checked=checked, skipped=3 ** 6 - checked)
+            residuals.append(abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / scale)
+    return YbeSweep(residual=max(residuals, key=severity, default=0.0),
+                    checked=len(residuals), skipped=3 ** 6 - len(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +184,9 @@ def zeta_gauge(params: EllipticParams) -> GaugeData:
 
 def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, complex]]) -> float:
     """Worst residual of Phi_r(phi - phi' - shift) = Phi_r(phi)/Phi_r(phi')."""
-    worst = 0.0
-    for phi, php in pairs:
-        for m in range(3):
-            lhs = g.Phi(m, phi - php - g.shift)
-            rhs = g.Phi(m, phi) / g.Phi(m, php)
-            worst = max(worst, rel_residual(lhs, rhs))
-    return worst
+    return max((rel_residual(g.Phi(m, phi - php - g.shift),
+                             g.Phi(m, phi) / g.Phi(m, php))
+                for phi, php in pairs for m in range(3)), key=severity, default=0.0)
 
 
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
@@ -330,10 +326,6 @@ def rosengren_match(params: EllipticParams,
     rosengren_family closed forms."""
     gauged = apply_gauge_kindwise(appendix_family(params), rosengren_gauge(params))
     target = rosengren_family(params)
-    worst = 0.0
-    for _quad, vk in ADMISSIBLE:
-        for phi in phis:
-            got = gauged.weight(vk.kind, vk.r, phi)
-            want = target.weight(vk.kind, vk.r, phi)
-            worst = max(worst, rel_residual(got, want))
-    return worst
+    return max((rel_residual(gauged.weight(vk.kind, vk.r, phi),
+                             target.weight(vk.kind, vk.r, phi))
+                for _quad, vk in ADMISSIBLE for phi in phis), key=severity, default=0.0)

@@ -15,6 +15,7 @@ import icelab
 from icelab import ConfigError, SeriesTruncationError
 from icelab import theta, verify
 from icelab.cli import main
+from icelab.numutil import rel_residual
 from icelab.sixvertex import MAX_EVAL_N
 from icelab.verify import SUITES, Config, load_config, run_suite, suite_rng
 
@@ -194,7 +195,8 @@ class TestVerifyCommand:
         {"term_tolerance": 0.0}, {"max_terms": 0}, {"lambda_min": 0.5, "lambda_max": 0.5},
         {"p_min": 0.4, "p_max": 0.3}, {"eta_margin": math.pi / 2}, {"p_max": float("nan")},
         {"lambda_max": math.inf}, {"p_min": 0.0}, {"p_max": 1.0}, {"eta_margin": 0.0},
-        {"term_tolerance": math.inf}, {"max_terms": 2.5}])
+        {"term_tolerance": math.inf}, {"max_terms": 2.5}, {"max_n_coloring": 2.5},
+        {"max_n_sixvertex": True}])
     def test_config_rejects_bad_values(self, values):
         with pytest.raises(ConfigError):
             Config(**values)
@@ -272,6 +274,16 @@ class TestVerifyCommand:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             run_suite(suite, seed=-1, samples=1)
 
+    @pytest.mark.parametrize("suite", ["theta", "all"])
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 2.5}, {"samples": True}, {"seed": 1.5}, {"seed": True}])
+    def test_non_int_samples_or_seed_rejected(self, monkeypatch, suite, kwargs):
+        # 2.5 and 1.5 raised TypeError mid-run and samples=True was reported
+        # as "samples": true; each is refused before any suite runs or forks
+        monkeypatch.setattr(verify, "_suite_cases", None)
+        with pytest.raises(ConfigError, match="seed and samples must be ints"):
+            run_suite(suite, **kwargs)
+
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "theta", "--samples", "1"],
         ["census", "--rows", "2", "--cols", "2"],
@@ -348,6 +360,70 @@ class TestVerifyCommand:
                 "--out", str(out_path))
         report = json.loads(out_path.read_text())
         assert "wall_time" not in json.dumps(report)
+
+
+class TestWorstCases:
+    """The one driver on synthetic draws (point, rows)."""
+
+    @staticmethod
+    def cases(*draws, tol_key="tol_theta"):
+        return [(c.identity, c.point, c.residual, c.tolerance, c.passed, c.extra)
+                for c in verify._worst_cases(iter(draws), Config(), tol_key)]
+
+    def test_first_seen_identity_order(self):
+        got = self.cases(({"i": 0}, [("b", 0.0), ("a", 0.0)]),
+                         ({"i": 1}, [("c", 0.0), ("b", 0.0)]))
+        assert [identity for identity, *_ in got] == ["b", "a", "c"]
+
+    def test_only_a_strictly_larger_residual_replaces(self):
+        draws = [({"i": i}, [("x", r)]) for i, r in enumerate((0.5, 0.5, 0.25, 0.75, 0.75))]
+        assert self.cases(*draws) == [("x", {"i": 3}, 0.75, 1e-12, False, {})]
+        assert self.cases(*draws[:3])[0][1] == {"i": 0}
+
+    def test_pairs_go_through_rel_residual(self):
+        [(_, _, residual, *_)] = self.cases(({}, [("x", (3.0, 1.0 + 1j))]))
+        assert residual == rel_residual(3.0, 1.0 + 1j)
+
+    def test_repeated_rows_at_one_point(self):
+        got = self.cases(({"i": 0}, [("x", 1e-13), ("x", 3e-13), ("x", 2e-13)]),
+                         ({"i": 1}, [("x", 2e-13)]))
+        assert got == [("x", {"i": 0}, 3e-13, 1e-12, True, {})]
+
+    def test_counts_summed_over_draws(self):
+        got = self.cases(({}, [("ybe-raw", 1e-15, {"skipped": 669, "checked": 60})]),
+                         ({}, [("ybe-raw", 2e-15, {"skipped": 660, "checked": 69})]),
+                         tol_key="tol_ybe")
+        assert got == [("ybe-raw", {}, 2e-15, 1e-9, True, {"skipped": 1329, "checked": 129})]
+
+    def test_size_suffix_and_exact_tolerance_family(self):
+        # the family, not a prefix of the identity, picks the tolerance
+        got = self.cases(({"n": 2}, [("pi-shift-parity", 0.0), ("pi-shift-parity-x", 0.0)]),
+                         tol_key="tol_functional6v")
+        assert [(c[0], c[3]) for c in got] == [("pi-shift-parity-n2", Config().tol_parity),
+                                               ("pi-shift-parity-x-n2",
+                                                Config().tol_functional6v)]
+
+    @pytest.mark.parametrize("rows", [
+        [("x", 1e-15), ("x", math.nan)], [("x", 1e-15), ("x", (1.0, complex("nan")))],
+        [("x", math.nan), ("x", 1.0)]])
+    def test_nan_residual_sticks_and_fails(self, rows):
+        # > and max skip a NaN: at a later row it was dropped and the case passed
+        [(_, _, residual, _, passed, _)] = self.cases(({}, rows))
+        assert math.isnan(residual) and not passed
+
+    def test_nan_theta_value_fails_the_theta_suite(self, monkeypatch):
+        # the 40th theta1 call is the fourth sample's derivative row
+        calls = []
+
+        def flaky(*args):
+            calls.append(None)
+            return complex("nan") if len(calls) == 40 else theta.theta1(*args)
+
+        monkeypatch.setattr(verify, "theta1", flaky)
+        report = run_suite("theta", samples=5)
+        [failed] = [c for c in report.cases if not c.passed]
+        assert failed.identity == "theta1-derivative-central-difference"
+        assert math.isnan(failed.residual) and not report.passed
 
 
 class TestParallelSuites:

@@ -15,7 +15,7 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     SixVertexState,
                     VertexKind, check_recursion_6v, enumerate_dwbc_states,
                     F_n_6v, functional_residual_6v, partition_function_6v,
-                    trig_cubic_residual, weight6v)
+                    weight6v)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import (MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES, _row_moves,
                               _vertex_sweep)
@@ -532,8 +532,3 @@ class TestFunctionalSums:
                 functional_residual_6v(a, k, "chi")
         with pytest.raises(ValueError):
             functional_residual_6v(a, 1, "bogus")
-
-    def test_trig_cubic_identity(self):
-        rnd = random.Random(12)
-        for _ in range(20):
-            assert trig_cubic_residual(rnd.uniform(-3, 3)) < 1e-15

@@ -14,7 +14,8 @@ from icelab import (EllipticParams, InvalidColoringError, PoleError, VertexKind,
                     sixvertex_family, theta1, tilde_family, ybe_sweep,
                     zeta_gauge)
 from icelab.numutil import rel_residual
-from icelab.yangbaxter import (ADMISSIBLE, WeightFamily, YbeSweep,
+from icelab import yangbaxter
+from icelab.yangbaxter import (ADMISSIBLE, GaugeData, WeightFamily, YbeSweep,
                                _live_assignments)
 from test_threecoloring import _loop_classify_vertex, _run_fresh
 
@@ -180,6 +181,18 @@ class TestYangBaxter:
             "assert 'numpy' not in sys.modules",
         )
 
+    def test_nan_weight_fails_the_sweep(self):
+        # a NaN gamma_1 weight: the sweep returned 9.3e-16 with 60 checked,
+        # the NaN assignment residuals dropped by max
+        fam = raw_family(params())
+        nan_gamma1 = WeightFamily(
+            name="nan-gamma1", ybe_shift=fam.ybe_shift,
+            weight=lambda kind, r, phi: (complex("nan") if (kind, r) == (VertexKind.GAMMA, 1)
+                                         else fam.weight(kind, r, phi)))
+        sweep = ybe_sweep(nan_gamma1, 0.51, 0.17)
+        assert math.isnan(sweep.residual)
+        assert sweep.checked == 60
+
     def test_appendix_and_rosengren_difference_form(self):
         rnd = random.Random(42)
         pr = params()
@@ -212,6 +225,29 @@ class TestGauge:
         pairs = [(0.9, 0.4), (0.2, -0.7), (1.3, 0.8)]
         assert gauge_constraint_residual(zeta_gauge(pr), pairs) < 1e-12
         assert gauge_constraint_residual(rosengren_gauge(pr), pairs) < 1e-12
+
+    def test_nan_phi_fails_the_constraint(self):
+        # a NaN Phi_2 after two finite colours gave residual 0.0
+        g = zeta_gauge(params())
+        nan_phi2 = GaugeData(C=g.C, shift=g.shift,
+                             Phi=lambda m, phi: complex("nan") if m == 2 else g.Phi(m, phi))
+        assert math.isnan(gauge_constraint_residual(nan_phi2, [(0.9, 0.4), (0.2, -0.7)]))
+
+    def test_nan_target_weight_fails_the_rosengren_match(self, monkeypatch):
+        # one NaN closed-form weight, the last kind in ADMISSIBLE order
+        original = yangbaxter.rosengren_family
+        last = ADMISSIBLE[-1][1]
+
+        def with_nan(pr):
+            fam = original(pr)
+            return WeightFamily(
+                name="nan-last", ybe_shift=fam.ybe_shift,
+                weight=lambda kind, r, phi: (complex("nan") if (kind, r) == (last.kind, last.r)
+                                             else fam.weight(kind, r, phi)))
+
+        assert rosengren_match(params(), phis=(0.17, 0.53)) < 1e-12
+        monkeypatch.setattr(yangbaxter, "rosengren_family", with_nan)
+        assert math.isnan(rosengren_match(params(), phis=(0.17, 0.53)))
 
     def test_gauge_preserves_ybe(self):
         pr = params()
