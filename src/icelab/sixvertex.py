@@ -82,6 +82,17 @@ _ALPHAS = (VertexKind.ALPHA, VertexKind.ALPHA_P)
 _BETAS = (VertexKind.BETA, VertexKind.BETA_P)
 
 
+def _unchecked(cls, **fields):
+    """Instance of the frozen dataclass cls holding fields as given, without
+    its __post_init__ checks: for values whose pieces were checked where
+    they were made.  Fields are set one by one with object.__setattr__, as
+    the public constructors do, so no per-instance __dict__ is materialised."""
+    new = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(new, name, value)
+    return new
+
+
 @dataclass(frozen=True)
 class SixVertexState:
     """Edge orientations of one ice state; vertex kinds are derived on demand."""
@@ -103,16 +114,6 @@ class SixVertexState:
             raise InvalidStateError(f"ice rule violated at vertex ({i}, {bad[i]})")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
-
-    @classmethod
-    def _checked(cls, h: tuple[tuple[bool, ...], ...],
-                 v: tuple[tuple[bool, ...], ...]) -> "SixVertexState":
-        """State from edge tuples whose rows already passed the shape and
-        ice checks of the public constructor, which it skips."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "h", h)
-        object.__setattr__(new, "v", v)
-        return new
 
     @property
     def nrows(self) -> int:
@@ -168,8 +169,9 @@ class SixVertexState:
 def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None:
     """Column of the first vertex in one row of a state that breaks the ice
     rule, or None.  The public SixVertexState constructor checks its rows
-    through this cache; _row_moves checks each move it builds once, so the
-    enumerated states skip the per-state check."""
+    through this cache; _row_moves checks each move it builds once, and the
+    Lenard map each vertex row it reads, so the enumerated states and the
+    Lenard images skip the per-state check."""
     for j, edges in enumerate(zip(h_row, h_row[1:], v_top, v_bottom)):
         if edges not in _KIND_FROM_EDGES:
             return j
@@ -204,14 +206,15 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     SixVertexState.sort_key order.  Counts follow the alternating-sign-matrix
     sequence 1, 2, 7, 42, 429, ...
     """
+    if type(n) is not int:
+        raise SizeGuardError(f"n must be an int, got {n!r}")
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     states = []
-    checked = SixVertexState._checked
 
     def descend(h_rows: tuple, v_rows: tuple) -> None:
         if len(h_rows) == n:
-            states.append(checked(h_rows, v_rows))
+            states.append(_unchecked(SixVertexState, h=h_rows, v=v_rows))
             return
         for h_row, v_out in _row_moves(v_rows[-1]):
             descend(h_rows + (h_row,), v_rows + (v_out,))

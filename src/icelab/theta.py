@@ -162,6 +162,8 @@ def _series(a: int, phi: complex, params: EllipticParams, offset: float = 0.0,
 def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, p: complex,
                 p_sign: float, tol: float, max_terms: int, offset: float,
                 derivative: bool) -> complex:
+    if not cmath.isfinite(phi):
+        raise SeriesTruncationError(f"theta argument {phi} is not finite")
     powers = _nome_powers(p, p_sign, a, offset)
     log_ap, table = powers
     log_tol = math.log(tol)

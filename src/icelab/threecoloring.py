@@ -64,15 +64,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import eq, ne
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import (BranchDomainError, InvalidColoringError, PoleError,
-                     SizeGuardError)
+from .errors import (BranchDomainError, InvalidColoringError, InvalidStateError,
+                     PoleError, SizeGuardError)
 from .numutil import rel_residual
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple,
                     cubic_factor_D, theta1, theta1_reduced, theta4, theta_triple)
-from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind, _dressed, _pin,
-                        _three_term_residual, _vertex_sweep)
+from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind, _dressed,
+                        _first_bad_vertex, _pin, _three_term_residual, _unchecked,
+                        _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -231,6 +232,8 @@ def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
     be its own first/last neighbour.
     """
     bc = BoundaryCondition(bc)
+    if type(rows) is not int or type(cols) is not int:
+        raise SizeGuardError(f"grid sizes must be ints, got {rows!r} x {cols!r}")
     if rows < 1 or cols < 1:
         raise SizeGuardError("grid must be at least 1x1")
     if bc is BoundaryCondition.DWBC:
@@ -259,7 +262,9 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     A depth-first walk over the face rows of the row transfer sectors, each
     row generated lazily among those that differ from the row above it.
     For dwbc, rows == cols == n+1 and corner (when given) pins the top-left
-    color; otherwise all three corner choices are produced.
+    color; otherwise all three corner choices are produced.  _row_sectors
+    checks each level's colors and width once and every row is made from a
+    level, so the grids skip GridColoring's per-grid check.
     """
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if empty:
@@ -273,7 +278,7 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
                 if i + 1 < len(levels):
                     yield from walk(grid + (row,))
                 else:
-                    yield GridColoring(grid + (row,))
+                    yield _unchecked(GridColoring, faces=grid + (row,))
 
         yield from walk(())
 
@@ -364,18 +369,31 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
     unlike the first in every column) and one per corner color for a
     domain-wall grid (first and last rows forced, the others' ends pinned)."""
     colors = (0, 1, 2)
-    anything = (colors,) * cols
+    anything = _level((colors,) * cols, cols)
     if bc is BoundaryCondition.FREE:
         yield [anything] * rows, False
     elif bc is BoundaryCondition.TOROIDAL:
         for first in _rows(anything, True):
-            unlike = tuple(tuple(c for c in colors if c != f) for f in first)
+            unlike = _level((tuple(c for c in colors if c != f) for f in first), cols)
             yield [tuple((f,) for f in first)] + [anything] * (rows - 2) + [unlike], True
     else:
         for c in [corner] if corner is not None else range(3):
             forced = dwbc_boundary(rows - 1, c)
-            yield [tuple((forced[i, j],) if (i, j) in forced else colors
-                         for j in range(cols)) for i in range(rows)], False
+            yield [_level(((forced[i, j],) if (i, j) in forced else colors
+                           for j in range(cols)), cols) for i in range(rows)], False
+
+
+def _level(columns: Iterable[tuple[int, ...]], cols: int) -> Level:
+    """The level of the given columns, checked once where it is made: cols
+    columns, every color the int 0, 1 or 2.  The rows _rows makes from it
+    take their colors from it and have its width, so they need no check of
+    their own; a toroidal first row is made from such a level too."""
+    level = tuple(columns)
+    if len(level) != cols:
+        raise InvalidColoringError(f"level of {len(level)} columns in a grid of {cols}")
+    if not all(type(c) is int and 0 <= c <= 2 for column in level for c in column):
+        raise InvalidColoringError("face colors must be the ints 0, 1 or 2")
+    return level
 
 
 def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, int, int], int]:
@@ -435,20 +453,46 @@ def _arrow_row(near: Row, far: Row) -> tuple[bool, ...] | None:
     return tuple((b - a) % 3 == 1 for a, b in zip(near, far))
 
 
+@lru_cache(maxsize=4096)
+def _vertex_row(upper: Row, lower: Row) -> tuple[tuple[bool, ...], ...] | None:
+    """The vertex row between two face rows of one width, (h row, v above,
+    v below), checked once per distinct pair: None if two adjacent faces are
+    equal or a vertex breaks the ice rule."""
+    arrows = _arrow_row(upper, lower), _arrow_row(upper, upper[1:]), _arrow_row(lower, lower[1:])
+    if None in arrows or _first_bad_vertex(*arrows) is not None:
+        return None
+    return arrows
+
+
 def lenard_map(coloring: GridColoring) -> SixVertexState:
     """Arrow state of a coloring: horizontal edges point right iff the south
     face is the north face + 1, vertical edges point up iff the east face is
     the west face + 1.  Adding a constant to all colors leaves the image
-    unchanged, so the map is three to one.  Each arrow row is read from a
-    table of the last 4096 distinct face-row pairs."""
+    unchanged, so the map is three to one.  Each vertex row is read from a
+    table of the last 4096 distinct (face row, face row below) pairs, which
+    checks it once; a coloring's rows have one width, so the image needs no
+    check of its own."""
     f = coloring.faces
-    h = tuple(map(_arrow_row, f, f[1:]))
-    v = tuple(_arrow_row(row, row[1:]) for row in f)
-    if None in h or None in v:
-        raise InvalidColoringError("coloring violates proper adjacency")
-    if coloring.rows < 2 or coloring.cols < 2:
-        raise InvalidColoringError("need at least one internal vertex")
-    return SixVertexState(h=h, v=v)
+    rows = list(map(_vertex_row, f, f[1:]))
+    if not rows or len(f[0]) < 2 or None in rows:
+        raise _lenard_error(coloring)
+    h, top, bottom = zip(*rows)
+    return _unchecked(SixVertexState, h=h, v=top[:1] + bottom)
+
+
+def _lenard_error(coloring: GridColoring) -> InvalidColoringError | InvalidStateError:
+    """Why a coloring has no arrow state: improper adjacency is reported
+    before a missing internal vertex, then the first vertex that breaks the
+    ice rule."""
+    f = coloring.faces
+    if not coloring.is_proper():
+        return InvalidColoringError("coloring violates proper adjacency")
+    if len(f) < 2 or len(f[0]) < 2:
+        return InvalidColoringError("need at least one internal vertex")
+    bad = [_first_bad_vertex(_arrow_row(upper, lower), _arrow_row(upper, upper[1:]),
+                             _arrow_row(lower, lower[1:])) for upper, lower in zip(f, f[1:])]
+    i = next(i for i, j in enumerate(bad) if j is not None)
+    return InvalidStateError(f"ice rule violated at vertex ({i}, {bad[i]})")
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     Each side of an assignment of _live_assignments() is summed over its
     admissible t in ascending order.  Returns the worst |LHS - RHS|
     normalized by the largest triple product of an assignment, plus how many
-    assignments were skipped because every triple product is zero.
+    assignments were skipped because every triple product is exactly zero.
     """
     # weight_table lists the 18 weights in ADMISSIBLE order
     w_phi, w_php, w_u3 = (list(fam.weight_table(x).values())
@@ -139,7 +139,8 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     for _, lhs, rhs in _live_assignments():
         a = [w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
         b = [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs]
-        scale = max(map(abs, a + b))
+        # a NaN product is not a zero one: the assignment is checked, and fails
+        scale = max(map(abs, a + b), key=severity)
         if scale != 0.0:
             residuals.append(abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / scale)
     return YbeSweep(residual=max(residuals, key=severity, default=0.0),

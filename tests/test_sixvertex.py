@@ -204,6 +204,10 @@ class TestEnumeration:
             enumerate_dwbc_states(8)
         with pytest.raises(SizeGuardError):
             enumerate_dwbc_states(0)
+        # 2.0 raised TypeError from the walk and True enumerated n = 1
+        for n in (2.0, True, "3"):
+            with pytest.raises(SizeGuardError, match=f"^n must be an int, got {n!r}$"):
+                enumerate_dwbc_states(n)
 
     def test_states_released_with_the_list(self):
         # nothing but the bounded row-move and ice-check tables outlives the

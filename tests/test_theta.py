@@ -237,6 +237,15 @@ class TestDomainErrors:
         with pytest.raises(SeriesTruncationError):
             theta1(0.5, EllipticParams.from_nome(0.5, series=tight))
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
+                                     complex(math.inf, 0.2)])
+    def test_non_finite_argument(self, phi):
+        # every one ended in a bare OverflowError from abs() of the partial sum
+        pr = EllipticParams.from_nome(0.2, lam=0.3)
+        for f in (theta1, theta4, theta1_reduced):
+            with pytest.raises(SeriesTruncationError, match="is not finite"):
+                f(phi, pr)
+
     def test_series_config_validation(self):
         # an infinite tolerance stopped every series at its first term, so
         # theta1 read 0; a fractional max_terms failed later, in range()

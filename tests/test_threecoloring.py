@@ -15,8 +15,8 @@ import pytest
 
 import icelab
 from icelab import (BranchDomainError, ColoredVertexKind, EllipticParams, FaceWeightParams,
-                    GridColoring, InvalidColoringError, SeriesConfig,
-                    SizeGuardError, SpectralAssignment, VertexKind,
+                    GridColoring, InvalidColoringError, InvalidStateError, SeriesConfig,
+                    SixVertexState, SizeGuardError, SpectralAssignment, VertexKind,
                     check_recursion_3c, classify_vertex,
                     compute_census, dwbc_boundary, enumerate_colorings,
                     iter_colorings,
@@ -26,6 +26,7 @@ from icelab import (BranchDomainError, ColoredVertexKind, EllipticParams, FaceWe
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
 from icelab.numutil import stable_sum
+from icelab import threecoloring
 from icelab.sixvertex import MAX_EVAL_N, _vertex_sweep
 from icelab.threecoloring import _partial_sum
 
@@ -363,6 +364,11 @@ GUARD_CASES = [
     ((4, 4, "dwbc", 3), InvalidColoringError, "corner must be a color 0, 1 or 2, got 3"),
     ((7, 7, "dwbc", 3), SizeGuardError, "dwbc n = 6 outside the enumeration guard 1..5"),
     ((3, 3, "dwbc", 1.0), InvalidColoringError, "corner must be a color 0, 1 or 2, got 1.0"),
+    # non-int sizes failed with AttributeError or TypeError, and True ran as 1
+    ((2.5, 3, "free", None), SizeGuardError, "grid sizes must be ints, got 2.5 x 3"),
+    ((2, 2.0, "free", None), SizeGuardError, "grid sizes must be ints, got 2 x 2.0"),
+    ((True, 3, "free", None), SizeGuardError, "grid sizes must be ints, got True x 3"),
+    ((3.0, 3.0, "dwbc", None), SizeGuardError, "grid sizes must be ints, got 3.0 x 3.0"),
 ]
 
 
@@ -481,6 +487,65 @@ class TestLenardMap:
             for g in colorings:
                 s = lenard_map(g)
                 assert (s.h, s.v) == _per_face_arrows(g)
+
+
+#: grids whose walk and Lenard images skip the public constructors' checks
+UNCHECKED_GRIDS = ([(n + 1, n + 1, "dwbc", c) for n in range(1, 6) for c in (None, 0, 1, 2)]
+                   + [(3, 4, "free", None), (3, 3, "toroidal", None)])
+
+
+class TestCheckedOnce:
+    """The walk checks each level's colors once and the Lenard map each
+    distinct vertex row once; the objects they build skip the per-object
+    checks of the public constructors, so they must equal what those build."""
+
+    @pytest.mark.parametrize("args", UNCHECKED_GRIDS)
+    def test_walk_and_images_match_public_constructors(self, args):
+        colorings = enumerate_colorings(*args)
+        assert colorings
+        for c in colorings:
+            public = GridColoring(faces=c.faces)
+            assert c == public and hash(c) == hash(public) and c.faces == public.faces
+            assert all(type(row) is tuple for row in c.faces)
+            s = lenard_map(c)
+            state = SixVertexState(h=s.h, v=s.v)
+            assert s == state and hash(s) == hash(state)
+            assert all(type(row) is tuple for row in s.h + s.v)
+
+    def test_level_color_out_of_range_raises_from_the_walk(self, monkeypatch):
+        # a forced color 3 on the top row: without the level check the walk
+        # yields a grid holding it (3 is unlike both its neighbours)
+        real = threecoloring.dwbc_boundary
+
+        def forged(n, corner):
+            forced = real(n, corner)
+            forced[0, 1] = 3
+            return forced
+
+        monkeypatch.setattr(threecoloring, "dwbc_boundary", forged)
+        with pytest.raises(InvalidColoringError, match="face colors must be the ints 0, 1 or 2"):
+            next(iter_colorings(3, 3, "dwbc", corner=0))
+
+    def test_forged_row_pair_breaks_the_ice_rule(self, monkeypatch):
+        # flipping the first arrow between two face rows leaves one vertex
+        # with one or three arrows in: the map must not return that state
+        real = threecoloring._arrow_row
+
+        def forged(near, far):
+            arrows = real(near, far)
+            if arrows is None or len(near) != len(far):
+                return arrows
+            return (not arrows[0],) + arrows[1:]
+
+        monkeypatch.setattr(threecoloring, "_arrow_row", forged)
+        threecoloring._vertex_row.cache_clear()
+        try:
+            with pytest.raises(InvalidStateError, match=r"^ice rule violated at vertex \(0, 0\)$"):
+                lenard_map(FIVE_BY_SIX)
+        finally:
+            monkeypatch.undo()
+            threecoloring._vertex_row.cache_clear()
+        assert lenard_map(FIVE_BY_SIX).h == FIVE_BY_SIX_H
 
 
 class TestClassification:

@@ -193,6 +193,29 @@ class TestYangBaxter:
         assert math.isnan(sweep.residual)
         assert sweep.checked == 60
 
+    @pytest.mark.parametrize("kind", list(VertexKind))
+    def test_nan_product_after_a_zero_is_checked(self, kind):
+        # at u = -eta/2 some weights vanish; max dropped a NaN product that
+        # came after a zero one, so 51 to 57 assignments were checked against
+        # 54 for the finite family.  An assignment is skipped only when every
+        # product is exactly zero.
+        fam = sixvertex_family(1.1)
+        assert ybe_sweep(fam, 0.3, 0.3).checked == 54
+        nan_kind = WeightFamily(
+            name="nan-kind", ybe_shift=fam.ybe_shift,
+            weight=lambda k, r, phi: complex("nan") if k is kind else fam.weight(k, r, phi))
+        tables = [list(nan_kind.weight_table(x).values())
+                  for x in (0.3, 0.3, 0.3 - 0.3 - fam.ybe_shift)]
+        want = sum(any(tables[0][i] * tables[1][j] * tables[2][k] != 0
+                       for _, i, j, k in lhs)
+                   or any(tables[2][i] * tables[1][j] * tables[0][k] != 0
+                          for _, i, j, k in rhs)
+                   for _, lhs, rhs in _live_assignments())
+        sweep = ybe_sweep(nan_kind, 0.3, 0.3)
+        assert math.isnan(sweep.residual)
+        assert (sweep.checked, sweep.skipped) == (want, 729 - want)
+        assert want >= 54
+
     def test_appendix_and_rosengren_difference_form(self):
         rnd = random.Random(42)
         pr = params()
