@@ -2,9 +2,9 @@
 and the six-vertex model with domain-wall boundaries."""
 
 from .errors import (BranchDomainError, ConfigError, CrossingParameterError,
-                     DegenerateCrossingError, IcelabError, InvalidColoringError,
-                     InvalidStateError, NomeDomainError, PoleError,
-                     SeriesTruncationError, SizeGuardError)
+                     DegenerateCrossingError, EvaluationOverflowError, IcelabError,
+                     InvalidColoringError, InvalidStateError, NomeDomainError,
+                     PoleError, SeriesTruncationError, SizeGuardError)
 from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
                     cubic_factor_D, quasi_period_factor, theta1,
                     theta1_prime_at_zero, theta1_reduced, theta4, zeta,

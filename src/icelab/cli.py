@@ -77,9 +77,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    z = FaceWeightParams(z0=args.z0, z1=args.z1, z2=args.z2)
     census = compute_census(args.rows, args.cols, BoundaryCondition(args.bc),
                             corner=args.corner)
-    z = FaceWeightParams(z0=args.z0, z1=args.z1, z2=args.z2)
     value = census.generating_function(z)
     value_out = value.real if value.imag == 0.0 else [value.real, value.imag]
     if args.format == "json":

@@ -41,5 +41,9 @@ class InvalidStateError(IcelabError):
     """Arrow assignment violates the ice rule or shape constraints."""
 
 
+class EvaluationOverflowError(IcelabError):
+    """A finite-input evaluation overflows double precision."""
+
+
 class ConfigError(IcelabError):
     """Malformed configuration file or option value."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -82,15 +82,20 @@ _ALPHAS = (VertexKind.ALPHA, VertexKind.ALPHA_P)
 _BETAS = (VertexKind.BETA, VertexKind.BETA_P)
 
 
-def _unchecked(cls, **fields):
-    """Instance of the frozen dataclass cls holding fields as given, without
-    its __post_init__ checks: for values whose pieces were checked where
-    they were made.  Fields are set one by one with object.__setattr__, as
-    the public constructors do, so no per-instance __dict__ is materialised."""
-    new = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(new, name, value)
-    return new
+@lru_cache(maxsize=None)
+def _unchecked(cls):
+    """Constructor of the frozen dataclass cls that takes its field values
+    positionally and skips its __post_init__ checks: for values whose pieces
+    were checked where they were made.  It is compiled once per class, as
+    dataclass compiles __init__, with one object.__setattr__ per field and
+    no loop, so it costs what a hand-unrolled constructor does and, as the
+    public constructors do, materialises no per-instance __dict__."""
+    names = [f.name for f in fields(cls)]
+    scope = {"cls": cls, "new": object.__new__, "set_field": object.__setattr__}
+    exec(f"def make({', '.join(names)}):\n    obj = new(cls)\n"
+         + "".join(f"    set_field(obj, {name!r}, {name})\n" for name in names)
+         + "    return obj\n", scope)
+    return scope["make"]
 
 
 @dataclass(frozen=True)
@@ -211,10 +216,11 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeGuardError(f"n = {n} outside the enumeration guard 1..{MAX_ENUM_N}")
     states = []
+    make = _unchecked(SixVertexState)
 
     def descend(h_rows: tuple, v_rows: tuple) -> None:
         if len(h_rows) == n:
-            states.append(_unchecked(SixVertexState, h=h_rows, v=v_rows))
+            states.append(make(h_rows, v_rows))
             return
         for h_row, v_out in _row_moves(v_rows[-1]):
             descend(h_rows + (h_row,), v_rows + (v_out,))

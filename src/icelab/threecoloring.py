@@ -60,14 +60,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import eq, ne
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (BranchDomainError, InvalidColoringError, InvalidStateError,
-                     PoleError, SizeGuardError)
+from .errors import (BranchDomainError, ConfigError, EvaluationOverflowError,
+                     InvalidColoringError, InvalidStateError, PoleError, SizeGuardError)
 from .numutil import rel_residual
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple,
                     cubic_factor_D, theta1, theta1_reduced, theta4, theta_triple)
@@ -87,11 +88,17 @@ class BoundaryCondition(str, Enum):
 
 @dataclass(frozen=True)
 class FaceWeightParams:
-    """Per-color face Boltzmann weights for the coloring census."""
+    """Per-color face Boltzmann weights for the coloring census, each a
+    finite number."""
 
     z0: complex = 1.0
     z1: complex = 1.0
     z2: complex = 1.0
+
+    def __post_init__(self) -> None:
+        for name, z in zip(("z0", "z1", "z2"), (self.z0, self.z1, self.z2)):
+            if not cmath.isfinite(z):
+                raise ConfigError(f"face weight {name} must be finite, got {z!r}")
 
     def weight(self, c: int) -> complex:
         return (self.z0, self.z1, self.z2)[c % 3]
@@ -270,7 +277,8 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     if empty:
         return
     dwbc = bc is BoundaryCondition.DWBC
-    for levels, ring in _row_sectors(rows, cols, bc, corner):
+    make = _unchecked(GridColoring)
+    for levels, ring, _ in _row_sectors(rows, cols, bc, corner):
         def walk(grid: tuple[Row, ...]) -> Iterator[GridColoring]:
             i = len(grid)
             for row in (_rows_under(levels[i], grid[-1:]) if dwbc
@@ -278,7 +286,7 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
                 if i + 1 < len(levels):
                     yield from walk(grid + (row,))
                 else:
-                    yield _unchecked(GridColoring, faces=grid + (row,))
+                    yield make(grid + (row,))
 
         yield from walk(())
 
@@ -301,9 +309,19 @@ class ColoringCensus:
         return sum(self.counts.values())
 
     def generating_function(self, z: FaceWeightParams) -> complex:
+        """Sum of count * z0^k0 z1^k1 z2^k2; a sum that overflows double
+        precision raises EvaluationOverflowError instead of returning inf or
+        nan."""
         val = 0j
-        for (k0, k1, k2), cnt in sorted(self.counts.items()):
-            val += cnt * (z.z0 ** k0) * (z.z1 ** k1) * (z.z2 ** k2)
+        try:
+            for (k0, k1, k2), cnt in sorted(self.counts.items()):
+                val += cnt * (z.z0 ** k0) * (z.z1 ** k1) * (z.z2 ** k2)
+        except OverflowError:
+            val = complex(math.inf)
+        if not cmath.isfinite(val):
+            raise EvaluationOverflowError(
+                f"the generating function of the {self.rows}x{self.cols} {self.bc.value} "
+                f"census overflows at face weights {z.z0!r}, {z.z1!r}, {z.z2!r}")
         return val
 
     def sorted_items(self) -> list[tuple[tuple[int, int, int], int]]:
@@ -313,21 +331,24 @@ class ColoringCensus:
 def compute_census(rows: int, cols: int, bc: BoundaryCondition,
                    corner: int | None = None) -> ColoringCensus:
     """Census of the colorings iter_colorings would produce, counted row by
-    row with a transfer matrix (Baxter 1970) instead of one by one."""
+    row with a transfer matrix (Baxter 1970) instead of one by one; a
+    toroidal grid runs one sector per orbit of first rows (see _row_sectors),
+    3 on the 5x5 torus where there are 30 first rows."""
     bc, empty = _grid_guard(rows, cols, bc, corner)
     # free and toroidal counts are unchanged by transposing the grid, so the
     # rows run along the shorter side
     counts = {} if empty else _transfer_counts(
-        rows * cols, _row_sectors(max(rows, cols), min(rows, cols), bc, corner))
+        rows * cols, _row_sectors(max(rows, cols), min(rows, cols), bc, corner, orbits=True))
     return ColoringCensus(rows=rows, cols=cols, bc=bc, counts=counts)
 
 
 Row = tuple[int, ...]
 #: the colors allowed in each column of a face row
 Level = tuple[tuple[int, ...], ...]
-#: the allowed colors per face row, top to bottom, and whether the rows are
-#: rings, their first and last faces adjacent
-Sector = tuple[list[Level], bool]
+#: the allowed colors per face row, top to bottom, whether the rows are
+#: rings, their first and last faces adjacent, and how many sectors of equal
+#: counts the sector stands for
+Sector = tuple[list[Level], bool, int]
 
 
 def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row]:
@@ -361,26 +382,41 @@ def _tails(colors: tuple[int, ...], *banned: int) -> tuple[tuple[Row, ...], ...]
     return tuple(tuple((c,) for c in ok if c != left) for left in range(4))
 
 
-def _row_sectors(rows: int, cols: int, bc: BoundaryCondition,
-                 corner: int | None) -> Iterator[Sector]:
+def _row_sectors(rows: int, cols: int, bc: BoundaryCondition, corner: int | None,
+                 orbits: bool = False) -> Iterator[Sector]:
     """The independent sectors of the row transfer matrix over rows face rows
     of cols faces, lazily in ascending first-row or corner order: one for a
     free grid, one per first row for a toroidal grid (its last row colored
     unlike the first in every column) and one per corner color for a
-    domain-wall grid (first and last rows forced, the others' ends pinned)."""
+    domain-wall grid (first and last rows forced, the others' ends pinned).
+
+    Rotating or reversing the columns of a toroidal grid maps the colorings
+    with first row f one to one onto those whose first row is the moved f,
+    color counts unchanged.  With orbits, a toroidal grid therefore yields
+    one sector per orbit of first rows under these moves, led by the orbit's
+    least row and weighted by the number of distinct rows in the orbit;
+    every other sector has weight 1.  Color permutations are not used: they
+    would permute the color counts."""
     colors = (0, 1, 2)
     anything = _level((colors,) * cols, cols)
     if bc is BoundaryCondition.FREE:
-        yield [anything] * rows, False
+        yield [anything] * rows, False, 1
     elif bc is BoundaryCondition.TOROIDAL:
-        for first in _rows(anything, True):
+        firsts = _rows(anything, True)
+        for first, weight in (Counter(map(_least_image, firsts)).items() if orbits
+                              else zip(firsts, itertools.repeat(1))):
             unlike = _level((tuple(c for c in colors if c != f) for f in first), cols)
-            yield [tuple((f,) for f in first)] + [anything] * (rows - 2) + [unlike], True
+            yield [tuple((f,) for f in first)] + [anything] * (rows - 2) + [unlike], True, weight
     else:
         for c in [corner] if corner is not None else range(3):
             forced = dwbc_boundary(rows - 1, c)
             yield [_level(((forced[i, j],) if (i, j) in forced else colors
-                           for j in range(cols)), cols) for i in range(rows)], False
+                           for j in range(cols)), cols) for i in range(rows)], False, 1
+
+
+def _least_image(row: Row) -> Row:
+    """The least of the rows that rotating and reversing row's columns give."""
+    return min(r[k:] + r[:k] for r in (row, row[::-1]) for k in range(len(row)))
 
 
 def _level(columns: Iterable[tuple[int, ...]], cols: int) -> Level:
@@ -404,7 +440,9 @@ def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, i
     of x0^k0 x1^k1 sits in bit slot k0 * (faces + 1) + k1.  No coefficient
     exceeds 3^faces, so slots of that bit width never carry into each other,
     adding polynomials is integer addition and multiplying by a row's monomial
-    is a left shift.
+    is a left shift.  A sector's polynomial is multiplied by its weight, the
+    number of sectors of equal counts it stands for, so the weighted sum is
+    the full count and stays inside the slots too.
     """
     width = (3 ** faces).bit_length()
     stride = faces + 1
@@ -423,12 +461,12 @@ def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, i
                 for y in states(level, ring)]
 
     total = 0
-    for levels, ring in sectors:
+    for levels, ring, weight in sectors:
         vec = [1 << shift(row) for row in states(levels[0], ring)]
         for above, level in zip(levels, levels[1:]):
             vec = [sum(vec[a] for a in pred) << shift(row) for row, pred
                    in zip(states(level, ring), predecessors(above, level, ring))]
-        total += sum(vec)
+        total += weight * sum(vec)
 
     mask = (1 << width) - 1
     counts: dict[tuple[int, int, int], int] = {}
@@ -477,7 +515,7 @@ def lenard_map(coloring: GridColoring) -> SixVertexState:
     if not rows or len(f[0]) < 2 or None in rows:
         raise _lenard_error(coloring)
     h, top, bottom = zip(*rows)
-    return _unchecked(SixVertexState, h=h, v=top[:1] + bottom)
+    return _unchecked(SixVertexState)(h, top[:1] + bottom)
 
 
 def _lenard_error(coloring: GridColoring) -> InvalidColoringError | InvalidStateError:

@@ -126,6 +126,23 @@ class TestCensusCommand:
                                "--bc", "free")
         assert code == 2
 
+    @pytest.mark.parametrize("weight", [["--z0", "nan"], ["--z0=inf"], ["--z2=-inf"]])
+    def test_non_finite_face_weight_exit_two(self, capsys, weight):
+        # NaN and Infinity were written into the JSON, which is then invalid
+        code, out, err = run_cli(capsys, "census", "--rows", "2", "--cols", "2",
+                                 "--bc", "toroidal", "--format", "json", *weight)
+        assert code == 2
+        assert out == ""
+        assert re.match(r"error: face weight z\d must be finite, got -?(nan|inf)$", err.strip())
+
+    def test_overflowing_generating_function_exit_two(self, capsys):
+        # an OverflowError traceback exited 1, the failed-suite code
+        code, out, err = run_cli(capsys, "census", "--rows", "5", "--cols", "5",
+                                 "--bc", "free", "--z0", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the generating function of the 5x5 free census overflows")
+
     def test_corner_rejected_off_dwbc(self, capsys):
         for command in (["census"], ["enumerate", "--model", "coloring"]):
             for bc in ("free", "toroidal"):

@@ -14,7 +14,8 @@ from collections import Counter
 import pytest
 
 import icelab
-from icelab import (BranchDomainError, ColoredVertexKind, EllipticParams, FaceWeightParams,
+from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticParams,
+                    EvaluationOverflowError, FaceWeightParams,
                     GridColoring, InvalidColoringError, InvalidStateError, SeriesConfig,
                     SixVertexState, SizeGuardError, SpectralAssignment, VertexKind,
                     check_recursion_3c, classify_vertex,
@@ -302,6 +303,23 @@ class TestCensus:
             assert census.total() == count
             assert census.generating_function(unit) == pytest.approx(count)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.inf)])
+    def test_non_finite_face_weight_rejected(self, bad):
+        for name in ("z0", "z1", "z2"):
+            with pytest.raises(ConfigError, match=f"face weight {name} must be finite"):
+                FaceWeightParams(**{name: bad})
+
+    def test_generating_function_overflow_is_typed(self):
+        # 1e300 ** 25 raised a bare OverflowError; 1e200 * 1e200 gave inf
+        census = compute_census(5, 5, "free")
+        for z in (FaceWeightParams(z0=1e300), FaceWeightParams(z0=1e200, z1=1e200)):
+            with pytest.raises(EvaluationOverflowError, match="5x5 free census overflows"):
+                census.generating_function(z)
+        # the benchmark's weights are drawn from [0.5, 2.0]
+        for z in (0.5, 2.0):
+            weights = FaceWeightParams(z, z, z)
+            assert census.generating_function(weights) == pytest.approx(census.total() * z ** 25)
+
     def test_census_keys_partition_grid(self):
         census = compute_census(2, 2, "toroidal")
         assert all(sum(k) == 4 for k in census.counts)
@@ -318,6 +336,32 @@ class TestTransferCensus:
                 assert compute_census(rows, cols, bc).counts == \
                     Counter(g.color_counts() for g in _loop_iter_colorings(rows, cols, bc)), \
                     (rows, cols)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 5), (5, 4), (5, 5)])
+    def test_toroidal_rings_of_4_and_5_faces(self, shape):
+        # one sector per orbit of first rows, weighted by the orbit's size; a
+        # 4-face ring has rows such as 0101 whose orbit is smaller than the
+        # 8 rotations and reversals, so a wrong weight shows here
+        assert compute_census(*shape, "toroidal").counts == \
+            Counter(g.color_counts() for g in _loop_iter_colorings(*shape, "toroidal"))
+
+    def test_5x5_torus_runs_one_sector_per_orbit(self, monkeypatch):
+        # the 30 proper 5-face ring rows fall into 3 orbits of 10
+        weights = []
+        row_sectors = threecoloring._row_sectors
+
+        def recorded(*args, **kwargs):
+            for sector in row_sectors(*args, **kwargs):
+                weights.append(sector[2])
+                yield sector
+
+        monkeypatch.setattr(threecoloring, "_row_sectors", recorded)
+        assert compute_census(5, 5, "toroidal").total() == 7_560
+        assert weights == [10, 10, 10]
+        # the walk still runs every first row's sector
+        weights.clear()
+        assert len(enumerate_colorings(2, 5, "toroidal")) == 180
+        assert weights == [1] * 30
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dwbc_matches_enumeration(self, n):
