@@ -6,8 +6,9 @@ Subcommands:
   census      coloring counts by color multiplicities + generating function
   verify      run a verification suite and emit a JSON report
 
-Exit codes: 0 success / suite passed, 1 suite had a failing identity,
-2 usage or configuration error (including size-guard violations).
+Exit codes: 0 success / suite passed, 1 suite had a failing identity or a
+suite worker died, 2 usage or configuration error (including size-guard
+violations).
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     except IcelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ChildProcessError as exc:  # a suite worker died: the run did not pass
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

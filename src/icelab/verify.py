@@ -7,8 +7,11 @@ residual, keeps the worst per identity and reads its tolerance.  All
 randomness flows from one 64-bit seed: numpy's SeedSequence expands it and
 child i goes to the i-th suite in SUITES, so a suite draws the same points
 alone or in "all".  "all" thus forks one worker per usable CPU (at most one
-per suite) and collects the cases in SUITES order, byte for byte the report
-of the one-process run, which a single usable CPU gives.
+per suite), which pull suite indices from one pipe in SUITES order and send
+their cases back through pipes of their own; the cases come back in SUITES
+order, byte for byte the report of the one-process run, which a single
+usable CPU gives.  A worker that dies without a result fails the run with
+ChildProcessError instead of leaving it waiting.
 
 Reports are byte-stable for a fixed (seed, samples, config): the JSON
 serialization contains no timing information (the CLI prints wall time to
@@ -422,12 +425,14 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     """Run one named suite (or 'all', every suite with its name as identity
     prefix) and return its report; samples defaults per suite.
 
-    'all' runs its suites on a fork-context process pool, one worker per
-    usable CPU and at most one per suite; with one usable CPU, as with one
-    suite, they run in this process.  Either way the cases come back in
-    SUITES order, and a failing suite raises the error of the first failing
-    suite in that order, so the report and the error do not depend on the
-    number of CPUs."""
+    'all' runs its suites in forked workers (forkmap), one per usable CPU
+    and at most one per suite; with one usable CPU, as with one suite, they
+    run in this process.  Either way the cases come back in SUITES order,
+    and a failing suite raises the error of the first failing suite in that
+    order, so the report and the error do not depend on the number of CPUs.
+    A worker that dies without a result (killed by a signal, say) raises
+    ChildProcessError naming its exit status and the suites left without a
+    result; no worker outlives the call."""
     cfg = config or Config()
     if suite != "all" and suite not in _SUITES:
         raise ConfigError(f"unknown suite '{suite}'; choose from {SUITES + ('all',)}")
@@ -443,11 +448,8 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
                              prefixed=suite == "all")
     workers = min(len(names), _usable_cpus())
     if workers > 1:
-        # imported here only: at module level it slows every CLI start; fork
-        # keeps the loaded modules, where spawn would import them again
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            per_suite = list(pool.imap(body, names))
+        from .forkmap import fork_map  # compiled only by the runs that fork
+        per_suite = fork_map(body, names, workers)
     else:
         per_suite = list(map(body, names))
     recorded = samples or (0 if suite == "all" else _SUITES[suite][1])

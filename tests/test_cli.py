@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -445,7 +446,8 @@ class TestWorstCases:
 
 class TestParallelSuites:
     """'all' forks one worker per usable CPU; one usable CPU runs the same
-    suites in-process.  Both must give the same report and the same error."""
+    suites in-process.  Both must give the same report and the same error,
+    a dead worker must fail the run, and no worker may outlive it."""
 
     @staticmethod
     def run_on(monkeypatch, cpus, *args, **kwargs):
@@ -454,11 +456,24 @@ class TestParallelSuites:
                             raising=False)
         return run_suite("all", *args, **kwargs)
 
+    @staticmethod
+    def no_child_left() -> bool:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
     @pytest.mark.parametrize("seed, samples", [(2, 1), (13, 1), (0, None)])
     def test_pooled_report_equals_in_process(self, monkeypatch, seed, samples):
-        pooled = self.run_on(monkeypatch, 2, seed=seed, samples=samples).to_json()
         alone = self.run_on(monkeypatch, 1, seed=seed, samples=samples).to_json()
-        assert pooled == alone
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for cpus in (2, 3, 8):
+            forks.clear()
+            assert self.run_on(monkeypatch, cpus, seed=seed, samples=samples).to_json() == alone
+            assert len(forks) == min(cpus, len(SUITES))  # eight CPUs: seven workers
 
     def test_same_truncation_error_on_both_paths(self, monkeypatch):
         messages = []
@@ -468,10 +483,68 @@ class TestParallelSuites:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("cpus", [2, 8, 1])
+    def test_first_failing_suite_in_order_wins_over_first_to_fail(self, monkeypatch, cpus):
+        def cases(name, *args, **kwargs):
+            if name == "recursion6v":
+                time.sleep(0.2)
+            if name in ("recursion6v", "appendix"):
+                raise ConfigError(f"{name} failed")
+            return []
+        monkeypatch.setattr(verify, "_suite_cases", cases)
+        with pytest.raises(ConfigError, match="^recursion6v failed$"):
+            self.run_on(monkeypatch, cpus, samples=1)
+        assert self.no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_every_worker_is_reaped(self, monkeypatch, cpus):
+        self.run_on(monkeypatch, cpus, samples=1)
+        assert self.no_child_left()
+        with pytest.raises(SeriesTruncationError):
+            self.run_on(monkeypatch, cpus, samples=1, config=Config(max_terms=1))
+        assert self.no_child_left()
+
+    @pytest.mark.parametrize("death, status", [
+        ("os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
+        ("os._exit(3)", "exit status 3"),
+        # a worker that writes a truncated result and exits 0
+        ("pickle.dump = lambda obj, fh: fh.write(pickle.dumps(obj)[:9])", "exit status 0"),
+    ])
+    def test_dead_worker_fails_the_run(self, death, status):
+        # the other worker sleeps on theta past the timeout unless it is killed
+        code = ("import os, pickle, signal, sys, time\n"
+                "from icelab import cli, verify\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "real = verify._suite_cases\n"
+                "def cases(name, *args, **kwargs):\n"
+                "    if name == 'theta':\n"
+                "        time.sleep(120)\n"
+                "    if name == 'ybe':\n"
+                f"        {death}\n"
+                "    return real(name, *args, **kwargs)\n"
+                "verify._suite_cases = cases\n"
+                "code = cli.main(['verify', '--suite', 'all', '--samples', '1'])\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    print('no child left')\n"
+                "sys.exit(code)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(icelab.__file__).parents[1])}
+        # a scheduler that misses a dead worker hangs here until the timeout
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stdout == "no child left\n"
+        assert re.fullmatch(rf"error: a worker process died \({status}\) without a complete "
+                            r"result; no result for [a-z0-9, ]*\bybe\b[a-z0-9, ]*\n",
+                            result.stderr)
+
     def test_import_and_single_suite_do_not_load_multiprocessing(self):
-        code = ("import sys, icelab.cli\n"
+        code = ("import os, sys, icelab.cli\n"
                 "from icelab.verify import run_suite\n"
                 "run_suite('theta', samples=1)\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "run_suite('all', samples=1)\n"
                 "print('multiprocessing' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(icelab.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
