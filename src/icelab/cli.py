@@ -44,6 +44,8 @@ def _cmd_enumerate(args) -> int:
     if args.model == "sixvertex":
         if args.n is None:
             raise ConfigError("--model sixvertex requires --n")
+        if (args.rows, args.cols, args.corner, args.bc) != (None, None, None, "dwbc"):
+            raise ConfigError("--rows, --cols, --corner, --bc free|toroidal are coloring options")
         states = enumerate_dwbc_states(args.n)
         payload = {
             "model": "sixvertex",

@@ -23,16 +23,22 @@ term_tolerance * (1 + |partial sum|); the q-series converge
 super-exponentially on the working domain |p| <= 0.5.  The truncation
 rule (SeriesConfig) is a field of EllipticParams, so the functions here
 and in the model modules take the params alone.
+
+A real argument sums its first terms untested: |cos|, |sin| <= 1 bound its
+partial sum by B_k = sum_{j<k} |c_j|, so the stop test's first condition,
+log_env_k < log(tol) + |s_k| + margin, fails while log_env_k >= log(tol) +
+B_k (1 + 1e-9, for roundoff) + margin: same terms, same order, same bits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import copysign
 
-from .errors import NomeDomainError, PoleError, SeriesTruncationError
+from .errors import EvaluationOverflowError, NomeDomainError, PoleError, SeriesTruncationError
 
 PI = math.pi
 TWO_PI_OVER_3 = 2.0 * PI / 3.0
@@ -79,6 +85,8 @@ class EllipticParams:
     tau: complex
     lam: complex
     series: SeriesConfig = DEFAULT_SERIES
+    #: (p, sign of Im p, tol, max_terms): what a q-series sum depends on (see _series)
+    series_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not abs(self.p) < 1.0:  # also NaN, which compares false both ways
@@ -88,6 +96,8 @@ class EllipticParams:
             expected = cmath.exp(1j * math.pi * self.tau)
             if abs(expected - self.p) > 1e-10 * (1.0 + abs(self.p)):
                 raise ValueError("p and tau inconsistent: require p = exp(i*pi*tau)")
+        object.__setattr__(self, "series_key", (
+            self.p, copysign(1.0, self.p.imag), self.series.term_tolerance, self.series.max_terms))
 
     @classmethod
     def from_nome(cls, p: complex, lam: complex = 0.0,
@@ -126,14 +136,28 @@ def _pow_nome(p: complex, a: float) -> complex:
     return cmath.exp(a * cmath.log(p))
 
 
+def _term(p: complex, log_ap: float, a: int, offset: float, k: int) -> tuple:
+    e, w = k * (k + a) + offset, 2 * k + a
+    coef = (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0)
+    return e * log_ap if e else 0.0, coef, w
+
+
 @lru_cache(maxsize=64)
-def _nome_powers(p: complex, imag_sign: float, a: int, offset: float) -> list:
-    """[log|p|, table] of one series (see _series): table[k] = (e_k log|p|,
-    c_k (-1)^k p^{e_k}), filled lazily by replacing the tuple, never changing
-    it, so concurrent callers read consistent entries.  The sign of Im p is
-    in the key: x - 0j equals x + 0j, but their powers differ for x < 0.
-    EllipticParams keeps |p| < 1."""
-    return [math.log(abs(p)) if p else -math.inf, ()]
+def _nome_powers(key: tuple, a: int, offset: float) -> list:
+    """[log|p|, table, head] of one series (see _series) under the rule key =
+    EllipticParams.series_key: table[k] = (e_k log|p|, c_k (-1)^k p^{e_k}, 2k + a),
+    filled lazily by replacing the tuple, so concurrent callers read consistent
+    entries; head, the entries a real argument sums untested (module docstring).
+    The key keeps Im p's sign: x - 0j == x + 0j, but their powers differ."""
+    p, _, tol, max_terms = key
+    log_ap, log_tol = math.log(abs(p)) if p else -math.inf, math.log(tol)
+    bound, table = 0.0, []
+    for k in range(max_terms):
+        table.append(_term(p, log_ap, a, offset, k))
+        if table[k][0] + _LOG_2 < log_tol + bound * (1.0 + 1e-9) + _STOP_MARGIN:
+            return [log_ap, tuple(table), tuple(table[:k])]
+        bound += abs(table[k][1])
+    return [log_ap, tuple(table), tuple(table)]
 
 
 def _series(a: int, phi: complex, params: EllipticParams, offset: float = 0.0,
@@ -148,35 +172,30 @@ def _series(a: int, phi: complex, params: EllipticParams, offset: float = 0.0,
     (k + 1/2)^2, and gives theta1 itself.  derivative=True replaces
     f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
     The params' series settings give the truncation rule.  Sums are kept in
-    a bounded cache keyed by the nome and that rule, not params, and by
-    the signs of phi's parts and of Im p: -0.0 == 0.0 and x - 0j == x + 0j,
-    but negative nomes have different powers on the two sides of the cut.
+    a bounded cache keyed by params.series_key (the nome and that rule) and
+    the signs of phi's parts: -0.0 == 0.0 and x - 0j == x + 0j, but negative
+    nomes have different powers on the two sides of the cut.
     """
-    phi, p, series = complex(phi), params.p, params.series
-    return _series_sum(a, phi, math.copysign(1.0, phi.real), math.copysign(1.0, phi.imag),
-                       p, math.copysign(1.0, p.imag), series.term_tolerance, series.max_terms,
-                       offset, derivative)
+    return _series_sum(a, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
+                       params.series_key, offset, derivative)
 
 
 @lru_cache(maxsize=256)
-def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, p: complex,
-                p_sign: float, tol: float, max_terms: int, offset: float,
-                derivative: bool) -> complex:
+def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, key: tuple,
+                offset: float, derivative: bool) -> complex:
     if not cmath.isfinite(phi):
         raise SeriesTruncationError(f"theta argument {phi} is not finite")
-    powers = _nome_powers(p, p_sign, a, offset)
-    log_ap, table = powers
-    log_tol = math.log(tol)
-    im = abs(phi.imag)
+    p, _, tol, max_terms = key
+    log_ap, table, head = powers = _nome_powers(key, a, offset)
     trig = cmath.sin if a else cmath.cos
-    s = 0j
-    for k in range(max_terms):
-        w = 2 * k + a
+    s, start = 0j, 0 if phi.imag or derivative else len(head)
+    for _, coef, w in head[:start]:  # a real argument's untested terms
+        s += coef * trig(w * phi)
+    log_tol, im = math.log(tol), abs(phi.imag)
+    for k in range(start, max_terms):
         if k == len(table):
-            e = k * (k + a) + offset
-            coef = (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0)
-            table = powers[1] = table + ((e * log_ap if e else 0.0, coef),)
-        log_pe, coef = table[k]
+            table = powers[1] = table + (_term(p, log_ap, a, offset, k),)
+        log_pe, coef, w = table[k]
         # log of the term bound 2 |p|^e exp(w |Im phi|), or 2 w |p|^e for the derivative
         log_env = log_pe + math.log(2.0 * w) if derivative else log_pe + w * im + _LOG_2
         # stop once log_env < log(tol (1 + |s|)); since log(1 + x) <= x that
@@ -196,12 +215,14 @@ def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, p: complex
 
 def theta1(phi: complex, params: EllipticParams) -> complex:
     """theta1(phi | p), odd and pi-antiperiodic in phi."""
-    return _series(1, phi, params, offset=0.25)
+    return _series_sum(1, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
+                       params.series_key, 0.25, False)
 
 
 def theta4(phi: complex, params: EllipticParams) -> complex:
     """theta4(phi | p), even and pi-periodic in phi."""
-    return _series(0, phi, params)
+    return _series_sum(0, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
+                       params.series_key, 0.0, False)
 
 
 def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
@@ -211,7 +232,8 @@ def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
     weights are built from this reduced series; it stays finite at p = 0,
     where it degenerates to 2 sin(phi).
     """
-    return _series(1, phi, params)
+    return _series_sum(1, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
+                       params.series_key, 0.0, False)
 
 
 def theta1_prime_at_zero(params: EllipticParams) -> complex:
@@ -293,4 +315,9 @@ def cubic_factor_D(params: EllipticParams) -> complex:
 
 def quasi_period_factor(phi: complex, params: EllipticParams) -> complex:
     """Common multiplier -p^{-1} exp(-2i phi) in the pi*tau shift laws."""
-    return -cmath.exp(-2j * complex(phi)) / params.p
+    if params.p == 0:
+        raise PoleError("the quasi-period factor -p^-1 exp(-2i phi) has a pole at p = 0")
+    try:
+        return -cmath.exp(-2j * complex(phi)) / params.p
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"exp(-2i phi) overflows at phi = {phi}") from exc

@@ -36,7 +36,7 @@ from . import sixvertex as sv
 from . import threecoloring as tc
 from . import yangbaxter as yb
 from .errors import ConfigError
-from .numutil import rel_residual, severity
+from .numutil import rel_residual
 from .theta import (PI, EllipticParams, SeriesConfig, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta4,
                     zeta)
@@ -379,15 +379,16 @@ def _worst_cases(draws, cfg: Config, tol_key: str, prefix: str = "") -> list[Cas
     A row (family, value[, counts]) is of identity family-n<n> when the point
     has a lattice size n, else of the family itself; rel_residual turns an
     (lhs, rhs) value into its residual.  A case holds the worst row of its
-    identity (numutil.severity: NaN sticks, a tie keeps the first point) and
-    its counts summed over all rows."""
+    identity (as numutil.severity ranks them: NaN sticks, a tie keeps the
+    first point) and its counts summed over all rows."""
     worst: dict[str, tuple[float, dict, float]] = {}
     counts: dict[str, dict] = {}
     for point, rows in draws:
         for family, value, *extra in rows:
             identity = f"{family}-n{point['n']}" if "n" in point else family
             residual = rel_residual(*value) if isinstance(value, tuple) else value
-            if identity not in worst or severity(residual) > severity(worst[identity][0]):
+            prev = worst.get(identity)
+            if prev is None or prev[0] == prev[0] and not residual <= prev[0]:
                 tol = getattr(cfg, _OWN_TOLERANCE.get(family, tol_key))
                 worst[identity] = (residual, point, tol)
             for name, amount in (extra[0].items() if extra else ()):

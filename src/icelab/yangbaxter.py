@@ -139,10 +139,10 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     for _, lhs, rhs in _live_assignments():
         a = [w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
         b = [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs]
-        # a NaN product is not a zero one: the assignment is checked, and fails
-        scale = max(map(abs, a + b), key=severity)
-        if scale != 0.0:
-            residuals.append(abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / scale)
+        scale = max(map(abs, a + b))
+        # a NaN product is not a zero one: checked, it fails (max skips it after zeros)
+        if scale or any(a + b):
+            residuals.append(abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / (scale or cmath.nan))
     return YbeSweep(residual=max(residuals, key=severity, default=0.0),
                     checked=len(residuals), skipped=3 ** 6 - len(residuals))
 

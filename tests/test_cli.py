@@ -102,6 +102,18 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--model", "coloring", "--bc", "free")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--bc", "free"], ["--bc", "toroidal"], ["--corner", "0"], ["--rows", "3"],
+        ["--cols", "3"], ["--rows", "3", "--cols", "3"]])
+    def test_sixvertex_rejects_coloring_options(self, capsys, extra):
+        # each was ignored: --bc free wrote "bc": "dwbc" and exited 0
+        code, out, err = run_cli(capsys, "enumerate", "--model", "sixvertex", "--n", "2", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --rows, --cols, --corner, --bc free|toroidal are coloring options\n"
+        code, out, _ = run_cli(capsys, "enumerate", "--model", "sixvertex", "--n", "2",
+                               "--bc", "dwbc")
+        assert (code, json.loads(out)["count"]) == (0, 2)
+
 
 class TestCensusCommand:
     def test_csv_output(self, capsys):
@@ -352,7 +364,7 @@ class TestVerifyCommand:
         seen = []
 
         def recording(*args):
-            seen[-1].add(args[6:8])
+            seen[-1].add(args[4][2:])
             return original(*args)
 
         monkeypatch.setattr(theta, "_series_sum", recording)

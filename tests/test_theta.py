@@ -7,11 +7,13 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icelab import (DEFAULT_SERIES, EllipticParams, NomeDomainError, PoleError, SeriesConfig,
-                    SeriesTruncationError, cubic_factor_D, quasi_period_factor,
-                    theta1, theta1_prime_at_zero, theta1_reduced, theta4, zeta,
-                    zeta_log_table)
+from icelab import (DEFAULT_SERIES, EllipticParams, EvaluationOverflowError, NomeDomainError,
+                    PoleError, SeriesConfig, SeriesTruncationError, cubic_factor_D,
+                    quasi_period_factor, theta1, theta1_prime_at_zero, theta1_reduced, theta4,
+                    zeta, zeta_log_table)
 from icelab.theta import _series, _series_sum
 
 PI = math.pi
@@ -196,6 +198,44 @@ class TestPowerTable:
                 assert _bits(theta1(phi, up)) == _bits(_loop_series(1, phi, up, cfg, 0.25))
             assert _series_sum.cache_info().hits == len(zeros)
 
+    _ZERO = st.sampled_from([0.0, -0.0])
+    _PART = st.one_of(_ZERO, st.floats(-6.0, 6.0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel=st.sampled_from([(0, 0.0, False), (1, 0.0, False), (1, 0.25, False),
+                                   (1, 0.0, True), (1, 0.25, True)]),
+           phi=st.one_of(_PART, st.builds(complex, _PART, _ZERO),
+                         st.builds(complex, _PART, _PART)),
+           p=st.one_of(st.just(0.0), st.floats(1e-6, 0.9),
+                       st.builds(complex, st.floats(-0.9, -1e-6), _ZERO),
+                       st.builds(cmath.rect, st.floats(1e-6, 0.9), st.floats(-PI, PI))),
+           tol=st.floats(1e-16, 0.5))
+    def test_property_bit_identical_to_loop(self, kernel, phi, p, tol):
+        # real and complex arguments with signed zero parts, every kind of
+        # nome, and max_terms at the count the loop needs and one below it:
+        # the kernel returns the loop's bits or raises what the loop raises
+        # (an OverflowError too: cos or sin of a large imaginary argument
+        # can overflow below the envelope's bound when |p| is near 1)
+        a, offset, derivative = kernel
+        pr = EllipticParams.from_nome(p, lam=0.3)
+
+        def outcome(fn, max_terms):
+            ruled = dataclasses.replace(pr, series=SeriesConfig(tol, max_terms))
+            try:
+                return _bits(fn(a, phi, ruled, offset, derivative))
+            except (SeriesTruncationError, OverflowError) as exc:
+                return type(exc)
+
+        def loop(a, phi, ruled, offset, derivative):
+            return _loop_series(a, phi, ruled, ruled.series, offset, derivative)
+
+        try:
+            terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset, derivative, count=True)[1]
+        except (SeriesTruncationError, OverflowError):
+            terms = DEFAULT_SERIES.max_terms
+        for max_terms in {terms + 1, terms} - {0}:
+            assert outcome(_series, max_terms) == outcome(loop, max_terms), max_terms
+
     def test_sign_of_zero_imaginary_nome(self):
         up = EllipticParams.from_nome(complex(-0.2, 0.0))
         down = EllipticParams.from_nome(complex(-0.2, -0.0))
@@ -231,6 +271,14 @@ class TestDomainErrors:
     def test_inconsistent_tau(self):
         with pytest.raises(ValueError):
             EllipticParams(p=0.2, tau=0.5j, lam=0.0)
+
+    def test_quasi_period_factor_errors(self):
+        # -p^-1 raised ZeroDivisionError at p = 0, exp(800) a bare OverflowError
+        with pytest.raises(PoleError, match="pole at p = 0"):
+            quasi_period_factor(0.3, EllipticParams.from_nome(0))
+        with pytest.raises(EvaluationOverflowError, match="overflows"):
+            quasi_period_factor(400j, params(0.2))
+        assert quasi_period_factor(-400j, params(0.2)) == 0
 
     def test_truncation_error(self):
         tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)
