@@ -56,8 +56,9 @@ def _cmd_enumerate(args) -> int:
         }
     else:
         if args.n is not None:
-            if args.bc != "dwbc":
-                raise ConfigError("--n selects a domain-wall lattice; use --rows/--cols otherwise")
+            if (args.rows, args.cols, args.bc) != (None, None, "dwbc"):
+                raise ConfigError("--n selects a domain-wall lattice: drop --rows, --cols "
+                                  "and --bc free|toroidal, or --n")
             rows = cols = args.n + 1
         elif args.rows is not None and args.cols is not None:
             rows, cols = args.rows, args.cols

@@ -128,12 +128,6 @@ class SixVertexState:
     def ncols(self) -> int:
         return len(self.v[0])
 
-    @property
-    def n(self) -> int:
-        if self.nrows != self.ncols:
-            raise InvalidStateError("state is not square")
-        return self.nrows
-
     def edges_at(self, i: int, j: int) -> tuple[bool, bool, bool, bool]:
         """(left, right, top, bottom) edge booleans at 0-based vertex (i, j)."""
         return (self.h[i][j], self.h[i][j + 1], self.v[i][j], self.v[i + 1][j])

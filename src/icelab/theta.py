@@ -85,7 +85,7 @@ class EllipticParams:
     tau: complex
     lam: complex
     series: SeriesConfig = DEFAULT_SERIES
-    #: (p, sign of Im p, tol, max_terms): what a q-series sum depends on (see _series)
+    #: (p, sign of Im p, tol, max_terms): what a q-series sum depends on (see _series_sum)
     series_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -119,9 +119,6 @@ class EllipticParams:
     def with_lambda(self, lam: complex) -> "EllipticParams":
         return EllipticParams(p=self.p, tau=self.tau, lam=complex(lam), series=self.series)
 
-    def shifted_lambda(self, delta: complex) -> "EllipticParams":
-        return self.with_lambda(self.lam + delta)
-
     def cubed(self) -> "EllipticParams":
         """Parameters at nome p^3 (tau -> 3*tau), same lambda and series."""
         return EllipticParams(p=self.p ** 3, tau=3 * self.tau, lam=self.lam, series=self.series)
@@ -144,24 +141,25 @@ def _term(p: complex, log_ap: float, a: int, offset: float, k: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _nome_powers(key: tuple, a: int, offset: float) -> list:
-    """[log|p|, table, head] of one series (see _series) under the rule key =
+    """[log|p|, table, plan] of one series (see _series_sum) under the rule key =
     EllipticParams.series_key: table[k] = (e_k log|p|, c_k (-1)^k p^{e_k}, 2k + a),
     filled lazily by replacing the tuple, so concurrent callers read consistent
-    entries; head, the entries a real argument sums untested (module docstring).
-    The key keeps Im p's sign: x - 0j == x + 0j, but their powers differ."""
+    entries; plan, the number of leading terms a real argument sums untested
+    (module docstring).  The key keeps Im p's sign: x - 0j == x + 0j, but their
+    powers differ."""
     p, _, tol, max_terms = key
     log_ap, log_tol = math.log(abs(p)) if p else -math.inf, math.log(tol)
     bound, table = 0.0, []
     for k in range(max_terms):
         table.append(_term(p, log_ap, a, offset, k))
         if table[k][0] + _LOG_2 < log_tol + bound * (1.0 + 1e-9) + _STOP_MARGIN:
-            return [log_ap, tuple(table), tuple(table[:k])]
+            return [log_ap, tuple(table), k]
         bound += abs(table[k][1])
-    return [log_ap, tuple(table), tuple(table)]
+    return [log_ap, tuple(table), max_terms]
 
 
-def _series(a: int, phi: complex, params: EllipticParams, offset: float = 0.0,
-            derivative: bool = False) -> complex:
+@lru_cache(maxsize=256)
+def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: bool) -> complex:
     """The q-series kernel behind every theta value:
 
         sum_{k>=0} c_k (-1)^k p^{k^2 + a k + offset} f((2k + a) phi)
@@ -171,25 +169,20 @@ def _series(a: int, phi: complex, params: EllipticParams, offset: float = 0.0,
     finite at p = 0; offset = 1/4 carries the p^{1/4} into every exponent,
     (k + 1/2)^2, and gives theta1 itself.  derivative=True replaces
     f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
-    The params' series settings give the truncation rule.  Sums are kept in
-    a bounded cache keyed by params.series_key (the nome and that rule) and
-    the signs of phi's parts: -0.0 == 0.0 and x - 0j == x + 0j, but negative
-    nomes have different powers on the two sides of the cut.
+    key = EllipticParams.series_key gives the nome and the truncation rule.
+    The last sums are cached by their arguments.  -0.0 == 0.0 and
+    x - 0j == x + 0j share an entry, and may: the sum starts at +0j, which
+    adding never turns into -0.0, and the sign of a zero part of phi moves
+    only zero parts of the sines, cosines and the products they feed, so it
+    never changes the bits of a sum.
     """
-    return _series_sum(a, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
-                       params.series_key, offset, derivative)
-
-
-@lru_cache(maxsize=256)
-def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, key: tuple,
-                offset: float, derivative: bool) -> complex:
     if not cmath.isfinite(phi):
         raise SeriesTruncationError(f"theta argument {phi} is not finite")
     p, _, tol, max_terms = key
-    log_ap, table, head = powers = _nome_powers(key, a, offset)
+    log_ap, table, plan = powers = _nome_powers(key, a, offset)
     trig = cmath.sin if a else cmath.cos
-    s, start = 0j, 0 if phi.imag or derivative else len(head)
-    for _, coef, w in head[:start]:  # a real argument's untested terms
+    s, start = 0j, 0 if phi.imag or derivative else plan
+    for _, coef, w in table[:start]:  # a real argument's untested terms
         s += coef * trig(w * phi)
     log_tol, im = math.log(tol), abs(phi.imag)
     for k in range(start, max_terms):
@@ -203,11 +196,14 @@ def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, key: tuple
         if (log_env < log_tol + abs(s) + _STOP_MARGIN
                 and log_env < math.log(tol * (1.0 + abs(s)))):
             return s
-        if log_env > _LOG_HUGE:
+        try:  # cos or sin of w phi can overflow below the envelope's bound
+            if log_env > _LOG_HUGE:
+                raise OverflowError("term envelope beyond double range")
+            s += coef * (w if derivative else trig(w * phi))
+        except OverflowError as exc:
             raise SeriesTruncationError(
                 f"theta series term overflow at k={k}: |Im phi| = {im} too large "
-                f"for |p| = {abs(p)}")
-        s += coef * (w if derivative else trig(w * phi))
+                f"for |p| = {abs(p)}") from exc
     raise SeriesTruncationError(
         f"theta series not converged in {max_terms} terms "
         f"(|p| = {abs(p)}, |Im phi| = {im})")
@@ -215,14 +211,12 @@ def _series_sum(a: int, phi: complex, re_sign: float, im_sign: float, key: tuple
 
 def theta1(phi: complex, params: EllipticParams) -> complex:
     """theta1(phi | p), odd and pi-antiperiodic in phi."""
-    return _series_sum(1, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
-                       params.series_key, 0.25, False)
+    return _series_sum(1, phi, params.series_key, 0.25, False)
 
 
 def theta4(phi: complex, params: EllipticParams) -> complex:
     """theta4(phi | p), even and pi-periodic in phi."""
-    return _series_sum(0, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
-                       params.series_key, 0.0, False)
+    return _series_sum(0, phi, params.series_key, 0.0, False)
 
 
 def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
@@ -232,13 +226,12 @@ def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
     weights are built from this reduced series; it stays finite at p = 0,
     where it degenerates to 2 sin(phi).
     """
-    return _series_sum(1, phi, copysign(1.0, phi.real), copysign(1.0, phi.imag),
-                       params.series_key, 0.0, False)
+    return _series_sum(1, phi, params.series_key, 0.0, False)
 
 
 def theta1_prime_at_zero(params: EllipticParams) -> complex:
     """d/dphi theta1(phi | p) at phi = 0, by termwise differentiation."""
-    return _series(1, 0.0, params, offset=0.25, derivative=True)
+    return _series_sum(1, 0.0, params.series_key, 0.25, True)
 
 
 class ThetaTriple:
@@ -304,10 +297,10 @@ def cubic_factor_D(params: EllipticParams) -> complex:
     Computed from the reduced series; the p^{3/4} factors cancel exactly, so
     the value extends continuously to D(0) = 1.
     """
-    den = _series(1, 0.0, params.cubed(), derivative=True)
+    den = _series_sum(1, 0.0, params.cubed().series_key, 0.0, True)
     if abs(den) < _POLE_TOL:
         raise PoleError("theta1'(0 | p^3) vanishes")
-    num = (_series(1, 0.0, params, derivative=True)
+    num = (_series_sum(1, 0.0, params.series_key, 0.0, True)
            * theta1_reduced(PI / 3, params)
            * theta1_reduced(TWO_PI_OVER_3, params))
     return num / (3.0 * den)

@@ -100,9 +100,6 @@ class FaceWeightParams:
             if not cmath.isfinite(z):
                 raise ConfigError(f"face weight {name} must be finite, got {z!r}")
 
-    def weight(self, c: int) -> complex:
-        return (self.z0, self.z1, self.z2)[c % 3]
-
 
 _CORNER_PATTERN: dict[VertexKind, tuple[int, int, int, int]] = {
     VertexKind.ALPHA: (0, -1, 0, 1),

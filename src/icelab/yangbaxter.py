@@ -230,7 +230,7 @@ def appendix_substitution(params: EllipticParams) -> WeightFamily:
 
     # a triple of this family's own, not the shared cache's: its principal
     # logs may wrap, so its log-zeta table is replaced by the theta1 sheet's
-    tri = ThetaTriple(theta4_at_half_period, params.shifted_lambda(half))
+    tri = ThetaTriple(theta4_at_half_period, params.with_lambda(params.lam + half))
     tri.log_zeta = sheet.log_zeta
     ctx = (tri, theta1_reduced(TWO_PI_OVER_3, params))
     return WeightFamily(name="substituted",

@@ -102,6 +102,24 @@ class TestEnumerateCommand:
         code, _, err = run_cli(capsys, "enumerate", "--model", "coloring", "--bc", "free")
         assert code == 2
 
+    def test_sixvertex_requires_n(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--model", "sixvertex")
+        assert (code, out, err) == (2, "", "error: --model sixvertex requires --n\n")
+
+    @pytest.mark.parametrize("extra", [
+        ["--rows", "5", "--cols", "5"], ["--rows", "5"], ["--cols", "5"], ["--bc", "free"],
+        ["--bc", "toroidal"], ["--rows", "3", "--cols", "3", "--bc", "free"]])
+    def test_coloring_n_rejects_grid_options(self, capsys, extra):
+        # --rows and --cols were ignored: --n 1 --rows 5 --cols 5 wrote the
+        # 2x2 domain-wall grid and exited 0
+        code, out, err = run_cli(capsys, "enumerate", "--model", "coloring", "--n", "1", *extra)
+        assert (code, out) == (2, "")
+        assert err == ("error: --n selects a domain-wall lattice: drop --rows, --cols "
+                       "and --bc free|toroidal, or --n\n")
+        code, out, _ = run_cli(capsys, "enumerate", "--model", "coloring", "--n", "1",
+                               "--bc", "dwbc")
+        assert (code, json.loads(out)["rows"], json.loads(out)["cols"]) == (0, 2, 2)
+
     @pytest.mark.parametrize("extra", [
         ["--bc", "free"], ["--bc", "toroidal"], ["--corner", "0"], ["--rows", "3"],
         ["--cols", "3"], ["--rows", "3", "--cols", "3"]])
@@ -199,6 +217,41 @@ class TestVerifyCommand:
         cfg.write_text("not_a_key = 1\n")
         code, _, _ = run_cli(capsys, "verify", "--suite", "theta", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_max 0.3", "bad.cfg:2: expected 'key = value'"),
+        ("p_max = 0.3x", "bad.cfg:2: bad value for 'p_max': 0.3x"),
+        ("max_terms = 1.5", "bad.cfg:2: bad value for 'max_terms': 1.5")])
+    def test_malformed_config_line_exit_two(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\n" + line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "theta", "--samples", "1",
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / message}\n"
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_exit_two(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run_cli(capsys, "verify", "--suite", "theta", "--samples", "1",
+                                 "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {path}: ")
+
+    def test_overflowing_theta_term_exit_two(self, capsys, tmp_path):
+        # at |p| ~ 1e-300 the pi*tau shift has |Im phi| ~ 690, where cos and
+        # sin overflow below the envelope bound: a bare OverflowError and a
+        # traceback, exit 1, before the kernel turned it into its typed error
+        cfg = tmp_path / "tiny-nome.cfg"
+        cfg.write_text("p_min = 1e-300\np_max = 1e-299\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "theta", "--samples", "1",
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta series term overflow at k=1: ")
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown suite 'nope'; choose from "):
+            run_suite("nope")
 
     @pytest.mark.parametrize("line", ["max_terms = 0", "eta_margin = 2.0"])
     def test_bad_config_value_exit_two(self, capsys, tmp_path, line):
@@ -364,7 +417,7 @@ class TestVerifyCommand:
         seen = []
 
         def recording(*args):
-            seen[-1].add(args[4][2:])
+            seen[-1].add(args[2][2:])
             return original(*args)
 
         monkeypatch.setattr(theta, "_series_sum", recording)

@@ -501,6 +501,15 @@ class TestRecursions:
         with pytest.raises(IndexError):
             check_recursion_6v(a, 3, 1, +1)
 
+    def test_sign_and_form_guards(self):
+        a = assignment(random.Random(9), 2)
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError, match="^sign must be \\+1 or -1$"):
+                check_recursion_6v(a, 1, 1, sign)
+        for form in ("z", "X", ""):
+            with pytest.raises(ValueError, match="^form must be 'Z' or 'F'$"):
+                check_recursion_6v(a, 1, 1, +1, form=form)
+
 
 class TestFunctionalSums:
     def test_n1_three_sines(self):

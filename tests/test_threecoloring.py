@@ -189,6 +189,14 @@ class TestColor:
                     GridColoring(faces=faces)
         assert GridColoring(faces=((0, 1), (1, 2))).color_counts() == (1, 2, 1)
 
+    def test_grid_rejects_empty_and_ragged_faces(self):
+        for faces in ((), ((),), []):
+            with pytest.raises(InvalidColoringError, match="^empty face grid$"):
+                GridColoring(faces=faces)
+        for faces in (((0, 1), (2,)), [[0], [1, 2]]):
+            with pytest.raises(InvalidColoringError, match="^ragged face grid$"):
+                GridColoring(faces=faces)
+
     def test_shifted_reduces_mod_3(self):
         g = GridColoring.from_rows([[0, 1, 2], [1, 2, 0]])
         assert g.shifted(5) == g.shifted(2)
@@ -651,7 +659,7 @@ class TestWeights:
         # X_{r+1}(phi | lambda) = X_r(phi | lambda + 2pi/3) for every kind
         rnd = random.Random(20)
         pr = params(0.2, 0.27)
-        shifted = pr.shifted_lambda(2 * PI / 3)
+        shifted = pr.with_lambda(pr.lam + 2 * PI / 3)
         for kind in VertexKind:
             for r in range(3):
                 phi = rnd.uniform(-1, 1)
@@ -662,7 +670,7 @@ class TestWeights:
     def test_beta_shift_is_not_alpha(self):
         # the cross-kind variant of the shift law does not hold
         pr = params(0.2, 0.27)
-        shifted = pr.shifted_lambda(2 * PI / 3)
+        shifted = pr.with_lambda(pr.lam + 2 * PI / 3)
         phi = 0.37
         lhs = raw_weight(ColoredVertexKind(VertexKind.BETA, 1), phi, pr)
         rhs = raw_weight(ColoredVertexKind(VertexKind.ALPHA, 0), phi, shifted)
@@ -761,6 +769,11 @@ class TestPartitionFunctions:
                         assert partial_partition_function(n, r, a, pr, which) == pytest.approx(
                             _loop_partial_partition_function(n, r, a, pr, which), rel=1e-15)
 
+    def test_unknown_family_rejected(self):
+        a = assignment(random.Random(29), 2)
+        with pytest.raises(ValueError, match="^which must be 'raw' or 'tilde'$"):
+            partial_partition_function(2, 0, a, params(0.2, 0.27), which="bad")
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_coloring_product(self, n):
         # the public enumeration and vertex classifier against the row transfer
@@ -847,7 +860,7 @@ class TestPartitionFunctions:
         a = assignment(rnd, 2)
         for r in range(3):
             lhs = partial_partition_function(2, r + 1, a, pr)
-            rhs = partial_partition_function(2, r, a, pr.shifted_lambda(2 * PI / 3))
+            rhs = partial_partition_function(2, r, a, pr.with_lambda(pr.lam + 2 * PI / 3))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_separate_symmetry(self):
@@ -961,7 +974,7 @@ class TestDressedSums:
         a = assignment(rnd, 2)
         for r in range(3):
             lhs = F_rn(2, r + 1, a, pr)
-            rhs = F_rn(2, r, a, pr.shifted_lambda(2 * PI / 3))
+            rhs = F_rn(2, r, a, pr.with_lambda(pr.lam + 2 * PI / 3))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_pi_shift_common_summand_factor(self):
