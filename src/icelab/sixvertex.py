@@ -11,8 +11,8 @@ square lattice of n vertices per row h has shape n x (n+1) and v has shape
 Domain-wall boundary conditions: boundary horizontal arrows point in
 (leftmost right, rightmost left) and boundary vertical arrows point out
 (top up, bottom down).  States are enumerated by a depth-first walk over the
-ice-rule moves of one row, each move checked once when its table is built,
-so the walk's states skip the public constructor's per-row check; the
+ice-rule moves of one row, each move a chain of entries of the ice-rule
+table, so the walk's states skip the public constructor's per-row check; the
 partition functions list none, a sweep adding one vertex at a time with one
 amplitude per mask of vertical edges under it.
 
@@ -85,8 +85,9 @@ _BETAS = (VertexKind.BETA, VertexKind.BETA_P)
 @lru_cache(maxsize=None)
 def _unchecked(cls):
     """Constructor of the frozen dataclass cls that takes its field values
-    positionally and skips its __post_init__ checks: for values whose pieces
-    were checked where they were made.  It is compiled once per class, as
+    positionally and skips its __post_init__ checks: for values built from
+    input the public constructors checked, or read from the ice-rule tables,
+    which the tests check entry by entry.  It is compiled once per class, as
     dataclass compiles __init__, with one object.__setattr__ per field and
     no loop, so it costs what a hand-unrolled constructor does and, as the
     public constructors do, materialises no per-instance __dict__."""
@@ -167,10 +168,9 @@ class SixVertexState:
 @lru_cache(maxsize=4096)
 def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None:
     """Column of the first vertex in one row of a state that breaks the ice
-    rule, or None.  The public SixVertexState constructor checks its rows
-    through this cache; _row_moves checks each move it builds once, and the
-    Lenard map each vertex row it reads, so the enumerated states and the
-    Lenard images skip the per-state check."""
+    rule, or None: the public SixVertexState constructor checks its rows
+    through this cache.  The enumerated states and the Lenard images are
+    built under the ice rule and skip it."""
     for j, edges in enumerate(zip(h_row, h_row[1:], v_top, v_bottom)):
         if edges not in _KIND_FROM_EDGES:
             return j
@@ -181,21 +181,13 @@ def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None
 def _row_moves(v_in: tuple[bool, ...]) -> tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]:
     """The (h row, v out) pairs of one domain-wall row below the vertical
     edges v_in, h rows ascending: the row enters pointing right, leaves
-    pointing left, and every vertex obeys the ice rule.  Each move is
-    checked here, its lengths and its vertices, the one check the states
-    built from it get."""
+    pointing left, and every vertex obeys the ice rule: each move is a
+    chain of _COMPLETIONS entries, one per top edge after the entry edge."""
     rows = [((True,), ())]
     for top in v_in:
         rows = [(h + (right,), v + (bottom,))
                 for h, v in rows for right, bottom, _ in _COMPLETIONS[h[-1], top]]
-    moves = tuple((h, v) for h, v in rows if not h[-1])
-    for h, v in moves:
-        if len(h) != len(v_in) + 1 or len(v) != len(v_in):
-            raise InvalidStateError(f"row move {h} under {v_in} has inconsistent shapes")
-        j = _first_bad_vertex(h, v_in, v)
-        if j is not None:
-            raise InvalidStateError(f"row move {h} under {v_in} breaks the ice rule at column {j}")
-    return moves
+    return tuple((h, v) for h, v in rows if not h[-1])
 
 
 def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
@@ -233,24 +225,12 @@ class SpectralAssignment:
     eta: complex = ETA_COMBINATORIAL
 
     def __post_init__(self) -> None:
-        self._init(tuple(complex(x) for x in self.chi),
-                   tuple(complex(x) for x in self.psi), complex(self.eta))
-
-    def _init(self, chi: tuple[complex, ...], psi: tuple[complex, ...], eta: complex) -> None:
+        chi, psi = tuple(map(complex, self.chi)), tuple(map(complex, self.psi))
         if len(chi) != len(psi):
             raise ValueError("chi and psi must have equal length")
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "eta", eta)
-
-    @classmethod
-    def _derived(cls, chi: tuple[complex, ...], psi: tuple[complex, ...],
-                 eta: complex) -> "SpectralAssignment":
-        """Assignment from tuples that are already complex: the length check
-        of the public constructor without its coercion."""
-        new = object.__new__(cls)
-        new._init(chi, psi, eta)
-        return new
+        object.__setattr__(self, "eta", complex(self.eta))
 
     @property
     def n(self) -> int:
@@ -266,7 +246,7 @@ class SpectralAssignment:
         """New assignment with chi_k (1-based) replaced."""
         chi = list(self.chi)
         chi[self._index(k)] = complex(value)
-        return self._derived(tuple(chi), self.psi, self.eta)
+        return _unchecked(SpectralAssignment)(tuple(chi), self.psi, self.eta)
 
     def shift_chi(self, k: int, delta: complex) -> "SpectralAssignment":
         return self.replace_chi(k, self.chi[self._index(k)] + delta)
@@ -275,7 +255,7 @@ class SpectralAssignment:
         psi = list(self.psi)
         i = self._index(k)
         psi[i] = complex(psi[i] + delta)
-        return self._derived(self.chi, tuple(psi), self.eta)
+        return _unchecked(SpectralAssignment)(self.chi, tuple(psi), self.eta)
 
     def drop(self, k: int, l: int) -> "SpectralAssignment":
         """Remove chi_k and psi_l (1-based), for the reduced-lattice side of
@@ -283,12 +263,16 @@ class SpectralAssignment:
         k, l = self._index(k), self._index(l)
         chi = tuple(x for i, x in enumerate(self.chi) if i != k)
         psi = tuple(x for i, x in enumerate(self.psi) if i != l)
-        return self._derived(chi, psi, self.eta)
+        return _unchecked(SpectralAssignment)(chi, psi, self.eta)
 
 
 def _sin_eta(eta: complex) -> complex:
+    """sin(eta); DegenerateCrossingError for an eta that is not finite (NaN
+    included) or a sin(eta) near 0."""
+    if not cmath.isfinite(eta):
+        raise DegenerateCrossingError(f"eta = {eta} is not finite")
     s = cmath.sin(eta)
-    if abs(s) < 1e-12:
+    if not abs(s) >= 1e-12:
         raise DegenerateCrossingError(f"sin(eta) ~ 0 at eta = {eta}")
     return s
 

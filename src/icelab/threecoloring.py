@@ -65,16 +65,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import eq, ne
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, ConfigError, EvaluationOverflowError,
-                     InvalidColoringError, InvalidStateError, PoleError, SizeGuardError)
+                     InvalidColoringError, PoleError, SizeGuardError)
 from .numutil import rel_residual
-from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple,
-                    cubic_factor_D, theta1, theta1_reduced, theta4, theta_triple)
-from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind, _dressed,
-                        _first_bad_vertex, _pin, _three_term_residual, _unchecked,
-                        _vertex_sweep)
+from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, cubic_factor_D,
+                    quasi_period_factor, theta1, theta1_reduced, theta4, theta_triple)
+from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind, _dressed, _pin,
+                        _three_term_residual, _unchecked, _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -168,7 +167,10 @@ class GridColoring:
 
     @classmethod
     def from_rows(cls, rows) -> "GridColoring":
-        return cls(faces=tuple(tuple(int(c) % 3 for c in row) for row in rows))
+        """Grid of the given rows, each plain int color read mod 3; any other
+        value goes to the constructor's check as it is."""
+        return cls(faces=tuple(tuple(c % 3 if type(c) is int else c for c in row)
+                               for row in rows))
 
     @property
     def rows(self) -> int:
@@ -266,9 +268,9 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     A depth-first walk over the face rows of the row transfer sectors, each
     row generated lazily among those that differ from the row above it.
     For dwbc, rows == cols == n+1 and corner (when given) pins the top-left
-    color; otherwise all three corner choices are produced.  _row_sectors
-    checks each level's colors and width once and every row is made from a
-    level, so the grids skip GridColoring's per-grid check.
+    color; otherwise all three corner choices are produced.  Every row takes
+    its colors from a level of the colors 0, 1 and 2, cols columns wide, so
+    the grids skip GridColoring's per-grid check.
     """
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if empty:
@@ -395,38 +397,25 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition, corner: int | None
     every other sector has weight 1.  Color permutations are not used: they
     would permute the color counts."""
     colors = (0, 1, 2)
-    anything = _level((colors,) * cols, cols)
+    anything = (colors,) * cols
     if bc is BoundaryCondition.FREE:
         yield [anything] * rows, False, 1
     elif bc is BoundaryCondition.TOROIDAL:
         firsts = _rows(anything, True)
         for first, weight in (Counter(map(_least_image, firsts)).items() if orbits
                               else zip(firsts, itertools.repeat(1))):
-            unlike = _level((tuple(c for c in colors if c != f) for f in first), cols)
+            unlike = tuple(tuple(c for c in colors if c != f) for f in first)
             yield [tuple((f,) for f in first)] + [anything] * (rows - 2) + [unlike], True, weight
     else:
         for c in [corner] if corner is not None else range(3):
             forced = dwbc_boundary(rows - 1, c)
-            yield [_level(((forced[i, j],) if (i, j) in forced else colors
-                           for j in range(cols)), cols) for i in range(rows)], False, 1
+            yield [tuple((forced[i, j],) if (i, j) in forced else colors
+                         for j in range(cols)) for i in range(rows)], False, 1
 
 
 def _least_image(row: Row) -> Row:
     """The least of the rows that rotating and reversing row's columns give."""
     return min(r[k:] + r[:k] for r in (row, row[::-1]) for k in range(len(row)))
-
-
-def _level(columns: Iterable[tuple[int, ...]], cols: int) -> Level:
-    """The level of the given columns, checked once where it is made: cols
-    columns, every color the int 0, 1 or 2.  The rows _rows makes from it
-    take their colors from it and have its width, so they need no check of
-    their own; a toroidal first row is made from such a level too."""
-    level = tuple(columns)
-    if len(level) != cols:
-        raise InvalidColoringError(f"level of {len(level)} columns in a grid of {cols}")
-    if not all(type(c) is int and 0 <= c <= 2 for column in level for c in column):
-        raise InvalidColoringError("face colors must be the ints 0, 1 or 2")
-    return level
 
 
 def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, int, int], int]:
@@ -489,45 +478,35 @@ def _arrow_row(near: Row, far: Row) -> tuple[bool, ...] | None:
 
 
 @lru_cache(maxsize=4096)
-def _vertex_row(upper: Row, lower: Row) -> tuple[tuple[bool, ...], ...] | None:
-    """The vertex row between two face rows of one width, (h row, v above,
-    v below), checked once per distinct pair: None if two adjacent faces are
-    equal or a vertex breaks the ice rule."""
-    arrows = _arrow_row(upper, lower), _arrow_row(upper, upper[1:]), _arrow_row(lower, lower[1:])
-    if None in arrows or _first_bad_vertex(*arrows) is not None:
-        return None
-    return arrows
+def _vertex_row(upper: Row, lower: Row) -> tuple[tuple[bool, ...], tuple[bool, ...]] | None:
+    """The vertex row between two face rows of one width, (h row, v row of
+    lower), read once per distinct pair: None if two adjacent faces are equal."""
+    h, v = _arrow_row(upper, lower), _arrow_row(lower, lower[1:])
+    return None if h is None or v is None else (h, v)
 
 
 def lenard_map(coloring: GridColoring) -> SixVertexState:
     """Arrow state of a coloring: horizontal edges point right iff the south
     face is the north face + 1, vertical edges point up iff the east face is
     the west face + 1.  Adding a constant to all colors leaves the image
-    unchanged, so the map is three to one.  Each vertex row is read from a
-    table of the last 4096 distinct (face row, face row below) pairs, which
-    checks it once; a coloring's rows have one width, so the image needs no
-    check of its own."""
+    unchanged, so the map is three to one.
+
+    Going clockwise round a vertex, each step from face to face is +1 mod 3
+    exactly where the edge it crosses points out of the vertex.  In a proper
+    coloring every step is +1 or -1 and the four sum to 0 mod 3, so two are
+    +1 and two -1: the image obeys the ice rule and needs no check of it.
+    Each vertex row is read from a table of the last 4096 distinct (face
+    row, face row below) pairs; a coloring's rows have one width, so the
+    image needs no shape check either."""
     f = coloring.faces
+    top = _arrow_row(f[0], f[0][1:])
     rows = list(map(_vertex_row, f, f[1:]))
-    if not rows or len(f[0]) < 2 or None in rows:
-        raise _lenard_error(coloring)
-    h, top, bottom = zip(*rows)
-    return _unchecked(SixVertexState)(h, top[:1] + bottom)
-
-
-def _lenard_error(coloring: GridColoring) -> InvalidColoringError | InvalidStateError:
-    """Why a coloring has no arrow state: improper adjacency is reported
-    before a missing internal vertex, then the first vertex that breaks the
-    ice rule."""
-    f = coloring.faces
-    if not coloring.is_proper():
-        return InvalidColoringError("coloring violates proper adjacency")
-    if len(f) < 2 or len(f[0]) < 2:
-        return InvalidColoringError("need at least one internal vertex")
-    bad = [_first_bad_vertex(_arrow_row(upper, lower), _arrow_row(upper, upper[1:]),
-                             _arrow_row(lower, lower[1:])) for upper, lower in zip(f, f[1:])]
-    i = next(i for i, j in enumerate(bad) if j is not None)
-    return InvalidStateError(f"ice rule violated at vertex ({i}, {bad[i]})")
+    if top is None or None in rows:
+        raise InvalidColoringError("coloring violates proper adjacency")
+    if not rows or not top:
+        raise InvalidColoringError("need at least one internal vertex")
+    h, v = zip(*rows)
+    return _unchecked(SixVertexState)(h, (top,) + v)
 
 
 # ---------------------------------------------------------------------------
@@ -616,14 +595,15 @@ def psi_factor(m: int, params: EllipticParams) -> complex:
 
 def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
                                 params: EllipticParams) -> float:
-    """Residual of the pi*tau shift law for one tilde weight."""
+    """Residual of the pi*tau shift law for one tilde weight; PoleError at
+    p = 0, where pi*tau is infinite."""
+    phi = complex(phi)
+    shift = quasi_period_factor(phi, params)
+    lhs = tilde_weight(v, phi + PI * params.tau, params)
     bl, tl, tr, br = v.corner_lifts()
-    lhs = tilde_weight(v, complex(phi) + PI * params.tau, params)
-    factor = (psi_factor(tl, params) * psi_factor(br, params)
-              / (psi_factor(bl, params) * psi_factor(tr, params)))
-    rhs = (-1.0 / params.p) * cmath.exp(-2j * complex(phi)) * factor \
-        * tilde_weight(v, phi, params)
-    return rel_residual(lhs, rhs)
+    cocycle = (psi_factor(tl, params) * psi_factor(br, params)
+               / (psi_factor(bl, params) * psi_factor(tr, params)))
+    return rel_residual(lhs, shift * cocycle * tilde_weight(v, phi, params))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     F_n_6v, functional_residual_6v, partition_function_6v,
                     weight6v)
 from icelab.numutil import stable_sum
-from icelab.sixvertex import (MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES, _row_moves,
-                              _vertex_sweep)
+from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES,
+                              _first_bad_vertex, _row_moves, _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -185,19 +185,40 @@ class TestEnumeration:
             rebuilt = SixVertexState(s.h, s.v)
             assert rebuilt == s and hash(rebuilt) == hash(s)
 
-    def test_row_move_check_can_fail(self, monkeypatch):
-        # one wrong completion: a row entering right under an up edge leaves
-        # right and down, four arrows out of (0, 0) and every move of the
-        # first row broken there; the moves are checked where they are built
-        monkeypatch.setitem(_COMPLETIONS, (T, T), [(F, T, VertexKind.ALPHA)])
-        _row_moves.cache_clear()
-        try:
-            with pytest.raises(InvalidStateError, match="breaks the ice rule at column 0"):
-                enumerate_dwbc_states(3)
-        finally:
-            monkeypatch.undo()
-            _row_moves.cache_clear()
-        assert len(enumerate_dwbc_states(3)) == 7
+    def test_ice_tables_entry_by_entry(self):
+        # the walk's moves are chains of _COMPLETIONS entries and nothing
+        # checks them at run time, so both tables are checked here over all
+        # 16 edge tuples: a tuple has a kind iff two of its arrows point in
+        # (left pointing right, right pointing left, top down, bottom up),
+        # and (right, bottom, kind) completes (left, top) iff that is its kind
+        for edges in itertools.product((F, T), repeat=4):
+            left, right, top, bottom = edges
+            arrows_in = left + (not right) + (not top) + bottom
+            kind = _KIND_FROM_EDGES.get(edges)
+            assert (kind is not None) == (arrows_in == 2)
+            completions = {(r, b): k for r, b, k in _COMPLETIONS[left, top]}
+            assert completions.get((right, bottom)) is kind
+        assert len(_KIND_FROM_EDGES) == len(set(_KIND_FROM_EDGES.values())) == 6
+        assert sum(map(len, _COMPLETIONS.values())) == 6
+        assert all(entries == sorted(entries) for entries in _COMPLETIONS.values())
+
+    def test_row_moves_exhaustive(self):
+        # every move under every vertical edge tuple the walk can meet, 254
+        # tuples of widths 1..MAX_ENUM_N: one h edge per vertex plus the
+        # entry edge, entering right and leaving left, one v edge per vertex,
+        # every vertex obeying the ice rule, h rows ascending
+        tuples = moves = 0
+        for width in range(1, MAX_ENUM_N + 1):
+            for v_in in itertools.product((F, T), repeat=width):
+                row = _row_moves(v_in)
+                assert [h for h, _ in row] == sorted({h for h, _ in row})
+                for h, v in row:
+                    assert len(h) == width + 1 and len(v) == width
+                    assert h[0] and not h[-1]
+                    assert _first_bad_vertex(h, v_in, v) is None
+                tuples += 1
+                moves += len(row)
+        assert (tuples, moves) == (254, 1636)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -302,6 +323,18 @@ class TestWeights:
         with pytest.raises(DegenerateCrossingError):
             weight6v(VertexKind.BETA, 0.3, PI)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                             ids=["nan", "inf", "-inf", "nanj"])
+    def test_non_finite_eta_raises(self, eta):
+        # NaN failed abs(sin(eta)) < 1e-12 and returned NaN sums; inf raised
+        # an untyped ValueError from sin
+        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=eta)
+        for evaluate in (lambda: partition_function_6v(a),
+                         lambda: weight6v(VertexKind.GAMMA, 0.3, eta),
+                         lambda: check_recursion_6v(a, 1, 1, 1)):
+            with pytest.raises(DegenerateCrossingError, match="^eta = .* is not finite$"):
+                evaluate()
+
 
 def _bits(assign):
     """Every rapidity and eta as (real, imag) float pairs, with their types."""
@@ -339,9 +372,11 @@ class TestSpectralAssignment:
     def test_unequal_lengths_raise(self):
         with pytest.raises(ValueError, match="^chi and psi must have equal length$"):
             SpectralAssignment(chi=[0.1, 0.2], psi=[0.3])
-        # a derived assignment keeps the check
+        # the lengths are compared after the coercion, so generators count
         with pytest.raises(ValueError, match="^chi and psi must have equal length$"):
-            SpectralAssignment._derived((0.1 + 0j, 0.2 + 0j), (0.3 + 0j,), 2.0 + 0j)
+            SpectralAssignment(chi=(x for x in (0.1, 0.2)), psi=(x for x in (0.3,)))
+        a = SpectralAssignment(chi=(x for x in (0.1, 0.2)), psi=iter([0.3, 0.4]))
+        assert a == SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
 
     @pytest.mark.parametrize("edit", [
         lambda a, k: a.replace_chi(k, 9.0), lambda a, k: a.shift_chi(k, 0.5),

@@ -16,7 +16,7 @@ import pytest
 import icelab
 from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticParams,
                     EvaluationOverflowError, FaceWeightParams,
-                    GridColoring, InvalidColoringError, InvalidStateError, SeriesConfig,
+                    GridColoring, InvalidColoringError, PoleError, SeriesConfig,
                     SixVertexState, SizeGuardError, SpectralAssignment, VertexKind,
                     check_recursion_3c, classify_vertex,
                     compute_census, dwbc_boundary, enumerate_colorings,
@@ -196,6 +196,15 @@ class TestColor:
         for faces in (((0, 1), (2,)), [[0], [1, 2]]):
             with pytest.raises(InvalidColoringError, match="^ragged face grid$"):
                 GridColoring(faces=faces)
+
+    def test_from_rows_reduces_only_plain_ints(self):
+        # 1.7, True and "2" were truncated or parsed into colors, where the
+        # constructor rejects them
+        for c in (1.7, True, "2", 1.0):
+            with pytest.raises(InvalidColoringError,
+                               match="face colors must be the ints 0, 1 or 2"):
+                GridColoring.from_rows([[c, 0], [1, 2]])
+        assert GridColoring.from_rows([[3, -2], [4, 5]]).faces == ((0, 1), (1, 2))
 
     def test_shifted_reduces_mod_3(self):
         g = GridColoring.from_rows([[0, 1, 2], [1, 2, 0]])
@@ -517,7 +526,9 @@ class TestLenardMap:
         for faces, message in ((((0, 0), (1, 2)), "violates proper adjacency"),
                                (((0, 0, 1),), "violates proper adjacency"),
                                (((0,), (0,), (1,)), "violates proper adjacency"),
-                               (((0, 1, 2),), "need at least one internal vertex")):
+                               (((0, 1, 2),), "need at least one internal vertex"),
+                               (((0,), (1,), (2,)), "need at least one internal vertex"),
+                               (((1,),), "need at least one internal vertex")):
             with pytest.raises(InvalidColoringError, match=message):
                 lenard_map(GridColoring(faces=faces))
 
@@ -547,9 +558,10 @@ UNCHECKED_GRIDS = ([(n + 1, n + 1, "dwbc", c) for n in range(1, 6) for c in (Non
 
 
 class TestCheckedOnce:
-    """The walk checks each level's colors once and the Lenard map each
-    distinct vertex row once; the objects they build skip the per-object
-    checks of the public constructors, so they must equal what those build."""
+    """The walk takes its colors from levels of 0, 1 and 2 and the Lenard map
+    its arrows from a proper coloring, which obey the ice rule; the objects
+    they build skip the per-object checks of the public constructors, so
+    they must equal what those build."""
 
     @pytest.mark.parametrize("args", UNCHECKED_GRIDS)
     def test_walk_and_images_match_public_constructors(self, args):
@@ -564,40 +576,16 @@ class TestCheckedOnce:
             assert s == state and hash(s) == hash(state)
             assert all(type(row) is tuple for row in s.h + s.v)
 
-    def test_level_color_out_of_range_raises_from_the_walk(self, monkeypatch):
-        # a forced color 3 on the top row: without the level check the walk
-        # yields a grid holding it (3 is unlike both its neighbours)
-        real = threecoloring.dwbc_boundary
-
-        def forged(n, corner):
-            forced = real(n, corner)
-            forced[0, 1] = 3
-            return forced
-
-        monkeypatch.setattr(threecoloring, "dwbc_boundary", forged)
-        with pytest.raises(InvalidColoringError, match="face colors must be the ints 0, 1 or 2"):
-            next(iter_colorings(3, 3, "dwbc", corner=0))
-
-    def test_forged_row_pair_breaks_the_ice_rule(self, monkeypatch):
-        # flipping the first arrow between two face rows leaves one vertex
-        # with one or three arrows in: the map must not return that state
-        real = threecoloring._arrow_row
-
-        def forged(near, far):
-            arrows = real(near, far)
-            if arrows is None or len(near) != len(far):
-                return arrows
-            return (not arrows[0],) + arrows[1:]
-
-        monkeypatch.setattr(threecoloring, "_arrow_row", forged)
-        threecoloring._vertex_row.cache_clear()
-        try:
-            with pytest.raises(InvalidStateError, match=r"^ice rule violated at vertex \(0, 0\)$"):
-                lenard_map(FIVE_BY_SIX)
-        finally:
-            monkeypatch.undo()
-            threecoloring._vertex_row.cache_clear()
-        assert lenard_map(FIVE_BY_SIX).h == FIVE_BY_SIX_H
+    @pytest.mark.parametrize("vk", [ColoredVertexKind(kind, r)
+                                    for kind in VertexKind for r in range(3)],
+                             ids=lambda vk: f"{vk.kind.value}-{vk.r}")
+    def test_lenard_map_of_every_admissible_quadruple(self, vk):
+        # the 2x2 grid around one vertex, for each of the 18 quadruples: its
+        # image passes the public ice-rule check and has the quadruple's kind
+        bl, tl, tr, br = vk.corner_colors()
+        s = lenard_map(GridColoring(faces=((tl, tr), (bl, br))))
+        state = SixVertexState(h=s.h, v=s.v)
+        assert s == state and state.kind_at(0, 0) is vk.kind
 
 
 class TestClassification:
@@ -733,6 +721,13 @@ class TestQuasiPeriodicity:
             for r in range(3):
                 vk = ColoredVertexKind(kind, r)
                 assert tilde_quasi_period_residual(vk, 0.31, pr) < 1e-9
+
+    def test_tilde_pi_tau_law_has_a_pole_at_p_zero(self):
+        # pi*tau is infinite there; the series raised SeriesTruncationError
+        # on a NaN argument
+        vk = ColoredVertexKind(VertexKind.ALPHA, 0)
+        with pytest.raises(PoleError, match="pole at p = 0"):
+            tilde_quasi_period_residual(vk, 0.31, EllipticParams.from_nome(0, lam=0.26))
 
     def test_reduced_representatives_break_the_law(self):
         # reducing the corner labels mod 3 inside the cocycle ratio spoils it:
