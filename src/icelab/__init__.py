@@ -23,9 +23,8 @@ from .threecoloring import (BoundaryCondition, ColoredVertexKind,
                             tilde_quasi_period_residual, tilde_weight)
 from .yangbaxter import (GaugeData, WeightFamily, YbeSweep, appendix_family,
                          appendix_substitution, apply_gauge_kindwise,
-                         gauge_constraint_residual, identity_gauge,
-                         raw_family, rosengren_family, rosengren_gauge,
-                         rosengren_match, sixvertex_family, tilde_family,
-                         ybe_sweep, zeta_gauge)
+                         gauge_constraint_residual, raw_family,
+                         rosengren_family, rosengren_gauge, rosengren_match,
+                         sixvertex_family, tilde_family, ybe_sweep, zeta_gauge)
 
 __version__ = "0.1.0"

@@ -30,5 +30,7 @@ def rel_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
 def severity(residual: float) -> tuple[bool, float]:
     """Sort key for the worst of several residuals: a larger residual is
     worse, and NaN is worse than any number.  A plain max or > skips a NaN,
-    so a check that computed one would pass its gate."""
+    so a check that computed one would pass its gate.  max(..., key=severity)
+    and verify's running worst per identity, where a residual replaces the
+    held one only under a greater key, both keep the first of equal keys."""
     return residual != residual, residual  # only NaN is unequal to itself

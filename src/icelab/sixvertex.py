@@ -12,7 +12,7 @@ Domain-wall boundary conditions: boundary horizontal arrows point in
 (leftmost right, rightmost left) and boundary vertical arrows point out
 (top up, bottom down).  States are enumerated by a depth-first walk over the
 ice-rule moves of one row, each move a chain of entries of the ice-rule
-table, so the walk's states skip the public constructor's per-row check; the
+table, so the walk's states skip the public constructor's ice-rule check; the
 partition functions list none, a sweep adding one vertex at a time with one
 amplitude per mask of vertical edges under it.
 
@@ -114,10 +114,9 @@ class SixVertexState:
         cols = len(v[0])
         if cols == 0 or set(map(len, h)) != {cols + 1} or set(map(len, v)) != {cols}:
             raise InvalidStateError("edge arrays have inconsistent shapes")
-        bad = list(map(_first_bad_vertex, h, v, v[1:]))
-        if bad.count(None) != rows:
-            i = next(i for i, j in enumerate(bad) if j is not None)
-            raise InvalidStateError(f"ice rule violated at vertex ({i}, {bad[i]})")
+        for i, j in itertools.product(range(rows), range(cols)):
+            if (h[i][j], h[i][j + 1], v[i][j], v[i + 1][j]) not in _KIND_FROM_EDGES:
+                raise InvalidStateError(f"ice rule violated at vertex ({i}, {j})")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
 
@@ -163,18 +162,6 @@ class SixVertexState:
 
     def sort_key(self):
         return (self.h, self.v)
-
-
-@lru_cache(maxsize=4096)
-def _first_bad_vertex(h_row: tuple, v_top: tuple, v_bottom: tuple) -> int | None:
-    """Column of the first vertex in one row of a state that breaks the ice
-    rule, or None: the public SixVertexState constructor checks its rows
-    through this cache.  The enumerated states and the Lenard images are
-    built under the ice rule and skip it."""
-    for j, edges in enumerate(zip(h_row, h_row[1:], v_top, v_bottom)):
-        if edges not in _KIND_FROM_EDGES:
-            return j
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -327,10 +314,12 @@ def _vertex_program(n: int):
 def _vertex_sweep(n: int, vertex_weights) -> complex:
     """Sum over the n x n domain-wall states of their vertex weight products,
     one vertex at a time; vertex_weights(i, j, codes) lists vertex (i, j)'s
-    weights, one per code of _vertex_program.  The empty lattice sums to 1."""
+    weights, one per code of _vertex_program.  The empty lattice sums to 1.
+    The weights are touched only by * and +, from the int 1, so they may come
+    from any ring: Python ints give exact integer sums."""
     if n > MAX_EVAL_N:
         raise SizeGuardError(f"n = {n} outside the evaluation guard 0..{MAX_EVAL_N}")
-    amp = [1.0 + 0j]
+    amp = [1]
     for i, j, codes, two, one in _vertex_program(n):
         w = vertex_weights(i, j, codes)
         amp = ([amp[a] * w[p] + amp[b] * w[q] for a, p, b, q in two]
@@ -381,7 +370,7 @@ def F_n_6v(assign: SpectralAssignment) -> complex:
 
 
 def _require_combinatorial_eta(eta: complex) -> None:
-    if abs(eta - ETA_COMBINATORIAL) > 1e-12:
+    if not abs(eta - ETA_COMBINATORIAL) <= 1e-12:  # NaN included
         raise CrossingParameterError(
             f"functional sums require eta = 2*pi/3, got eta = {eta}")
 

@@ -72,8 +72,8 @@ from .errors import (BranchDomainError, ConfigError, EvaluationOverflowError,
 from .numutil import rel_residual
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_reduced, theta4, theta_triple)
-from .sixvertex import (SixVertexState, SpectralAssignment, VertexKind, _dressed, _pin,
-                        _three_term_residual, _unchecked, _vertex_sweep)
+from .sixvertex import (_ALPHAS, _BETAS, SixVertexState, SpectralAssignment, VertexKind,
+                        _dressed, _pin, _three_term_residual, _unchecked, _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -545,10 +545,10 @@ def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
                     phi: complex) -> complex:
     tri, t1_23 = ctx
     lam = tri.params.lam
-    if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+    if kind in _ALPHAS:
         return (tri.zeta_pow(r, 0.25 + 3 * phi / (4 * PI))
                 * theta1_reduced(PI / 3 - phi, tri.params) / t1_23)
-    if kind in (VertexKind.BETA, VertexKind.BETA_P):
+    if kind in _BETAS:
         return (tri.zeta_pow(r, 0.25 - 3 * phi / (4 * PI))
                 * theta1_reduced(PI / 3 + phi, tri.params) / t1_23)
     expo = 1.0 / 6.0 + phi / (2 * PI)
@@ -569,9 +569,9 @@ def _tilde_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int
                       phi: complex) -> complex:
     tri, t1_23 = ctx
     lam = tri.params.lam
-    if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+    if kind in _ALPHAS:
         return theta1_reduced(PI / 3 - phi, tri.params) / t1_23
-    if kind in (VertexKind.BETA, VertexKind.BETA_P):
+    if kind in _BETAS:
         return tri.zeta_pow(r, 0.5) * theta1_reduced(PI / 3 + phi, tri.params) / t1_23
     if kind is VertexKind.GAMMA:
         return tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]

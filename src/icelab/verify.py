@@ -36,10 +36,10 @@ from . import sixvertex as sv
 from . import threecoloring as tc
 from . import yangbaxter as yb
 from .errors import ConfigError
-from .numutil import rel_residual
+from .numutil import rel_residual, severity
 from .theta import (PI, EllipticParams, SeriesConfig, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta4,
-                    zeta)
+                    theta_triple, zeta)
 
 SCHEMA_VERSION = 1
 
@@ -330,7 +330,7 @@ def _suite_appendix(rng, samples: int, cfg: Config):
         substituted = yb.appendix_substitution(params)
         closed = yb.appendix_family(params)
         pairs = [(phi, php), (php, -phi)]
-        b = [theta1(params.lam + 2 * PI * m / 3, params) for m in range(3)]
+        b = theta_triple(theta1, params).values
         prod = math.prod((b[(m - 1) % 3] * b[(m + 1) % 3] / b[m] ** 2 for m in range(3)),
                          start=1.0 + 0j)
         yield {**point, "phi": phi}, [
@@ -379,8 +379,9 @@ def _worst_cases(draws, cfg: Config, tol_key: str, prefix: str = "") -> list[Cas
     A row (family, value[, counts]) is of identity family-n<n> when the point
     has a lattice size n, else of the family itself; rel_residual turns an
     (lhs, rhs) value into its residual.  A case holds the worst row of its
-    identity (as numutil.severity ranks them: NaN sticks, a tie keeps the
-    first point) and its counts summed over all rows."""
+    identity, a row replacing the held one only if numutil.severity ranks it
+    higher (so a NaN sticks and a tie keeps the first point), and its counts
+    summed over all rows."""
     worst: dict[str, tuple[float, dict, float]] = {}
     counts: dict[str, dict] = {}
     for point, rows in draws:
@@ -388,7 +389,7 @@ def _worst_cases(draws, cfg: Config, tol_key: str, prefix: str = "") -> list[Cas
             identity = f"{family}-n{point['n']}" if "n" in point else family
             residual = rel_residual(*value) if isinstance(value, tuple) else value
             prev = worst.get(identity)
-            if prev is None or prev[0] == prev[0] and not residual <= prev[0]:
+            if prev is None or severity(residual) > severity(prev[0]):
                 tol = getattr(cfg, _OWN_TOLERANCE.get(family, tol_key))
                 worst[identity] = (residual, point, tol)
             for name, amount in (extra[0].items() if extra else ()):

@@ -32,16 +32,14 @@ from typing import Callable, Sequence
 from .numutil import rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
-from .sixvertex import VertexKind, weight6v
-from .threecoloring import (_CORNER_PATTERN, _KIND_OF_CORNERS, ColoredVertexKind,
-                            _raw_weight_ctx, _tilde_weight_ctx, _weight_constants)
+from .sixvertex import _ALPHAS, _BETAS, VertexKind, weight6v
+from .threecoloring import (_KIND_OF_CORNERS, ColoredVertexKind, _raw_weight_ctx,
+                            _tilde_weight_ctx, _weight_constants)
 
-#: the 18 admissible (bl, br, tl, tr) quadruples, ascending, with their kind
-#: and base: threecoloring's pattern table re-keyed to the index picture
-_KIND_OF_QUAD: dict[tuple[int, int, int, int], ColoredVertexKind] = dict(sorted(
+#: the 18 admissible quadruples in the index picture (bl, br, tl, tr),
+#: ascending, with their kind and base, from threecoloring's corners table
+ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(sorted(
     ((bl, br, tl, tr), vk) for (bl, tl, tr, br), vk in _KIND_OF_CORNERS.items()))
-ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(
-    _KIND_OF_QUAD.items())
 
 
 @dataclass(frozen=True)
@@ -58,12 +56,8 @@ class WeightFamily:
     weight: Callable[[VertexKind, int, complex], complex] = field(repr=False)
     ybe_shift: complex = PI / 3
 
-    @property
-    def ybe_form(self) -> str:
-        return "difference" if self.ybe_shift == 0 else "shifted"
-
     def evaluate(self, r: int, s: int, rp: int, sp: int, phi: complex) -> complex:
-        vk = _KIND_OF_QUAD.get((r % 3, s % 3, rp % 3, sp % 3))
+        vk = _KIND_OF_CORNERS.get((r % 3, rp % 3, sp % 3, s % 3))
         return 0j if vk is None else self.weight(vk.kind, vk.r, phi)
 
     def weight_table(self, phi: complex) -> dict[tuple[int, int, int, int], complex]:
@@ -168,10 +162,6 @@ class GaugeData:
     shift: complex = PI / 3
 
 
-def identity_gauge(shift: complex = PI / 3) -> GaugeData:
-    return GaugeData(C=lambda m: 1.0 + 0j, Phi=lambda m, phi: 1.0 + 0j, shift=shift)
-
-
 def zeta_gauge(params: EllipticParams) -> GaugeData:
     """C = 1, Phi_r(phi) = zeta_r^{1/12 + phi/4pi}; turns the raw family into
     the tilde family."""
@@ -192,9 +182,10 @@ def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, compl
 
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     """Gauge application through the canonical integer corner lifts of each
-    kind (base r in {0,1,2}, neighbours written literally as r-1 / r+1)."""
+    kind, ColoredVertexKind.corner_lifts (base r in {0,1,2}, neighbours
+    written literally as r-1 / r+1)."""
     def weight(kind: VertexKind, r: int, phi: complex) -> complex:
-        lbl, ltl, ltr, lbr = (r + d for d in _CORNER_PATTERN[kind])
+        lbl, ltl, ltr, lbr = ColoredVertexKind(kind, r).corner_lifts()
         cc = g.C(lbl) / g.C(ltr)
         ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
         return cc * ff * fam.weight(kind, r, phi)
@@ -256,9 +247,9 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
     lam = params.lam
 
     def weight(kind: VertexKind, r: int, phi: complex) -> complex:
-        if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+        if kind in _ALPHAS:
             return sheet.zeta_pow(r, -3 * phi / (4 * PI)) * sheet(TWO_PI_OVER_3 + phi) / t1_23
-        if kind in (VertexKind.BETA, VertexKind.BETA_P):
+        if kind in _BETAS:
             return -sheet.zeta_pow(r, 0.5 + 3 * phi / (4 * PI)) * sheet(phi) / t1_23
         expo = phi / (2 * PI)
         if kind is VertexKind.GAMMA:
@@ -307,7 +298,7 @@ def rosengren_family(params: EllipticParams) -> WeightFamily:
     lam = params.lam
 
     def weight(kind: VertexKind, r: int, phi: complex) -> complex:
-        if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+        if kind in _ALPHAS:
             return sheet(TWO_PI_OVER_3 + phi) / t1_23
         if kind is VertexKind.BETA:
             return -(b[(r - 1) % 3] / b[r]) * sheet(phi) / t1_23

@@ -18,7 +18,7 @@ from icelab import (DegenerateCrossingError, CrossingParameterError,
                     weight6v)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES,
-                              _first_bad_vertex, _row_moves, _vertex_sweep)
+                              _row_moves, _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -95,6 +95,32 @@ def _asm_3_enumeration_odd(n):
     den = math.prod(math.factorial(m + k) for k in range(1, m + 1)) ** 2
     assert 3 ** (m * (m + 1)) * num % den == 0
     return 3 ** (m * (m + 1)) * num // den
+
+
+def _refined_asm_count(n, k):
+    """Zeilberger's refined count of the n x n ASMs whose first row has its 1
+    in column k, C(n+k-2, k-1) (2n-k-1)! / (n-k)! prod_{j<n-1} (3j+1)! / (n+j)!,
+    exactly."""
+    num = (math.comb(n + k - 2, k - 1) * math.factorial(2 * n - k - 1)
+           * math.prod(math.factorial(3 * j + 1) for j in range(n - 1)))
+    den = math.factorial(n - k) * math.prod(math.factorial(n + j) for j in range(n - 1))
+    assert num % den == 0
+    return num // den
+
+
+#: Kronecker packing: one SLOT-bit slot per power, wider than any count here
+#: (A_12 < 2^37)
+SLOT = 72
+
+
+def _unpack(total):
+    """The SLOT-bit coefficients of a packed integer, lowest power first."""
+    assert type(total) is int
+    coeffs = []
+    while total:
+        coeffs.append(total & ((1 << SLOT) - 1))
+        total >>= SLOT
+    return coeffs
 
 
 def _izergin_korepin(assign):
@@ -215,7 +241,7 @@ class TestEnumeration:
                 for h, v in row:
                     assert len(h) == width + 1 and len(v) == width
                     assert h[0] and not h[-1]
-                    assert _first_bad_vertex(h, v_in, v) is None
+                    SixVertexState(h=(h,), v=(v_in, v))  # raises on a broken vertex
                 tuples += 1
                 moves += len(row)
         assert (tuples, moves) == (254, 1636)
@@ -231,7 +257,7 @@ class TestEnumeration:
                 enumerate_dwbc_states(n)
 
     def test_states_released_with_the_list(self):
-        # nothing but the bounded row-move and ice-check tables outlives the
+        # nothing but the bounded row-move table outlives the
         # returned list: a cache of every state's edge tuples kept about 2 MB
         # at n = 6 (58 MB at n = 7) after the caller dropped the states
         code = "\n".join([
@@ -500,6 +526,32 @@ class TestPartitionFunction:
         assert abs(F_n_6v(pinned)) < 1e-14 * (1 + abs(f))
 
 
+class TestExactSweep:
+    """The vertex sweep over Python-int weights: exact alternating-sign-matrix
+    counts, no tolerance anywhere."""
+
+    def test_x_enumeration_polynomial(self):
+        # gamma weight 2^72 packs sum_k A_n[k] x^k, k the number of -1 entries,
+        # into one integer: a state with k of them has n + 2k gamma vertices
+        for n in range(1, MAX_EVAL_N + 1):
+            coeffs = _unpack(_vertex_sweep(n, lambda i, j, codes: [
+                1 << SLOT if kind.is_gamma else 1 for kind, _ in codes]))
+            assert not any(coeffs[:n]) and not any(coeffs[n + 1::2])
+            poly = coeffs[n::2]
+            assert sum(poly) == _asm_count(n)
+            assert sum(c << k for k, c in enumerate(poly)) == 2 ** (n * (n - 1) // 2)
+            if n % 2:
+                assert sum(c * 3 ** k for k, c in enumerate(poly)) == _asm_3_enumeration_odd(n)
+
+    def test_refined_enumeration(self):
+        # row 0 of an ASM holds one 1 and no -1, so weighting row 0's gamma
+        # vertex at column j by 2^{72 j} packs the counts by the 1's column
+        for n in range(1, MAX_EVAL_N + 1):
+            total = _vertex_sweep(n, lambda i, j, codes: [
+                1 << SLOT * j if i == 0 and kind.is_gamma else 1 for kind, _ in codes])
+            assert _unpack(total) == [_refined_asm_count(n, k) for k in range(1, n + 1)]
+
+
 class TestRecursions:
     def test_n1_collapse_with_z0_convention(self):
         # at n = 1 both recursion sides reduce to 1 via Z_0 = 1
@@ -570,6 +622,16 @@ class TestFunctionalSums:
         a = assignment(random.Random(11), 2, eta=1.0)
         with pytest.raises(CrossingParameterError):
             functional_residual_6v(a, 1, "chi")
+
+    @pytest.mark.parametrize("eta", [math.nan, complex(0, math.nan)], ids=["nan", "nanj"])
+    def test_nan_eta_gets_the_crossing_error(self, eta):
+        # abs(eta - 2pi/3) > 1e-12 is False for NaN: the sums let NaN through
+        # and failed later, in sin(eta), with DegenerateCrossingError
+        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=eta)
+        for evaluate in (lambda: functional_residual_6v(a, 1, "chi"),
+                         lambda: check_recursion_6v(a, 1, 1, 1, form="F")):
+            with pytest.raises(CrossingParameterError, match="^functional sums require eta"):
+                evaluate()
 
     def test_index_and_side_guards(self):
         # an out-of-range k and an unknown side are rejected instead of

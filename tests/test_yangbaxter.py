@@ -9,7 +9,7 @@ import pytest
 from icelab import (EllipticParams, InvalidColoringError, PoleError, VertexKind,
                     appendix_family, appendix_substitution,
                     apply_gauge_kindwise, classify_vertex,
-                    gauge_constraint_residual, identity_gauge, raw_family,
+                    gauge_constraint_residual, raw_family,
                     rosengren_family, rosengren_gauge, rosengren_match,
                     sixvertex_family, theta1, tilde_family, ybe_sweep,
                     zeta_gauge)
@@ -55,7 +55,7 @@ def params(p=0.2, lam=0.24):
 
 
 def test_admissible_quadruples():
-    # the pattern table re-keyed to (bl, br, tl, tr) equals the adjacency
+    # the corners table sorted in (bl, br, tl, tr) order equals the adjacency
     # filter over all 81 quadruples, classified by the % 3 loop reference,
     # in the same ascending order
     want = tuple(
@@ -95,7 +95,7 @@ class TestYangBaxter:
         rnd = random.Random(40)
         pr = params()
         for fam in (raw_family(pr), tilde_family(pr)):
-            assert fam.ybe_form == "shifted"
+            assert fam.ybe_shift == PI / 3
             for _ in range(3):
                 sweep = ybe_sweep(fam, rnd.uniform(0, PI), rnd.uniform(0, PI))
                 assert sweep.residual < 1e-9
@@ -220,7 +220,7 @@ class TestYangBaxter:
         rnd = random.Random(42)
         pr = params()
         for fam in (appendix_family(pr), rosengren_family(pr), appendix_substitution(pr)):
-            assert fam.ybe_form == "difference"
+            assert fam.ybe_shift == 0
             assert ybe_sweep(fam, rnd.uniform(-1, 1), rnd.uniform(-1, 1)).residual < 1e-9
 
 
@@ -228,7 +228,8 @@ class TestGauge:
     def test_identity_gauge_is_inert(self):
         pr = params()
         fam = tilde_family(pr)
-        gauged = apply_gauge_kindwise(fam, identity_gauge())
+        unit = GaugeData(C=lambda m: 1.0 + 0j, Phi=lambda m, phi: 1.0 + 0j)
+        gauged = apply_gauge_kindwise(fam, unit)
         for _quad, vk in ADMISSIBLE:
             assert gauged.weight(vk.kind, vk.r, 0.37) == fam.weight(vk.kind, vk.r, 0.37)
 
