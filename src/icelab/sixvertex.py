@@ -44,7 +44,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
-                     InvalidStateError, SizeGuardError)
+                     EvaluationOverflowError, InvalidStateError, SizeGuardError)
 from .numutil import rel_residual, stable_sum
 
 MAX_ENUM_N = 7
@@ -202,17 +202,24 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     return states
 
 
+def _rapidity(value: complex) -> complex:
+    """value as a complex rapidity; ValueError if it is not finite (NaN included)."""
+    if not cmath.isfinite(value := complex(value)):
+        raise ValueError(f"rapidity {value} is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class SpectralAssignment:
     """Line rapidities: chi for horizontal lines (top first), psi for vertical
-    lines (left first), plus the crossing parameter eta."""
+    lines (left first), all finite, plus the crossing parameter eta."""
 
     chi: tuple[complex, ...]
     psi: tuple[complex, ...]
     eta: complex = ETA_COMBINATORIAL
 
     def __post_init__(self) -> None:
-        chi, psi = tuple(map(complex, self.chi)), tuple(map(complex, self.psi))
+        chi, psi = tuple(map(_rapidity, self.chi)), tuple(map(_rapidity, self.psi))
         if len(chi) != len(psi):
             raise ValueError("chi and psi must have equal length")
         object.__setattr__(self, "chi", chi)
@@ -232,7 +239,7 @@ class SpectralAssignment:
     def replace_chi(self, k: int, value: complex) -> "SpectralAssignment":
         """New assignment with chi_k (1-based) replaced."""
         chi = list(self.chi)
-        chi[self._index(k)] = complex(value)
+        chi[self._index(k)] = _rapidity(value)
         return _unchecked(SpectralAssignment)(tuple(chi), self.psi, self.eta)
 
     def shift_chi(self, k: int, delta: complex) -> "SpectralAssignment":
@@ -241,7 +248,7 @@ class SpectralAssignment:
     def shift_psi(self, k: int, delta: complex) -> "SpectralAssignment":
         psi = list(self.psi)
         i = self._index(k)
-        psi[i] = complex(psi[i] + delta)
+        psi[i] = _rapidity(psi[i] + delta)
         return _unchecked(SpectralAssignment)(self.chi, tuple(psi), self.eta)
 
     def drop(self, k: int, l: int) -> "SpectralAssignment":
@@ -255,10 +262,13 @@ class SpectralAssignment:
 
 def _sin_eta(eta: complex) -> complex:
     """sin(eta); DegenerateCrossingError for an eta that is not finite (NaN
-    included) or a sin(eta) near 0."""
+    included) or a sin(eta) near 0, EvaluationOverflowError past the doubles."""
     if not cmath.isfinite(eta):
         raise DegenerateCrossingError(f"eta = {eta} is not finite")
-    s = cmath.sin(eta)
+    try:
+        s = cmath.sin(eta)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"sin(eta) overflows at eta = {eta}") from exc
     if not abs(s) >= 1e-12:
         raise DegenerateCrossingError(f"sin(eta) ~ 0 at eta = {eta}")
     return s
@@ -443,6 +453,7 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
     to (-1)^{n-1}.
     """
     n, eta = assign.n, assign.eta
+    s = _sin_eta(eta) if form == "Z" else None  # before a bad eta / 2 reaches the pinned chi
     pinned, reduced = _pin(assign, n, k, l, sign, form, eta / 2 if form == "Z" else math.pi / 3)
     psi_l = assign.psi[l - 1]
     if form == "Z":
@@ -450,7 +461,7 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
         pre = math.prod(itertools.chain(
             (cmath.sin(x - psi_l + sign * eta / 2) for x in reduced.chi),
             (cmath.sin(psi_l - y + sign * eta) for y in reduced.psi)),
-            start=cmath.sin(eta) ** (2 - 2 * n))
+            start=s ** (2 - 2 * n))
         return rel_residual(lhs, pre * partition_function_6v(reduced))
 
     _require_combinatorial_eta(eta)

@@ -70,19 +70,18 @@ DEFAULT_SERIES = SeriesConfig()
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Global elliptic context: nome p, half-period ratio tau, parameter
-    lambda, and the truncation rule of every q-series evaluated at them.
+    """Global elliptic context: nome p, parameter lambda, and the truncation
+    rule of every q-series evaluated at them.
 
-    tau is kept alongside p (redundantly) because the pi*tau shift laws and
-    the half-period substitution need it explicitly.  The series settings
-    travel with the nome: the constructors and the derived parameters
-    (with_lambda, cubed) keep them, so every theta value reached from one
-    params object is summed under one rule.  The default verification
-    domain is real p in (0, 0.5] and real lambda.
+    The half-period ratio tau, which the pi*tau shift laws and the
+    half-period substitution need, is read off p on the principal branch.
+    The series settings travel with the nome: the constructors and the
+    derived parameters (with_lambda, cubed) keep them, so every theta value
+    reached from one params object is summed under one rule.  The default
+    verification domain is real p in (0, 0.5] and real lambda.
     """
 
     p: complex
-    tau: complex
     lam: complex
     series: SeriesConfig = DEFAULT_SERIES
     #: (p, sign of Im p, tol, max_terms): what a q-series sum depends on (see _series_sum)
@@ -92,36 +91,26 @@ class EllipticParams:
         if not abs(self.p) < 1.0:  # also NaN, which compares false both ways
             raise NomeDomainError(f"|p| = {abs(self.p)} >= 1: series diverge"
                                   if abs(self.p) >= 1.0 else f"nome p = {self.p} is not a number")
-        if abs(self.p) > 0.0:
-            expected = cmath.exp(1j * math.pi * self.tau)
-            if abs(expected - self.p) > 1e-10 * (1.0 + abs(self.p)):
-                raise ValueError("p and tau inconsistent: require p = exp(i*pi*tau)")
         object.__setattr__(self, "series_key", (
             self.p, copysign(1.0, self.p.imag), self.series.term_tolerance, self.series.max_terms))
 
     @classmethod
     def from_nome(cls, p: complex, lam: complex = 0.0,
                   series: SeriesConfig = DEFAULT_SERIES) -> "EllipticParams":
-        """Build from the nome; tau = log(p) / (i*pi) on the principal branch."""
-        p = complex(p)
-        if p == 0:
-            # degenerate trigonometric limit; tau is formally i*infinity
-            return cls(p=0j, tau=complex(0.0, math.inf), lam=complex(lam), series=series)
-        tau = cmath.log(p) / (1j * math.pi)
-        return cls(p=p, tau=tau, lam=complex(lam), series=series)
+        # -0.0 becomes 0j, so the p = 0 limit has one series key
+        return cls(p=complex(p) or 0j, lam=complex(lam), series=series)
 
-    @classmethod
-    def from_tau(cls, tau: complex, lam: complex = 0.0,
-                 series: SeriesConfig = DEFAULT_SERIES) -> "EllipticParams":
-        return cls(p=cmath.exp(1j * math.pi * complex(tau)), tau=complex(tau), lam=complex(lam),
-                   series=series)
+    @property
+    def tau(self) -> complex:
+        """log(p) / (i*pi) on the principal branch; i*inf at p = 0, the trigonometric limit."""
+        return cmath.log(self.p) / (1j * math.pi) if self.p else complex(0.0, math.inf)
 
     def with_lambda(self, lam: complex) -> "EllipticParams":
-        return EllipticParams(p=self.p, tau=self.tau, lam=complex(lam), series=self.series)
+        return EllipticParams(p=self.p, lam=complex(lam), series=self.series)
 
     def cubed(self) -> "EllipticParams":
-        """Parameters at nome p^3 (tau -> 3*tau), same lambda and series."""
-        return EllipticParams(p=self.p ** 3, tau=3 * self.tau, lam=self.lam, series=self.series)
+        """Parameters at nome p^3 (tau -> 3*tau mod 2), same lambda and series."""
+        return EllipticParams(p=self.p ** 3, lam=self.lam, series=self.series)
 
 
 def _pow_nome(p: complex, a: float) -> complex:

@@ -14,8 +14,8 @@ usable CPU gives.  A worker that dies without a result fails the run with
 ChildProcessError instead of leaving it waiting.
 
 Reports are byte-stable for a fixed (seed, samples, config): the JSON
-serialization contains no timing information (the CLI prints wall time to
-stderr instead) and cases appear in a fixed order.
+serialization contains no timing information (the CLI times its own call
+and prints the wall time to stderr) and cases appear in a fixed order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +145,6 @@ class VerificationReport:
     samples: int
     config: Config
     cases: list[CaseResult]
-    wall_time_s: float = 0.0  # informational; excluded from the JSON payload
 
     @property
     def passed(self) -> bool:
@@ -425,7 +423,8 @@ def _usable_cpus() -> int:
 def run_suite(suite: str, seed: int = 0, samples: int | None = None,
               config: Config | None = None) -> VerificationReport:
     """Run one named suite (or 'all', every suite with its name as identity
-    prefix) and return its report; samples defaults per suite.
+    prefix) and return its report; samples defaults per suite.  The report
+    holds no timing: a caller that wants the wall time measures the call.
 
     'all' runs its suites in forked workers (forkmap), one per usable CPU
     and at most one per suite; with one usable CPU, as with one suite, they
@@ -444,7 +443,6 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
         raise ConfigError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    started = time.monotonic()
     names = SUITES if suite == "all" else (suite,)
     body = functools.partial(_suite_cases, seed=seed, samples=samples, cfg=cfg,
                              prefixed=suite == "all")
@@ -455,7 +453,5 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     else:
         per_suite = list(map(body, names))
     recorded = samples or (0 if suite == "all" else _SUITES[suite][1])
-    report = VerificationReport(suite=suite, seed=seed, samples=recorded, config=cfg,
-                                cases=[case for cases in per_suite for case in cases])
-    report.wall_time_s = time.monotonic() - started
-    return report
+    return VerificationReport(suite=suite, seed=seed, samples=recorded, config=cfg,
+                              cases=[case for cases in per_suite for case in cases])

@@ -47,18 +47,12 @@ class WeightFamily:
     """Face weights given kind by kind, plus their Yang-Baxter shift.
 
     weight(kind, r, phi) is the weight of the vertex of that kind with base
-    color r in {0, 1, 2}.  evaluate(r, s, rp, sp, phi) is W^{rp sp}_{r s}(phi)
-    in the index picture: r bottom-left, s bottom-right, rp top-left, sp
-    top-right.
+    color r in {0, 1, 2}; ADMISSIBLE maps each quadruple (bl, br, tl, tr) of
+    the index picture to its (kind, r), and every other quadruple weighs 0.
     """
 
-    name: str
     weight: Callable[[VertexKind, int, complex], complex] = field(repr=False)
     ybe_shift: complex = PI / 3
-
-    def evaluate(self, r: int, s: int, rp: int, sp: int, phi: complex) -> complex:
-        vk = _KIND_OF_CORNERS.get((r % 3, rp % 3, sp % 3, s % 3))
-        return 0j if vk is None else self.weight(vk.kind, vk.r, phi)
 
     def weight_table(self, phi: complex) -> dict[tuple[int, int, int, int], complex]:
         """All 18 admissible weights at one spectral parameter."""
@@ -67,27 +61,18 @@ class WeightFamily:
 
 def raw_family(params: EllipticParams) -> WeightFamily:
     ctx = _weight_constants(params)
-    return WeightFamily(
-        name="raw",
-        weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, complex(phi)),
-        ybe_shift=PI / 3)
+    return WeightFamily(weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, complex(phi)))
 
 
 def tilde_family(params: EllipticParams) -> WeightFamily:
     ctx = _weight_constants(params)
-    return WeightFamily(
-        name="tilde",
-        weight=lambda kind, r, phi: _tilde_weight_ctx(ctx, kind, r, complex(phi)),
-        ybe_shift=PI / 3)
+    return WeightFamily(weight=lambda kind, r, phi: _tilde_weight_ctx(ctx, kind, r, complex(phi)))
 
 
 def sixvertex_family(eta: complex) -> WeightFamily:
     """Trigonometric six-vertex weights read as a face family (the base color
     is ignored).  Satisfies the Yang-Baxter equation with shift eta/2."""
-    return WeightFamily(
-        name="sixvertex",
-        weight=lambda kind, r, phi: weight6v(kind, phi, eta),
-        ybe_shift=eta / 2)
+    return WeightFamily(weight=lambda kind, r, phi: weight6v(kind, phi, eta), ybe_shift=eta / 2)
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,7 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
         ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
         return cc * ff * fam.weight(kind, r, phi)
 
-    return WeightFamily(name=f"{fam.name}+gauge", weight=weight, ybe_shift=fam.ybe_shift)
+    return WeightFamily(weight=weight, ybe_shift=fam.ybe_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +209,7 @@ def appendix_substitution(params: EllipticParams) -> WeightFamily:
     tri = ThetaTriple(theta4_at_half_period, params.with_lambda(params.lam + half))
     tri.log_zeta = sheet.log_zeta
     ctx = (tri, theta1_reduced(TWO_PI_OVER_3, params))
-    return WeightFamily(name="substituted",
-                        weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, -phi - PI / 3),
+    return WeightFamily(weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, -phi - PI / 3),
                         ybe_shift=0.0)
 
 
@@ -258,7 +242,7 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
         pre = cmath.exp(-1j * phi) * cmath.exp(expo * (sheet.log_zeta[r] - sheet.log_zeta[(r - 1) % 3]))
         return pre * sheet(lam + TWO_PI_OVER_3 * r + phi) / sheet.values[r]
 
-    return WeightFamily(name="appendix", weight=weight, ybe_shift=0.0)
+    return WeightFamily(weight=weight, ybe_shift=0.0)
 
 
 def rosengren_gauge(params: EllipticParams) -> GaugeData:
@@ -308,7 +292,7 @@ def rosengren_family(params: EllipticParams) -> WeightFamily:
             return sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r]
         return sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r]
 
-    return WeightFamily(name="rosengren", weight=weight, ybe_shift=0.0)
+    return WeightFamily(weight=weight, ybe_shift=0.0)
 
 
 def rosengren_match(params: EllipticParams,

@@ -10,15 +10,15 @@ import sys
 import pytest
 
 import icelab
-from icelab import (DegenerateCrossingError, CrossingParameterError,
+from icelab import (DegenerateCrossingError, CrossingParameterError, EvaluationOverflowError,
                     InvalidStateError, SizeGuardError, SpectralAssignment,
                     SixVertexState,
                     VertexKind, check_recursion_6v, enumerate_dwbc_states,
                     F_n_6v, functional_residual_6v, partition_function_6v,
-                    weight6v)
+                    sixvertex_family, weight6v, ybe_sweep)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES,
-                              _row_moves, _vertex_sweep)
+                              _row_moves, _sin_eta, _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -361,6 +361,19 @@ class TestWeights:
             with pytest.raises(DegenerateCrossingError, match="^eta = .* is not finite$"):
                 evaluate()
 
+    def test_overflowing_sin_eta_raises(self):
+        # |sin(800i)| ~ e^800 / 2 is past the doubles: cmath's bare OverflowError
+        # escaped from every evaluation at this eta
+        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=800j)
+        for evaluate in (lambda: _sin_eta(800j),
+                         lambda: partition_function_6v(a),
+                         lambda: weight6v(VertexKind.ALPHA, 0.3, 800j),
+                         lambda: check_recursion_6v(a, 1, 1, 1),
+                         lambda: ybe_sweep(sixvertex_family(800j), 0.3, 0.1)):
+            with pytest.raises(EvaluationOverflowError, match="^sin\\(eta\\) overflows") as err:
+                evaluate()
+            assert isinstance(err.value.__cause__, OverflowError)
+
 
 def _bits(assign):
     """Every rapidity and eta as (real, imag) float pairs, with their types."""
@@ -403,6 +416,23 @@ class TestSpectralAssignment:
             SpectralAssignment(chi=(x for x in (0.1, 0.2)), psi=(x for x in (0.3,)))
         a = SpectralAssignment(chi=(x for x in (0.1, 0.2)), psi=iter([0.3, 0.4]))
         assert a == SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan),
+                                     complex(0.1, -math.inf)])
+    def test_non_finite_rapidity_raises(self, bad):
+        # a NaN chi built and gave nan+nanj partition functions; an infinite one
+        # failed later, in cmath or in a theta sum
+        for chi, psi in (([bad, 0.1], [0.2, 0.3]), ([0.1, 0.2], [0.3, bad])):
+            with pytest.raises(ValueError, match="^rapidity .* is not finite$"):
+                SpectralAssignment(chi=chi, psi=psi)
+        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
+        for edit in (lambda: a.replace_chi(1, bad), lambda: a.shift_chi(2, bad),
+                     lambda: a.shift_psi(1, bad)):
+            with pytest.raises(ValueError, match="^rapidity .* is not finite$"):
+                edit()
+        # a finite shift past the double range is refused as well
+        with pytest.raises(ValueError, match="^rapidity .* is not finite$"):
+            a.replace_chi(1, 1e308).shift_chi(1, 1e308)
 
     @pytest.mark.parametrize("edit", [
         lambda a, k: a.replace_chi(k, 9.0), lambda a, k: a.shift_chi(k, 0.5),

@@ -275,18 +275,14 @@ class TestDomainErrors:
     @pytest.mark.parametrize("make", [
         lambda: EllipticParams.from_nome(math.nan),
         lambda: EllipticParams.from_nome(complex(0.2, math.nan)),
-        lambda: EllipticParams.from_tau(math.nan),
-        lambda: EllipticParams.from_tau(complex(0.0, math.nan)),
-        lambda: EllipticParams(p=math.nan, tau=0j, lam=0j)])
+        lambda: EllipticParams.from_nome(complex(math.nan, math.nan)),  # exp(i pi tau), tau NaN
+        lambda: EllipticParams.from_nome(complex(math.nan, 0.0)),
+        lambda: EllipticParams(p=math.nan, lam=0j)])
     def test_nan_nome(self, make):
         # abs(nan) >= 1 is False, so a NaN nome used to pass and fail later
         # as an unconverged series
         with pytest.raises(NomeDomainError, match="is not a number"):
             make()
-
-    def test_inconsistent_tau(self):
-        with pytest.raises(ValueError):
-            EllipticParams(p=0.2, tau=0.5j, lam=0.0)
 
     def test_quasi_period_factor_errors(self):
         # -p^-1 raised ZeroDivisionError at p = 0, exp(800) a bare OverflowError
@@ -323,7 +319,8 @@ class TestDomainErrors:
         tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)
         for pr in (EllipticParams.from_nome(0.2, lam=0.3, series=tight),
                    EllipticParams.from_nome(0.0, lam=0.3, series=tight),
-                   EllipticParams.from_tau(0.5j, lam=0.3, series=tight)):
+                   EllipticParams.from_nome(cmath.exp(1j * math.pi * 0.5j), lam=0.3,
+                                            series=tight)):
             derived = (pr, pr.with_lambda(0.1), pr.cubed())
             assert [d.series for d in derived] == [tight] * 3
         assert EllipticParams.from_nome(0.2).series == DEFAULT_SERIES
@@ -434,5 +431,16 @@ def test_params_helpers():
     assert pr.cubed().tau == pytest.approx(3 * pr.tau)
     shifted = pr.with_lambda(pr.lam + 2 * PI / 3)
     assert (shifted.p, shifted.tau, shifted.lam) == (pr.p, pr.tau, 0.3 + 2 * PI / 3)
-    roundtrip = EllipticParams.from_tau(pr.tau, lam=0.3)
-    assert roundtrip.p == pytest.approx(pr.p, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, -0.3, 0.1 + 0.2j, -0.25 - 0.1j, 1e-300, 0.3 - 0j])
+def test_tau_is_read_off_the_nome(p):
+    # tau is the principal log(p) / (i pi), bit for bit, on every branch of p
+    tau = EllipticParams.from_nome(p).tau
+    assert _bits(tau) == _bits(cmath.log(complex(p)) / (1j * math.pi))
+    assert cmath.exp(1j * math.pi * tau) == pytest.approx(p, rel=1e-12)
+
+
+def test_tau_at_zero_nome():
+    for p in (0, 0.0, -0.0, complex(-0.0, -0.0)):
+        assert EllipticParams.from_nome(p).tau == complex(0.0, math.inf)

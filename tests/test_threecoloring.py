@@ -389,6 +389,39 @@ class TestTransferCensus:
             assert census.counts == Counter(g.color_counts() for g in colorings)
             assert census.total() == ASM[n] * (3 if corner is None else 1)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dwbc_census_through_the_vertex_sweep(self, n):
+        # the six-vertex sweep with Python-int weights: code (kind, offset) at
+        # corner c weighs x0^a x1^b, a and b the 0s and 1s among its corner
+        # colors, packed as 2^{16 (a S + b)}.  Summed over the vertices, an
+        # inner face counts 4 times, a boundary face 2 and a corner face once;
+        # the boundary is fixed, so its incidences come off before dividing
+        # by 4.  Exact, and no code shared with the row transfer census.
+        S, faces = 4 * n * n + 1, (n + 1) ** 2
+        for c in range(3):
+            total = _vertex_sweep(n, lambda i, j, codes: [
+                1 << 16 * (a * S + b) for a, b in (
+                    (corners.count(0), corners.count(1)) for corners in (
+                        ColoredVertexKind(kind, (c + offset) % 3).corner_colors()
+                        for kind, offset in codes))])
+            boundary = dwbc_boundary(n, c)
+            touches = [0, 0, 0]
+            for (i, j), color in boundary.items():
+                touches[color] += 1 if i in (0, n) and j in (0, n) else 2
+            on_edge = Counter(boundary.values())
+            counts, slot = {}, 0
+            while total:
+                total, count = total >> 16, total & 0xFFFF
+                if count:
+                    ab = []
+                    for color, incidences in enumerate(divmod(slot, S)):
+                        inner, rest = divmod(incidences - touches[color], 4)
+                        assert rest == 0 and inner >= 0
+                        ab.append(inner + on_edge[color])
+                    counts[(*ab, faces - sum(ab))] = count
+                slot += 1
+            assert counts == compute_census(n + 1, n + 1, "dwbc", c).counts, (n, c)
+
     def test_exact_5x5_totals(self):
         assert compute_census(5, 5, "free").total() == 580_986
         assert compute_census(5, 5, "toroidal").total() == 7_560

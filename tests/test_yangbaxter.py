@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from icelab import (EllipticParams, InvalidColoringError, PoleError, VertexKind,
+from icelab import (EllipticParams, PoleError, VertexKind,
                     appendix_family, appendix_substitution,
-                    apply_gauge_kindwise, classify_vertex,
+                    apply_gauge_kindwise,
                     gauge_constraint_residual, raw_family,
                     rosengren_family, rosengren_gauge, rosengren_match,
                     sixvertex_family, theta1, tilde_family, ybe_sweep,
@@ -54,6 +54,11 @@ def params(p=0.2, lam=0.24):
     return EllipticParams.from_nome(p, lam=lam)
 
 
+def _weight_at(fam, bl, br, tl, tr, phi):
+    """W^{tl tr}_{bl br}(phi) of an admissible quadruple, colors read mod 3."""
+    return fam.weight_table(phi)[tuple(c % 3 for c in (bl, br, tl, tr))]
+
+
 def test_admissible_quadruples():
     # the corners table sorted in (bl, br, tl, tr) order equals the adjacency
     # filter over all 81 quadruples, classified by the % 3 loop reference,
@@ -68,26 +73,6 @@ def test_admissible_quadruples():
     for _quad, vk in ADMISSIBLE:
         kinds.setdefault(vk.kind, set()).add(vk.r)
     assert all(bases == {0, 1, 2} for bases in kinds.values())
-
-
-def test_kind_lookup_matches_classification():
-    # a family whose 18 weights are distinct and nonzero: evaluate must give
-    # the weight of the classified kind and base, and 0 off the admissible set
-    fam = WeightFamily(name="tags", weight=lambda kind, r, phi:
-                       complex(list(VertexKind).index(kind) + 1, r + phi))
-    for bl, br, tl, tr in itertools.product(range(-1, 4), repeat=4):
-        try:
-            vk = classify_vertex(bl, tl, tr, br)
-        except InvalidColoringError:
-            assert fam.evaluate(bl, br, tl, tr, 0.3) == 0
-        else:
-            assert fam.evaluate(bl, br, tl, tr, 0.3) == fam.weight(vk.kind, vk.r, 0.3)
-
-
-def test_inadmissible_weight_is_zero():
-    fam = tilde_family(params())
-    assert fam.evaluate(0, 0, 1, 2, 0.3) == 0
-    assert fam.evaluate(0, 2, 0, 2, 0.3) == 0
 
 
 class TestYangBaxter:
@@ -122,7 +107,7 @@ class TestYangBaxter:
         # the trigonometric family needs the eta/2 offset in the third
         # argument; a plain difference form only coincides at eta = 2pi/3
         fam = sixvertex_family(1.1)
-        broken = type(fam)(name="broken", weight=fam.weight, ybe_shift=0.0)
+        broken = type(fam)(weight=fam.weight, ybe_shift=0.0)
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_tensor_sweep_matches_loop(self):
@@ -139,7 +124,7 @@ class TestYangBaxter:
 
     def test_broken_family_matches_loop(self):
         fam = sixvertex_family(1.1)
-        broken = type(fam)(name="broken", weight=fam.weight, ybe_shift=0.0)
+        broken = type(fam)(weight=fam.weight, ybe_shift=0.0)
         got = ybe_sweep(broken, 0.41, 0.13)
         assert got.residual > 1e-3
         assert got == _loop_ybe_sweep(broken, 0.41, 0.13)
@@ -147,7 +132,7 @@ class TestYangBaxter:
     def test_live_assignments_are_the_nonzero_products(self):
         # every (assignment, side, t) whose three quadruples are admissible,
         # read off the loop reference's products with all 18 weights nonzero
-        weights = WeightFamily(name="ones", weight=lambda *args: 1.0 + 0j)
+        weights = WeightFamily(weight=lambda *args: 1.0 + 0j)
         tables = (weights.weight_table(0.0),) * 3
         want = set()
         for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
@@ -186,7 +171,7 @@ class TestYangBaxter:
         # the NaN assignment residuals dropped by max
         fam = raw_family(params())
         nan_gamma1 = WeightFamily(
-            name="nan-gamma1", ybe_shift=fam.ybe_shift,
+            ybe_shift=fam.ybe_shift,
             weight=lambda kind, r, phi: (complex("nan") if (kind, r) == (VertexKind.GAMMA, 1)
                                          else fam.weight(kind, r, phi)))
         sweep = ybe_sweep(nan_gamma1, 0.51, 0.17)
@@ -202,7 +187,7 @@ class TestYangBaxter:
         fam = sixvertex_family(1.1)
         assert ybe_sweep(fam, 0.3, 0.3).checked == 54
         nan_kind = WeightFamily(
-            name="nan-kind", ybe_shift=fam.ybe_shift,
+            ybe_shift=fam.ybe_shift,
             weight=lambda k, r, phi: complex("nan") if k is kind else fam.weight(k, r, phi))
         tables = [list(nan_kind.weight_table(x).values())
                   for x in (0.3, 0.3, 0.3 - 0.3 - fam.ybe_shift)]
@@ -265,7 +250,7 @@ class TestGauge:
         def with_nan(pr):
             fam = original(pr)
             return WeightFamily(
-                name="nan-last", ybe_shift=fam.ybe_shift,
+                ybe_shift=fam.ybe_shift,
                 weight=lambda kind, r, phi: (complex("nan") if (kind, r) == (last.kind, last.r)
                                              else fam.weight(kind, r, phi)))
 
@@ -344,7 +329,7 @@ class TestSubstitutionChain:
         pr = params()
         fam = rosengren_family(pr)
         phi = 0.37
-        vals = {fam.evaluate(r, r + 1, r - 1, r, phi) for r in range(3)}
+        vals = {_weight_at(fam, r, r + 1, r - 1, r, phi) for r in range(3)}
         ref = theta1(2 * PI / 3 + phi, pr) / theta1(2 * PI / 3, pr)
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-10)
@@ -354,7 +339,7 @@ class TestSubstitutionChain:
         fam = rosengren_family(pr)
         for r in range(3):
             # gamma pattern: bl = r+1, br = r, tl = r, tr = r+1
-            assert fam.evaluate(r + 1, r, r, r + 1, 0.0) == pytest.approx(1.0, rel=1e-12)
+            assert _weight_at(fam, r + 1, r, r, r + 1, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_beta_sign_is_forced(self):
         # the gauge chain produces -[b_{r-1}/b_r] theta1(phi)/theta1(2pi/3) on
@@ -366,7 +351,7 @@ class TestSubstitutionChain:
         t_ratio = theta1(phi, pr) / theta1(2 * PI / 3, pr)
         b = [theta1(pr.lam + 2 * PI * m / 3, pr) for m in range(3)]
         for r in range(3):
-            got = gauged.evaluate(r + 1, r, r, r - 1, phi)   # beta pattern
+            got = _weight_at(gauged, r + 1, r, r, r - 1, phi)   # beta pattern
             minus_form = -(b[(r - 1) % 3] / b[r]) * t_ratio
             plus_form = (b[(r - 1) % 3] / b[r]) * t_ratio
             assert got == pytest.approx(minus_form, rel=1e-10)
