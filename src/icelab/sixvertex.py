@@ -30,8 +30,8 @@ Trigonometric weights with spectral parameter phi and crossing parameter eta:
 
 The dressed sums, the reduce-by-one recursions and the three-term
 functional sums have one shape in both models, the three-coloring one with
-sin replaced by theta1: _dressed, _pin and _three_term_residual implement
-each shape once, and the model functions add only their own prefactors.
+sin replaced by theta1: _dressed, _recursion_residual and _three_term_residual
+each implement one shape, and the model functions add only their prefactors.
 """
 
 from __future__ import annotations
@@ -128,12 +128,9 @@ class SixVertexState:
     def ncols(self) -> int:
         return len(self.v[0])
 
-    def edges_at(self, i: int, j: int) -> tuple[bool, bool, bool, bool]:
-        """(left, right, top, bottom) edge booleans at 0-based vertex (i, j)."""
-        return (self.h[i][j], self.h[i][j + 1], self.v[i][j], self.v[i + 1][j])
-
     def kind_at(self, i: int, j: int) -> VertexKind:
-        return _KIND_FROM_EDGES[self.edges_at(i, j)]
+        """Kind of 0-based vertex (i, j), from its (left, right, top, bottom) edges."""
+        return _KIND_FROM_EDGES[self.h[i][j], self.h[i][j + 1], self.v[i][j], self.v[i + 1][j]]
 
     def kind_matrix(self) -> tuple[tuple[VertexKind, ...], ...]:
         return tuple(tuple(self.kind_at(i, j) for j in range(self.ncols))
@@ -160,9 +157,6 @@ class SixVertexState:
     def to_json_obj(self) -> list[list[str]]:
         return [[k.value for k in row] for row in self.kind_matrix()]
 
-    def sort_key(self):
-        return (self.h, self.v)
-
 
 @lru_cache(maxsize=None)
 def _row_moves(v_in: tuple[bool, ...]) -> tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]:
@@ -181,7 +175,7 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     """All domain-wall ice states on the n x n lattice, in row-major
     lexicographic edge order, by a depth-first walk over the row moves:
     moves come in ascending h order and h fixes v, so the states come out in
-    SixVertexState.sort_key order.  Counts follow the alternating-sign-matrix
+    (h, v) order.  Counts follow the alternating-sign-matrix
     sequence 1, 2, 7, 42, 429, ...
     """
     if type(n) is not int:
@@ -260,15 +254,20 @@ class SpectralAssignment:
         return _unchecked(SpectralAssignment)(chi, psi, self.eta)
 
 
+def _sin(x: complex, name: str = "x") -> complex:
+    """sin(x); EvaluationOverflowError, naming x, where it overflows the doubles."""
+    try:
+        return cmath.sin(x)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"sin({name}) overflows at {name} = {x}") from exc
+
+
 def _sin_eta(eta: complex) -> complex:
     """sin(eta); DegenerateCrossingError for an eta that is not finite (NaN
     included) or a sin(eta) near 0, EvaluationOverflowError past the doubles."""
     if not cmath.isfinite(eta):
         raise DegenerateCrossingError(f"eta = {eta} is not finite")
-    try:
-        s = cmath.sin(eta)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(f"sin(eta) overflows at eta = {eta}") from exc
+    s = _sin(eta, "eta")
     if not abs(s) >= 1e-12:
         raise DegenerateCrossingError(f"sin(eta) ~ 0 at eta = {eta}")
     return s
@@ -278,9 +277,9 @@ def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
     """Trigonometric vertex weight at spectral parameter phi."""
     s = _sin_eta(eta)
     if kind in _ALPHAS:
-        return cmath.sin(eta / 2 - phi) / s
+        return _sin(eta / 2 - phi) / s
     if kind in _BETAS:
-        return cmath.sin(eta / 2 + phi) / s
+        return _sin(eta / 2 + phi) / s
     return 1.0 + 0j
 
 
@@ -353,7 +352,10 @@ def partition_function_6v(assign: SpectralAssignment) -> complex:
         return [a if kind in _ALPHAS else b if kind in _BETAS else 1.0 + 0j
                 for kind, _ in codes]
 
-    return _vertex_sweep(n, weights)
+    try:  # around the sweep, so its per-vertex closure gains no call
+        return _vertex_sweep(n, weights)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"a weight overflows the doubles at {assign}") from exc
 
 
 def _dressed(f, assign: SpectralAssignment, pre: complex) -> complex:
@@ -376,7 +378,7 @@ def F_n_6v(assign: SpectralAssignment) -> complex:
         F_n = prod_{i<j} sin(chi_i - chi_j) * prod_{i,j} sin(chi_i - psi_j)
               * prod_{i<j} sin(psi_i - psi_j) * Z_n
     """
-    return _dressed(cmath.sin, assign, 1.0 + 0j) * partition_function_6v(assign)
+    return _dressed(_sin, assign, 1.0 + 0j) * partition_function_6v(assign)
 
 
 def _require_combinatorial_eta(eta: complex) -> None:
@@ -416,20 +418,34 @@ def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi"
                                 sign * ETA_COMBINATORIAL)
 
 
-def _pin(assign: SpectralAssignment, n: int, k: int, l: int, sign: int, form: str,
-         offset: complex) -> tuple[SpectralAssignment, SpectralAssignment]:
-    """Check a reduce-by-one recursion's (k, l), sign and form, in that
-    order, then pin chi_k = psi_l + sign * offset: the pinned lattice and
-    the reduced one without chi_k and psi_l (its chi are the i != k, its
-    psi the i != l)."""
+def _recursion_residual(assign: SpectralAssignment, k: int, l: int, sign: int, form: str,
+                        offset: complex, lhs, rhs, f, start: complex) -> float:
+    """Residual of the reduce-by-one recursion lhs(pinned) = pre * rhs(reduced).
+
+    Checks (k, l), sign and form in that order, pins chi_k = psi_l + h with
+    h = sign * offset and drops chi_k and psi_l to reduce.  pre is start times
+    prod_{i!=k} f(chi_i - psi_l + h) * prod_{i!=l} f(psi_l - psi_i + 2h) for
+    form="Z", and sign * (-1)^{n-k+l-1} * prod f(3(psi_l - y)), y over the
+    reduced chi, then psi, for form="F": that sign is the parity of moving the
+    pinned pair to the corner through the antisymmetric prefactor."""
+    n = assign.n
     if not (1 <= k <= n and 1 <= l <= n):
         raise IndexError(f"(k, l) = ({k}, {l}) outside 1..{n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if form not in ("Z", "F"):
         raise ValueError("form must be 'Z' or 'F'")
-    pinned = assign.replace_chi(k, assign.psi[l - 1] + sign * offset)
-    return pinned, pinned.drop(k, l)
+    psi_l, h = assign.psi[l - 1], sign * offset
+    pinned = assign.replace_chi(k, psi_l + h)
+    reduced = pinned.drop(k, l)
+    value = lhs(pinned)
+    if form == "Z":
+        factors = itertools.chain((f(x - psi_l + h) for x in reduced.chi),
+                                  (f(psi_l - y + 2 * h) for y in reduced.psi))
+    else:
+        factors = (f(3 * (psi_l - y)) for y in reduced.chi + reduced.psi)
+        start = start * sign * (-1) ** (n - k + l - 1)
+    return rel_residual(value, math.prod(factors, start=start) * rhs(reduced))
 
 
 def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
@@ -448,25 +464,12 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
               * prod_{i!=k} sin(3(psi_l - chi_i)) * prod_{i!=l} sin(3(psi_l - psi_i))
               * F_{n-1}
 
-    The (-1)^{n-k+l-1} sign carries the parity of moving the pinned pair to
-    the corner through the antisymmetric prefactor; at k = l = n it reduces
-    to (-1)^{n-1}.
+    eta is checked first, then (k, l), sign and form (_recursion_residual).
     """
     n, eta = assign.n, assign.eta
-    s = _sin_eta(eta) if form == "Z" else None  # before a bad eta / 2 reaches the pinned chi
-    pinned, reduced = _pin(assign, n, k, l, sign, form, eta / 2 if form == "Z" else math.pi / 3)
-    psi_l = assign.psi[l - 1]
-    if form == "Z":
-        lhs = partition_function_6v(pinned)
-        pre = math.prod(itertools.chain(
-            (cmath.sin(x - psi_l + sign * eta / 2) for x in reduced.chi),
-            (cmath.sin(psi_l - y + sign * eta) for y in reduced.psi)),
-            start=s ** (2 - 2 * n))
-        return rel_residual(lhs, pre * partition_function_6v(reduced))
-
-    _require_combinatorial_eta(eta)
-    lhs = F_n_6v(pinned)
-    pre = math.prod((cmath.sin(3 * (psi_l - y)) for y in reduced.chi + reduced.psi),
-                    start=(sign * (-1) ** (n - k + l - 1) * 4.0 ** (2 - 2 * n)
-                           * cmath.sin(ETA_COMBINATORIAL) ** (3 - 2 * n)))
-    return rel_residual(lhs, pre * F_n_6v(reduced))
+    if form == "F":
+        _require_combinatorial_eta(eta)
+        return _recursion_residual(assign, k, l, sign, form, math.pi / 3, F_n_6v, F_n_6v, _sin,
+                                   4.0 ** (2 - 2 * n) * _sin(ETA_COMBINATORIAL) ** (3 - 2 * n))
+    return _recursion_residual(assign, k, l, sign, form, eta / 2, partition_function_6v,
+                               partition_function_6v, _sin, _sin_eta(eta) ** (2 - 2 * n))

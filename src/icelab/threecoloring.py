@@ -52,7 +52,8 @@ family degenerates to the six-vertex trigonometric weights at eta = 2pi/3.
 Every theta value is summed under the series settings of the
 EllipticParams passed in.  The dressed sums F^r_n, their recursions and
 functional sums are the six-vertex ones with sin replaced by theta1, built
-on the same sixvertex helpers (_dressed, _pin, _three_term_residual).
+on the same sixvertex helpers (_dressed, _recursion_residual,
+_three_term_residual).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ from .numutil import rel_residual
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_reduced, theta4, theta_triple)
 from .sixvertex import (_ALPHAS, _BETAS, SixVertexState, SpectralAssignment, VertexKind,
-                        _dressed, _pin, _three_term_residual, _unchecked, _vertex_sweep)
+                        _dressed, _recursion_residual, _three_term_residual, _unchecked,
+                        _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -724,31 +726,22 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
                  * prod_{i!=k} theta1(3(psi_l - chi_i)|p^3)
                  * prod_{i!=l} theta1(3(psi_l - psi_i)|p^3) * F^{r''}_{n-1}
 
-    with r'' = r for sign=+1 and r'' = r+1 for sign=-1.  The
-    (-1)^{n-k+l-1} factor carries the antisymmetric-prefactor parity of
-    moving the pinned pair to the corner; at k = l = n it is (-1)^{n-1}.
+    with r'' = r for sign=+1 and r'' = r+1 for sign=-1; the checks, the
+    pin, the products and the parity sign are _recursion_residual's.
     """
-    pinned, reduced = _pin(assign, n, k, l, sign, form, PI / 3)
-    psival = assign.psi[l - 1]
     r_sub = r if sign > 0 else (r + 1) % 3
-
     if form == "Z":
-        lhs = partial_partition_function(n, r, pinned, params, "tilde")
         pre = theta1(TWO_PI_OVER_3, params) ** (2 - 2 * n)
         if sign > 0:
             b = theta_triple(theta4, params).values
             pre *= b[(r + n) % 3] / b[(r + n - 1) % 3]
-        pre = math.prod(itertools.chain(
-            (theta1(x - psival + sign * PI / 3, params) for x in reduced.chi),
-            (theta1(psival - y + sign * TWO_PI_OVER_3, params) for y in reduced.psi)),
-            start=pre)
-        return rel_residual(lhs, pre * partial_partition_function(n - 1, r_sub, reduced,
-                                                                  params, "tilde"))
-
-    lhs = F_rn(n, r, pinned, params)
+        return _recursion_residual(
+            assign, k, l, sign, form, PI / 3,
+            lambda pinned: partial_partition_function(n, r, pinned, params, "tilde"),
+            lambda reduced: partial_partition_function(n - 1, r_sub, reduced, params, "tilde"),
+            lambda x: theta1(x, params), pre)
     params3 = params.cubed()
-    pre = math.prod((theta1(3 * (psival - y), params3) for y in reduced.chi + reduced.psi),
-                    start=(sign * (-1) ** (n - k + l - 1)
-                           * cubic_factor_D(params) ** (2 * n - 2)
-                           * theta1(TWO_PI_OVER_3, params) ** (3 - 2 * n)))
-    return rel_residual(lhs, pre * F_rn(n - 1, r_sub, reduced, params))
+    return _recursion_residual(
+        assign, k, l, sign, form, PI / 3, lambda pinned: F_rn(n, r, pinned, params),
+        lambda reduced: F_rn(n - 1, r_sub, reduced, params), lambda x: theta1(x, params3),
+        cubic_factor_D(params) ** (2 * n - 2) * theta1(TWO_PI_OVER_3, params) ** (3 - 2 * n))

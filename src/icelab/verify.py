@@ -36,7 +36,7 @@ from . import threecoloring as tc
 from . import yangbaxter as yb
 from .errors import ConfigError
 from .numutil import rel_residual, severity
-from .theta import (PI, EllipticParams, SeriesConfig, cubic_factor_D,
+from .theta import (DEFAULT_SERIES, PI, EllipticParams, SeriesConfig, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta4,
                     theta_triple, zeta)
 
@@ -49,8 +49,8 @@ class Config:
     lattice sizes up to the evaluation guard and per-suite tolerances).  The
     series control reaches the theta layer inside every drawn EllipticParams."""
 
-    term_tolerance: float = 1e-16
-    max_terms: int = 64
+    term_tolerance: float = DEFAULT_SERIES.term_tolerance
+    max_terms: int = DEFAULT_SERIES.max_terms
     lambda_min: float = 0.05
     lambda_max: float = PI / 3 - 0.05
     p_min: float = 0.01

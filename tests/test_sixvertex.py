@@ -63,7 +63,7 @@ def _loop_enumerate_dwbc(n):
         fill_vertex(0, True, [], [])
 
     fill_row(0, tuple([True] * n), [], [])
-    states.sort(key=SixVertexState.sort_key)
+    states.sort(key=lambda s: (s.h, s.v))
     return states
 
 
@@ -177,7 +177,7 @@ class TestEnumeration:
     def test_states_valid_and_sorted(self):
         states = enumerate_dwbc_states(4)
         assert all(s.satisfies_dwbc() for s in states)
-        keys = [s.sort_key() for s in states]
+        keys = [(s.h, s.v) for s in states]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -373,6 +373,22 @@ class TestWeights:
             with pytest.raises(EvaluationOverflowError, match="^sin\\(eta\\) overflows") as err:
                 evaluate()
             assert isinstance(err.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: partition_function_6v(SpectralAssignment(chi=[800j], psi=[0.0])),
+        lambda: weight6v(VertexKind.ALPHA, 800j, 1.0),
+        lambda: F_n_6v(SpectralAssignment(chi=[800j, 0.1], psi=[0.0, 0.2])),
+        lambda: check_recursion_6v(SpectralAssignment(chi=[0.1, 800j], psi=[0.0, 0.2], eta=1.0),
+                                   1, 1, 1),
+        lambda: functional_residual_6v(SpectralAssignment(chi=[800j, 0.1], psi=[0.0, 0.2]), 1),
+    ], ids=["partition_function_6v", "weight6v", "F_n_6v", "check_recursion_6v",
+            "functional_residual_6v"])
+    def test_overflowing_weight_raises(self, evaluate):
+        # a finite eta, but sin(eta/2 +- phi) or sin(chi_i - psi_j) at
+        # |Im phi| = 800 is past the doubles: cmath's bare OverflowError escaped
+        with pytest.raises(EvaluationOverflowError) as err:
+            evaluate()
+        assert isinstance(err.value.__cause__, OverflowError)
 
 
 def _bits(assign):

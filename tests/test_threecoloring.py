@@ -18,7 +18,7 @@ from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticP
                     EvaluationOverflowError, FaceWeightParams,
                     GridColoring, InvalidColoringError, PoleError, SeriesConfig,
                     SixVertexState, SizeGuardError, SpectralAssignment, VertexKind,
-                    check_recursion_3c, classify_vertex,
+                    check_recursion_3c, check_recursion_6v, classify_vertex,
                     compute_census, dwbc_boundary, enumerate_colorings,
                     iter_colorings,
                     enumerate_dwbc_states, F_rn, functional_residual_3c,
@@ -27,9 +27,10 @@ from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticP
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
 from icelab.numutil import stable_sum
-from icelab import threecoloring
+from icelab import sixvertex, threecoloring
 from icelab.sixvertex import MAX_EVAL_N, _vertex_sweep
 from icelab.threecoloring import _partial_sum
+from icelab.verify import Config
 
 PI = math.pi
 ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
@@ -1068,3 +1069,30 @@ class TestRecursions3c:
                     r = rnd.randrange(3)
                     assert check_recursion_3c(n, r, k, l, +1, a, pr, form="F") < 1e-10
                     assert check_recursion_3c(n, r, k, l, -1, a, pr, form="F") < 1e-10
+
+
+class TestRecursionSeam:
+    def test_flipped_recursion_sign_fails_every_n2_case(self, monkeypatch):
+        # the "recursion sign flipped" mutant, patched into the one helper
+        # both models' recursion checks call: every n = 2 case must then read
+        # above the verify tolerance, both forms, both signs, every corner
+        real = sixvertex._recursion_residual
+
+        def flipped(assign, k, l, sign, form, offset, lhs, rhs, f, start):
+            return real(assign, k, l, sign, form, offset, lhs, rhs, f, -start)
+
+        chi, psi = [0.3, 1.1], [0.7, 2.0]
+        six_vertex = {"Z": SpectralAssignment(chi=chi, psi=psi, eta=1.1),
+                  "F": SpectralAssignment(chi=chi, psi=psi)}
+        pr = params(0.2, 0.4)
+        cases = [(lambda form=form, sign=sign:
+                  check_recursion_6v(six_vertex[form], 1, 2, sign, form))
+                 for form in ("Z", "F") for sign in (1, -1)]
+        cases += [(lambda form=form, sign=sign, r=r: check_recursion_3c(
+                       2, r, 1, 2, sign, SpectralAssignment(chi=chi, psi=psi), pr, form))
+                  for form in ("Z", "F") for sign in (1, -1) for r in range(3)]
+        tol = Config().tol_recursion
+        assert max(case() for case in cases) < tol
+        monkeypatch.setattr(sixvertex, "_recursion_residual", flipped)
+        monkeypatch.setattr(threecoloring, "_recursion_residual", flipped)
+        assert min(case() for case in cases) > tol
