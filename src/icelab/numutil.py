@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
+
+from .errors import EvaluationOverflowError
 
 
 def stable_sum(terms: Iterable[complex]) -> complex:
@@ -16,6 +18,16 @@ def stable_sum(terms: Iterable[complex]) -> complex:
     for t in sorted(terms, key=abs):
         total += t
     return total
+
+
+def guarded(fn: Callable[[complex], complex], x: complex, name: str = "x") -> complex:
+    """fn(x) for a cmath function fn such as sin or exp; EvaluationOverflowError,
+    naming x and chained from cmath's OverflowError, where it overflows the
+    doubles."""
+    try:
+        return fn(x)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"{fn.__name__}({name}) overflows at {name} = {x}") from exc
 
 
 def rel_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:

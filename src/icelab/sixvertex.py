@@ -41,11 +41,11 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
                      EvaluationOverflowError, InvalidStateError, SizeGuardError)
-from .numutil import rel_residual, stable_sum
+from .numutil import guarded, rel_residual, stable_sum
 
 MAX_ENUM_N = 7
 MAX_EVAL_N = 12
@@ -254,12 +254,8 @@ class SpectralAssignment:
         return _unchecked(SpectralAssignment)(chi, psi, self.eta)
 
 
-def _sin(x: complex, name: str = "x") -> complex:
-    """sin(x); EvaluationOverflowError, naming x, where it overflows the doubles."""
-    try:
-        return cmath.sin(x)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(f"sin({name}) overflows at {name} = {x}") from exc
+#: sin(x[, name]); EvaluationOverflowError, naming x, where it overflows the doubles
+_sin = partial(guarded, cmath.sin)
 
 
 def _sin_eta(eta: complex) -> complex:
@@ -402,20 +398,16 @@ def _three_term_residual(term, assign: SpectralAssignment, k: int, side: str,
     return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
 
 
-def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi",
-                           shift_sign: int | None = None) -> float:
+def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi") -> float:
     """Residual of the three-term sum of F_n over 2*pi/3 shifts of one rapidity.
 
     side="chi" shifts chi_k by +2*pi*s/3, side="psi" shifts psi_k by
-    -2*pi*s/3 (s = 0, 1, 2).  Both sums vanish identically at eta = 2*pi/3;
-    shift_sign overrides the shift direction (the psi-side sum vanishes with
-    either sign for this model).  |S| is normalized by the largest of the
-    three summands.
+    -2*pi*s/3 (s = 0, 1, 2).  Both sums vanish identically at eta = 2*pi/3.
+    |S| is normalized by the largest of the three summands.
     """
     _require_combinatorial_eta(assign.eta)
-    sign = shift_sign if shift_sign is not None else (1 if side == "chi" else -1)
     return _three_term_residual(lambda s, shifted: F_n_6v(shifted), assign, k, side,
-                                sign * ETA_COMBINATORIAL)
+                                ETA_COMBINATORIAL if side == "chi" else -ETA_COMBINATORIAL)
 
 
 def _recursion_residual(assign: SpectralAssignment, k: int, l: int, sign: int, form: str,

@@ -70,7 +70,7 @@ from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, ConfigError, EvaluationOverflowError,
                      InvalidColoringError, PoleError, SizeGuardError)
-from .numutil import rel_residual
+from .numutil import guarded, rel_residual
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_reduced, theta4, theta_triple)
 from .sixvertex import (_ALPHAS, _BETAS, SixVertexState, SpectralAssignment, VertexKind,
@@ -592,7 +592,7 @@ def psi_factor(m: int, params: EllipticParams) -> complex:
     reduced mod 3: only consistent lifts (base color with literal r-1, r+1
     neighbours) telescope correctly.
     """
-    return cmath.exp(1j * (m - 1) * (PI * (m + 1) / 3.0 + params.lam))
+    return guarded(cmath.exp, 1j * (m - 1) * (PI * (m + 1) / 3.0 + params.lam))
 
 
 def tilde_quasi_period_residual(v: ColoredVertexKind, phi: complex,
@@ -666,7 +666,7 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
         expo += (1.0 / 12.0 + u / (4 * PI)) * (lz[(r + i - 1) % 3] - lz[(r + i) % 3])
     if corrected:
         expo += (lz[r % 3] - lz[(r + n) % 3]) / 12.0
-    return cmath.exp(expo)
+    return guarded(cmath.exp, expo)
 
 
 def phi_ratio_relation_check(n: int, r: int, assign: SpectralAssignment,

@@ -37,8 +37,7 @@ from . import yangbaxter as yb
 from .errors import ConfigError
 from .numutil import rel_residual, severity
 from .theta import (DEFAULT_SERIES, PI, EllipticParams, SeriesConfig, cubic_factor_D,
-                    quasi_period_factor, theta1, theta1_prime_at_zero, theta4,
-                    theta_triple, zeta)
+                    quasi_period_factor, theta1, theta1_prime_at_zero, theta4)
 
 SCHEMA_VERSION = 1
 
@@ -221,7 +220,6 @@ def _suite_theta(rng, samples: int, cfg: Config):
             ("theta1-cubic-nome",
              (t1 * theta1(phi + PI / 3, params) * theta1(phi + 2 * PI / 3, params),
               cubic_factor_D(params) * theta1(3 * phi, params.cubed()))),
-            ("zeta-product-one", (zeta(0, params) * zeta(1, params) * zeta(2, params), 1.0)),
             ("theta1-derivative-central-difference",
              (theta1_prime_at_zero(params), (theta1(h, params) - theta1(-h, params)) / (2 * h))),
         ]
@@ -278,9 +276,7 @@ def _suite_functional6v(rng, samples: int, cfg: Config):
             point = {"n": n, "k": k}
             yield point, [
                 ("f-sum-chi", sv.functional_residual_6v(a, k, "chi")),
-                ("f-sum-psi", sv.functional_residual_6v(a, k, "psi")),
-                ("f-sum-psi-plus-variant",
-                 sv.functional_residual_6v(a, k, "psi", shift_sign=1))]
+                ("f-sum-psi", sv.functional_residual_6v(a, k, "psi"))]
             eta = _draw_eta(rng, cfg)
             ag = dataclasses.replace(a, eta=eta)
             yield {**point, "eta": eta}, [
@@ -328,9 +324,6 @@ def _suite_appendix(rng, samples: int, cfg: Config):
         substituted = yb.appendix_substitution(params)
         closed = yb.appendix_family(params)
         pairs = [(phi, php), (php, -phi)]
-        b = theta_triple(theta1, params).values
-        prod = math.prod((b[(m - 1) % 3] * b[(m + 1) % 3] / b[m] ** 2 for m in range(3)),
-                         start=1.0 + 0j)
         yield {**point, "phi": phi}, [
             *(("substitution-matches-closed-forms",
                (substituted.weight(vk.kind, vk.r, phi), closed.weight(vk.kind, vk.r, phi)))
@@ -340,7 +333,6 @@ def _suite_appendix(rng, samples: int, cfg: Config):
              yb.gauge_constraint_residual(yb.zeta_gauge(params), pairs)),
             ("gauge-constraint-difference",
              yb.gauge_constraint_residual(yb.rosengren_gauge(params), pairs)),
-            ("appendix-zeta-product-one", (prod, 1.0)),
         ]
 
 
@@ -367,7 +359,6 @@ _OWN_TOLERANCE = {
     "pi-shift-parity": "tol_parity",
     "gauge-constraint-shifted": "tol_gauge",
     "gauge-constraint-difference": "tol_gauge",
-    "appendix-zeta-product-one": "tol_gauge",
 }
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Sequence
 
-from .numutil import rel_residual, severity
+from .numutil import guarded, rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
 from .sixvertex import _ALPHAS, _BETAS, VertexKind, weight6v
@@ -228,7 +228,7 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
     """
     sheet = theta_triple(theta1, params)
     t1_23 = sheet(TWO_PI_OVER_3)
-    lam = params.lam
+    lam, lz = params.lam, sheet.log_zeta
 
     def weight(kind: VertexKind, r: int, phi: complex) -> complex:
         if kind in _ALPHAS:
@@ -237,9 +237,9 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
             return -sheet.zeta_pow(r, 0.5 + 3 * phi / (4 * PI)) * sheet(phi) / t1_23
         expo = phi / (2 * PI)
         if kind is VertexKind.GAMMA:
-            pre = cmath.exp(1j * phi) * cmath.exp(expo * (sheet.log_zeta[r] - sheet.log_zeta[(r + 1) % 3]))
+            pre = guarded(cmath.exp, 1j * phi) * guarded(cmath.exp, expo * (lz[r] - lz[(r + 1) % 3]))
             return pre * sheet(lam + TWO_PI_OVER_3 * r - phi) / sheet.values[r]
-        pre = cmath.exp(-1j * phi) * cmath.exp(expo * (sheet.log_zeta[r] - sheet.log_zeta[(r - 1) % 3]))
+        pre = guarded(cmath.exp, -1j * phi) * guarded(cmath.exp, expo * (lz[r] - lz[(r - 1) % 3]))
         return pre * sheet(lam + TWO_PI_OVER_3 * r + phi) / sheet.values[r]
 
     return WeightFamily(weight=weight, ybe_shift=0.0)
@@ -258,7 +258,7 @@ def rosengren_gauge(params: EllipticParams) -> GaugeData:
         return 1j * cmath.exp(-0.5 * sheet.logs[m % 3])
 
     def phi_fn(m: int, phi: complex) -> complex:
-        return cmath.exp(0.5j * m * phi) * cmath.exp(-(phi / (4 * PI)) * sheet.log_zeta[m % 3])
+        return guarded(cmath.exp, 0.5j * m * phi) * guarded(cmath.exp, -(phi / (4 * PI)) * sheet.log_zeta[m % 3])
 
     return GaugeData(C=c_fn, Phi=phi_fn, shift=0.0)
 
@@ -295,8 +295,7 @@ def rosengren_family(params: EllipticParams) -> WeightFamily:
     return WeightFamily(weight=weight, ybe_shift=0.0)
 
 
-def rosengren_match(params: EllipticParams,
-                    phis: Sequence[complex] = (0.17, 0.53, -0.4, 0.91, -0.08)) -> float:
+def rosengren_match(params: EllipticParams, phis: Sequence[complex]) -> float:
     """Worst residual, over all kinds, bases and sample arguments, of the
     rosengren_gauge applied kindwise to the appendix family against the
     rosengren_family closed forms."""

@@ -31,7 +31,6 @@ TOLERANCE_KEYS = {
     "theta/theta4-pi-tau-shift": "tol_theta",
     "theta/theta4-from-theta1-half-shift": "tol_theta",
     "theta/theta1-cubic-nome": "tol_theta",
-    "theta/zeta-product-one": "tol_theta",
     "theta/theta1-derivative-central-difference": "tol_theta_derivative",
     "ybe/ybe-raw": "tol_ybe",
     "ybe/ybe-tilde": "tol_ybe",
@@ -48,7 +47,6 @@ TOLERANCE_KEYS = {
     "recursion3c/coloring-f-recursion-minus": "tol_recursion",
     "functional6v/f-sum-chi": "tol_functional6v",
     "functional6v/f-sum-psi": "tol_functional6v",
-    "functional6v/f-sum-psi-plus-variant": "tol_functional6v",
     "functional6v/pi-shift-parity": "tol_parity",
     "functional3c/s-sum-chi": "tol_functional3c",
     "functional3c/s-sum-psi": "tol_functional3c",
@@ -57,7 +55,6 @@ TOLERANCE_KEYS = {
     "appendix/rosengren-gauge-match": "tol_appendix",
     "appendix/gauge-constraint-shifted": "tol_gauge",
     "appendix/gauge-constraint-difference": "tol_gauge",
-    "appendix/appendix-zeta-product-one": "tol_gauge",
 }
 
 

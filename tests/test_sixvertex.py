@@ -18,7 +18,7 @@ from icelab import (DegenerateCrossingError, CrossingParameterError, EvaluationO
                     sixvertex_family, weight6v, ybe_sweep)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES,
-                              _row_moves, _sin_eta, _vertex_sweep)
+                              _row_moves, _sin_eta, _three_term_residual, _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -662,7 +662,8 @@ class TestFunctionalSums:
                 assert functional_residual_6v(a, k, "chi") < 1e-10
                 assert functional_residual_6v(a, k, "psi") < 1e-10
                 # the opposite psi-shift direction also vanishes here
-                assert functional_residual_6v(a, k, "psi", shift_sign=1) < 1e-10
+                assert _three_term_residual(lambda s, shifted: F_n_6v(shifted),
+                                            a, k, "psi", ETA0) < 1e-10
 
     def test_eta_guard(self):
         a = assignment(random.Random(11), 2, eta=1.0)

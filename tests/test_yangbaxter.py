@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from icelab import (EllipticParams, PoleError, VertexKind,
+from icelab import (EllipticParams, EvaluationOverflowError, PoleError,
+                    SpectralAssignment, VertexKind,
                     appendix_family, appendix_substitution,
                     apply_gauge_kindwise,
-                    gauge_constraint_residual, raw_family,
+                    gauge_constraint_residual, phi_ratio_factor, psi_factor, raw_family,
                     rosengren_family, rosengren_gauge, rosengren_match,
                     sixvertex_family, theta1, tilde_family, ybe_sweep,
                     zeta_gauge)
@@ -257,6 +258,22 @@ class TestGauge:
         assert rosengren_match(params(), phis=(0.17, 0.53)) < 1e-12
         monkeypatch.setattr(yangbaxter, "rosengren_family", with_nan)
         assert math.isnan(rosengren_match(params(), phis=(0.17, 0.53)))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: rosengren_gauge(params(0.2, 0.4)).Phi(-1, 2000j),
+        lambda: appendix_family(params(0.2, 0.4)).weight(VertexKind.GAMMA, 0, -2000j),
+        lambda: psi_factor(0, EllipticParams.from_nome(0.2, lam=800j)),
+        lambda: phi_ratio_factor(1, 0, SpectralAssignment(chi=[1e5], psi=[0.0]),
+                                 params(0.2, 0.4)),
+        lambda: rosengren_match(params(0.2, 0.4), phis=(2000j,)),
+    ], ids=["rosengren_gauge", "appendix_family", "psi_factor", "phi_ratio_factor",
+            "rosengren_match"])
+    def test_overflowing_exponential_raises(self, evaluate):
+        # a finite argument whose exp is past the doubles: cmath's bare
+        # OverflowError escaped
+        with pytest.raises(EvaluationOverflowError, match="^exp\\(x\\) overflows") as err:
+            evaluate()
+        assert isinstance(err.value.__cause__, OverflowError)
 
     def test_gauge_preserves_ybe(self):
         pr = params()
