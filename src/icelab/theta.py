@@ -253,7 +253,12 @@ class ThetaTriple:
         return self.theta(x, self.params)
 
     def zeta_pow(self, m: int, exponent: complex) -> complex:
-        return cmath.exp(exponent * self.log_zeta[m % 3])
+        """zeta_m^exponent on the table's sheet; EvaluationOverflowError past the doubles."""
+        try:
+            return cmath.exp(exponent * self.log_zeta[m % 3])
+        except OverflowError as exc:
+            raise EvaluationOverflowError(
+                f"zeta_{m % 3}^a overflows at a = {exponent}") from exc
 
 
 @lru_cache(maxsize=64)

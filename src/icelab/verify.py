@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -192,11 +191,21 @@ def _draw_rapidities(rng, n: int) -> sv.SpectralAssignment:
                                  psi=rng.uniform(0.0, PI, size=n).tolist())
 
 
-def _pins(max_n: int):
-    """Every (n, k, l, sign, sign name) a recursion suite pins, in report order."""
-    for n in range(1, max_n + 1):
-        for k, l, sign in itertools.product(range(1, n + 1), range(1, n + 1), (1, -1)):
-            yield n, k, l, sign, "plus" if sign > 0 else "minus"
+def _transpositions(rng, a: sv.SpectralAssignment) -> tuple[list, dict]:
+    """a with two drawn chi exchanged and a with two drawn psi exchanged, and
+    the point entries sigma and tau recording the two 1-based index pairs."""
+    swapped, point = [], {}
+    for side, name in (("chi", "sigma"), ("psi", "tau")):
+        i, j = sorted(rng.choice(a.n, size=2, replace=False).tolist())
+        values = list(getattr(a, side))
+        values[i], values[j] = values[j], values[i]
+        swapped.append(dataclasses.replace(a, **{side: values}))
+        point[name] = [i + 1, j + 1]
+    return swapped, point
+
+
+#: the recursion pin's signs and their names in identity names, in report order
+_SIGNS = ((1, "plus"), (-1, "minus"))
 
 
 def _suite_theta(rng, samples: int, cfg: Config):
@@ -244,28 +253,32 @@ def _suite_ybe(rng, samples: int, cfg: Config):
 
 
 def _suite_recursion6v(rng, samples: int, cfg: Config):
-    for n, k, l, sign, sgn in _pins(cfg.max_n_sixvertex):
-        for _ in range(samples):
-            eta = _draw_eta(rng, cfg)
-            a = _draw_rapidities(rng, n)
-            point = {"n": n, "k": k, "l": l, "sign": sign}
-            yield {**point, "eta": eta}, [
-                (f"z-recursion-{sgn}", sv.check_recursion_6v(dataclasses.replace(a, eta=eta),
-                                                             k, l, sign, form="Z"))]
-            yield {**point, "eta": sv.ETA_COMBINATORIAL}, [
-                (f"f-recursion-{sgn}", sv.check_recursion_6v(a, k, l, sign, form="F"))]
+    for n in range(1, cfg.max_n_sixvertex + 1):
+        for sign, sgn in _SIGNS:
+            for _ in range(samples):
+                eta = _draw_eta(rng, cfg)
+                a = _draw_rapidities(rng, n)
+                k, l = rng.integers(1, n + 1, size=2).tolist()
+                point = {"n": n, "k": k, "l": l, "sign": sign}
+                yield {**point, "eta": eta}, [
+                    (f"z-recursion-{sgn}", sv.check_recursion_6v(dataclasses.replace(a, eta=eta),
+                                                                 k, l, sign, form="Z"))]
+                yield {**point, "eta": sv.ETA_COMBINATORIAL}, [
+                    (f"f-recursion-{sgn}", sv.check_recursion_6v(a, k, l, sign, form="F"))]
 
 
 def _suite_recursion3c(rng, samples: int, cfg: Config):
-    for n, k, l, sign, sgn in _pins(cfg.max_n_coloring):
-        for _ in range(samples):
-            params, point = _draw_params(rng, cfg)
-            a = _draw_rapidities(rng, n)
-            r = int(rng.integers(0, 3))
-            yield {**point, "n": n, "k": k, "l": l, "sign": sign, "r": r}, [
-                (f"coloring-{form.lower()}-recursion-{sgn}",
-                 tc.check_recursion_3c(n, r, k, l, sign, a, params, form))
-                for form in ("Z", "F")]
+    for n in range(1, cfg.max_n_coloring + 1):
+        for sign, sgn in _SIGNS:
+            for _ in range(samples):
+                params, point = _draw_params(rng, cfg)
+                a = _draw_rapidities(rng, n)
+                r = int(rng.integers(0, 3))
+                k, l = rng.integers(1, n + 1, size=2).tolist()
+                yield {**point, "n": n, "k": k, "l": l, "sign": sign, "r": r}, [
+                    (f"coloring-{form.lower()}-recursion-{sgn}",
+                     tc.check_recursion_3c(n, r, k, l, sign, a, params, form))
+                    for form in ("Z", "F")]
 
 
 def _suite_functional6v(rng, samples: int, cfg: Config):
@@ -336,6 +349,30 @@ def _suite_appendix(rng, samples: int, cfg: Config):
         ]
 
 
+def _suite_symmetry(rng, samples: int, cfg: Config):
+    # Z is symmetric in the chi and, separately, in the psi (the train
+    # argument); n = 1 permutes nothing
+    for n in range(2, cfg.max_n_sixvertex + 1):
+        for _ in range(samples):
+            eta = _draw_eta(rng, cfg)
+            a = dataclasses.replace(_draw_rapidities(rng, n), eta=eta)
+            swapped, pairs = _transpositions(rng, a)
+            z = sv.partition_function_6v(a)
+            yield {"n": n, "eta": eta, **pairs}, [
+                (f"z6v-{side}-transposed", (sv.partition_function_6v(b), z))
+                for side, b in zip(("chi", "psi"), swapped)]
+    for n in range(2, cfg.max_n_coloring + 1):
+        for _ in range(samples):
+            params, point = _draw_params(rng, cfg)
+            a = _draw_rapidities(rng, n)
+            r = int(rng.integers(0, 3))
+            swapped, pairs = _transpositions(rng, a)
+            z = tc.partial_partition_function(n, r, a, params)
+            yield {**point, "n": n, "r": r, **pairs}, [
+                (f"z3c-{side}-transposed", (tc.partial_partition_function(n, r, b, params), z))
+                for side, b in zip(("chi", "psi"), swapped)]
+
+
 # ---------------------------------------------------------------------------
 # the suite table and the one driver
 # ---------------------------------------------------------------------------
@@ -349,6 +386,7 @@ _SUITES = {
     "functional6v": (_suite_functional6v, 20, "tol_functional6v"),
     "functional3c": (_suite_functional3c, 20, "tol_functional3c"),
     "appendix": (_suite_appendix, 50, "tol_appendix"),
+    "symmetry": (_suite_symmetry, 20, "tol_recursion"),
 }
 
 SUITES = tuple(_SUITES)

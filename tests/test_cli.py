@@ -55,6 +55,10 @@ TOLERANCE_KEYS = {
     "appendix/rosengren-gauge-match": "tol_appendix",
     "appendix/gauge-constraint-shifted": "tol_gauge",
     "appendix/gauge-constraint-difference": "tol_gauge",
+    "symmetry/z6v-chi-transposed": "tol_recursion",
+    "symmetry/z6v-psi-transposed": "tol_recursion",
+    "symmetry/z3c-chi-transposed": "tol_recursion",
+    "symmetry/z3c-psi-transposed": "tol_recursion",
 }
 
 
@@ -426,7 +430,7 @@ class TestVerifyCommand:
             calls[name] = seen[-1]
         assert set().union(*calls.values()) == {(1e-13, 40)}
         assert [name for name in SUITES if calls[name]] == [
-            "theta", "ybe", "recursion3c", "functional3c", "appendix"]
+            "theta", "ybe", "recursion3c", "functional3c", "appendix", "symmetry"]
 
     def test_suite_rng_is_per_suite(self):
         a = suite_rng(3, "theta").uniform(0, 1)
@@ -535,7 +539,7 @@ class TestParallelSuites:
         for cpus in (2, 3, 8):
             forks.clear()
             assert self.run_on(monkeypatch, cpus, seed=seed, samples=samples).to_json() == alone
-            assert len(forks) == min(cpus, len(SUITES))  # eight CPUs: seven workers
+            assert len(forks) == min(cpus, len(SUITES))  # eight CPUs: eight workers
 
     def test_same_truncation_error_on_both_paths(self, monkeypatch):
         messages = []

@@ -1,21 +1,21 @@
-"""Kill matrix: every gate of the theta, ybe and appendix suites can fail.
+"""Kill matrix: every gate of the theta, ybe, appendix and symmetry suites can fail.
 
-Each mutant is a small known-wrong variant patched in at one named seam.
-Every mutant must fail at least one identity of the three suites, and every
-identity must fail under at least one mutant (mutation adequacy: DeMillo,
-Lipton and Sayward 1978, "Hints on test data selection").  An identity no
+Each mutant is a small known-wrong variant patched in at one or more named
+seams.  Every mutant must fail at least one identity of the four suites, and
+every identity must fail under at least one mutant (mutation adequacy:
+DeMillo, Lipton and Sayward 1978, "Hints on test data selection").  An identity no
 mutant moves is a gate that cannot fail.
 """
 
 import cmath
 import math
 
-from icelab import theta, threecoloring, verify, yangbaxter
+from icelab import sixvertex, theta, threecoloring, verify, yangbaxter
 from icelab.sixvertex import _BETAS, VertexKind
 from icelab.verify import run_suite
 from icelab.yangbaxter import GaugeData, WeightFamily
 
-SUITES = ("theta", "ybe", "appendix")
+SUITES = ("theta", "ybe", "appendix", "symmetry")
 
 #: every value cache a mutant's values could sit in, cleared around each run
 CACHES = (theta._series_sum, theta._nome_powers, theta.theta_triple,
@@ -37,11 +37,23 @@ def kernel(series, mutate):
     return theta, "_series_sum", wrap
 
 
-def swap_gammas(name):
-    """yangbaxter's binding of a threecoloring weight function, gamma and gamma' swapped."""
+def swap_gammas(module, name):
+    """module's binding of a threecoloring weight function, gamma and gamma' swapped."""
     def wrap(weight_ctx):
         return lambda ctx, kind, r, phi: weight_ctx(ctx, SWAP_GAMMAS.get(kind, kind), r, phi)
-    return yangbaxter, name, wrap
+    return module, name, wrap
+
+
+def scale_swept_betas(module):
+    """module's binding of sixvertex._vertex_sweep, the beta and beta' code
+    weights of every vertex scaled by 1.001."""
+    def wrap(sweep):
+        def mutant(n, vertex_weights):
+            return sweep(n, lambda i, j, codes: [
+                w * (1.001 if kind in _BETAS else 1.0)
+                for w, (kind, _) in zip(vertex_weights(i, j, codes), codes)])
+        return mutant
+    return module, "_vertex_sweep", wrap
 
 
 def scale_betas(name, factor):
@@ -66,29 +78,36 @@ def tilt_gauge(name):
     return yangbaxter, name, wrap
 
 
-#: name -> (module, attribute, wrap): wrap(original) is the mutant patched in
+#: name -> seams (module, attribute, wrap): each wrap(original) is patched in
 MUTANTS = {
-    "theta1 + 1e-9": kernel(THETA1, lambda v, phi: v + 1e-9),
-    "theta1 * (1 + 1e-7 cos phi)": kernel(THETA1, lambda v, phi: v * (1 + 1e-7 * cmath.cos(phi))),
-    "theta1 + 1e-6 phi": kernel(THETA1, lambda v, phi: v + 1e-6 * phi),
-    "theta4 * (1 + 1e-7 sin phi)": kernel(THETA4, lambda v, phi: v * (1 + 1e-7 * cmath.sin(phi))),
-    "theta1_reduced * (1 + 1e-7 Re sin 2phi)": kernel(
-        THETA1_REDUCED, lambda v, phi: v * (1 + 1e-7 * cmath.sin(2 * phi).real)),
-    "raw gamma <-> gamma'": swap_gammas("_raw_weight_ctx"),
-    "tilde gamma <-> gamma'": swap_gammas("_tilde_weight_ctx"),
-    "weight6v beta * 1.001": (yangbaxter, "weight6v", lambda weight6v: lambda kind, phi, eta: (
-        weight6v(kind, phi, eta) * (1.001 if kind in _BETAS else 1.0))),
-    "appendix_family beta * (1 + 1e-6)": scale_betas("appendix_family", 1 + 1e-6),
-    "rosengren_family beta * (1 + 1e-6)": scale_betas("rosengren_family", 1 + 1e-6),
-    "zeta_gauge Phi_m * e^(1e-6 m)": tilt_gauge("zeta_gauge"),
-    "rosengren_gauge Phi_m * e^(1e-6 m)": tilt_gauge("rosengren_gauge"),
-    "verify.cubic_factor_D * (1 + 1e-9)": (verify, "cubic_factor_D",
-                                           lambda D: lambda params: D(params) * (1 + 1e-9)),
+    "theta1 + 1e-9": [kernel(THETA1, lambda v, phi: v + 1e-9)],
+    "theta1 * (1 + 1e-7 cos phi)": [
+        kernel(THETA1, lambda v, phi: v * (1 + 1e-7 * cmath.cos(phi)))],
+    "theta1 + 1e-6 phi": [kernel(THETA1, lambda v, phi: v + 1e-6 * phi)],
+    "theta4 * (1 + 1e-7 sin phi)": [
+        kernel(THETA4, lambda v, phi: v * (1 + 1e-7 * cmath.sin(phi)))],
+    "theta1_reduced * (1 + 1e-7 Re sin 2phi)": [kernel(
+        THETA1_REDUCED, lambda v, phi: v * (1 + 1e-7 * cmath.sin(2 * phi).real))],
+    "raw gamma <-> gamma'": [swap_gammas(yangbaxter, "_raw_weight_ctx")],
+    "tilde gamma <-> gamma'": [swap_gammas(yangbaxter, "_tilde_weight_ctx")],
+    "weight6v beta * 1.001": [(yangbaxter, "weight6v", lambda weight6v: lambda kind, phi, eta: (
+        weight6v(kind, phi, eta) * (1.001 if kind in _BETAS else 1.0)))],
+    "appendix_family beta * (1 + 1e-6)": [scale_betas("appendix_family", 1 + 1e-6)],
+    "rosengren_family beta * (1 + 1e-6)": [scale_betas("rosengren_family", 1 + 1e-6)],
+    "zeta_gauge Phi_m * e^(1e-6 m)": [tilt_gauge("zeta_gauge")],
+    "rosengren_gauge Phi_m * e^(1e-6 m)": [tilt_gauge("rosengren_gauge")],
+    "verify.cubic_factor_D * (1 + 1e-9)": [(verify, "cubic_factor_D",
+                                            lambda D: lambda params: D(params) * (1 + 1e-9))],
+    "swept beta code weights * 1.001": [scale_swept_betas(sixvertex),
+                                        scale_swept_betas(threecoloring)],
+    "partial sums on raw weights": [(threecoloring, "_tilde_weight_ctx",
+                                     lambda tilde: threecoloring._raw_weight_ctx)],
+    "partial sums' tilde gamma <-> gamma'": [swap_gammas(threecoloring, "_tilde_weight_ctx")],
 }
 
 
 def failing_identities() -> tuple[list[str], set[str]]:
-    """Every identity of the three suites at seed 0, two samples, and those that fail."""
+    """Every identity of the four suites at seed 0, two samples, and those that fail."""
     for cache in CACHES:
         cache.cache_clear()
     try:
@@ -104,9 +123,10 @@ def test_every_mutant_fails_a_gate_and_every_gate_fails_under_a_mutant(monkeypat
     identities, clean = failing_identities()
     assert not clean, f"the unmutated suites fail {sorted(clean)}"
     killed = {}
-    for name, (module, attribute, wrap) in MUTANTS.items():
+    for name, seams in MUTANTS.items():
         with monkeypatch.context() as patch:
-            patch.setattr(module, attribute, wrap(getattr(module, attribute)))
+            for module, attribute, wrap in seams:
+                patch.setattr(module, attribute, wrap(getattr(module, attribute)))
             killed[name] = failing_identities()[1]
     dead = [name for name, kills in killed.items() if not kills]
     survivors = [i for i in identities if not any(i in kills for kills in killed.values())]

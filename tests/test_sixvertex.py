@@ -615,6 +615,16 @@ class TestRecursions:
                 assert check_recursion_6v(a, k, l, +1, form="Z") < 1e-10
                 assert check_recursion_6v(a, k, l, -1, form="Z") < 1e-10
 
+    def test_z_recursion_all_pins_generic_eta(self):
+        # verify pins one drawn (k, l) per draw; every pin is checked here
+        rnd = random.Random(9)
+        for n in (2, 3):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    a = assignment(rnd, n, eta=rnd.uniform(0.3, 2.8))
+                    assert check_recursion_6v(a, k, l, +1, form="Z") < 1e-10
+                    assert check_recursion_6v(a, k, l, -1, form="Z") < 1e-10
+
     def test_f_recursion_all_pins(self):
         rnd = random.Random(7)
         for n in (2, 3):

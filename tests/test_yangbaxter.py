@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from icelab import (EllipticParams, EvaluationOverflowError, PoleError,
+from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError, PoleError,
                     SpectralAssignment, VertexKind,
                     appendix_family, appendix_substitution,
                     apply_gauge_kindwise,
                     gauge_constraint_residual, phi_ratio_factor, psi_factor, raw_family,
+                    raw_weight,
                     rosengren_family, rosengren_gauge, rosengren_match,
                     sixvertex_family, theta1, tilde_family, ybe_sweep,
                     zeta_gauge)
@@ -272,6 +273,17 @@ class TestGauge:
         # a finite argument whose exp is past the doubles: cmath's bare
         # OverflowError escaped
         with pytest.raises(EvaluationOverflowError, match="^exp\\(x\\) overflows") as err:
+            evaluate()
+        assert isinstance(err.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: appendix_family(params(0.2, 0.4)).weight(VertexKind.ALPHA, 2, -2000j),
+        lambda: zeta_gauge(params(0.2, 0.4)).Phi(1, 1e5),
+        lambda: raw_weight(ColoredVertexKind(VertexKind.ALPHA, 0), 1e5, params(0.2, 0.4)),
+    ], ids=["appendix_family", "zeta_gauge", "raw_weight"])
+    def test_overflowing_zeta_power_raises(self, evaluate):
+        # ThetaTriple.zeta_pow at a large exponent: cmath's bare OverflowError escaped
+        with pytest.raises(EvaluationOverflowError, match="^zeta_") as err:
             evaluate()
         assert isinstance(err.value.__cause__, OverflowError)
 
