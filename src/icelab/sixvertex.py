@@ -270,7 +270,8 @@ def _sin_eta(eta: complex) -> complex:
 
 
 def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
-    """Trigonometric vertex weight at spectral parameter phi."""
+    """Trigonometric vertex weight at spectral parameter phi, a finite one (else ValueError)."""
+    _rapidity(phi)
     s = _sin_eta(eta)
     if kind in _ALPHAS:
         return _sin(eta / 2 - phi) / s
@@ -383,17 +384,17 @@ def _require_combinatorial_eta(eta: complex) -> None:
             f"functional sums require eta = 2*pi/3, got eta = {eta}")
 
 
-def _three_term_residual(term, assign: SpectralAssignment, k: int, side: str,
-                         delta: complex) -> float:
+def _three_term_residual(term, assign: SpectralAssignment, k: int, side: str) -> float:
     """Residual of the three-term sum S = sum_{s=0}^{2} term(s, shifted_s),
-    shifted_s the assignment with chi_k (side="chi") or psi_k (side="psi")
-    shifted by s * delta, which vanishes identically in both models.  |S|
-    is normalized by the largest of the three summands."""
+    shifted_s the assignment with chi_k shifted by +2 pi s / 3 (side="chi")
+    or psi_k by -2 pi s / 3 (side="psi"), which vanishes identically in both
+    models.  |S| is normalized by the largest of the three summands."""
     if not 1 <= k <= assign.n:
         raise IndexError(f"k = {k} outside 1..{assign.n}")
     if side not in ("chi", "psi"):
         raise ValueError("side must be 'chi' or 'psi'")
-    shift = assign.shift_chi if side == "chi" else assign.shift_psi
+    shift, delta = ((assign.shift_chi, ETA_COMBINATORIAL) if side == "chi"
+                    else (assign.shift_psi, -ETA_COMBINATORIAL))
     terms = [term(s, shift(k, delta * s)) for s in range(3)]
     return rel_residual(stable_sum(terms), 0.0, scale=max(abs(t) for t in terms))
 
@@ -406,8 +407,7 @@ def functional_residual_6v(assign: SpectralAssignment, k: int, side: str = "chi"
     |S| is normalized by the largest of the three summands.
     """
     _require_combinatorial_eta(assign.eta)
-    return _three_term_residual(lambda s, shifted: F_n_6v(shifted), assign, k, side,
-                                ETA_COMBINATORIAL if side == "chi" else -ETA_COMBINATORIAL)
+    return _three_term_residual(lambda s, shifted: F_n_6v(shifted), assign, k, side)
 
 
 def _recursion_residual(assign: SpectralAssignment, k: int, l: int, sign: int, form: str,

@@ -47,6 +47,7 @@ _LOG_HUGE = 700.0  # exp beyond this overflows a double
 _LOG_2 = math.log(2.0)
 _POLE_TOL = 1e-12
 _STOP_MARGIN = 1e-6  # far above the roundoff of log(tol) + |s| and log(tol (1 + |s|))
+_IH = 2.0 ** -64 * 1j  # i h: a complex step (Squire and Trapp 1998) below the last bit
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def _nome_powers(key: tuple, a: int, offset: float) -> list:
 
 
 @lru_cache(maxsize=256)
-def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: bool) -> complex:
+def _series_sum(a: int, phi: complex, key: tuple, offset: float) -> complex:
     """The q-series kernel behind every theta value:
 
         sum_{k>=0} c_k (-1)^k p^{k^2 + a k + offset} f((2k + a) phi)
@@ -156,8 +157,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: boo
     with c_k = 2, except c_0 = 1 for a = 0, and f = cos for a = 0, sin for
     a = 1.  a = 0 gives theta4 and a = 1 gives theta1 / p^{1/4}, which stays
     finite at p = 0; offset = 1/4 carries the p^{1/4} into every exponent,
-    (k + 1/2)^2, and gives theta1 itself.  derivative=True replaces
-    f(w phi) by its derivative at phi = 0, namely w (theta1'(0) for a = 1).
+    (k + 1/2)^2, and gives theta1 itself.
     key = EllipticParams.series_key gives the nome and the truncation rule.
     The last sums are cached by their arguments.  -0.0 == 0.0 and
     x - 0j == x + 0j share an entry, and may: the sum starts at +0j, which
@@ -170,7 +170,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: boo
     p, _, tol, max_terms = key
     log_ap, table, plan = powers = _nome_powers(key, a, offset)
     trig = cmath.sin if a else cmath.cos
-    s, start = 0j, 0 if phi.imag or derivative else plan
+    s, start = 0j, 0 if phi.imag else plan
     for _, coef, w in table[:start]:  # a real argument's untested terms
         s += coef * trig(w * phi)
     log_tol, im = math.log(tol), abs(phi.imag)
@@ -178,8 +178,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: boo
         if k == len(table):
             table = powers[1] = table + (_term(p, log_ap, a, offset, k),)
         log_pe, coef, w = table[k]
-        # log of the term bound 2 |p|^e exp(w |Im phi|), or 2 w |p|^e for the derivative
-        log_env = log_pe + math.log(2.0 * w) if derivative else log_pe + w * im + _LOG_2
+        log_env = log_pe + w * im + _LOG_2  # log of the term bound 2 |p|^e exp(w |Im phi|)
         # stop once log_env < log(tol (1 + |s|)); since log(1 + x) <= x that
         # log is only needed below log(tol) + |s| (plus a margin for roundoff)
         if (log_env < log_tol + abs(s) + _STOP_MARGIN
@@ -188,7 +187,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: boo
         try:  # cos or sin of w phi can overflow below the envelope's bound
             if log_env > _LOG_HUGE:
                 raise OverflowError("term envelope beyond double range")
-            s += coef * (w if derivative else trig(w * phi))
+            s += coef * trig(w * phi)
         except OverflowError as exc:
             raise SeriesTruncationError(
                 f"theta series term overflow at k={k}: |Im phi| = {im} too large "
@@ -200,12 +199,12 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float, derivative: boo
 
 def theta1(phi: complex, params: EllipticParams) -> complex:
     """theta1(phi | p), odd and pi-antiperiodic in phi."""
-    return _series_sum(1, phi, params.series_key, 0.25, False)
+    return _series_sum(1, phi, params.series_key, 0.25)
 
 
 def theta4(phi: complex, params: EllipticParams) -> complex:
     """theta4(phi | p), even and pi-periodic in phi."""
-    return _series_sum(0, phi, params.series_key, 0.0, False)
+    return _series_sum(0, phi, params.series_key, 0.0)
 
 
 def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
@@ -215,12 +214,12 @@ def theta1_reduced(phi: complex, params: EllipticParams) -> complex:
     weights are built from this reduced series; it stays finite at p = 0,
     where it degenerates to 2 sin(phi).
     """
-    return _series_sum(1, phi, params.series_key, 0.0, False)
+    return _series_sum(1, phi, params.series_key, 0.0)
 
 
 def theta1_prime_at_zero(params: EllipticParams) -> complex:
-    """d/dphi theta1(phi | p) at phi = 0, by termwise differentiation."""
-    return _series_sum(1, 0.0, params.series_key, 0.25, True)
+    """theta1'(0 | p) as theta1(ih) / (ih), off by h^2 theta1'''(0) / 6 as theta1 is odd."""
+    return theta1(_IH, params) / _IH
 
 
 class ThetaTriple:
@@ -291,11 +290,10 @@ def cubic_factor_D(params: EllipticParams) -> complex:
     Computed from the reduced series; the p^{3/4} factors cancel exactly, so
     the value extends continuously to D(0) = 1.
     """
-    den = _series_sum(1, 0.0, params.cubed().series_key, 0.0, True)
+    den = theta1_reduced(_IH, params.cubed()) / _IH
     if abs(den) < _POLE_TOL:
         raise PoleError("theta1'(0 | p^3) vanishes")
-    num = (_series_sum(1, 0.0, params.series_key, 0.0, True)
-           * theta1_reduced(PI / 3, params)
+    num = (theta1_reduced(_IH, params) / _IH * theta1_reduced(PI / 3, params)
            * theta1_reduced(TWO_PI_OVER_3, params))
     return num / (3.0 * den)
 

@@ -554,11 +554,14 @@ def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
         return (tri.zeta_pow(r, 0.25 - 3 * phi / (4 * PI))
                 * theta1_reduced(PI / 3 + phi, tri.params) / t1_23)
     expo = 1.0 / 6.0 + phi / (2 * PI)
-    if kind is VertexKind.GAMMA:
-        pre = cmath.exp(expo * (tri.log_zeta[(r + 1) % 3] - tri.log_zeta[r % 3]))
-        return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]
-    pre = cmath.exp(expo * (tri.log_zeta[(r - 1) % 3] - tri.log_zeta[r % 3]))
-    return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
+    try:  # a try, not guarded: the sweeps add no call per weight
+        if kind is VertexKind.GAMMA:
+            pre = cmath.exp(expo * (tri.log_zeta[(r + 1) % 3] - tri.log_zeta[r % 3]))
+            return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]
+        pre = cmath.exp(expo * (tri.log_zeta[(r - 1) % 3] - tri.log_zeta[r % 3]))
+        return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"{kind.name} prefactor overflows at phi = {phi}") from exc
 
 
 def tilde_weight(v: ColoredVertexKind, phi: complex, params: EllipticParams) -> complex:
@@ -646,7 +649,7 @@ def _partial_sum(n: int, r: int, assign: SpectralAssignment, params: EllipticPar
 
 
 def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
-                     params: EllipticParams, corrected: bool = True) -> complex:
+                     params: EllipticParams) -> complex:
     """State-independent factor connecting the tilde and raw partial sums,
 
         tildeZ^r_n = factor * Z^r_n,
@@ -655,8 +658,7 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
 
     with Phi_r = zeta_r^{1/12 + phi/4pi}.  As printed, the product misses a
     constant: telescoping the per-vertex gauge factors over the forced
-    boundary gives an extra (zeta_r / zeta_{r+n})^{1/12}, which corrected=True
-    includes (set False to evaluate the uncorrected product).
+    boundary gives an extra (zeta_r / zeta_{r+n})^{1/12}, included here.
     """
     lz = _weight_constants(params)[0].log_zeta
     expo = 0j
@@ -664,17 +666,16 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
         u = (assign.chi[i - 1] - assign.psi[i - 1]
              + assign.chi[n - i] - assign.psi[n - i])
         expo += (1.0 / 12.0 + u / (4 * PI)) * (lz[(r + i - 1) % 3] - lz[(r + i) % 3])
-    if corrected:
-        expo += (lz[r % 3] - lz[(r + n) % 3]) / 12.0
+    expo += (lz[r % 3] - lz[(r + n) % 3]) / 12.0
     return guarded(cmath.exp, expo)
 
 
 def phi_ratio_relation_check(n: int, r: int, assign: SpectralAssignment,
-                             params: EllipticParams, corrected: bool = True) -> float:
+                             params: EllipticParams) -> float:
     """Residual of tildeZ^r_n = phi_ratio_factor * Z^r_n."""
     zt = partial_partition_function(n, r, assign, params, "tilde")
     zr = partial_partition_function(n, r, assign, params, "raw")
-    factor = phi_ratio_factor(n, r, assign, params, corrected=corrected)
+    factor = phi_ratio_factor(n, r, assign, params)
     return rel_residual(zt, factor * zr)
 
 
@@ -700,8 +701,7 @@ def functional_residual_3c(n: int, r: int, k: int, side: str,
     +2pi s/3 (psi_k by -2pi s/3 for side='psi'), which vanishes identically;
     |S| is normalized by the largest of the three summands."""
     return _three_term_residual(lambda s, shifted: F_rn(n, (r + s) % 3, shifted, params),
-                                assign, k, side,
-                                TWO_PI_OVER_3 if side == "chi" else -TWO_PI_OVER_3)
+                                assign, k, side)
 
 
 def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,

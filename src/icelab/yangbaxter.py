@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 from .numutil import guarded, rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
-from .sixvertex import _ALPHAS, _BETAS, VertexKind, weight6v
+from .sixvertex import _ALPHAS, _BETAS, VertexKind, _rapidity, weight6v
 from .threecoloring import (_KIND_OF_CORNERS, ColoredVertexKind, _raw_weight_ctx,
                             _tilde_weight_ctx, _weight_constants)
 
@@ -111,6 +111,7 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     normalized by the largest triple product of an assignment, plus how many
     assignments were skipped because every triple product is exactly zero.
     """
+    _rapidity(phi), _rapidity(phi_p)  # ValueError unless both are finite
     # weight_table lists the 18 weights in ADMISSIBLE order
     w_phi, w_php, w_u3 = (list(fam.weight_table(x).values())
                           for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))

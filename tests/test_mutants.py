@@ -21,8 +21,8 @@ SUITES = ("theta", "ybe", "appendix", "symmetry")
 CACHES = (theta._series_sum, theta._nome_powers, theta.theta_triple,
           threecoloring._weight_constants, threecoloring._partial_sum)
 
-#: (a, offset, derivative) of the kernel sums behind theta1, theta4 and theta1_reduced
-THETA1, THETA4, THETA1_REDUCED = (1, 0.25, False), (0, 0.0, False), (1, 0.0, False)
+#: (a, offset) of the kernel sums behind theta1, theta4 and theta1_reduced
+THETA1, THETA4, THETA1_REDUCED = (1, 0.25), (0, 0.0), (1, 0.0)
 
 SWAP_GAMMAS = {VertexKind.GAMMA: VertexKind.GAMMA_P, VertexKind.GAMMA_P: VertexKind.GAMMA}
 
@@ -30,9 +30,9 @@ SWAP_GAMMAS = {VertexKind.GAMMA: VertexKind.GAMMA_P, VertexKind.GAMMA_P: VertexK
 def kernel(series, mutate):
     """theta._series_sum with the sums of one series passed through mutate(value, phi)."""
     def wrap(series_sum):
-        def mutant(a, phi, key, offset, derivative):
-            value = series_sum(a, phi, key, offset, derivative)
-            return mutate(value, phi) if (a, offset, derivative) == series else value
+        def mutant(a, phi, key, offset):
+            value = series_sum(a, phi, key, offset)
+            return mutate(value, phi) if (a, offset) == series else value
         return mutant
     return theta, "_series_sum", wrap
 

@@ -14,7 +14,7 @@ from icelab import (DEFAULT_SERIES, EllipticParams, EvaluationOverflowError, Nom
                     PoleError, SeriesConfig, SeriesTruncationError, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta1_reduced, theta4,
                     zeta, zeta_log_table)
-from icelab.theta import _series_sum
+from icelab.theta import _IH, _series_sum
 
 PI = math.pi
 
@@ -142,9 +142,9 @@ def _bits(z):
     return struct.pack("dd", z.real, z.imag)
 
 
-def _kernel(a, phi, params, offset=0.0, derivative=False):
+def _kernel(a, phi, params, offset=0.0):
     """The kernel under the params' series key, as the theta functions call it."""
-    return _series_sum(a, phi, params.series_key, offset, derivative)
+    return _series_sum(a, phi, params.series_key, offset)
 
 
 class TestPowerTable:
@@ -158,7 +158,9 @@ class TestPowerTable:
         cfg = SeriesConfig()
         for p in self.NOMES:
             pr = EllipticParams.from_nome(p, lam=0.3)
-            assert theta1_prime_at_zero(pr) == _loop_series(1, 0.0, pr, cfg, 0.25, True)
+            # the complex step against the termwise derivative series
+            assert theta1_prime_at_zero(pr) == pytest.approx(
+                _loop_series(1, 0.0, pr, cfg, 0.25, True), rel=1e-15)
             for phi in self.PHIS:
                 assert theta1(phi, pr) == _loop_series(1, phi, pr, cfg, 0.25)
                 assert theta4(phi, pr) == _loop_series(0, phi, pr, cfg)
@@ -169,23 +171,21 @@ class TestPowerTable:
         # its decision: values agree bit for bit, and so does the term count
         # T, which shows as convergence with max_terms = T + 1 and a
         # SeriesTruncationError with max_terms = T
-        kernels = [(a, offset, phi, False) for a, offset in ((0, 0.0), (1, 0.0), (1, 0.25))
-                   for phi in self.PHIS + (0.0, -1.1, 3.0 + 0.02j)]
-        kernels += [(1, offset, 0.0, True) for offset in (0.0, 0.25)]
+        kernels = [(a, offset, phi) for a, offset in ((0, 0.0), (1, 0.0), (1, 0.25))
+                   for phi in self.PHIS + (0.0, -1.1, 3.0 + 0.02j, _IH)]
         for p in self.NOMES:
             pr = EllipticParams.from_nome(p, lam=0.3)
             for tol in (1e-16, 1e-9, 0.3):
-                for a, offset, phi, derivative in kernels:
-                    want, terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset,
-                                               derivative, count=True)
+                for a, offset, phi in kernels:
+                    want, terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset, count=True)
                     for max_terms in (64, terms + 1):
                         ruled = dataclasses.replace(pr, series=SeriesConfig(tol, max_terms))
-                        got = _kernel(a, phi, ruled, offset, derivative)
-                        assert _bits(got) == _bits(want), (p, tol, a, offset, phi, derivative)
+                        got = _kernel(a, phi, ruled, offset)
+                        assert _bits(got) == _bits(want), (p, tol, a, offset, phi)
                     if terms:
                         ruled = dataclasses.replace(pr, series=SeriesConfig(tol, terms))
                         with pytest.raises(SeriesTruncationError):
-                            _kernel(a, phi, ruled, offset, derivative)
+                            _kernel(a, phi, ruled, offset)
 
     def test_signed_zeros_share_one_cache_entry(self):
         # -0.0 == 0.0 and x - 0j == x + 0j, and the sign of a zero part of
@@ -210,16 +210,15 @@ class TestPowerTable:
                     assert (info.misses, info.hits) == (3, 3 * (len(variants) - 1)), (p, x, y)
         pr = EllipticParams.from_nome(0.2)
         _series_sum.cache_clear()
-        for phi in (0.0, -0.0, 0j, complex(-0.0, -0.0)):
-            assert _bits(_kernel(1, phi, pr, 0.25, True)) == _bits(theta1_prime_at_zero(pr))
-        assert (_series_sum.cache_info().misses, _series_sum.cache_info().hits) == (1, 7)
+        for phi in (_IH, complex(-0.0, _IH.imag)):  # theta1'(0)'s complex step
+            assert _bits(_kernel(1, phi, pr, 0.25) / _IH) == _bits(theta1_prime_at_zero(pr))
+        assert (_series_sum.cache_info().misses, _series_sum.cache_info().hits) == (1, 3)
 
     _ZERO = st.sampled_from([0.0, -0.0])
     _PART = st.one_of(_ZERO, st.floats(-6.0, 6.0))
 
     @settings(max_examples=400, deadline=None)
-    @given(kernel=st.sampled_from([(0, 0.0, False), (1, 0.0, False), (1, 0.25, False),
-                                   (1, 0.0, True), (1, 0.25, True)]),
+    @given(kernel=st.sampled_from([(0, 0.0), (1, 0.0), (1, 0.25)]),
            phi=st.one_of(_PART, st.builds(complex, _PART, _ZERO),
                          st.builds(complex, _PART, _PART)),
            p=st.one_of(st.just(0.0), st.floats(1e-6, 0.9),
@@ -232,21 +231,21 @@ class TestPowerTable:
         # the kernel returns the loop's bits or raises what the loop raises
         # (SeriesTruncationError also where cos or sin of a large imaginary
         # argument overflows below the envelope's bound, as |p| near 1 allows)
-        a, offset, derivative = kernel
+        a, offset = kernel
         pr = EllipticParams.from_nome(p, lam=0.3)
 
         def outcome(fn, max_terms):
             ruled = dataclasses.replace(pr, series=SeriesConfig(tol, max_terms))
             try:
-                return _bits(fn(a, phi, ruled, offset, derivative))
+                return _bits(fn(a, phi, ruled, offset))
             except SeriesTruncationError as exc:
                 return type(exc)
 
-        def loop(a, phi, ruled, offset, derivative):
-            return _loop_series(a, phi, ruled, ruled.series, offset, derivative)
+        def loop(a, phi, ruled, offset):
+            return _loop_series(a, phi, ruled, ruled.series, offset)
 
         try:
-            terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset, derivative, count=True)[1]
+            terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset, count=True)[1]
         except SeriesTruncationError:
             terms = DEFAULT_SERIES.max_terms
         for max_terms in {terms + 1, terms} - {0}:

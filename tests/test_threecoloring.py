@@ -26,7 +26,7 @@ from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticP
                     phi_ratio_relation_check, psi_factor, raw_weight,
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
                     weight6v, zeta)
-from icelab.numutil import stable_sum
+from icelab.numutil import rel_residual, stable_sum
 from icelab import sixvertex, threecoloring
 from icelab.sixvertex import MAX_EVAL_N, _vertex_sweep
 from icelab.threecoloring import _partial_sum
@@ -920,6 +920,11 @@ class TestPartitionFunctions:
             assert abs(z0 - z6) / abs(z6) < 1e-8
 
 
+def _uncorrected_factor(n, r, assign, pr):
+    """phi_ratio_factor as printed, its boundary constant (zeta_r/zeta_{r+n})^{1/12} divided out."""
+    return phi_ratio_factor(n, r, assign, pr) / (zeta(r, pr) / zeta(r + n, pr)) ** (1.0 / 12.0)
+
+
 class TestPhiRatio:
     def test_n1_collapse(self):
         pr = params(0.2, 0.28)
@@ -946,7 +951,9 @@ class TestPhiRatio:
         rnd = random.Random(29)
         pr = params(0.22, 0.26)
         a = assignment(rnd, 2)
-        residuals = [phi_ratio_relation_check(2, r, a, pr, corrected=False)
+        residuals = [rel_residual(partial_partition_function(2, r, a, pr, "tilde"),
+                                  _uncorrected_factor(2, r, a, pr)
+                                  * partial_partition_function(2, r, a, pr, "raw"))
                      for r in range(3)]
         assert max(residuals) > 1e-3
 
@@ -965,7 +972,7 @@ class TestPhiRatio:
             zt = partial_partition_function(n, r, a, pr, "tilde")
             zr = partial_partition_function(n, r, a, pr, "raw")
             assert zt == pytest.approx(phi_ratio_factor(n, r, a, pr) * zr, rel=1e-12)
-            uncorrected = phi_ratio_factor(n, r, a, pr, corrected=False)
+            uncorrected = _uncorrected_factor(n, r, a, pr)
             if n % 3:
                 assert zt != pytest.approx(uncorrected * zr, rel=1e-2)
             else:
@@ -1091,6 +1098,35 @@ class TestRecursionSeam:
         cases += [(lambda form=form, sign=sign, r=r: check_recursion_3c(
                        2, r, 1, 2, sign, SpectralAssignment(chi=chi, psi=psi), pr, form))
                   for form in ("Z", "F") for sign in (1, -1) for r in range(3)]
+        tol = Config().tol_recursion
+        assert max(case() for case in cases) < tol
+        monkeypatch.setattr(sixvertex, "_recursion_residual", flipped)
+        monkeypatch.setattr(threecoloring, "_recursion_residual", flipped)
+        assert min(case() for case in cases) > tol
+
+    @pytest.mark.parametrize("model, form", [("6v", "Z"), ("6v", "F"), ("3c", "Z"), ("3c", "F")])
+    def test_every_n4_pin_reads_clean_and_fails_flipped(self, monkeypatch, model, form):
+        # verify pins one drawn (k, l) per draw, so at n = 4 some pins go
+        # unchecked at a given seed: here every (k, l, sign), and every corner
+        # for the colouring model, must read below the verify tolerance, and
+        # above it under the flipped recursion sign.  The six-vertex form F
+        # margin is only about 10x (flipped 1.0e-9 against 1e-10): the `1 +`
+        # floor of numutil.rel_residual dwarfs F_4
+        real = sixvertex._recursion_residual
+
+        def flipped(assign, k, l, sign, form, offset, lhs, rhs, f, start):
+            return real(assign, k, l, sign, form, offset, lhs, rhs, f, -start)
+
+        a = SpectralAssignment(chi=[0.3, 1.1, 1.9, 2.6], psi=[0.7, 2.0, 0.1, 1.4])
+        pins = [(k, l, sign) for k in range(1, 5) for l in range(1, 5) for sign in (1, -1)]
+        if model == "6v":
+            a = dataclasses.replace(a, eta=1.1) if form == "Z" else a
+            cases = [lambda k=k, l=l, sign=sign: check_recursion_6v(a, k, l, sign, form)
+                     for k, l, sign in pins]
+        else:
+            pr = params(0.2, 0.4)
+            cases = [lambda k=k, l=l, sign=sign, r=r: check_recursion_3c(
+                         4, r, k, l, sign, a, pr, form) for r in range(3) for k, l, sign in pins]
         tol = Config().tol_recursion
         assert max(case() for case in cases) < tol
         monkeypatch.setattr(sixvertex, "_recursion_residual", flipped)

@@ -13,7 +13,7 @@ from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError, 
                     gauge_constraint_residual, phi_ratio_factor, psi_factor, raw_family,
                     raw_weight,
                     rosengren_family, rosengren_gauge, rosengren_match,
-                    sixvertex_family, theta1, tilde_family, ybe_sweep,
+                    sixvertex_family, theta1, tilde_family, weight6v, ybe_sweep,
                     zeta_gauge)
 from icelab.numutil import rel_residual
 from icelab import yangbaxter
@@ -286,6 +286,28 @@ class TestGauge:
         with pytest.raises(EvaluationOverflowError, match="^zeta_") as err:
             evaluate()
         assert isinstance(err.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("evaluate, error, message", [
+        (lambda: raw_weight(ColoredVertexKind(VertexKind.GAMMA, 2), 1e5, params(0.2, 0.4)),
+         EvaluationOverflowError, "^GAMMA prefactor overflows"),
+        (lambda: raw_weight(ColoredVertexKind(VertexKind.GAMMA_P, 1), 1e5, params(0.2, 0.4)),
+         EvaluationOverflowError, "^GAMMA_P prefactor overflows"),
+        (lambda: ybe_sweep(raw_family(params(0.2, 0.4)), 1e5, 0.3),
+         EvaluationOverflowError, "^GAMMA_P prefactor overflows"),
+        (lambda: weight6v(VertexKind.ALPHA, math.inf, 1.1),
+         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+        (lambda: ybe_sweep(sixvertex_family(1.1), math.inf, 0.3),
+         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+        (lambda: ybe_sweep(sixvertex_family(1.1), math.nan, 0.3),
+         ValueError, r"^rapidity \(nan\+0j\) is not finite"),
+    ], ids=["raw_weight-gamma", "raw_weight-gamma_p", "ybe_sweep-raw", "weight6v-inf",
+            "ybe_sweep-sixvertex-inf", "ybe_sweep-sixvertex-nan"])
+    def test_public_seams_raise_typed_errors(self, evaluate, error, message):
+        # the gamma and gamma' prefactor exps raised cmath's bare OverflowError,
+        # an infinite phi cmath's bare "math domain error" ValueError, and a
+        # NaN phi gave the six-vertex sweep a NaN residual and no error
+        with pytest.raises(error, match=message):
+            evaluate()
 
     def test_gauge_preserves_ybe(self):
         pr = params()
