@@ -22,11 +22,11 @@ def stable_sum(terms: Iterable[complex]) -> complex:
 
 def guarded(fn: Callable[[complex], complex], x: complex, name: str = "x") -> complex:
     """fn(x) for a cmath function fn such as sin or exp; EvaluationOverflowError,
-    naming x and chained from cmath's OverflowError, where it overflows the
-    doubles."""
+    naming x and chained from cmath's error, where it overflows the doubles:
+    an OverflowError, or the ValueError of an x that overflowed to inf."""
     try:
         return fn(x)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise EvaluationOverflowError(f"{fn.__name__}({name}) overflows at {name} = {x}") from exc
 
 

@@ -351,7 +351,7 @@ def partition_function_6v(assign: SpectralAssignment) -> complex:
 
     try:  # around the sweep, so its per-vertex closure gains no call
         return _vertex_sweep(n, weights)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: an argument overflowed to inf
         raise EvaluationOverflowError(f"a weight overflows the doubles at {assign}") from exc
 
 
@@ -379,7 +379,7 @@ def F_n_6v(assign: SpectralAssignment) -> complex:
 
 
 def _require_combinatorial_eta(eta: complex) -> None:
-    if not abs(eta - ETA_COMBINATORIAL) <= 1e-12:  # NaN included
+    if not math.hypot(eta.real - ETA_COMBINATORIAL, eta.imag) <= 1e-12:  # NaN too; abs overflows
         raise CrossingParameterError(
             f"functional sums require eta = 2*pi/3, got eta = {eta}")
 

@@ -89,9 +89,10 @@ class EllipticParams:
     series_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not abs(self.p) < 1.0:  # also NaN, which compares false both ways
-            raise NomeDomainError(f"|p| = {abs(self.p)} >= 1: series diverge"
-                                  if abs(self.p) >= 1.0 else f"nome p = {self.p} is not a number")
+        size = math.hypot(self.p.real, self.p.imag)  # abs(p), but inf where abs overflows
+        if not size < 1.0:  # also NaN, which compares false both ways
+            raise NomeDomainError(f"|p| = {size} >= 1: series diverge"
+                                  if size >= 1.0 else f"nome p = {self.p} is not a number")
         object.__setattr__(self, "series_key", (
             self.p, copysign(1.0, self.p.imag), self.series.term_tolerance, self.series.max_terms))
 
@@ -171,27 +172,31 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float) -> complex:
     log_ap, table, plan = powers = _nome_powers(key, a, offset)
     trig = cmath.sin if a else cmath.cos
     s, start = 0j, 0 if phi.imag else plan
-    for _, coef, w in table[:start]:  # a real argument's untested terms
-        s += coef * trig(w * phi)
     log_tol, im = math.log(tol), abs(phi.imag)
-    for k in range(start, max_terms):
-        if k == len(table):
-            table = powers[1] = table + (_term(p, log_ap, a, offset, k),)
-        log_pe, coef, w = table[k]
-        log_env = log_pe + w * im + _LOG_2  # log of the term bound 2 |p|^e exp(w |Im phi|)
-        # stop once log_env < log(tol (1 + |s|)); since log(1 + x) <= x that
-        # log is only needed below log(tol) + |s| (plus a margin for roundoff)
-        if (log_env < log_tol + abs(s) + _STOP_MARGIN
-                and log_env < math.log(tol * (1.0 + abs(s)))):
-            return s
-        try:  # cos or sin of w phi can overflow below the envelope's bound
+    try:  # cos or sin of w phi can overflow below the envelope's bound
+        for _, coef, w in table[:start]:  # a real argument's untested terms
+            s += coef * trig(w * phi)
+        for k in range(start, max_terms):
+            if k == len(table):
+                table = powers[1] = table + (_term(p, log_ap, a, offset, k),)
+            log_pe, coef, w = table[k]
+            log_env = log_pe + w * im + _LOG_2  # log of the term bound 2 |p|^e exp(w |Im phi|)
+            # stop once log_env < log(tol (1 + |s|)), but not before the first
+            # term, which is all of theta1 at a tiny nome; since log(1 + x) <= x
+            # that log is only needed below log(tol) + |s| (plus a roundoff margin)
+            if (k and log_env < log_tol + abs(s) + _STOP_MARGIN
+                    and log_env < math.log(tol * (1.0 + abs(s)))):
+                return s
             if log_env > _LOG_HUGE:
                 raise OverflowError("term envelope beyond double range")
             s += coef * trig(w * phi)
-        except OverflowError as exc:
-            raise SeriesTruncationError(
-                f"theta series term overflow at k={k}: |Im phi| = {im} too large "
-                f"for |p| = {abs(p)}") from exc
+    except OverflowError as exc:
+        raise SeriesTruncationError(
+            f"theta series term overflow at k={k}: |Im phi| = {im} too large "
+            f"for |p| = {abs(p)}") from exc
+    except ValueError as exc:  # cmath's answer to a w phi that overflowed to inf
+        raise SeriesTruncationError(f"theta series term overflow: w phi is not finite "
+                                    f"at phi = {phi}") from exc
     raise SeriesTruncationError(
         f"theta series not converged in {max_terms} terms "
         f"(|p| = {abs(p)}, |Im phi| = {im})")
@@ -255,7 +260,7 @@ class ThetaTriple:
         """zeta_m^exponent on the table's sheet; EvaluationOverflowError past the doubles."""
         try:
             return cmath.exp(exponent * self.log_zeta[m % 3])
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # ValueError: an inf exponent
             raise EvaluationOverflowError(
                 f"zeta_{m % 3}^a overflows at a = {exponent}") from exc
 
@@ -304,5 +309,5 @@ def quasi_period_factor(phi: complex, params: EllipticParams) -> complex:
         raise PoleError("the quasi-period factor -p^-1 exp(-2i phi) has a pole at p = 0")
     try:
         return -cmath.exp(-2j * complex(phi)) / params.p
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: -2i phi overflowed to inf
         raise EvaluationOverflowError(f"exp(-2i phi) overflows at phi = {phi}") from exc

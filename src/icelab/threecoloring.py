@@ -65,7 +65,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import eq, ne
+from operator import eq
 from typing import Iterator, Mapping
 
 from .errors import (BranchDomainError, ConfigError, EvaluationOverflowError,
@@ -277,13 +277,12 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     bc, empty = _grid_guard(rows, cols, bc, corner)
     if empty:
         return
-    dwbc = bc is BoundaryCondition.DWBC
+    rows_of = _rows_under if bc is BoundaryCondition.DWBC else _rows
     make = _unchecked(GridColoring)
     for levels, ring, _ in _row_sectors(rows, cols, bc, corner):
         def walk(grid: tuple[Row, ...]) -> Iterator[GridColoring]:
             i = len(grid)
-            for row in (_rows_under(levels[i], grid[-1:]) if dwbc
-                        else _rows(levels[i], ring, grid[-1:])):
+            for row in rows_of(levels[i], ring, grid[-1:]):
                 if i + 1 < len(levels):
                     yield from walk(grid + (row,))
                 else:
@@ -367,12 +366,12 @@ def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row
 
 
 @lru_cache(maxsize=256)
-def _rows_under(level: Level, above: tuple[Row, ...]) -> tuple[Row, ...]:
-    """The face rows of a domain-wall level under the row in above (none
-    for a first row), listed once: the pinned ends leave few distinct
-    (level, row above) pairs, 96 at n = 5.  Free and toroidal rows are far
-    more numerous and stay lazy."""
-    return tuple(_rows(level, False, above))
+def _rows_under(level: Level, ring: bool, above: tuple[Row, ...]) -> tuple[Row, ...]:
+    """_rows listed once per (level, ring, row above): the census transfers
+    over it and the domain-wall walk reads it, at most 132 entries a grid
+    (the 4x6 torus).  Free and toroidal walks stay lazy: a 1x25 strip has
+    3 * 2^24 rows."""
+    return tuple(_rows(level, ring, above))
 
 
 @lru_cache(maxsize=None)
@@ -438,23 +437,16 @@ def _transfer_counts(faces: int, sectors: Iterator[Sector]) -> dict[tuple[int, i
     def shift(row: Row) -> int:
         return width * (row.count(0) * stride + row.count(1))
 
-    # state and predecessor lists by level, shared by the sectors
-    @lru_cache(maxsize=None)
-    def states(level: Level, ring: bool) -> list[Row]:
-        return list(_rows(level, ring))
-
-    @lru_cache(maxsize=None)
-    def predecessors(above: Level, level: Level, ring: bool) -> list[list[int]]:
-        return [[a for a, x in enumerate(states(above, ring)) if all(map(ne, x, y))]
-                for y in states(level, ring)]
-
     total = 0
     for levels, ring, weight in sectors:
-        vec = [1 << shift(row) for row in states(levels[0], ring)]
-        for above, level in zip(levels, levels[1:]):
-            vec = [sum(vec[a] for a in pred) << shift(row) for row, pred
-                   in zip(states(level, ring), predecessors(above, level, ring))]
-        total += weight * sum(vec)
+        vec = {(): 1}  # keyed by the row above the next level, as _rows_under takes it
+        for level in levels:
+            sums: dict[Row, int] = {}
+            for above, poly in vec.items():
+                for row in _rows_under(level, ring, above):
+                    sums[row] = sums.get(row, 0) + poly
+            vec = {(row,): poly << shift(row) for row, poly in sums.items()}
+        total += weight * sum(vec.values())
 
     mask = (1 << width) - 1
     counts: dict[tuple[int, int, int], int] = {}
@@ -560,7 +552,7 @@ def _raw_weight_ctx(ctx: tuple[ThetaTriple, complex], kind: VertexKind, r: int,
             return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) + PI / 3 + phi) / tri.values[r % 3]
         pre = cmath.exp(expo * (tri.log_zeta[(r - 1) % 3] - tri.log_zeta[r % 3]))
         return pre * tri(lam + TWO_PI_OVER_3 * (r % 3) - PI / 3 - phi) / tri.values[r % 3]
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: an inf exponent
         raise EvaluationOverflowError(f"{kind.name} prefactor overflows at phi = {phi}") from exc
 
 
@@ -667,6 +659,8 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
              + assign.chi[n - i] - assign.psi[n - i])
         expo += (1.0 / 12.0 + u / (4 * PI)) * (lz[(r + i - 1) % 3] - lz[(r + i) % 3])
     expo += (lz[r % 3] - lz[(r + n) % 3]) / 12.0
+    if not cmath.isfinite(expo):  # a sum u that overflowed to inf: exp would give NaN
+        raise EvaluationOverflowError(f"the phi ratio exponent overflows at {assign}")
     return guarded(cmath.exp, expo)
 
 
@@ -730,8 +724,15 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
     pin, the products and the parity sign are _recursion_residual's.
     """
     r_sub = r if sign > 0 else (r + 1) % 3
+    t1_23, power = theta1(TWO_PI_OVER_3, params), (2 - 2 * n if form == "Z" else 3 - 2 * n)
+    try:
+        pre = t1_23 ** power
+    except (ZeroDivisionError, OverflowError) as exc:
+        if not t1_23:
+            raise PoleError(f"theta1(2*pi/3) vanishes at p = {params.p}") from exc
+        raise EvaluationOverflowError(
+            f"theta1(2*pi/3)^{power} overflows at p = {params.p}") from exc
     if form == "Z":
-        pre = theta1(TWO_PI_OVER_3, params) ** (2 - 2 * n)
         if sign > 0:
             b = theta_triple(theta4, params).values
             pre *= b[(r + n) % 3] / b[(r + n - 1) % 3]
@@ -744,4 +745,4 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
     return _recursion_residual(
         assign, k, l, sign, form, PI / 3, lambda pinned: F_rn(n, r, pinned, params),
         lambda reduced: F_rn(n - 1, r_sub, reduced, params), lambda x: theta1(x, params3),
-        cubic_factor_D(params) ** (2 * n - 2) * theta1(TWO_PI_OVER_3, params) ** (3 - 2 * n))
+        cubic_factor_D(params) ** (2 * n - 2) * pre)

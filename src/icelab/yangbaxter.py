@@ -29,6 +29,7 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Sequence
 
+from .errors import EvaluationOverflowError
 from .numutil import guarded, rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
@@ -161,9 +162,14 @@ def zeta_gauge(params: EllipticParams) -> GaugeData:
 
 def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, complex]]) -> float:
     """Worst residual of Phi_r(phi - phi' - shift) = Phi_r(phi)/Phi_r(phi')."""
-    return max((rel_residual(g.Phi(m, phi - php - g.shift),
-                             g.Phi(m, phi) / g.Phi(m, php))
-                for phi, php in pairs for m in range(3)), key=severity, default=0.0)
+    for phi, php in pairs:  # ValueError unless every phi and phi' is finite
+        _rapidity(phi), _rapidity(php)
+    try:
+        return max((rel_residual(g.Phi(m, phi - php - g.shift),
+                                 g.Phi(m, phi) / g.Phi(m, php))
+                    for phi, php in pairs for m in range(3)), key=severity, default=0.0)
+    except ZeroDivisionError as exc:
+        raise EvaluationOverflowError("a gauge factor Phi_r(phi') underflows to 0") from exc
 
 
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
@@ -171,9 +177,14 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     kind, ColoredVertexKind.corner_lifts (base r in {0,1,2}, neighbours
     written literally as r-1 / r+1)."""
     def weight(kind: VertexKind, r: int, phi: complex) -> complex:
+        _rapidity(phi)  # ValueError unless phi is finite
         lbl, ltl, ltr, lbr = ColoredVertexKind(kind, r).corner_lifts()
-        cc = g.C(lbl) / g.C(ltr)
-        ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
+        try:
+            cc = g.C(lbl) / g.C(ltr)
+            ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
+        except ZeroDivisionError as exc:
+            raise EvaluationOverflowError(
+                f"the gauge factors of {kind.name} underflow to 0 at phi = {phi}") from exc
         return cc * ff * fam.weight(kind, r, phi)
 
     return WeightFamily(weight=weight, ybe_shift=fam.ybe_shift)

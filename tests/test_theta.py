@@ -125,7 +125,8 @@ def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False, count=False)
         w = 2 * k + a
         log_env = e * log_ap if e else 0.0
         log_env = log_env + math.log(2.0 * w) if derivative else log_env + w * im + math.log(2.0)
-        if log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
+        # never before the first term, which is all of theta1 at a tiny nome
+        if k and log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
             return (s, k) if count else s
         if log_env > 700.0:
             raise SeriesTruncationError(f"overflow at k={k}")
@@ -304,6 +305,16 @@ class TestDomainErrors:
         for f in (theta1, theta4, theta1_reduced):
             with pytest.raises(SeriesTruncationError, match="is not finite"):
                 f(phi, pr)
+
+    @pytest.mark.parametrize("p", [1e-66, 1e-100, 1e-300])
+    def test_theta1_at_tiny_nomes(self, p):
+        # the stop test fired before the first term, which is all of theta1
+        # there: theta1 and theta1'(0) read exactly 0 below p ~ 6e-66
+        pr = EllipticParams.from_nome(p, lam=0.3)
+        for phi in (0.3, 1.1, complex(0.2, 0.1)):
+            assert theta1(phi, pr) == pytest.approx(p ** 0.25 * theta1_reduced(phi, pr),
+                                                    rel=1e-13, abs=0)
+        assert theta1_prime_at_zero(pr) == pytest.approx(2 * p ** 0.25, rel=1e-13, abs=0)
 
     def test_series_config_validation(self):
         # an infinite tolerance stopped every series at its first term, so

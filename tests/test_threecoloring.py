@@ -355,6 +355,22 @@ class TestTransferCensus:
                     Counter(g.color_counts() for g in _loop_iter_colorings(rows, cols, bc)), \
                     (rows, cols)
 
+    def test_census_and_domain_wall_walk_share_one_row_table(self):
+        # the census transfers over _rows_under's cached rows, which the
+        # domain-wall walk reads too: after a census the walk lists no row
+        # anew.  No grid under the guards evicts an entry of its own census.
+        rows_under = threecoloring._rows_under
+        rows_under.cache_clear()
+        compute_census(6, 6, "dwbc")
+        filled = rows_under.cache_info()
+        enumerate_colorings(6, 6, "dwbc")
+        assert rows_under.cache_info().misses == filled.misses == filled.currsize == 96
+        for grid in [(4, 6, "toroidal"), (6, 4, "toroidal"), (5, 5, "toroidal"), (5, 5, "free")]:
+            rows_under.cache_clear()
+            compute_census(*grid)
+            info = rows_under.cache_info()
+            assert info.misses == info.currsize <= info.maxsize, grid
+
     @pytest.mark.parametrize("shape", [(4, 4), (4, 5), (5, 4), (5, 5)])
     def test_toroidal_rings_of_4_and_5_faces(self, shape):
         # one sector per orbit of first rows, weighted by the orbit's size; a
@@ -946,6 +962,13 @@ class TestPhiRatio:
             for r in range(3):
                 assert phi_ratio_relation_check(n, r, a, pr) < 1e-10
 
+    def test_exponent_past_the_doubles_raises(self):
+        # chi - psi overflowed to inf in u, so the exponent was NaN and the
+        # factor NaN + NaN j, with no error
+        a = SpectralAssignment(chi=[1.7e308], psi=[-1.7e308])
+        with pytest.raises(EvaluationOverflowError, match="^the phi ratio exponent overflows"):
+            phi_ratio_factor(1, 0, a, params(0.2, 0.4))
+
     def test_uncorrected_product_misses_constant(self):
         # without the (zeta_r/zeta_{r+n})^{1/12} constant the relation fails
         rnd = random.Random(29)
@@ -1076,6 +1099,19 @@ class TestRecursions3c:
                     r = rnd.randrange(3)
                     assert check_recursion_3c(n, r, k, l, +1, a, pr, form="F") < 1e-10
                     assert check_recursion_3c(n, r, k, l, -1, a, pr, form="F") < 1e-10
+
+
+    @pytest.mark.parametrize("form", ["Z", "F"])
+    def test_typed_errors_where_theta1_of_two_pi_over_3_vanishes(self, form):
+        # theta1(2pi/3)^(2 - 2n) and ^(3 - 2n) raised a bare ZeroDivisionError
+        # at p = 0, where theta1(2pi/3) is 0, and at p = 1e-300, n = 4, where
+        # the power underflows
+        a = SpectralAssignment(chi=[0.3, 0.1], psi=[0.2, 0.5])
+        with pytest.raises(PoleError, match=r"^theta1\(2\*pi/3\) vanishes at p = 0j$"):
+            check_recursion_3c(2, 1, 1, 2, -1, a, params(0.0, 0.4), form)
+        a = SpectralAssignment(chi=[0.3, 0.1, 0.7, 1.2], psi=[0.2, 0.5, 0.9, 1.4])
+        with pytest.raises(EvaluationOverflowError, match=r"^theta1\(2\*pi/3\)\^-[56] overflows"):
+            check_recursion_3c(4, 1, 1, 2, -1, a, params(1e-300, 0.4), form)
 
 
 class TestRecursionSeam:

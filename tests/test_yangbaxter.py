@@ -309,6 +309,32 @@ class TestGauge:
         with pytest.raises(error, match=message):
             evaluate()
 
+    @pytest.mark.parametrize("evaluate, error, message", [
+        (lambda: apply_gauge_kindwise(appendix_family(params(0.2, 0.4)),
+                                      rosengren_gauge(params(0.2, 0.4))).weight(
+             VertexKind.GAMMA, 1, 800j),
+         EvaluationOverflowError, "^the gauge factors of GAMMA underflow to 0"),
+        (lambda: rosengren_match(params(0.2, 0.4), phis=(1e5,)),
+         EvaluationOverflowError, "^the gauge factors of GAMMA_P underflow to 0"),
+        (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(1e5, 1e5)]),
+         EvaluationOverflowError, r"^a gauge factor Phi_r\(phi'\) underflows to 0"),
+        (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(math.inf, 0.3)]),
+         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+        (lambda: apply_gauge_kindwise(appendix_family(params(0.2, 0.4)),
+                                      rosengren_gauge(params(0.2, 0.4))).weight(
+             VertexKind.GAMMA, 1, math.inf),
+         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+        (lambda: gauge_constraint_residual(zeta_gauge(params(0.2, 0.4)), [(math.nan, 0.3)]),
+         ValueError, r"^rapidity \(nan\+0j\) is not finite"),
+    ], ids=["gauged-weight-underflow", "rosengren_match-underflow", "constraint-underflow",
+            "constraint-inf", "gauged-weight-inf", "constraint-nan"])
+    def test_gauge_seams_raise_typed_errors(self, evaluate, error, message):
+        # a Phi factor that underflows to 0 made the gauge divide by zero, a
+        # bare ZeroDivisionError; an infinite phi gave cmath's bare "math
+        # domain error" ValueError and a NaN phi a NaN residual with no error
+        with pytest.raises(error, match=message):
+            evaluate()
+
     def test_gauge_preserves_ybe(self):
         pr = params()
         before = raw_family(pr)
