@@ -13,21 +13,23 @@ import pickle
 import select
 
 
-def fork_map(body, items: tuple, workers: int) -> list:
+def fork_map(body, items: tuple, workers: int, order: tuple[int, ...]) -> list:
     """body(item) for every item, on `workers` forked processes, in items order.
 
-    The items' indices wait in one task pipe, a byte each, in order; every
-    worker reads the next until the pipe runs dry, then pickles {index:
-    result or exception} into its own result pipe and leaves through
-    os._exit, on every path, so it runs none of this process's exit
-    handlers or finally blocks and flushes none of its buffers.  The first
-    failing item in order raises its error here.  A worker that dies without
-    a complete result (a signal, a non-zero exit, a truncated pickle) raises
-    ChildProcessError naming its exit status and the items left without a
-    result; the other workers are then killed.  Every worker is reaped
-    before this returns or raises."""
+    The items' indices wait in one task pipe, a byte each, in `order`, a
+    permutation of range(len(items)), so that a caller can deal its longest
+    items first.  Every worker reads the next index until the pipe runs
+    dry, then pickles {index: result or exception} into its own result pipe
+    and leaves through os._exit, on every path, so it runs none of this
+    process's exit handlers or finally blocks and flushes none of its
+    buffers.  The results come back in items order, whatever the order, and
+    the first failing item in items order raises its error here.  A worker
+    that dies without a complete result (a signal, a non-zero exit, a
+    truncated pickle) raises ChildProcessError naming its exit status and
+    the items left without a result; the other workers are then killed.
+    Every worker is reaped before this returns or raises."""
     tasks, feed = os.pipe()
-    os.write(feed, bytes(range(len(items))))
+    os.write(feed, bytes(order))
     os.close(feed)
     pipes: dict[int, tuple[int, list[bytes]]] = {}  # result pipe -> (pid, bytes so far)
     results: dict = {}

@@ -257,12 +257,18 @@ class ThetaTriple:
         return self.theta(x, self.params)
 
     def zeta_pow(self, m: int, exponent: complex) -> complex:
-        """zeta_m^exponent on the table's sheet; EvaluationOverflowError past the doubles."""
+        """zeta_m^exponent on the table's sheet; EvaluationOverflowError past the
+        doubles, also where an exponent that overflowed to inf meets log zeta_m = 0
+        (inf * 0 is NaN).  The NaN of a NaN exponent goes on to the caller,
+        whose theta raises for the NaN phi behind it."""
         try:
-            return cmath.exp(exponent * self.log_zeta[m % 3])
+            value = cmath.exp(exponent * self.log_zeta[m % 3])
         except (OverflowError, ValueError) as exc:  # ValueError: an inf exponent
             raise EvaluationOverflowError(
                 f"zeta_{m % 3}^a overflows at a = {exponent}") from exc
+        if value != value and cmath.isinf(exponent):  # no call unless NaN: sweeps pay per weight
+            raise EvaluationOverflowError(f"zeta_{m % 3}^a overflows at a = {exponent}")
+        return value
 
 
 @lru_cache(maxsize=64)
@@ -308,6 +314,9 @@ def quasi_period_factor(phi: complex, params: EllipticParams) -> complex:
     if params.p == 0:
         raise PoleError("the quasi-period factor -p^-1 exp(-2i phi) has a pole at p = 0")
     try:
-        return -cmath.exp(-2j * complex(phi)) / params.p
+        factor = -cmath.exp(-2j * complex(phi)) / params.p
     except (OverflowError, ValueError) as exc:  # ValueError: -2i phi overflowed to inf
         raise EvaluationOverflowError(f"exp(-2i phi) overflows at phi = {phi}") from exc
+    if not cmath.isfinite(factor):  # exp(-2i phi) or the division by p went past the doubles
+        raise EvaluationOverflowError(f"the quasi-period factor is not finite at phi = {phi}")
+    return factor

@@ -7,11 +7,12 @@ residual, keeps the worst per identity and reads its tolerance.  All
 randomness flows from one 64-bit seed: numpy's SeedSequence expands it and
 child i goes to the i-th suite in SUITES, so a suite draws the same points
 alone or in "all".  "all" thus forks one worker per usable CPU (at most one
-per suite), which pull suite indices from one pipe in SUITES order and send
-their cases back through pipes of their own; the cases come back in SUITES
-order, byte for byte the report of the one-process run, which a single
-usable CPU gives.  A worker that dies without a result fails the run with
-ChildProcessError instead of leaving it waiting.
+per suite), which pull suite indices from one pipe, longest suite first
+(_DEAL_ORDER), and send their cases back through pipes of their own; the
+cases come back in SUITES order, byte for byte the report of the
+one-process run, which a single usable CPU gives.  A worker that dies
+without a result fails the run with ChildProcessError instead of leaving it
+waiting.
 
 Reports are byte-stable for a fixed (seed, samples, config): the JSON
 serialization contains no timing information (the CLI times its own call
@@ -392,6 +393,12 @@ _SUITES = {
 
 SUITES = tuple(_SUITES)
 
+#: the order in which the forked workers of "all" take up the suites: by
+#: their warm in-process times at the defaults, longest first, so that no
+#: worker is left with a long suite while the others idle
+_DEAL_ORDER = ("ybe", "functional3c", "recursion3c", "appendix", "theta", "symmetry",
+               "recursion6v", "functional6v")
+
 #: the identity families whose Config tolerance key is not their suite's
 _OWN_TOLERANCE = {
     "pi-shift-parity": "tol_parity",
@@ -456,8 +463,9 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     holds no timing: a caller that wants the wall time measures the call.
 
     'all' runs its suites in forked workers (forkmap), one per usable CPU
-    and at most one per suite; with one usable CPU, as with one suite, they
-    run in this process.  Either way the cases come back in SUITES order,
+    and at most one per suite, which take them up longest first
+    (_DEAL_ORDER); with one usable CPU, as with one suite, they run in this
+    process.  Either way the cases come back in SUITES order,
     and a failing suite raises the error of the first failing suite in that
     order, so the report and the error do not depend on the number of CPUs.
     A worker that dies without a result (killed by a signal, say) raises
@@ -478,7 +486,7 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     workers = min(len(names), _usable_cpus())
     if workers > 1:
         from .forkmap import fork_map  # compiled only by the runs that fork
-        per_suite = fork_map(body, names, workers)
+        per_suite = fork_map(body, names, workers, tuple(map(SUITES.index, _DEAL_ORDER)))
     else:
         per_suite = list(map(body, names))
     recorded = samples or (0 if suite == "all" else _SUITES[suite][1])

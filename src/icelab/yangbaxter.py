@@ -25,8 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import EvaluationOverflowError
@@ -104,6 +103,31 @@ def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _sweep_plan() -> tuple[tuple, tuple, tuple, tuple, dict[tuple[int, int], tuple]]:
+    """ybe_sweep's index tuples, read off _live_assignments():
+
+    - per side, its distinct first pairs (i, j) in first-seen order (54
+      for its 84 products) and its products as (pair position, k),
+      assignment by assignment in ascending t;
+    - per assignment shape (LHS terms, RHS terms), the positions of each
+      assignment's products in the two flat product lists, LHS first."""
+    rows = _live_assignments()
+    plan = []
+    for side in (1, 2):
+        terms = [term[1:] for row in rows for term in row[side]]
+        pairs = {(i, j): None for i, j, _ in terms}  # first-seen order
+        at = {pair: n for n, pair in enumerate(pairs)}
+        plan += tuple(pairs), tuple((at[i, j], k) for i, j, k in terms)
+    shapes: dict[tuple[int, int], list] = {}
+    n_lhs = n_rhs = 0
+    for _, lhs, rhs in rows:
+        shapes.setdefault((len(lhs), len(rhs)), []).append(
+            (*range(n_lhs, n_lhs + len(lhs)), *range(n_rhs, n_rhs + len(rhs))))
+        n_lhs, n_rhs = n_lhs + len(lhs), n_rhs + len(rhs)
+    return (*plan, {shape: tuple(groups) for shape, groups in shapes.items()})
+
+
 def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     """Check the Yang-Baxter equation over all 3^6 boundary color assignments.
 
@@ -111,19 +135,30 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     admissible t in ascending order.  Returns the worst |LHS - RHS|
     normalized by the largest triple product of an assignment, plus how many
     assignments were skipped because every triple product is exactly zero.
+    A NaN product is not a zero one: its assignment is checked and fails,
+    also where max drops it after a zero.  Every product is formed once per
+    side over the flat index lists of _sweep_plan(), and each assignment
+    shape has one comprehension.
     """
     _rapidity(phi), _rapidity(phi_p)  # ValueError unless both are finite
     # weight_table lists the 18 weights in ADMISSIBLE order
     w_phi, w_php, w_u3 = (list(fam.weight_table(x).values())
                           for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
-    residuals = []
-    for _, lhs, rhs in _live_assignments():
-        a = [w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
-        b = [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs]
-        scale = max(map(abs, a + b))
-        # a NaN product is not a zero one: checked, it fails (max skips it after zeros)
-        if scale or any(a + b):
-            residuals.append(abs(reduce(add, a, 0j) - reduce(add, b, 0j)) / (scale or cmath.nan))
+    pairs_a, terms_a, pairs_b, terms_b, shapes = _sweep_plan()
+    pa = [w_phi[i] * w_php[j] for i, j in pairs_a]
+    a = [pa[n] * w_u3[k] for n, k in terms_a]
+    pb = [w_u3[i] * w_php[j] for i, j in pairs_b]
+    b = [pb[n] * w_phi[k] for n, k in terms_b]
+    ma, mb, nan = [*map(abs, a)], [*map(abs, b)], cmath.nan
+    residuals = [abs(0j + a[x] - (0j + b[y])) / (s or nan) for x, y in shapes[1, 1]
+                 if (s := max(ma[x], mb[y])) or a[x] or b[y]]
+    residuals += [abs(0j + a[x] - (0j + b[y] + b[z])) / (s or nan) for x, y, z in shapes[1, 2]
+                  if (s := max(ma[x], mb[y], mb[z])) or a[x] or b[y] or b[z]]
+    residuals += [abs(0j + a[x] + a[y] - (0j + b[z])) / (s or nan) for x, y, z in shapes[2, 1]
+                  if (s := max(ma[x], ma[y], mb[z])) or a[x] or a[y] or b[z]]
+    residuals += [abs(0j + a[x] + a[y] - (0j + b[z] + b[w])) / (s or nan)
+                  for x, y, z, w in shapes[2, 2]
+                  if (s := max(ma[x], ma[y], mb[z], mb[w])) or a[x] or a[y] or b[z] or b[w]]
     return YbeSweep(residual=max(residuals, key=severity, default=0.0),
                     checked=len(residuals), skipped=3 ** 6 - len(residuals))
 
@@ -185,7 +220,12 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
         except ZeroDivisionError as exc:
             raise EvaluationOverflowError(
                 f"the gauge factors of {kind.name} underflow to 0 at phi = {phi}") from exc
-        return cc * ff * fam.weight(kind, r, phi)
+        w = fam.weight(kind, r, phi)
+        gauged = cc * ff * w
+        if not cmath.isfinite(gauged) and cmath.isfinite(w):  # inf * 0 parts give NaN
+            raise EvaluationOverflowError(
+                f"the gauge factors of {kind.name} overflow at phi = {phi}")
+        return gauged
 
     return WeightFamily(weight=weight, ybe_shift=fam.ybe_shift)
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, report stability."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import icelab
 from icelab import ConfigError, SeriesTruncationError
-from icelab import theta, verify
+from icelab import forkmap, theta, verify
 from icelab.cli import main
 from icelab.numutil import rel_residual
 from icelab.sixvertex import MAX_EVAL_N
@@ -573,6 +574,36 @@ class TestParallelSuites:
             self.run_on(monkeypatch, cpus, samples=1, config=Config(max_terms=1))
         assert self.no_child_left()
 
+    def test_deal_order_is_a_permutation_of_suites(self):
+        assert len(verify._DEAL_ORDER) == len(SUITES)
+        assert sorted(verify._DEAL_ORDER) == sorted(SUITES)
+        # test_dead_worker_fails_the_run kills and stalls the first two dealt
+        assert verify._DEAL_ORDER[:2] == ("ybe", "functional3c")
+
+    def test_all_deals_the_suites_longest_first(self, monkeypatch):
+        dealt = []
+        def fork_map(body, items, workers, order):
+            dealt.append(order)
+            return [body(items[i]) for i in range(len(items))]
+        monkeypatch.setattr(forkmap, "fork_map", fork_map)
+        report = self.run_on(monkeypatch, 2, seed=2, samples=1)
+        assert [SUITES[i] for i in dealt[0]] == list(verify._DEAL_ORDER)
+        assert report.to_json() == self.run_on(monkeypatch, 1, seed=2, samples=1).to_json()
+
+    def test_fork_map_deals_in_order_and_answers_in_items_order(self):
+        # one worker takes the items in the dealt order; its results, and the
+        # first error, come back in items order
+        counter = itertools.count()
+        got = forkmap.fork_map(lambda item: (item, next(counter)), tuple("abcd"), 1, (2, 0, 3, 1))
+        assert got == [("a", 1), ("b", 3), ("c", 0), ("d", 2)]
+
+        def body(item):
+            if item in "bd":
+                raise ConfigError(item)
+        with pytest.raises(ConfigError, match="^b$"):
+            forkmap.fork_map(body, tuple("abcd"), 2, (3, 2, 1, 0))
+        assert self.no_child_left()
+
     @pytest.mark.parametrize("death, status", [
         ("os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
         ("os._exit(3)", "exit status 3"),
@@ -580,13 +611,14 @@ class TestParallelSuites:
         ("pickle.dump = lambda obj, fh: fh.write(pickle.dumps(obj)[:9])", "exit status 0"),
     ])
     def test_dead_worker_fails_the_run(self, death, status):
-        # the other worker sleeps on theta past the timeout unless it is killed
+        # ybe and functional3c are the first two suites dealt: the worker
+        # that takes functional3c sleeps past the timeout unless it is killed
         code = ("import os, pickle, signal, sys, time\n"
                 "from icelab import cli, verify\n"
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "real = verify._suite_cases\n"
                 "def cases(name, *args, **kwargs):\n"
-                "    if name == 'theta':\n"
+                "    if name == 'functional3c':\n"
                 "        time.sleep(120)\n"
                 "    if name == 'ybe':\n"
                 f"        {death}\n"

@@ -6,7 +6,8 @@ imaginary parts, +-inf, NaN, subnormals, p = 0 and p near 1, and complex
 lambda.  A call may return a value, raise an IcelabError, or raise the
 ValueError or TypeError of icelab's own argument checks.  cmath's "math
 domain error" and "math range error", OverflowError, ZeroDivisionError,
-IndexError and every other exception fail the test.
+IndexError and every other exception fail the test.  So does a value with a
+NaN in it, where every input is finite: a silently wrong number.
 
 The weight families and gauges are called through their weights, the
 classes through their constructors (and a method where one computes).  Line
@@ -14,6 +15,8 @@ indices k and l are drawn inside 1..n, where IndexError is the documented
 answer of SpectralAssignment and the recursions.  n stays at most 2.
 """
 
+import cmath
+import dataclasses
 import inspect
 import itertools
 import math
@@ -198,6 +201,30 @@ CALLS = {
     "zeta_log_table": (zeta_log_table, st.tuples(params)),
 }
 
+def _numbers(value):
+    """Every int, float and complex in value, through tuples, lists, dicts
+    (keys and values) and dataclass fields."""
+    if isinstance(value, (int, float, complex)):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _numbers(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _numbers(getattr(value, f.name))
+
+
+def _finite(value) -> bool:
+    return all(isinstance(x, int) or cmath.isfinite(x) for x in _numbers(value))
+
+
+def _has_nan(value) -> bool:
+    return any(not isinstance(x, int) and cmath.isnan(x) for x in _numbers(value))
+
+
 P0 = EllipticParams.from_nome(0.0, lam=0.4)
 P = EllipticParams.from_nome(0.2, lam=0.4)
 N2 = SpectralAssignment(chi=(0.3, 0.1), psi=(0.2, 0.5))
@@ -229,12 +256,22 @@ BIG = 1.7e308
 @example(case=("EllipticParams", (complex(BIG, BIG), 0.0)))
 @example(case=("functional_residual_6v", (
     (SpectralAssignment(chi=[0.1], psi=[0.2], eta=complex(BIG, BIG)), 1, 1), "chi")))
+# NaN from finite inputs: an exponent that overflowed to inf times log zeta = 0,
+# exp(-2i phi) past the doubles, and a gauge factor Phi ratio past the doubles
+@example(case=("raw_weight", (ColoredVertexKind(VertexKind.ALPHA, 0), -BIG,
+                              EllipticParams.from_nome(0.0))))
+@example(case=("quasi_period_factor", (BIG * 1j, EllipticParams.from_nome(0.5))))
+@example(case=("apply_gauge_kindwise", ((sixvertex_family, 1e5),
+                                        (zeta_gauge, EllipticParams.from_nome(0.25)),
+                                        VertexKind.ALPHA, 0, -2000.0)))
 def test_no_bare_exception_leaves_the_public_api(case):
     name, args = case
     call = CALLS[name][0]
     try:
-        call(*args)
+        value = call(*args)
     except IcelabError:
-        pass
+        return
     except (ValueError, TypeError) as exc:
         assert not str(exc).startswith("math "), f"{name}{args}: bare cmath {exc!r}"
+        return
+    assert not (_finite(args) and _has_nan(value)), f"{name}{args}: NaN from finite inputs"

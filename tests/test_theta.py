@@ -291,6 +291,9 @@ class TestDomainErrors:
         with pytest.raises(EvaluationOverflowError, match="overflows"):
             quasi_period_factor(400j, params(0.2))
         assert quasi_period_factor(-400j, params(0.2)) == 0
+        # exp(-2i phi) = inf + 0j divided by p gave -inf + NaN j
+        with pytest.raises(EvaluationOverflowError, match="is not finite"):
+            quasi_period_factor(1.7e308j, params(0.5))
 
     def test_truncation_error(self):
         tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)

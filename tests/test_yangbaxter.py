@@ -1,5 +1,6 @@
 """Yang-Baxter sweeps, gauge machinery, and the half-period substitution chain."""
 
+import cmath
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import random
 import pytest
 
 from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError, PoleError,
-                    SpectralAssignment, VertexKind,
+                    SeriesTruncationError, SpectralAssignment, VertexKind,
                     appendix_family, appendix_substitution,
                     apply_gauge_kindwise,
                     gauge_constraint_residual, phi_ratio_factor, psi_factor, raw_family,
@@ -25,31 +26,34 @@ PI = math.pi
 
 
 def _loop_ybe_sweep(fam, phi, phi_p):
-    """Element-by-element reference for ybe_sweep: both sides of the
-    Yang-Baxter equation summed over the internal face t for each of the
-    3^6 boundary assignments, skipping those with no nonzero triple product."""
+    """Element-by-element reference for ybe_sweep: for each of the 3^6
+    boundary assignments, the triple products of each side over the
+    admissible internal faces t in ascending order, each (x * y) * z, summed
+    from 0j.  An assignment is skipped when every product is exactly zero;
+    its residual is |LHS - RHS| over the largest product modulus, LHS
+    products first, and a NaN product (which max drops after a zero one)
+    makes it NaN."""
     w_phi, w_php = fam.weight_table(phi), fam.weight_table(phi_p)
     w_u3 = fam.weight_table(phi - phi_p - fam.ybe_shift)
-
-    def get(table, *quad):
-        return table.get(quad, 0j)
-
-    worst, checked, skipped = 0.0, 0, 0
+    residuals = []
     for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
-        lhs = rhs = 0j
-        scale = 0.0
+        lhs, rhs = [], []
         for t in range(3):
-            a = get(w_phi, rp, t, rpp, spp) * get(w_php, r, s, rp, t) * get(w_u3, t, s, spp, sp)
-            b = get(w_u3, rp, r, rpp, t) * get(w_php, t, sp, rpp, spp) * get(w_phi, r, s, t, sp)
-            lhs += a
-            rhs += b
-            scale = max(scale, abs(a), abs(b))
-        if scale == 0.0:
-            skipped += 1
-            continue
-        checked += 1
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return YbeSweep(residual=worst, checked=checked, skipped=skipped)
+            a = (rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp)
+            b = (rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp)
+            if all(q in w_phi for q in a):
+                lhs.append(w_phi[a[0]] * w_php[a[1]] * w_u3[a[2]])
+            if all(q in w_phi for q in b):
+                rhs.append(w_u3[b[0]] * w_php[b[1]] * w_phi[b[2]])
+        if any(lhs + rhs):  # a NaN is truthy
+            scale = max(abs(x) for x in lhs + rhs)
+            residuals.append(abs(sum(lhs, 0j) - sum(rhs, 0j)) / (scale or math.nan))
+    worst = max(residuals, key=lambda x: (math.isnan(x), x), default=0.0)
+    return YbeSweep(residual=worst, checked=len(residuals), skipped=729 - len(residuals))
+
+
+def _bits(sweep):
+    return float.hex(sweep.residual), sweep.checked, sweep.skipped
 
 
 def params(p=0.2, lam=0.24):
@@ -113,7 +117,8 @@ class TestYangBaxter:
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_tensor_sweep_matches_loop(self):
-        # the sparse sweep does the loop's arithmetic: results are equal
+        # the flat products and per-shape residuals do the loop's arithmetic:
+        # the residual's bits, checked and skipped are the loop's
         rnd = random.Random(46)
         for p, lam in ((0.2, 0.24), (0.35, 0.5), (0.05, 0.9)):
             pr = params(p, lam)
@@ -122,14 +127,57 @@ class TestYangBaxter:
             for fam in (raw_family(pr), tilde_family(pr), appendix_family(pr),
                         appendix_substitution(pr), rosengren_family(pr),
                         sixvertex_family(eta)):
-                assert ybe_sweep(fam, phi, php) == _loop_ybe_sweep(fam, phi, php)
+                assert _bits(ybe_sweep(fam, phi, php)) == _bits(_loop_ybe_sweep(fam, phi, php))
 
     def test_broken_family_matches_loop(self):
         fam = sixvertex_family(1.1)
         broken = type(fam)(weight=fam.weight, ybe_shift=0.0)
         got = ybe_sweep(broken, 0.41, 0.13)
         assert got.residual > 1e-3
-        assert got == _loop_ybe_sweep(broken, 0.41, 0.13)
+        assert _bits(got) == _bits(_loop_ybe_sweep(broken, 0.41, 0.13))
+
+    def test_hand_built_families_match_loop(self):
+        # weight tables drawn from 0, NaN and finite values: every sweep is
+        # the loop's, and each of the four assignment shapes meets all three
+        # edge cases: every product 0 (skipped), a NaN product after a zero
+        # one (checked, though max drops the NaN), and every product NaN
+        rnd = random.Random(48)
+        pos = {(vk.kind, vk.r): n for n, (_, vk) in enumerate(ADMISSIBLE)}
+        args = (0.0, 1.0, -1.5)  # phi, phi' and phi - phi' - shift at shift 0.5
+        seen = set()
+        for _ in range(100):
+            tables = [[rnd.choice((0j, complex("nan"), complex(rnd.gauss(0, 1), rnd.gauss(0, 1))))
+                       for _ in ADMISSIBLE] for _ in args]
+            fam = WeightFamily(ybe_shift=0.5, weight=lambda kind, r, phi, tables=tables:
+                               tables[args.index(phi)][pos[kind, r]])
+            assert _bits(ybe_sweep(fam, 0.0, 1.0)) == _bits(_loop_ybe_sweep(fam, 0.0, 1.0))
+            w_phi, w_php, w_u3 = tables
+            for _, lhs, rhs in _live_assignments():
+                products = ([w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
+                            + [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs])
+                nans = [cmath.isnan(x) for x in products]
+                for case, hit in (("zero", not any(products)),
+                                  ("nan-after-zero", products[0] == 0 and any(nans)),
+                                  ("all-nan", all(nans))):
+                    if hit:
+                        seen.add(((len(lhs), len(rhs)), case))
+        shapes = ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert seen == set(itertools.product(shapes, ("zero", "nan-after-zero", "all-nan")))
+
+    def test_sweep_plan_covers_every_product_once(self):
+        # 18, 18, 18 and 6 assignments of the four shapes; each side's 84
+        # products share 54 first pairs, and the shape groups index every
+        # product of the flat lists exactly once
+        pairs_a, terms_a, pairs_b, terms_b, shapes = yangbaxter._sweep_plan()
+        assert {shape: len(rows) for shape, rows in shapes.items()} == {
+            (1, 1): 18, (1, 2): 18, (2, 1): 18, (2, 2): 6}
+        assert (len(pairs_a), len(terms_a), len(pairs_b), len(terms_b)) == (54, 84, 54, 84)
+        lhs_at = sorted(x for (nl, _), rows in shapes.items() for row in rows for x in row[:nl])
+        rhs_at = sorted(x for (nl, _), rows in shapes.items() for row in rows for x in row[nl:])
+        assert lhs_at == list(range(84)) and rhs_at == list(range(84))
+        rows = _live_assignments()
+        assert [pairs_a[n] + (k,) for n, k in terms_a] == [t[1:] for _, lhs, _ in rows for t in lhs]
+        assert [pairs_b[n] + (k,) for n, k in terms_b] == [t[1:] for _, _, rhs in rows for t in rhs]
 
     def test_live_assignments_are_the_nonzero_products(self):
         # every (assignment, side, t) whose three quadruples are admissible,
@@ -287,6 +335,16 @@ class TestGauge:
             evaluate()
         assert isinstance(err.value.__cause__, OverflowError)
 
+    def test_infinite_exponent_at_zero_log_zeta_raises(self):
+        # at p = 0 every log zeta is 0: an exponent that overflowed to inf
+        # gave inf * 0 = NaN, and raw_weight returned NaN + NaN j
+        vk = ColoredVertexKind(VertexKind.ALPHA, 0)
+        with pytest.raises(EvaluationOverflowError, match="^zeta_0"):
+            raw_weight(vk, -1.7e308, params(0.0, 0.24))
+        # a NaN phi still meets the theta series' own error
+        with pytest.raises(SeriesTruncationError, match="is not finite"):
+            raw_weight(vk, math.nan, params(0.0, 0.24))
+
     @pytest.mark.parametrize("evaluate, error, message", [
         (lambda: raw_weight(ColoredVertexKind(VertexKind.GAMMA, 2), 1e5, params(0.2, 0.4)),
          EvaluationOverflowError, "^GAMMA prefactor overflows"),
@@ -326,12 +384,16 @@ class TestGauge:
          ValueError, r"^rapidity \(inf\+0j\) is not finite"),
         (lambda: gauge_constraint_residual(zeta_gauge(params(0.2, 0.4)), [(math.nan, 0.3)]),
          ValueError, r"^rapidity \(nan\+0j\) is not finite"),
+        (lambda: apply_gauge_kindwise(sixvertex_family(1e5), zeta_gauge(params(0.25, 0.0))).weight(
+             VertexKind.ALPHA, 0, -2000.0),
+         EvaluationOverflowError, "^the gauge factors of ALPHA overflow"),
     ], ids=["gauged-weight-underflow", "rosengren_match-underflow", "constraint-underflow",
-            "constraint-inf", "gauged-weight-inf", "constraint-nan"])
+            "constraint-inf", "gauged-weight-inf", "constraint-nan", "gauged-weight-overflow"])
     def test_gauge_seams_raise_typed_errors(self, evaluate, error, message):
         # a Phi factor that underflows to 0 made the gauge divide by zero, a
         # bare ZeroDivisionError; an infinite phi gave cmath's bare "math
-        # domain error" ValueError and a NaN phi a NaN residual with no error
+        # domain error" ValueError and a NaN phi a NaN residual with no error;
+        # a Phi ratio past the doubles made a finite weight NaN + NaN j
         with pytest.raises(error, match=message):
             evaluate()
 
