@@ -117,7 +117,7 @@ def load_config(path: str) -> Config:
                     values[key] = int(val) if fields[key] == "int" else float(val)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {val}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return Config(**values)  # type: ignore[arg-type]
 
@@ -340,9 +340,8 @@ def _suite_appendix(rng, samples: int, cfg: Config):
         closed = yb.appendix_family(params)
         pairs = [(phi, php), (php, -phi)]
         yield {**point, "phi": phi}, [
-            *(("substitution-matches-closed-forms",
-               (substituted.weight(vk.kind, vk.r, phi), closed.weight(vk.kind, vk.r, phi)))
-              for _quad, vk in yb.ADMISSIBLE),
+            *(("substitution-matches-closed-forms", pair)
+              for pair in zip(substituted.weight_table(phi), closed.weight_table(phi))),
             ("rosengren-gauge-match", yb.rosengren_match(params, phis=(phi, php))),
             ("gauge-constraint-shifted",
              yb.gauge_constraint_residual(yb.zeta_gauge(params), pairs)),

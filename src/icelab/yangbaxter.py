@@ -54,9 +54,9 @@ class WeightFamily:
     weight: Callable[[VertexKind, int, complex], complex] = field(repr=False)
     ybe_shift: complex = PI / 3
 
-    def weight_table(self, phi: complex) -> dict[tuple[int, int, int, int], complex]:
-        """All 18 admissible weights at one spectral parameter."""
-        return {quad: self.weight(vk.kind, vk.r, phi) for quad, vk in ADMISSIBLE}
+    def weight_table(self, phi: complex) -> list[complex]:
+        """The 18 admissible weights at one spectral parameter, in ADMISSIBLE order."""
+        return [self.weight(vk.kind, vk.r, phi) for _, vk in ADMISSIBLE]
 
 
 def raw_family(params: EllipticParams) -> WeightFamily:
@@ -104,28 +104,26 @@ def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
 
 
 @lru_cache(maxsize=None)
-def _sweep_plan() -> tuple[tuple, tuple, tuple, tuple, dict[tuple[int, int], tuple]]:
+def _sweep_plan() -> tuple[tuple, tuple, tuple, tuple, tuple[tuple[int, int, int, int], ...]]:
     """ybe_sweep's index tuples, read off _live_assignments():
 
     - per side, its distinct first pairs (i, j) in first-seen order (54
       for its 84 products) and its products as (pair position, k),
       assignment by assignment in ascending t;
-    - per assignment shape (LHS terms, RHS terms), the positions of each
-      assignment's products in the two flat product lists, LHS first."""
+    - per assignment, the positions (x, y, z, w) of its first and second
+      LHS products and first and second RHS products in the two flat
+      product lists.  A side with one product points its second slot at
+      position 84, the exact 0j that pads that side's list."""
     rows = _live_assignments()
-    plan = []
+    plan, slots = [], []
     for side in (1, 2):
         terms = [term[1:] for row in rows for term in row[side]]
         pairs = {(i, j): None for i, j, _ in terms}  # first-seen order
         at = {pair: n for n, pair in enumerate(pairs)}
         plan += tuple(pairs), tuple((at[i, j], k) for i, j, k in terms)
-    shapes: dict[tuple[int, int], list] = {}
-    n_lhs = n_rhs = 0
-    for _, lhs, rhs in rows:
-        shapes.setdefault((len(lhs), len(rhs)), []).append(
-            (*range(n_lhs, n_lhs + len(lhs)), *range(n_rhs, n_rhs + len(rhs))))
-        n_lhs, n_rhs = n_lhs + len(lhs), n_rhs + len(rhs)
-    return (*plan, {shape: tuple(groups) for shape, groups in shapes.items()})
+        n = itertools.count()
+        slots.append([(next(n), next(n) if len(row[side]) == 2 else len(terms)) for row in rows])
+    return (*plan, tuple((*lhs, *rhs) for lhs, rhs in zip(*slots)))
 
 
 def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
@@ -137,28 +135,20 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     assignments were skipped because every triple product is exactly zero.
     A NaN product is not a zero one: its assignment is checked and fails,
     also where max drops it after a zero.  Every product is formed once per
-    side over the flat index lists of _sweep_plan(), and each assignment
-    shape has one comprehension.
+    side over the flat index lists of _sweep_plan(), and one residual form
+    serves every assignment: a side with one product adds the list's 0j pad,
+    which changes no bit that abs, max or the skip rule reads.
     """
     _rapidity(phi), _rapidity(phi_p)  # ValueError unless both are finite
-    # weight_table lists the 18 weights in ADMISSIBLE order
-    w_phi, w_php, w_u3 = (list(fam.weight_table(x).values())
-                          for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
-    pairs_a, terms_a, pairs_b, terms_b, shapes = _sweep_plan()
+    w_phi, w_php, w_u3 = (fam.weight_table(x) for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
+    pairs_a, terms_a, pairs_b, terms_b, groups = _sweep_plan()
     pa = [w_phi[i] * w_php[j] for i, j in pairs_a]
-    a = [pa[n] * w_u3[k] for n, k in terms_a]
+    a = [pa[n] * w_u3[k] for n, k in terms_a] + [0j]
     pb = [w_u3[i] * w_php[j] for i, j in pairs_b]
-    b = [pb[n] * w_phi[k] for n, k in terms_b]
+    b = [pb[n] * w_phi[k] for n, k in terms_b] + [0j]
     ma, mb, nan = [*map(abs, a)], [*map(abs, b)], cmath.nan
-    residuals = [abs(0j + a[x] - (0j + b[y])) / (s or nan) for x, y in shapes[1, 1]
-                 if (s := max(ma[x], mb[y])) or a[x] or b[y]]
-    residuals += [abs(0j + a[x] - (0j + b[y] + b[z])) / (s or nan) for x, y, z in shapes[1, 2]
-                  if (s := max(ma[x], mb[y], mb[z])) or a[x] or b[y] or b[z]]
-    residuals += [abs(0j + a[x] + a[y] - (0j + b[z])) / (s or nan) for x, y, z in shapes[2, 1]
-                  if (s := max(ma[x], ma[y], mb[z])) or a[x] or a[y] or b[z]]
-    residuals += [abs(0j + a[x] + a[y] - (0j + b[z] + b[w])) / (s or nan)
-                  for x, y, z, w in shapes[2, 2]
-                  if (s := max(ma[x], ma[y], mb[z], mb[w])) or a[x] or a[y] or b[z] or b[w]]
+    residuals = [abs(0j + a[x] + a[y] - (0j + b[z] + b[w])) / (s or nan) for x, y, z, w in groups
+                 if (s := max(ma[x], ma[y], mb[z], mb[w])) or a[x] or a[y] or b[z] or b[w]]
     return YbeSweep(residual=max(residuals, key=severity, default=0.0),
                     checked=len(residuals), skipped=3 ** 6 - len(residuals))
 
@@ -353,6 +343,6 @@ def rosengren_match(params: EllipticParams, phis: Sequence[complex]) -> float:
     rosengren_family closed forms."""
     gauged = apply_gauge_kindwise(appendix_family(params), rosengren_gauge(params))
     target = rosengren_family(params)
-    return max((rel_residual(gauged.weight(vk.kind, vk.r, phi),
-                             target.weight(vk.kind, vk.r, phi))
-                for _quad, vk in ADMISSIBLE for phi in phis), key=severity, default=0.0)
+    return max((rel_residual(x, y) for phi in phis
+                for x, y in zip(gauged.weight_table(phi), target.weight_table(phi))),
+               key=severity, default=0.0)

@@ -232,8 +232,10 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / message}\n"
 
-    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    @pytest.mark.parametrize("name", ["missing.cfg", ".", "not-utf8.cfg"])
     def test_unreadable_config_exit_two(self, capsys, tmp_path, name):
+        # a file that is not UTF-8 raised a bare UnicodeDecodeError, exit 1
+        (tmp_path / "not-utf8.cfg").write_bytes(b"\xff\xfe bad\n")
         path = str(tmp_path / name)
         code, out, err = run_cli(capsys, "verify", "--suite", "theta", "--samples", "1",
                                  "--config", path)

@@ -17,8 +17,8 @@ from icelab import (DegenerateCrossingError, CrossingParameterError, EvaluationO
                     F_n_6v, functional_residual_6v, partition_function_6v,
                     sixvertex_family, weight6v, ybe_sweep)
 from icelab.numutil import stable_sum
-from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _COMPLETIONS, _KIND_FROM_EDGES,
-                              _row_moves, _sin_eta, _vertex_sweep)
+from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _ALPHAS, _BETAS, _COMPLETIONS,
+                              _KIND_FROM_EDGES, _row_moves, _sin_eta, _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -147,6 +147,34 @@ def _izergin_korepin(assign):
         inv = mpmath.matrix([[1 / v for v in row] for row in ab])
         z = mpmath.sin(eta) ** (n * (n - 1)) * mpmath.fprod(v for row in ab for v in row)
         return complex(z / den * mpmath.det(inv))
+
+
+def _mp_sweep(chi, psi, eta):
+    """partition_function_6v's vertex sweep over mpmath weights: call it
+    under mpmath.workdps, with mpmath rapidities and eta."""
+    mpmath = pytest.importorskip("mpmath")
+    s, half = mpmath.sin(eta), eta / 2
+
+    def weights(i, j, codes):
+        phi = chi[i] - psi[j]
+        a, b = mpmath.sin(half - phi) / s, mpmath.sin(half + phi) / s
+        return [a if kind in _ALPHAS else b if kind in _BETAS else mpmath.mpf(1)
+                for kind, _ in codes]
+
+    return _vertex_sweep(len(chi), weights)
+
+
+def _okada_stroganov(chi, psi, lam, const):
+    """const * e^{-i(n-1)(sum chi + sum psi)} * s_lam(e^{2i chi}, e^{2i psi}),
+    the Schur polynomial of the 2n variables x as the bialternant
+    det(x_i^{lam_j + 2n - j}) / det(x_i^{2n - j}), j = 1..2n."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = [mpmath.expj(2 * x) for x in chi + psi]
+    m = len(xs)
+    num, den = (mpmath.det(mpmath.matrix([[x ** (part + m - 1 - j) for j, part in enumerate(parts)]
+                                          for x in xs]))
+                for parts in (lam, [0] * m))
+    return const * mpmath.expj(-(len(chi) - 1) * mpmath.fsum(chi + psi)) * num / den
 
 
 class TestEnumeration:
@@ -509,6 +537,34 @@ class TestPartitionFunction:
             a = SpectralAssignment(chi=[rnd.uniform(0, eta / 4) for _ in range(n)],
                                    psi=[rnd.uniform(0, eta / 4) for _ in range(n)], eta=eta)
             assert partition_function_6v(a) == pytest.approx(_izergin_korepin(a), rel=1e-12)
+
+    def test_okada_stroganov_schur_polynomial(self):
+        # at eta = 2pi/3, Z_n = 3^{-n(n-1)/2} e^{-i(n-1)(sum chi + sum psi)}
+        # s_lam(e^{2i chi}, e^{2i psi}) with lam = (n-1, n-1, ..., 0, 0)
+        # (Okada 2006, Stroganov 2006), here through the vertex sweep at 40
+        # digits; the constant times 3, one part of lam raised by 1 and eta
+        # off by 0.1 each miss by more than 1e-3 (eta cannot miss at n = 1,
+        # where Z_1 = 1)
+        mpmath = pytest.importorskip("mpmath")
+        rnd = random.Random(15)
+        with mpmath.workdps(40):
+            eta = 2 * mpmath.pi / 3
+            for n in range(1, 9):
+                lam = [n - 1 - j // 2 for j in range(2 * n)]
+                raised = lam[:-2] + [lam[-2] + 1, lam[-1]]
+                const = mpmath.mpf(3) ** -(n * (n - 1) // 2)
+                for draw in range(2):
+                    chi, psi = ([mpmath.mpf(rnd.uniform(0, PI)) for _ in range(n)] for _ in "cp")
+                    z = _mp_sweep(chi, psi, eta)
+                    schur = _okada_stroganov(chi, psi, lam, const)
+                    assert abs(schur - z) < 1e-30 * abs(z), n
+                    if draw:
+                        continue
+                    for wrong in (3 * schur, _okada_stroganov(chi, psi, raised, const)):
+                        assert abs(wrong - z) > 1e-3 * abs(z), n
+                    if n > 1:
+                        z_off = _mp_sweep(chi, psi, eta + 0.1)
+                        assert abs(schur - z_off) > 1e-3 * abs(z_off), n
 
     def test_zero_rapidities_count_states(self):
         # at eta = 2pi/3 and chi = psi = 0 every weight is 1, so Z_n = A_n

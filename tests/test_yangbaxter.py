@@ -1,6 +1,7 @@
 """Yang-Baxter sweeps, gauge machinery, and the half-period substitution chain."""
 
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -33,8 +34,8 @@ def _loop_ybe_sweep(fam, phi, phi_p):
     its residual is |LHS - RHS| over the largest product modulus, LHS
     products first, and a NaN product (which max drops after a zero one)
     makes it NaN."""
-    w_phi, w_php = fam.weight_table(phi), fam.weight_table(phi_p)
-    w_u3 = fam.weight_table(phi - phi_p - fam.ybe_shift)
+    w_phi, w_php, w_u3 = (_by_quad(fam.weight_table(x))
+                          for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
     residuals = []
     for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
         lhs, rhs = [], []
@@ -52,6 +53,11 @@ def _loop_ybe_sweep(fam, phi, phi_p):
     return YbeSweep(residual=worst, checked=len(residuals), skipped=729 - len(residuals))
 
 
+def _by_quad(table):
+    """A weight_table list keyed by its ADMISSIBLE quadruples."""
+    return dict(zip((quad for quad, _ in ADMISSIBLE), table))
+
+
 def _bits(sweep):
     return float.hex(sweep.residual), sweep.checked, sweep.skipped
 
@@ -62,7 +68,7 @@ def params(p=0.2, lam=0.24):
 
 def _weight_at(fam, bl, br, tl, tr, phi):
     """W^{tl tr}_{bl br}(phi) of an admissible quadruple, colors read mod 3."""
-    return fam.weight_table(phi)[tuple(c % 3 for c in (bl, br, tl, tr))]
+    return _by_quad(fam.weight_table(phi))[tuple(c % 3 for c in (bl, br, tl, tr))]
 
 
 def test_admissible_quadruples():
@@ -117,7 +123,7 @@ class TestYangBaxter:
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_tensor_sweep_matches_loop(self):
-        # the flat products and per-shape residuals do the loop's arithmetic:
+        # the flat products and the one residual form do the loop's arithmetic:
         # the residual's bits, checked and skipped are the loop's
         rnd = random.Random(46)
         for p, lam in ((0.2, 0.24), (0.35, 0.5), (0.05, 0.9)):
@@ -127,6 +133,8 @@ class TestYangBaxter:
             for fam in (raw_family(pr), tilde_family(pr), appendix_family(pr),
                         appendix_substitution(pr), rosengren_family(pr),
                         sixvertex_family(eta)):
+                assert fam.weight_table(phi) == [fam.weight(vk.kind, vk.r, phi)
+                                                 for _, vk in ADMISSIBLE]
                 assert _bits(ybe_sweep(fam, phi, php)) == _bits(_loop_ybe_sweep(fam, phi, php))
 
     def test_broken_family_matches_loop(self):
@@ -165,17 +173,25 @@ class TestYangBaxter:
         assert seen == set(itertools.product(shapes, ("zero", "nan-after-zero", "all-nan")))
 
     def test_sweep_plan_covers_every_product_once(self):
-        # 18, 18, 18 and 6 assignments of the four shapes; each side's 84
-        # products share 54 first pairs, and the shape groups index every
-        # product of the flat lists exactly once
-        pairs_a, terms_a, pairs_b, terms_b, shapes = yangbaxter._sweep_plan()
-        assert {shape: len(rows) for shape, rows in shapes.items()} == {
-            (1, 1): 18, (1, 2): 18, (2, 1): 18, (2, 2): 6}
+        # each side's 84 products share 54 first pairs; the 60 groups index
+        # every product of the flat lists exactly once, in the order of the
+        # assignment's terms, and position 84, the 0j pad, fills only the
+        # second slot of a side with one product: 18, 18, 18 and 6
+        # assignments of the shapes (1, 1), (1, 2), (2, 1) and (2, 2)
+        pairs_a, terms_a, pairs_b, terms_b, groups = yangbaxter._sweep_plan()
         assert (len(pairs_a), len(terms_a), len(pairs_b), len(terms_b)) == (54, 84, 54, 84)
-        lhs_at = sorted(x for (nl, _), rows in shapes.items() for row in rows for x in row[:nl])
-        rhs_at = sorted(x for (nl, _), rows in shapes.items() for row in rows for x in row[nl:])
-        assert lhs_at == list(range(84)) and rhs_at == list(range(84))
         rows = _live_assignments()
+        assert len(groups) == len(rows) == 60
+        for side, pairs, flat in ((0, pairs_a, terms_a), (2, pairs_b, terms_b)):
+            slots = [group[side:side + 2] for group in groups]
+            assert sorted(x for slot in slots for x in slot if x != 84) == list(range(84))
+            assert 84 not in (first for first, _ in slots)
+            for (first, second), row in zip(slots, rows):
+                at = (first,) if second == 84 else (first, second)
+                assert [pairs[flat[x][0]] + (flat[x][1],) for x in at] == [
+                    t[1:] for t in row[1 + side // 2]]
+        shapes = collections.Counter((1 + (y != 84), 1 + (w != 84)) for _, y, _, w in groups)
+        assert shapes == {(1, 1): 18, (1, 2): 18, (2, 1): 18, (2, 2): 6}
         assert [pairs_a[n] + (k,) for n, k in terms_a] == [t[1:] for _, lhs, _ in rows for t in lhs]
         assert [pairs_b[n] + (k,) for n, k in terms_b] == [t[1:] for _, _, rhs in rows for t in rhs]
 
@@ -183,7 +199,7 @@ class TestYangBaxter:
         # every (assignment, side, t) whose three quadruples are admissible,
         # read off the loop reference's products with all 18 weights nonzero
         weights = WeightFamily(weight=lambda *args: 1.0 + 0j)
-        tables = (weights.weight_table(0.0),) * 3
+        tables = (_by_quad(weights.weight_table(0.0)),) * 3
         want = set()
         for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
             for t in range(3):
@@ -239,7 +255,7 @@ class TestYangBaxter:
         nan_kind = WeightFamily(
             ybe_shift=fam.ybe_shift,
             weight=lambda k, r, phi: complex("nan") if k is kind else fam.weight(k, r, phi))
-        tables = [list(nan_kind.weight_table(x).values())
+        tables = [nan_kind.weight_table(x)
                   for x in (0.3, 0.3, 0.3 - 0.3 - fam.ybe_shift)]
         want = sum(any(tables[0][i] * tables[1][j] * tables[2][k] != 0
                        for _, i, j, k in lhs)
