@@ -115,38 +115,31 @@ class EllipticParams:
         return EllipticParams(p=self.p ** 3, lam=self.lam, series=self.series)
 
 
-def _pow_nome(p: complex, a: float) -> complex:
-    """p**a for the series exponents (a > 0); 0**a := 0."""
-    if p == 0:
-        return 0j
-    if p.imag == 0.0 and p.real > 0.0:
-        return complex(math.exp(a * math.log(p.real)))
-    return cmath.exp(a * cmath.log(p))
-
-
-def _term(p: complex, log_ap: float, a: int, offset: float, k: int) -> tuple:
-    e, w = k * (k + a) + offset, 2 * k + a
-    coef = (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0)
-    return e * log_ap if e else 0.0, coef, w
-
-
 @lru_cache(maxsize=64)
 def _nome_powers(key: tuple, a: int, offset: float) -> list:
-    """[log|p|, table, plan] of one series (see _series_sum) under the rule key =
-    EllipticParams.series_key: table[k] = (e_k log|p|, c_k (-1)^k p^{e_k}, 2k + a),
-    filled lazily by replacing the tuple, so concurrent callers read consistent
-    entries; plan, the number of leading terms a real argument sums untested
-    (module docstring).  The key keeps Im p's sign: x - 0j == x + 0j, but their
-    powers differ."""
+    """[term, table, plan] of one series (see _series_sum) under the rule key =
+    EllipticParams.series_key: table[k] = term(k) = (e_k log|p|, c_k (-1)^k p^{e_k},
+    2k + a), filled lazily by replacing the tuple, so concurrent callers read
+    consistent entries; plan, the number of leading terms a real argument sums
+    untested (module docstring).  p^e = exp(e log p), log p taken once: log|p|
+    on p >= 0, where p = 0 gives exp(-inf) = 0.  The key keeps Im p's sign:
+    x - 0j == x + 0j, but their powers differ."""
     p, _, tol, max_terms = key
     log_ap, log_tol = math.log(abs(p)) if p else -math.inf, math.log(tol)
+    exp, log_p = (math.exp, log_ap) if p.imag == 0.0 <= p.real else (cmath.exp, cmath.log(p))
+
+    def term(k: int) -> tuple:
+        e, w = k * (k + a) + offset, 2 * k + a
+        coef = (2.0 if w else 1.0) * (-1) ** k * (complex(exp(e * log_p)) if e else 1.0)
+        return e * log_ap if e else 0.0, coef, w
+
     bound, table = 0.0, []
     for k in range(max_terms):
-        table.append(_term(p, log_ap, a, offset, k))
+        table.append(term(k))
         if table[k][0] + _LOG_2 < log_tol + bound * (1.0 + 1e-9) + _STOP_MARGIN:
-            return [log_ap, tuple(table), k]
+            return [term, tuple(table), k]
         bound += abs(table[k][1])
-    return [log_ap, tuple(table), max_terms]
+    return [term, tuple(table), max_terms]
 
 
 @lru_cache(maxsize=256)
@@ -169,7 +162,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float) -> complex:
     if not cmath.isfinite(phi):
         raise SeriesTruncationError(f"theta argument {phi} is not finite")
     p, _, tol, max_terms = key
-    log_ap, table, plan = powers = _nome_powers(key, a, offset)
+    term, table, plan = powers = _nome_powers(key, a, offset)
     trig = cmath.sin if a else cmath.cos
     s, start = 0j, 0 if phi.imag else plan
     log_tol, im = math.log(tol), abs(phi.imag)
@@ -178,7 +171,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float) -> complex:
             s += coef * trig(w * phi)
         for k in range(start, max_terms):
             if k == len(table):
-                table = powers[1] = table + (_term(p, log_ap, a, offset, k),)
+                table = powers[1] = table + (term(k),)
             log_pe, coef, w = table[k]
             log_env = log_pe + w * im + _LOG_2  # log of the term bound 2 |p|^e exp(w |Im phi|)
             # stop once log_env < log(tol (1 + |s|)), but not before the first

@@ -101,7 +101,7 @@ def load_config(path: str) -> Config:
     values: dict[str, object] = {}
     fields = {f.name: f.type for f in dataclasses.fields(Config)}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is no key
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -395,7 +395,7 @@ SUITES = tuple(_SUITES)
 #: the order in which the forked workers of "all" take up the suites: by
 #: their warm in-process times at the defaults, longest first, so that no
 #: worker is left with a long suite while the others idle
-_DEAL_ORDER = ("ybe", "functional3c", "recursion3c", "appendix", "theta", "symmetry",
+_DEAL_ORDER = ("ybe", "functional3c", "recursion3c", "theta", "appendix", "symmetry",
                "recursion6v", "functional6v")
 
 #: the identity families whose Config tolerance key is not their suite's

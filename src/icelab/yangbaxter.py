@@ -32,7 +32,7 @@ from .errors import EvaluationOverflowError
 from .numutil import guarded, rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
-from .sixvertex import _ALPHAS, _BETAS, VertexKind, _rapidity, weight6v
+from .sixvertex import VertexKind, _rapidity, weight6v
 from .threecoloring import (_KIND_OF_CORNERS, ColoredVertexKind, _raw_weight_ctx,
                             _tilde_weight_ctx, _weight_constants)
 
@@ -44,35 +44,62 @@ ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tu
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Face weights given kind by kind, plus their Yang-Baxter shift.
+    """Face weights as one table per spectral parameter, plus their Yang-Baxter shift.
 
-    weight(kind, r, phi) is the weight of the vertex of that kind with base
-    color r in {0, 1, 2}; ADMISSIBLE maps each quadruple (bl, br, tl, tr) of
-    the index picture to its (kind, r), and every other quadruple weighs 0.
+    table(phi) lists the 18 admissible weights in ADMISSIBLE order, which maps
+    each quadruple (bl, br, tl, tr) of the index picture to its (kind, r);
+    every other quadruple weighs 0.
     """
 
-    weight: Callable[[VertexKind, int, complex], complex] = field(repr=False)
+    table: Callable[[complex], list[complex]] = field(repr=False)
     ybe_shift: complex = PI / 3
 
     def weight_table(self, phi: complex) -> list[complex]:
         """The 18 admissible weights at one spectral parameter, in ADMISSIBLE order."""
-        return [self.weight(vk.kind, vk.r, phi) for _, vk in ADMISSIBLE]
+        return self.table(phi)
+
+    def weight(self, kind: VertexKind, r: int, phi: complex) -> complex:
+        """The weight of kind with base color r in {0, 1, 2}, read off weight_table(phi)."""
+        return self.weight_table(phi)[_BY_KIND.index(3 * list(VertexKind).index(kind) + r % 3)]
+
+
+#: each ADMISSIBLE entry's index in the 18 weights listed kind by kind, in VertexKind order
+_BY_KIND = tuple(3 * list(VertexKind).index(vk.kind) + vk.r for _, vk in ADMISSIBLE)
+#: a kind per formula, alpha' taking alpha's and beta' beta's, as ADMISSIBLE first meets them
+_FORMULAS = (VertexKind.GAMMA_P, VertexKind.BETA, VertexKind.ALPHA, VertexKind.GAMMA)
+
+
+def _kindwise(*weights: list[complex]) -> list[complex]:
+    """A table from lists of weights, kind by kind and base by base."""
+    flat = [w for ws in weights for w in ws]
+    return [flat[i] for i in _BY_KIND]
+
+
+def _formulawise(weight_ctx: Callable, ctx: tuple, phi: complex) -> list[complex]:
+    """The table of a threecoloring weight_ctx, one call per formula and base (12 for 18)."""
+    gamma_p, beta, alpha, gamma = ([weight_ctx(ctx, kind, r, phi) for r in range(3)]
+                                   for kind in _FORMULAS)
+    return _kindwise(alpha * 2, beta * 2, gamma, gamma_p)
 
 
 def raw_family(params: EllipticParams) -> WeightFamily:
     ctx = _weight_constants(params)
-    return WeightFamily(weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, complex(phi)))
+    return WeightFamily(lambda phi: _formulawise(_raw_weight_ctx, ctx, complex(phi)))
 
 
 def tilde_family(params: EllipticParams) -> WeightFamily:
     ctx = _weight_constants(params)
-    return WeightFamily(weight=lambda kind, r, phi: _tilde_weight_ctx(ctx, kind, r, complex(phi)))
+    return WeightFamily(lambda phi: _formulawise(_tilde_weight_ctx, ctx, complex(phi)))
 
 
 def sixvertex_family(eta: complex) -> WeightFamily:
     """Trigonometric six-vertex weights read as a face family (the base color
     is ignored).  Satisfies the Yang-Baxter equation with shift eta/2."""
-    return WeightFamily(weight=lambda kind, r, phi: weight6v(kind, phi, eta), ybe_shift=eta / 2)
+    def table(phi: complex) -> list[complex]:
+        gamma, beta, alpha = (weight6v(kind, phi, eta) for kind in _FORMULAS[:3])
+        return _kindwise([alpha] * 6, [beta] * 6, [gamma] * 6)
+
+    return WeightFamily(table, ybe_shift=eta / 2)
 
 
 @dataclass(frozen=True)
@@ -87,20 +114,22 @@ def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
     """Each boundary assignment (r, r', r'', s, s', s'') that has an
     admissible internal face, with its LHS and RHS terms (t, i, j, k) in
     ascending t: the weights at ADMISSIBLE positions i, j, k, multiplied in
-    the order of the module docstring.  Built on the first sweep."""
+    the order of the module docstring.  Built on the first sweep by a join
+    over ADMISSIBLE: a side's first quadruple, in ascending t, and its second
+    fix all colors but one, which the third has to take."""
     pos = {quad: i for i, (quad, _) in enumerate(ADMISSIBLE)}
-    rows = []
-    for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
-        lhs, rhs = [], []
-        for t in range(3):
-            a = ((rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp))
-            b = ((rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp))
-            for side, quads in ((lhs, a), (rhs, b)):
-                if all(q in pos for q in quads):
-                    side.append((t, *(pos[q] for q in quads)))
-        if lhs or rhs:
-            rows.append(((r, rp, rpp, s, sp, spp), tuple(lhs), tuple(rhs)))
-    return tuple(rows)
+    terms: dict[tuple[int, ...], tuple[list, list]] = {}
+    for (a, b, c, d), i in pos.items():  # (rp, t, rpp, spp) on the LHS, (rp, r, rpp, t) on the RHS
+        for (bl, br, tl, tr), j in pos.items():
+            if (tl, tr) == (a, b):  # the LHS's (r, s, rp, t); its (t, s, spp, sp) picks sp
+                for sp in range(3):
+                    if (k := pos.get((b, br, d, sp))) is not None:
+                        terms.setdefault((bl, a, c, br, sp, d), ([], []))[0].append((b, i, j, k))
+            if (bl, tl) == (d, c):  # the RHS's (t, sp, rpp, spp); its (r, s, t, sp) picks s
+                for s in range(3):
+                    if (k := pos.get((b, s, d, br))) is not None:
+                        terms.setdefault((b, a, c, s, br, tr), ([], []))[1].append((d, i, j, k))
+    return tuple((colors, tuple(lhs), tuple(rhs)) for colors, (lhs, rhs) in sorted(terms.items()))
 
 
 @lru_cache(maxsize=None)
@@ -197,27 +226,31 @@ def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, compl
         raise EvaluationOverflowError("a gauge factor Phi_r(phi') underflows to 0") from exc
 
 
+#: the canonical integer corner lifts (bl, tl, tr, br) and kind of each ADMISSIBLE entry
+_LIFTS = tuple((vk.corner_lifts(), vk.kind) for _, vk in ADMISSIBLE)
+
+
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     """Gauge application through the canonical integer corner lifts of each
     kind, ColoredVertexKind.corner_lifts (base r in {0,1,2}, neighbours
-    written literally as r-1 / r+1)."""
-    def weight(kind: VertexKind, r: int, phi: complex) -> complex:
+    written literally as r-1 / r+1), table-wise: C(m) and Phi(m, phi) once per
+    lift m in -1..3, the table of fam, then each factor in ADMISSIBLE order."""
+    def table(phi: complex) -> list[complex]:
         _rapidity(phi)  # ValueError unless phi is finite
-        lbl, ltl, ltr, lbr = ColoredVertexKind(kind, r).corner_lifts()
-        try:
-            cc = g.C(lbl) / g.C(ltr)
-            ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
-        except ZeroDivisionError as exc:
-            raise EvaluationOverflowError(
-                f"the gauge factors of {kind.name} underflow to 0 at phi = {phi}") from exc
-        w = fam.weight(kind, r, phi)
-        gauged = cc * ff * w
-        if not cmath.isfinite(gauged) and cmath.isfinite(w):  # inf * 0 parts give NaN
-            raise EvaluationOverflowError(
-                f"the gauge factors of {kind.name} overflow at phi = {phi}")
+        c, f = {m: g.C(m) for m in range(-1, 4)}, {m: g.Phi(m, phi) for m in range(-1, 4)}
+        weights, gauged = fam.weight_table(phi), []
+        for w, ((lbl, ltl, ltr, lbr), kind) in zip(weights, _LIFTS):
+            try:
+                gauged.append(c[lbl] / c[ltr] * (f[ltl] * f[lbr] / (f[lbl] * f[ltr])) * w)
+            except ZeroDivisionError as exc:
+                raise EvaluationOverflowError(
+                    f"the gauge factors of {kind.name} underflow to 0 at phi = {phi}") from exc
+            if not cmath.isfinite(gauged[-1]) and cmath.isfinite(w):  # inf * 0 parts give NaN
+                raise EvaluationOverflowError(
+                    f"the gauge factors of {kind.name} overflow at phi = {phi}")
         return gauged
 
-    return WeightFamily(weight=weight, ybe_shift=fam.ybe_shift)
+    return WeightFamily(table, ybe_shift=fam.ybe_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +284,7 @@ def appendix_substitution(params: EllipticParams) -> WeightFamily:
     tri = ThetaTriple(theta4_at_half_period, params.with_lambda(params.lam + half))
     tri.log_zeta = sheet.log_zeta
     ctx = (tri, theta1_reduced(TWO_PI_OVER_3, params))
-    return WeightFamily(weight=lambda kind, r, phi: _raw_weight_ctx(ctx, kind, r, -phi - PI / 3),
+    return WeightFamily(lambda phi: _formulawise(_raw_weight_ctx, ctx, -phi - PI / 3),
                         ybe_shift=0.0)
 
 
@@ -269,22 +302,22 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
     theta.ThetaTriple.
     """
     sheet = theta_triple(theta1, params)
-    t1_23 = sheet(TWO_PI_OVER_3)
+    t1_23, b = sheet(TWO_PI_OVER_3), sheet.values
     lam, lz = params.lam, sheet.log_zeta
 
-    def weight(kind: VertexKind, r: int, phi: complex) -> complex:
-        if kind in _ALPHAS:
-            return sheet.zeta_pow(r, -3 * phi / (4 * PI)) * sheet(TWO_PI_OVER_3 + phi) / t1_23
-        if kind in _BETAS:
-            return -sheet.zeta_pow(r, 0.5 + 3 * phi / (4 * PI)) * sheet(phi) / t1_23
-        expo = phi / (2 * PI)
-        if kind is VertexKind.GAMMA:
-            pre = guarded(cmath.exp, 1j * phi) * guarded(cmath.exp, expo * (lz[r] - lz[(r + 1) % 3]))
-            return pre * sheet(lam + TWO_PI_OVER_3 * r - phi) / sheet.values[r]
-        pre = guarded(cmath.exp, -1j * phi) * guarded(cmath.exp, expo * (lz[r] - lz[(r - 1) % 3]))
-        return pre * sheet(lam + TWO_PI_OVER_3 * r + phi) / sheet.values[r]
+    def table(phi: complex) -> list[complex]:
+        spin = guarded(cmath.exp, 1j * phi), guarded(cmath.exp, -1j * phi)
+        alpha, beta, turn = sheet(TWO_PI_OVER_3 + phi), sheet(phi), phi / (2 * PI)
+        expo = -3 * phi / (4 * PI), 0.5 + 3 * phi / (4 * PI)
+        return _kindwise(
+            [sheet.zeta_pow(r, expo[0]) * alpha / t1_23 for r in range(3)] * 2,
+            [-sheet.zeta_pow(r, expo[1]) * beta / t1_23 for r in range(3)] * 2,
+            [spin[0] * guarded(cmath.exp, turn * (lz[r] - lz[(r + 1) % 3]))
+             * sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r] for r in range(3)],
+            [spin[1] * guarded(cmath.exp, turn * (lz[r] - lz[(r - 1) % 3]))
+             * sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r] for r in range(3)])
 
-    return WeightFamily(weight=weight, ybe_shift=0.0)
+    return WeightFamily(table, ybe_shift=0.0)
 
 
 def rosengren_gauge(params: EllipticParams) -> GaugeData:
@@ -319,22 +352,19 @@ def rosengren_family(params: EllipticParams) -> WeightFamily:
     fixing the other kinds) and flips nothing in the Yang-Baxter equation.
     """
     sheet = theta_triple(theta1, params)
-    b = sheet.values
-    t1_23 = sheet(TWO_PI_OVER_3)
+    t1_23, b = sheet(TWO_PI_OVER_3), sheet.values
     lam = params.lam
 
-    def weight(kind: VertexKind, r: int, phi: complex) -> complex:
-        if kind in _ALPHAS:
-            return sheet(TWO_PI_OVER_3 + phi) / t1_23
-        if kind is VertexKind.BETA:
-            return -(b[(r - 1) % 3] / b[r]) * sheet(phi) / t1_23
-        if kind is VertexKind.BETA_P:
-            return -(b[(r + 1) % 3] / b[r]) * sheet(phi) / t1_23
-        if kind is VertexKind.GAMMA:
-            return sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r]
-        return sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r]
+    def table(phi: complex) -> list[complex]:
+        alpha, beta = sheet(TWO_PI_OVER_3 + phi) / t1_23, sheet(phi)
+        return _kindwise(
+            [alpha] * 6,
+            [-(b[(r - 1) % 3] / b[r]) * beta / t1_23 for r in range(3)],
+            [-(b[(r + 1) % 3] / b[r]) * beta / t1_23 for r in range(3)],
+            [sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r] for r in range(3)],
+            [sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r] for r in range(3)])
 
-    return WeightFamily(weight=weight, ybe_shift=0.0)
+    return WeightFamily(table, ybe_shift=0.0)
 
 
 def rosengren_match(params: EllipticParams, phis: Sequence[complex]) -> float:

@@ -242,6 +242,16 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read config file {path}: ")
 
+    def test_config_with_byte_order_mark(self, capsys, tmp_path):
+        # a UTF-8 file that starts with a byte-order mark exited 2 with
+        # "unknown key 'p_max'", the mark read as part of the key
+        cfg, out_path = tmp_path / "bom.cfg", tmp_path / "report.json"
+        cfg.write_bytes(b"\xef\xbb\xbfp_max = 0.3\n")
+        code, _, _ = run_cli(capsys, "verify", "--suite", "theta", "--samples", "1",
+                             "--config", str(cfg), "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["config"]["p_max"] == 0.3
+
     def test_overflowing_theta_term_exit_two(self, capsys, tmp_path):
         # at |p| ~ 1e-300 the pi*tau shift has |Im phi| ~ 690, where cos and
         # sin overflow below the envelope bound: a bare OverflowError and a

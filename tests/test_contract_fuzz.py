@@ -129,7 +129,7 @@ CALLS = {
     "SpectralAssignment": (SpectralAssignment, st.tuples(
         st.lists(complexes, max_size=2), st.lists(complexes, max_size=2), complexes)),
     "VertexKind": (VertexKind, st.tuples(st.one_of(ints, st.text(max_size=3)))),
-    "WeightFamily": (lambda phi: WeightFamily(weight=lambda kind, r, x: x).weight_table(phi),
+    "WeightFamily": (lambda phi: WeightFamily(lambda x: [x] * 18).weight(VertexKind.BETA, 2, phi),
                      st.tuples(complexes)),
     "YbeSweep": (YbeSweep, st.tuples(reals, ints, ints)),
     "appendix_family": (lambda prm, v, phi: appendix_family(prm).weight(v.kind, v.r, phi),

@@ -61,8 +61,10 @@ def scale_betas(name, factor):
     def wrap(family):
         def mutant(params):
             fam = family(params)
-            return WeightFamily(ybe_shift=fam.ybe_shift, weight=lambda kind, r, phi: (
-                fam.weight(kind, r, phi) * (factor if kind in _BETAS else 1.0)))
+            return WeightFamily(lambda phi: [
+                w * (factor if vk.kind in _BETAS else 1.0)
+                for w, (_, vk) in zip(fam.weight_table(phi), yangbaxter.ADMISSIBLE)],
+                ybe_shift=fam.ybe_shift)
         return mutant
     return yangbaxter, name, wrap
 

@@ -14,7 +14,7 @@ from icelab import (DEFAULT_SERIES, EllipticParams, EvaluationOverflowError, Nom
                     PoleError, SeriesConfig, SeriesTruncationError, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_prime_at_zero, theta1_reduced, theta4,
                     zeta, zeta_log_table)
-from icelab.theta import _IH, _series_sum
+from icelab.theta import _IH, _LOG_2, _STOP_MARGIN, _nome_powers, _series_sum
 
 PI = math.pi
 
@@ -109,11 +109,19 @@ class TestArbitraryPrecisionOracle:
             self.jtheta(1, 0.0, p, derivative=1), rel=1e-14)
 
 
+def _nome_power(p, e):
+    """p**e for a series exponent e > 0 with log p taken afresh; 0**e := 0."""
+    if p == 0:
+        return 0j
+    if p.imag == 0.0 and p.real > 0.0:
+        return complex(math.exp(e * math.log(p.real)))
+    return cmath.exp(e * cmath.log(p))
+
+
 def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False, count=False):
     """Term-by-term reference for the theta series kernel: every power of
     the nome, every envelope log and the log of the stopping bound computed
     afresh for each term.  count=True also returns the number of terms."""
-    from icelab.theta import _pow_nome
     p = params.p
     log_ap = math.log(abs(p)) if p else -math.inf
     phi = complex(phi)
@@ -134,7 +142,7 @@ def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False, count=False)
             term = w if derivative else trig(w * phi)
         except OverflowError as exc:
             raise SeriesTruncationError(f"overflow at k={k}") from exc
-        s += (2.0 if w else 1.0) * (-1) ** k * (_pow_nome(p, e) if e else 1.0) * term
+        s += (2.0 if w else 1.0) * (-1) ** k * (_nome_power(p, e) if e else 1.0) * term
     raise SeriesTruncationError(f"not converged in {cfg.max_terms} terms")
 
 
@@ -251,6 +259,37 @@ class TestPowerTable:
             terms = DEFAULT_SERIES.max_terms
         for max_terms in {terms + 1, terms} - {0}:
             assert outcome(_kernel, max_terms) == outcome(loop, max_terms), max_terms
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.2, complex(-0.2, 0.0), complex(-0.2, -0.0),
+                                   0.3 + 0.1j])
+    def test_nome_tables_match_per_term_reference(self, p):
+        # log p taken once per table: every entry, the lazily added ones too,
+        # and the stop plan equal a reference that takes log p for each term
+        def entry(term):
+            log_pe, coef, w = term
+            return float.hex(log_pe), type(coef), _bits(complex(coef)), w
+
+        p = complex(p)
+        log_ap = math.log(abs(p)) if p else -math.inf
+        for tol, max_terms in ((1e-16, 64), (1e-13, 40), (1e-15, 10), (0.3, 64)):
+            key = EllipticParams(p, 0.0, SeriesConfig(tol, max_terms)).series_key
+            for a, offset in ((0, 0.0), (1, 0.0), (1, 0.25)):
+                want, bound, plan = [], 0.0, max_terms
+                for k in range(max_terms):
+                    e, w = k * (k + a) + offset, 2 * k + a
+                    coef = (2.0 if w else 1.0) * (-1) ** k * (_nome_power(p, e) if e else 1.0)
+                    log_pe = e * log_ap if e else 0.0
+                    want.append(entry((log_pe, coef, w)))
+                    if plan == max_terms:
+                        if log_pe + _LOG_2 < math.log(tol) + bound * (1.0 + 1e-9) + _STOP_MARGIN:
+                            plan = k
+                        bound += abs(coef)
+                _nome_powers.cache_clear()
+                term, table, got_plan = _nome_powers(key, a, offset)
+                assert got_plan == plan, (tol, a, offset)
+                assert [entry(t) for t in table] == want[:len(table)]
+                assert [entry(term(k)) for k in range(max_terms)] == want
+        _nome_powers.cache_clear()
 
     def test_sign_of_zero_imaginary_nome(self):
         up = EllipticParams.from_nome(complex(-0.2, 0.0))

@@ -2,9 +2,11 @@
 
 import cmath
 import collections
+import dataclasses
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
@@ -15,10 +17,11 @@ from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError, 
                     gauge_constraint_residual, phi_ratio_factor, psi_factor, raw_family,
                     raw_weight,
                     rosengren_family, rosengren_gauge, rosengren_match,
-                    sixvertex_family, theta1, tilde_family, weight6v, ybe_sweep,
+                    sixvertex_family, theta1, tilde_family, tilde_weight, weight6v, ybe_sweep,
                     zeta_gauge)
-from icelab.numutil import rel_residual
+from icelab.numutil import guarded, rel_residual
 from icelab import yangbaxter
+from icelab.theta import TWO_PI_OVER_3, theta_triple
 from icelab.yangbaxter import (ADMISSIBLE, GaugeData, WeightFamily, YbeSweep,
                                _live_assignments)
 from test_threecoloring import _loop_classify_vertex, _run_fresh
@@ -62,8 +65,69 @@ def _bits(sweep):
     return float.hex(sweep.residual), sweep.checked, sweep.skipped
 
 
+def _nan_where(fam, hit):
+    """fam with a NaN weight at each ADMISSIBLE entry whose ColoredVertexKind hit accepts."""
+    return WeightFamily(lambda phi: [complex("nan") if hit(vk) else w
+                                     for w, (_, vk) in zip(fam.weight_table(phi), ADMISSIBLE)],
+                        ybe_shift=fam.ybe_shift)
+
+
 def params(p=0.2, lam=0.24):
     return EllipticParams.from_nome(p, lam=lam)
+
+
+def _cbits(values):
+    """The bytes of each complex value, so that -0.0 and 0.0 differ."""
+    return [struct.pack("dd", z.real, z.imag) for z in values]
+
+
+def _appendix_entry(pr, kind, r, phi):
+    """One weight of appendix_family, as its docstring writes it."""
+    sheet = theta_triple(theta1, pr)
+    lz, t1_23 = sheet.log_zeta, sheet(TWO_PI_OVER_3)
+    if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+        return sheet.zeta_pow(r, -3 * phi / (4 * PI)) * sheet(TWO_PI_OVER_3 + phi) / t1_23
+    if kind in (VertexKind.BETA, VertexKind.BETA_P):
+        return -sheet.zeta_pow(r, 0.5 + 3 * phi / (4 * PI)) * sheet(phi) / t1_23
+    expo = phi / (2 * PI)
+    if kind is VertexKind.GAMMA:
+        pre = guarded(cmath.exp, 1j * phi) * guarded(cmath.exp, expo * (lz[r] - lz[(r + 1) % 3]))
+        return pre * sheet(pr.lam + TWO_PI_OVER_3 * r - phi) / sheet.values[r]
+    pre = guarded(cmath.exp, -1j * phi) * guarded(cmath.exp, expo * (lz[r] - lz[(r - 1) % 3]))
+    return pre * sheet(pr.lam + TWO_PI_OVER_3 * r + phi) / sheet.values[r]
+
+
+def _rosengren_entry(pr, kind, r, phi):
+    """One weight of rosengren_family, as its docstring writes it."""
+    sheet = theta_triple(theta1, pr)
+    b, t1_23 = sheet.values, sheet(TWO_PI_OVER_3)
+    if kind in (VertexKind.ALPHA, VertexKind.ALPHA_P):
+        return sheet(TWO_PI_OVER_3 + phi) / t1_23
+    if kind is VertexKind.BETA:
+        return -(b[(r - 1) % 3] / b[r]) * sheet(phi) / t1_23
+    if kind is VertexKind.BETA_P:
+        return -(b[(r + 1) % 3] / b[r]) * sheet(phi) / t1_23
+    if kind is VertexKind.GAMMA:
+        return sheet(pr.lam + TWO_PI_OVER_3 * r - phi) / b[r]
+    return sheet(pr.lam + TWO_PI_OVER_3 * r + phi) / b[r]
+
+
+def _gauged_entry(entry, g, vk, phi):
+    """One weight of apply_gauge_kindwise(fam, g), entry(kind, r, phi) giving fam's."""
+    lbl, ltl, ltr, lbr = vk.corner_lifts()
+    cc = g.C(lbl) / g.C(ltr)
+    ff = g.Phi(ltl, phi) * g.Phi(lbr, phi) / (g.Phi(lbl, phi) * g.Phi(ltr, phi))
+    return cc * ff * entry(vk.kind, vk.r, phi)
+
+
+def _substitution_entry(monkeypatch, pr):
+    """One weight of appendix_substitution(pr): _raw_weight_ctx at -phi - pi/3
+    under the context the family passes it."""
+    seen, weight_ctx = [], yangbaxter._raw_weight_ctx
+    with monkeypatch.context() as patch:
+        patch.setattr(yangbaxter, "_raw_weight_ctx", lambda *args: seen.append(args[0]))
+        appendix_substitution(pr).weight_table(0.0)
+    return lambda kind, r, phi: weight_ctx(seen[0], kind, r, -phi - PI / 3)
 
 
 def _weight_at(fam, bl, br, tl, tr, phi):
@@ -119,7 +183,7 @@ class TestYangBaxter:
         # the trigonometric family needs the eta/2 offset in the third
         # argument; a plain difference form only coincides at eta = 2pi/3
         fam = sixvertex_family(1.1)
-        broken = type(fam)(weight=fam.weight, ybe_shift=0.0)
+        broken = dataclasses.replace(fam, ybe_shift=0.0)
         assert ybe_sweep(broken, 0.41, 0.13).residual > 1e-3
 
     def test_tensor_sweep_matches_loop(self):
@@ -133,13 +197,62 @@ class TestYangBaxter:
             for fam in (raw_family(pr), tilde_family(pr), appendix_family(pr),
                         appendix_substitution(pr), rosengren_family(pr),
                         sixvertex_family(eta)):
-                assert fam.weight_table(phi) == [fam.weight(vk.kind, vk.r, phi)
-                                                 for _, vk in ADMISSIBLE]
                 assert _bits(ybe_sweep(fam, phi, php)) == _bits(_loop_ybe_sweep(fam, phi, php))
+
+    def test_weight_tables_match_entry_by_entry_references(self, monkeypatch):
+        # each table, built from its distinct values, has the bits of its
+        # weights evaluated one entry at a time in ADMISSIBLE order: the
+        # public per-entry functions, the closed forms as written, the raw
+        # weight function under the substitution's context and the old
+        # per-entry gauge
+        for p, lam in ((0.2, 0.24), (0.35, 0.5), (0.05, 0.9)):
+            pr = params(p, lam)
+            cases = [
+                (raw_family(pr), lambda kind, r, x: raw_weight(ColoredVertexKind(kind, r), x, pr)),
+                (tilde_family(pr),
+                 lambda kind, r, x: tilde_weight(ColoredVertexKind(kind, r), x, pr)),
+                (sixvertex_family(1.1), lambda kind, r, x: weight6v(kind, x, 1.1)),
+                (sixvertex_family(0.62 + 0.1j), lambda kind, r, x: weight6v(kind, x, 0.62 + 0.1j)),
+                (appendix_family(pr), lambda kind, r, x: _appendix_entry(pr, kind, r, x)),
+                (appendix_substitution(pr), _substitution_entry(monkeypatch, pr)),
+                (rosengren_family(pr), lambda kind, r, x: _rosengren_entry(pr, kind, r, x)),
+                (apply_gauge_kindwise(raw_family(pr), zeta_gauge(pr)),
+                 lambda kind, r, x: _gauged_entry(
+                     lambda k, s, y: raw_weight(ColoredVertexKind(k, s), y, pr),
+                     zeta_gauge(pr), ColoredVertexKind(kind, r), x)),
+                (apply_gauge_kindwise(appendix_family(pr), rosengren_gauge(pr)),
+                 lambda kind, r, x: _gauged_entry(
+                     lambda k, s, y: _appendix_entry(pr, k, s, y),
+                     rosengren_gauge(pr), ColoredVertexKind(kind, r), x))]
+            for fam, entry in cases:
+                for phi in (0.37, -1.1, 0.4 + 0.3j, -0.2 - 0.5j):
+                    want = [entry(vk.kind, vk.r, phi) for _, vk in ADMISSIBLE]
+                    assert _cbits(fam.weight_table(phi)) == _cbits(want), (p, lam, phi)
+
+    def test_weight_tables_evaluate_each_distinct_value_once(self, monkeypatch):
+        # one call per formula and base for the raw and tilde weights (alpha'
+        # takes alpha's, beta' beta's), one per formula for the six-vertex ones
+        # (gamma = gamma' = 1, no base); a gauge's C and Phi once per lift -1..3
+        pr = params()
+        for name, make, arg, calls in (("_raw_weight_ctx", raw_family, pr, 12),
+                                       ("_raw_weight_ctx", appendix_substitution, pr, 12),
+                                       ("_tilde_weight_ctx", tilde_family, pr, 12),
+                                       ("weight6v", sixvertex_family, 1.1, 3)):
+            seen = []
+            original = getattr(yangbaxter, name)
+            with monkeypatch.context() as patch:
+                patch.setattr(yangbaxter, name, lambda *a: seen.append(a) or original(*a))
+                make(arg).weight_table(0.37)
+            assert len(seen) == calls, (make, seen)
+        g, seen = zeta_gauge(pr), []
+        counted = GaugeData(C=lambda m: seen.append(("C", m)) or g.C(m),
+                            Phi=lambda m, x: seen.append(("Phi", m)) or g.Phi(m, x))
+        apply_gauge_kindwise(raw_family(pr), counted).weight_table(0.37)
+        assert sorted(seen) == sorted((f, m) for f in ("C", "Phi") for m in range(-1, 4))
 
     def test_broken_family_matches_loop(self):
         fam = sixvertex_family(1.1)
-        broken = type(fam)(weight=fam.weight, ybe_shift=0.0)
+        broken = dataclasses.replace(fam, ybe_shift=0.0)
         got = ybe_sweep(broken, 0.41, 0.13)
         assert got.residual > 1e-3
         assert _bits(got) == _bits(_loop_ybe_sweep(broken, 0.41, 0.13))
@@ -150,14 +263,12 @@ class TestYangBaxter:
         # edge cases: every product 0 (skipped), a NaN product after a zero
         # one (checked, though max drops the NaN), and every product NaN
         rnd = random.Random(48)
-        pos = {(vk.kind, vk.r): n for n, (_, vk) in enumerate(ADMISSIBLE)}
         args = (0.0, 1.0, -1.5)  # phi, phi' and phi - phi' - shift at shift 0.5
         seen = set()
         for _ in range(100):
             tables = [[rnd.choice((0j, complex("nan"), complex(rnd.gauss(0, 1), rnd.gauss(0, 1))))
                        for _ in ADMISSIBLE] for _ in args]
-            fam = WeightFamily(ybe_shift=0.5, weight=lambda kind, r, phi, tables=tables:
-                               tables[args.index(phi)][pos[kind, r]])
+            fam = WeightFamily(lambda phi, tables=tables: tables[args.index(phi)], ybe_shift=0.5)
             assert _bits(ybe_sweep(fam, 0.0, 1.0)) == _bits(_loop_ybe_sweep(fam, 0.0, 1.0))
             w_phi, w_php, w_u3 = tables
             for _, lhs, rhs in _live_assignments():
@@ -195,10 +306,27 @@ class TestYangBaxter:
         assert [pairs_a[n] + (k,) for n, k in terms_a] == [t[1:] for _, lhs, _ in rows for t in lhs]
         assert [pairs_b[n] + (k,) for n, k in terms_b] == [t[1:] for _, _, rhs in rows for t in rhs]
 
+    def test_live_assignments_equal_the_exhaustive_scan(self):
+        # the join gives the rows of the scan over all 3^6 assignments, three
+        # faces t and two sides, the same rows in the same order
+        pos = {quad: i for i, (quad, _) in enumerate(ADMISSIBLE)}
+        rows = []
+        for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
+            lhs, rhs = [], []
+            for t in range(3):
+                a = ((rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp))
+                b = ((rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp))
+                for side, quads in ((lhs, a), (rhs, b)):
+                    if all(q in pos for q in quads):
+                        side.append((t, *(pos[q] for q in quads)))
+            if lhs or rhs:
+                rows.append(((r, rp, rpp, s, sp, spp), tuple(lhs), tuple(rhs)))
+        assert _live_assignments() == tuple(rows)
+
     def test_live_assignments_are_the_nonzero_products(self):
         # every (assignment, side, t) whose three quadruples are admissible,
         # read off the loop reference's products with all 18 weights nonzero
-        weights = WeightFamily(weight=lambda *args: 1.0 + 0j)
+        weights = WeightFamily(lambda phi: [1.0 + 0j] * 18)
         tables = (_by_quad(weights.weight_table(0.0)),) * 3
         want = set()
         for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
@@ -235,11 +363,8 @@ class TestYangBaxter:
     def test_nan_weight_fails_the_sweep(self):
         # a NaN gamma_1 weight: the sweep returned 9.3e-16 with 60 checked,
         # the NaN assignment residuals dropped by max
-        fam = raw_family(params())
-        nan_gamma1 = WeightFamily(
-            ybe_shift=fam.ybe_shift,
-            weight=lambda kind, r, phi: (complex("nan") if (kind, r) == (VertexKind.GAMMA, 1)
-                                         else fam.weight(kind, r, phi)))
+        nan_gamma1 = _nan_where(raw_family(params()),
+                                lambda vk: (vk.kind, vk.r) == (VertexKind.GAMMA, 1))
         sweep = ybe_sweep(nan_gamma1, 0.51, 0.17)
         assert math.isnan(sweep.residual)
         assert sweep.checked == 60
@@ -252,9 +377,7 @@ class TestYangBaxter:
         # product is exactly zero.
         fam = sixvertex_family(1.1)
         assert ybe_sweep(fam, 0.3, 0.3).checked == 54
-        nan_kind = WeightFamily(
-            ybe_shift=fam.ybe_shift,
-            weight=lambda k, r, phi: complex("nan") if k is kind else fam.weight(k, r, phi))
+        nan_kind = _nan_where(fam, lambda vk: vk.kind is kind)
         tables = [nan_kind.weight_table(x)
                   for x in (0.3, 0.3, 0.3 - 0.3 - fam.ybe_shift)]
         want = sum(any(tables[0][i] * tables[1][j] * tables[2][k] != 0
@@ -314,11 +437,7 @@ class TestGauge:
         last = ADMISSIBLE[-1][1]
 
         def with_nan(pr):
-            fam = original(pr)
-            return WeightFamily(
-                ybe_shift=fam.ybe_shift,
-                weight=lambda kind, r, phi: (complex("nan") if (kind, r) == (last.kind, last.r)
-                                             else fam.weight(kind, r, phi)))
+            return _nan_where(original(pr), lambda vk: vk == last)
 
         assert rosengren_match(params(), phis=(0.17, 0.53)) < 1e-12
         monkeypatch.setattr(yangbaxter, "rosengren_family", with_nan)
@@ -341,7 +460,7 @@ class TestGauge:
         assert isinstance(err.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("evaluate", [
-        lambda: appendix_family(params(0.2, 0.4)).weight(VertexKind.ALPHA, 2, -2000j),
+        lambda: appendix_family(params(0.2, 0.4)).weight(VertexKind.ALPHA, 2, 1e5),
         lambda: zeta_gauge(params(0.2, 0.4)).Phi(1, 1e5),
         lambda: raw_weight(ColoredVertexKind(VertexKind.ALPHA, 0), 1e5, params(0.2, 0.4)),
     ], ids=["appendix_family", "zeta_gauge", "raw_weight"])
@@ -384,11 +503,13 @@ class TestGauge:
             evaluate()
 
     @pytest.mark.parametrize("evaluate, error, message", [
-        (lambda: apply_gauge_kindwise(appendix_family(params(0.2, 0.4)),
+        (lambda: apply_gauge_kindwise(sixvertex_family(1.1),
                                       rosengren_gauge(params(0.2, 0.4))).weight(
-             VertexKind.GAMMA, 1, 800j),
+             VertexKind.GAMMA, 1, 300j),
          EvaluationOverflowError, "^the gauge factors of GAMMA underflow to 0"),
-        (lambda: rosengren_match(params(0.2, 0.4), phis=(1e5,)),
+        (lambda: apply_gauge_kindwise(sixvertex_family(1.1),
+                                      rosengren_gauge(params(0.2, 0.4))).weight(
+             VertexKind.GAMMA_P, 1, 4000.0),
          EvaluationOverflowError, "^the gauge factors of GAMMA_P underflow to 0"),
         (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(1e5, 1e5)]),
          EvaluationOverflowError, r"^a gauge factor Phi_r\(phi'\) underflows to 0"),
@@ -402,14 +523,17 @@ class TestGauge:
          ValueError, r"^rapidity \(nan\+0j\) is not finite"),
         (lambda: apply_gauge_kindwise(sixvertex_family(1e5), zeta_gauge(params(0.25, 0.0))).weight(
              VertexKind.ALPHA, 0, -2000.0),
-         EvaluationOverflowError, "^the gauge factors of ALPHA overflow"),
-    ], ids=["gauged-weight-underflow", "rosengren_match-underflow", "constraint-underflow",
+         EvaluationOverflowError, "^the gauge factors of GAMMA_P overflow"),
+    ], ids=["gauged-weight-underflow", "gauged-real-weight-underflow", "constraint-underflow",
             "constraint-inf", "gauged-weight-inf", "constraint-nan", "gauged-weight-overflow"])
     def test_gauge_seams_raise_typed_errors(self, evaluate, error, message):
         # a Phi factor that underflows to 0 made the gauge divide by zero, a
         # bare ZeroDivisionError; an infinite phi gave cmath's bare "math
         # domain error" ValueError and a NaN phi a NaN residual with no error;
-        # a Phi ratio past the doubles made a finite weight NaN + NaN j
+        # a Phi ratio past the doubles made a finite weight NaN + NaN j.  A
+        # weight is read off its table, which raises at its first failing
+        # entry (GAMMA_P in the overflow case), after the base family's table:
+        # the six-vertex one stays finite where the gauge factors fail
         with pytest.raises(error, match=message):
             evaluate()
 
