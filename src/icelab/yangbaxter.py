@@ -36,18 +36,19 @@ from .sixvertex import VertexKind, _rapidity, weight6v
 from .threecoloring import (_KIND_OF_CORNERS, ColoredVertexKind, _raw_weight_ctx,
                             _tilde_weight_ctx, _weight_constants)
 
-#: the 18 admissible quadruples in the index picture (bl, br, tl, tr),
-#: ascending, with their kind and base, from threecoloring's corners table
-ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(sorted(
-    ((bl, br, tl, tr), vk) for (bl, tl, tr, br), vk in _KIND_OF_CORNERS.items()))
+#: the 18 admissible quadruples in the index picture (bl, br, tl, tr) with
+#: their kind and base, threecoloring's corners table in its own order: kind
+#: by kind in VertexKind order, base by base
+ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(
+    ((bl, br, tl, tr), vk) for (bl, tl, tr, br), vk in _KIND_OF_CORNERS.items())
 
 
 @dataclass(frozen=True)
 class WeightFamily:
     """Face weights as one table per spectral parameter, plus their Yang-Baxter shift.
 
-    table(phi) lists the 18 admissible weights in ADMISSIBLE order, which maps
-    each quadruple (bl, br, tl, tr) of the index picture to its (kind, r);
+    table(phi) lists the 18 admissible weights in ADMISSIBLE order, so that
+    table(phi)[3 * k + r] is the weight of the k-th VertexKind with base r;
     every other quadruple weighs 0.
     """
 
@@ -55,31 +56,26 @@ class WeightFamily:
     ybe_shift: complex = PI / 3
 
     def weight_table(self, phi: complex) -> list[complex]:
-        """The 18 admissible weights at one spectral parameter, in ADMISSIBLE order."""
+        """The 18 admissible weights at one spectral parameter, in ADMISSIBLE
+        order.  It only calls table: bench/tracer.py counts and times the
+        tables by wrapping this method by name."""
         return self.table(phi)
 
     def weight(self, kind: VertexKind, r: int, phi: complex) -> complex:
         """The weight of kind with base color r in {0, 1, 2}, read off weight_table(phi)."""
-        return self.weight_table(phi)[_BY_KIND.index(3 * list(VertexKind).index(kind) + r % 3)]
+        return self.weight_table(phi)[3 * list(VertexKind).index(kind) + r % 3]
 
 
-#: each ADMISSIBLE entry's index in the 18 weights listed kind by kind, in VertexKind order
-_BY_KIND = tuple(3 * list(VertexKind).index(vk.kind) + vk.r for _, vk in ADMISSIBLE)
-#: a kind per formula, alpha' taking alpha's and beta' beta's, as ADMISSIBLE first meets them
+#: a kind per formula, alpha' taking alpha's and beta' beta's, in the order the
+#: tables evaluate them
 _FORMULAS = (VertexKind.GAMMA_P, VertexKind.BETA, VertexKind.ALPHA, VertexKind.GAMMA)
-
-
-def _kindwise(*weights: list[complex]) -> list[complex]:
-    """A table from lists of weights, kind by kind and base by base."""
-    flat = [w for ws in weights for w in ws]
-    return [flat[i] for i in _BY_KIND]
 
 
 def _formulawise(weight_ctx: Callable, ctx: tuple, phi: complex) -> list[complex]:
     """The table of a threecoloring weight_ctx, one call per formula and base (12 for 18)."""
     gamma_p, beta, alpha, gamma = ([weight_ctx(ctx, kind, r, phi) for r in range(3)]
                                    for kind in _FORMULAS)
-    return _kindwise(alpha * 2, beta * 2, gamma, gamma_p)
+    return alpha * 2 + beta * 2 + gamma + gamma_p
 
 
 def raw_family(params: EllipticParams) -> WeightFamily:
@@ -97,7 +93,7 @@ def sixvertex_family(eta: complex) -> WeightFamily:
     is ignored).  Satisfies the Yang-Baxter equation with shift eta/2."""
     def table(phi: complex) -> list[complex]:
         gamma, beta, alpha = (weight6v(kind, phi, eta) for kind in _FORMULAS[:3])
-        return _kindwise([alpha] * 6, [beta] * 6, [gamma] * 6)
+        return [alpha] * 6 + [beta] * 6 + [gamma] * 6
 
     return WeightFamily(table, ybe_shift=eta / 2)
 
@@ -115,8 +111,8 @@ def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
     admissible internal face, with its LHS and RHS terms (t, i, j, k) in
     ascending t: the weights at ADMISSIBLE positions i, j, k, multiplied in
     the order of the module docstring.  Built on the first sweep by a join
-    over ADMISSIBLE: a side's first quadruple, in ascending t, and its second
-    fix all colors but one, which the third has to take."""
+    over ADMISSIBLE: a side's first quadruple and its second fix all colors
+    but one, which the third has to take."""
     pos = {quad: i for i, (quad, _) in enumerate(ADMISSIBLE)}
     terms: dict[tuple[int, ...], tuple[list, list]] = {}
     for (a, b, c, d), i in pos.items():  # (rp, t, rpp, spp) on the LHS, (rp, r, rpp, t) on the RHS
@@ -129,15 +125,15 @@ def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
                 for s in range(3):
                     if (k := pos.get((b, s, d, br))) is not None:
                         terms.setdefault((b, a, c, s, br, tr), ([], []))[1].append((d, i, j, k))
-    return tuple((colors, tuple(lhs), tuple(rhs)) for colors, (lhs, rhs) in sorted(terms.items()))
+    return tuple((colors, tuple(sorted(lhs)), tuple(sorted(rhs)))
+                 for colors, (lhs, rhs) in sorted(terms.items()))
 
 
 @lru_cache(maxsize=None)
-def _sweep_plan() -> tuple[tuple, tuple, tuple, tuple, tuple[tuple[int, int, int, int], ...]]:
+def _sweep_plan() -> tuple[tuple, tuple, tuple[tuple[int, int, int, int], ...]]:
     """ybe_sweep's index tuples, read off _live_assignments():
 
-    - per side, its distinct first pairs (i, j) in first-seen order (54
-      for its 84 products) and its products as (pair position, k),
+    - per side, its 84 products as ADMISSIBLE positions (i, j, k),
       assignment by assignment in ascending t;
     - per assignment, the positions (x, y, z, w) of its first and second
       LHS products and first and second RHS products in the two flat
@@ -146,10 +142,8 @@ def _sweep_plan() -> tuple[tuple, tuple, tuple, tuple, tuple[tuple[int, int, int
     rows = _live_assignments()
     plan, slots = [], []
     for side in (1, 2):
-        terms = [term[1:] for row in rows for term in row[side]]
-        pairs = {(i, j): None for i, j, _ in terms}  # first-seen order
-        at = {pair: n for n, pair in enumerate(pairs)}
-        plan += tuple(pairs), tuple((at[i, j], k) for i, j, k in terms)
+        terms = tuple(term[1:] for row in rows for term in row[side])
+        plan.append(terms)
         n = itertools.count()
         slots.append([(next(n), next(n) if len(row[side]) == 2 else len(terms)) for row in rows])
     return (*plan, tuple((*lhs, *rhs) for lhs, rhs in zip(*slots)))
@@ -170,14 +164,13 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     """
     _rapidity(phi), _rapidity(phi_p)  # ValueError unless both are finite
     w_phi, w_php, w_u3 = (fam.weight_table(x) for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
-    pairs_a, terms_a, pairs_b, terms_b, groups = _sweep_plan()
-    pa = [w_phi[i] * w_php[j] for i, j in pairs_a]
-    a = [pa[n] * w_u3[k] for n, k in terms_a] + [0j]
-    pb = [w_u3[i] * w_php[j] for i, j in pairs_b]
-    b = [pb[n] * w_phi[k] for n, k in terms_b] + [0j]
-    ma, mb, nan = [*map(abs, a)], [*map(abs, b)], cmath.nan
+    terms_a, terms_b, groups = _sweep_plan()
+    a = [w_phi[i] * w_php[j] * w_u3[k] for i, j, k in terms_a] + [0j]
+    b = [w_u3[i] * w_php[j] * w_phi[k] for i, j, k in terms_b] + [0j]
+    nan = cmath.nan
     residuals = [abs(0j + a[x] + a[y] - (0j + b[z] + b[w])) / (s or nan) for x, y, z, w in groups
-                 if (s := max(ma[x], ma[y], mb[z], mb[w])) or a[x] or a[y] or b[z] or b[w]]
+                 if (s := max(abs(a[x]), abs(a[y]), abs(b[z]), abs(b[w])))
+                 or a[x] or a[y] or b[z] or b[w]]
     return YbeSweep(residual=max(residuals, key=severity, default=0.0),
                     checked=len(residuals), skipped=3 ** 6 - len(residuals))
 
@@ -215,13 +208,16 @@ def zeta_gauge(params: EllipticParams) -> GaugeData:
 
 
 def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, complex]]) -> float:
-    """Worst residual of Phi_r(phi - phi' - shift) = Phi_r(phi)/Phi_r(phi')."""
+    """Worst residual of Phi_r(phi - phi' - shift) = Phi_r(phi)/Phi_r(phi');
+    an empty list of pairs raises ValueError, since it checks nothing."""
+    if not pairs:
+        raise ValueError("gauge_constraint_residual needs at least one (phi, phi') pair, got none")
     for phi, php in pairs:  # ValueError unless every phi and phi' is finite
         _rapidity(phi), _rapidity(php)
     try:
         return max((rel_residual(g.Phi(m, phi - php - g.shift),
                                  g.Phi(m, phi) / g.Phi(m, php))
-                    for phi, php in pairs for m in range(3)), key=severity, default=0.0)
+                    for phi, php in pairs for m in range(3)), key=severity)
     except ZeroDivisionError as exc:
         raise EvaluationOverflowError("a gauge factor Phi_r(phi') underflows to 0") from exc
 
@@ -309,13 +305,12 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
         spin = guarded(cmath.exp, 1j * phi), guarded(cmath.exp, -1j * phi)
         alpha, beta, turn = sheet(TWO_PI_OVER_3 + phi), sheet(phi), phi / (2 * PI)
         expo = -3 * phi / (4 * PI), 0.5 + 3 * phi / (4 * PI)
-        return _kindwise(
-            [sheet.zeta_pow(r, expo[0]) * alpha / t1_23 for r in range(3)] * 2,
-            [-sheet.zeta_pow(r, expo[1]) * beta / t1_23 for r in range(3)] * 2,
-            [spin[0] * guarded(cmath.exp, turn * (lz[r] - lz[(r + 1) % 3]))
-             * sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r] for r in range(3)],
-            [spin[1] * guarded(cmath.exp, turn * (lz[r] - lz[(r - 1) % 3]))
-             * sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r] for r in range(3)])
+        return ([sheet.zeta_pow(r, expo[0]) * alpha / t1_23 for r in range(3)] * 2
+                + [-sheet.zeta_pow(r, expo[1]) * beta / t1_23 for r in range(3)] * 2
+                + [spin[0] * guarded(cmath.exp, turn * (lz[r] - lz[(r + 1) % 3]))
+                   * sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r] for r in range(3)]
+                + [spin[1] * guarded(cmath.exp, turn * (lz[r] - lz[(r - 1) % 3]))
+                   * sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r] for r in range(3)])
 
     return WeightFamily(table, ybe_shift=0.0)
 
@@ -357,12 +352,11 @@ def rosengren_family(params: EllipticParams) -> WeightFamily:
 
     def table(phi: complex) -> list[complex]:
         alpha, beta = sheet(TWO_PI_OVER_3 + phi) / t1_23, sheet(phi)
-        return _kindwise(
-            [alpha] * 6,
-            [-(b[(r - 1) % 3] / b[r]) * beta / t1_23 for r in range(3)],
-            [-(b[(r + 1) % 3] / b[r]) * beta / t1_23 for r in range(3)],
-            [sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r] for r in range(3)],
-            [sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r] for r in range(3)])
+        return ([alpha] * 6
+                + [-(b[(r - 1) % 3] / b[r]) * beta / t1_23 for r in range(3)]
+                + [-(b[(r + 1) % 3] / b[r]) * beta / t1_23 for r in range(3)]
+                + [sheet(lam + TWO_PI_OVER_3 * r - phi) / b[r] for r in range(3)]
+                + [sheet(lam + TWO_PI_OVER_3 * r + phi) / b[r] for r in range(3)])
 
     return WeightFamily(table, ybe_shift=0.0)
 
@@ -370,9 +364,12 @@ def rosengren_family(params: EllipticParams) -> WeightFamily:
 def rosengren_match(params: EllipticParams, phis: Sequence[complex]) -> float:
     """Worst residual, over all kinds, bases and sample arguments, of the
     rosengren_gauge applied kindwise to the appendix family against the
-    rosengren_family closed forms."""
+    rosengren_family closed forms; an empty list of arguments raises
+    ValueError, since it checks nothing."""
+    if not phis:
+        raise ValueError("rosengren_match needs at least one sample phi, got none")
     gauged = apply_gauge_kindwise(appendix_family(params), rosengren_gauge(params))
     target = rosengren_family(params)
     return max((rel_residual(x, y) for phi in phis
                 for x, y in zip(gauged.weight_table(phi), target.weight_table(phi))),
-               key=severity, default=0.0)
+               key=severity)

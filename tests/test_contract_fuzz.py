@@ -201,6 +201,14 @@ CALLS = {
     "zeta_log_table": (zeta_log_table, st.tuples(params)),
 }
 
+def test_every_export_has_a_strategy():
+    # an export without a strategy would fail only as a KeyError inside the
+    # fuzz's generation
+    missing, extra = sorted(set(EXPORTED) - set(CALLS)), sorted(set(CALLS) - set(EXPORTED))
+    assert set(CALLS) == set(EXPORTED), (f"exports without a strategy: {missing}; "
+                                         f"strategies for no export: {extra}")
+
+
 def _numbers(value):
     """Every int, float and complex in value, through tuples, lists, dicts
     (keys and values) and dataclass fields."""

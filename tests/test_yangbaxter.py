@@ -135,20 +135,22 @@ def _weight_at(fam, bl, br, tl, tr, phi):
     return _by_quad(fam.weight_table(phi))[tuple(c % 3 for c in (bl, br, tl, tr))]
 
 
+def _loop_admissible():
+    """Each quadruple (bl, br, tl, tr) of the adjacency filter over all 81,
+    with its kind from the % 3 loop reference."""
+    return {(bl, br, tl, tr): _loop_classify_vertex(bl, tl, tr, br)
+            for bl, br, tl, tr in itertools.product(range(3), repeat=4)
+            if all((a - b) % 3 in (1, 2) for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl)))}
+
+
 def test_admissible_quadruples():
-    # the corners table sorted in (bl, br, tl, tr) order equals the adjacency
-    # filter over all 81 quadruples, classified by the % 3 loop reference,
-    # in the same ascending order
-    want = tuple(
-        ((bl, br, tl, tr), _loop_classify_vertex(bl, tl, tr, br))
-        for bl, br, tl, tr in itertools.product(range(3), repeat=4)
-        if all((a - b) % 3 in (1, 2) for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl))))
+    # the loop classification listed kind by kind in VertexKind order, base
+    # by base: entry 3k + r is the k-th kind with base r
+    kinds = list(VertexKind)
+    want = tuple(sorted(_loop_admissible().items(),
+                        key=lambda row: (kinds.index(row[1].kind), row[1].r)))
     assert ADMISSIBLE == want
-    assert len(ADMISSIBLE) == 18
-    kinds = {}
-    for _quad, vk in ADMISSIBLE:
-        kinds.setdefault(vk.kind, set()).add(vk.r)
-    assert all(bases == {0, 1, 2} for bases in kinds.values())
+    assert [3 * kinds.index(vk.kind) + vk.r for _, vk in ADMISSIBLE] == list(range(18))
 
 
 class TestYangBaxter:
@@ -284,27 +286,44 @@ class TestYangBaxter:
         assert seen == set(itertools.product(shapes, ("zero", "nan-after-zero", "all-nan")))
 
     def test_sweep_plan_covers_every_product_once(self):
-        # each side's 84 products share 54 first pairs; the 60 groups index
-        # every product of the flat lists exactly once, in the order of the
-        # assignment's terms, and position 84, the 0j pad, fills only the
-        # second slot of a side with one product: 18, 18, 18 and 6
-        # assignments of the shapes (1, 1), (1, 2), (2, 1) and (2, 2)
-        pairs_a, terms_a, pairs_b, terms_b, groups = yangbaxter._sweep_plan()
-        assert (len(pairs_a), len(terms_a), len(pairs_b), len(terms_b)) == (54, 84, 54, 84)
+        # each side's 84 products are _live_assignments()'s terms in order;
+        # the 60 groups index every product of the flat lists exactly once,
+        # in the order of the assignment's terms, and position 84, the 0j
+        # pad, fills only the second slot of a side with one product: 18,
+        # 18, 18 and 6 assignments of the shapes (1, 1), (1, 2), (2, 1), (2, 2)
+        terms_a, terms_b, groups = yangbaxter._sweep_plan()
         rows = _live_assignments()
+        assert list(terms_a) == [t[1:] for _, lhs, _ in rows for t in lhs]
+        assert list(terms_b) == [t[1:] for _, _, rhs in rows for t in rhs]
+        assert (len(terms_a), len(terms_b)) == (84, 84)
         assert len(groups) == len(rows) == 60
-        for side, pairs, flat in ((0, pairs_a, terms_a), (2, pairs_b, terms_b)):
+        for side, flat in ((0, terms_a), (2, terms_b)):
             slots = [group[side:side + 2] for group in groups]
             assert sorted(x for slot in slots for x in slot if x != 84) == list(range(84))
             assert 84 not in (first for first, _ in slots)
             for (first, second), row in zip(slots, rows):
                 at = (first,) if second == 84 else (first, second)
-                assert [pairs[flat[x][0]] + (flat[x][1],) for x in at] == [
-                    t[1:] for t in row[1 + side // 2]]
+                assert [flat[x] for x in at] == [t[1:] for t in row[1 + side // 2]]
         shapes = collections.Counter((1 + (y != 84), 1 + (w != 84)) for _, y, _, w in groups)
         assert shapes == {(1, 1): 18, (1, 2): 18, (2, 1): 18, (2, 2): 6}
-        assert [pairs_a[n] + (k,) for n, k in terms_a] == [t[1:] for _, lhs, _ in rows for t in lhs]
-        assert [pairs_b[n] + (k,) for n, k in terms_b] == [t[1:] for _, _, rhs in rows for t in rhs]
+
+    def test_hand_built_table_is_read_kind_major(self):
+        # entry 3k + r of a hand-built table is the k-th VertexKind with base
+        # r, both for weight and for the sweep: the quadruples the loop
+        # reference reads the table at are those the % 3 loop classifies
+        rnd = random.Random(49)
+        kinds = list(VertexKind)
+        args = (0.2, 0.9, -1.2)  # phi, phi' and phi - phi' - shift at shift 0.5
+        tables = [[complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for _ in range(18)] for _ in args]
+        fam = WeightFamily(lambda phi: tables[args.index(phi)], ybe_shift=0.5)
+        for k, kind in enumerate(kinds):
+            for r in range(3):
+                assert fam.weight(kind, r, 0.2) == tables[0][3 * k + r]
+        for phi, table in zip(args, tables):
+            assert _by_quad(fam.weight_table(phi)) == {
+                quad: table[3 * kinds.index(vk.kind) + vk.r]
+                for quad, vk in _loop_admissible().items()}
+        assert _bits(ybe_sweep(fam, 0.2, 0.9)) == _bits(_loop_ybe_sweep(fam, 0.2, 0.9))
 
     def test_live_assignments_equal_the_exhaustive_scan(self):
         # the join gives the rows of the scan over all 3^6 assignments, three
@@ -424,6 +443,13 @@ class TestGauge:
         assert gauge_constraint_residual(zeta_gauge(pr), pairs) < 1e-12
         assert gauge_constraint_residual(rosengren_gauge(pr), pairs) < 1e-12
 
+    def test_empty_samples_raise(self):
+        # no sample checks nothing: both returned 0.0, a pass from zero samples
+        with pytest.raises(ValueError, match="at least one sample phi"):
+            rosengren_match(params(), [])
+        with pytest.raises(ValueError, match=r"at least one \(phi, phi'\) pair"):
+            gauge_constraint_residual(zeta_gauge(params()), [])
+
     def test_nan_phi_fails_the_constraint(self):
         # a NaN Phi_2 after two finite colours gave residual 0.0
         g = zeta_gauge(params())
@@ -506,11 +532,11 @@ class TestGauge:
         (lambda: apply_gauge_kindwise(sixvertex_family(1.1),
                                       rosengren_gauge(params(0.2, 0.4))).weight(
              VertexKind.GAMMA, 1, 300j),
-         EvaluationOverflowError, "^the gauge factors of GAMMA underflow to 0"),
+         EvaluationOverflowError, "^the gauge factors of ALPHA underflow to 0"),
         (lambda: apply_gauge_kindwise(sixvertex_family(1.1),
                                       rosengren_gauge(params(0.2, 0.4))).weight(
              VertexKind.GAMMA_P, 1, 4000.0),
-         EvaluationOverflowError, "^the gauge factors of GAMMA_P underflow to 0"),
+         EvaluationOverflowError, "^the gauge factors of ALPHA underflow to 0"),
         (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(1e5, 1e5)]),
          EvaluationOverflowError, r"^a gauge factor Phi_r\(phi'\) underflows to 0"),
         (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(math.inf, 0.3)]),
@@ -523,7 +549,7 @@ class TestGauge:
          ValueError, r"^rapidity \(nan\+0j\) is not finite"),
         (lambda: apply_gauge_kindwise(sixvertex_family(1e5), zeta_gauge(params(0.25, 0.0))).weight(
              VertexKind.ALPHA, 0, -2000.0),
-         EvaluationOverflowError, "^the gauge factors of GAMMA_P overflow"),
+         EvaluationOverflowError, "^the gauge factors of ALPHA overflow"),
     ], ids=["gauged-weight-underflow", "gauged-real-weight-underflow", "constraint-underflow",
             "constraint-inf", "gauged-weight-inf", "constraint-nan", "gauged-weight-overflow"])
     def test_gauge_seams_raise_typed_errors(self, evaluate, error, message):
@@ -532,8 +558,9 @@ class TestGauge:
         # domain error" ValueError and a NaN phi a NaN residual with no error;
         # a Phi ratio past the doubles made a finite weight NaN + NaN j.  A
         # weight is read off its table, which raises at its first failing
-        # entry (GAMMA_P in the overflow case), after the base family's table:
-        # the six-vertex one stays finite where the gauge factors fail
+        # entry (ALPHA, the first kind, in the gauged six-vertex cases), after
+        # the base family's table: the six-vertex one stays finite where the
+        # gauge factors fail
         with pytest.raises(error, match=message):
             evaluate()
 
