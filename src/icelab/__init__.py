@@ -4,7 +4,8 @@ and the six-vertex model with domain-wall boundaries."""
 from .errors import (BranchDomainError, ConfigError, CrossingParameterError,
                      DegenerateCrossingError, EvaluationOverflowError, IcelabError,
                      InvalidColoringError, InvalidStateError, NomeDomainError,
-                     PoleError, SeriesTruncationError, SizeGuardError)
+                     NonFiniteParameterError, PoleError, SeriesTruncationError,
+                     SizeGuardError)
 from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
                     cubic_factor_D, quasi_period_factor, theta1,
                     theta1_prime_at_zero, theta1_reduced, theta4, zeta,

@@ -25,6 +25,11 @@ class SizeGuardError(IcelabError):
     """Requested lattice exceeds an enumeration or evaluation guard."""
 
 
+class NonFiniteParameterError(IcelabError, ValueError):
+    """A rapidity, spectral or crossing parameter, or theta argument is not
+    finite (NaN included)."""
+
+
 class DegenerateCrossingError(IcelabError):
     """sin(eta) vanishes; the trigonometric weights are undefined."""
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable, Iterable
 
-from .errors import EvaluationOverflowError
+from .errors import EvaluationOverflowError, NonFiniteParameterError
 
 
 def stable_sum(terms: Iterable[complex]) -> complex:
@@ -18,6 +19,14 @@ def stable_sum(terms: Iterable[complex]) -> complex:
     for t in sorted(terms, key=abs):
         total += t
     return total
+
+
+def finite(value: complex, name: str) -> complex:
+    """value as a complex; NonFiniteParameterError, naming it, if it is not
+    finite (NaN included): the one check of rapidities, eta and theta arguments."""
+    if not cmath.isfinite(value := complex(value)):
+        raise NonFiniteParameterError(f"{name} {value} is not finite")
+    return value
 
 
 def guarded(fn: Callable[[complex], complex], x: complex, name: str = "x") -> complex:

@@ -16,11 +16,9 @@ table, so the walk's states skip the public constructor's ice-rule check; the
 partition functions list none, a sweep adding one vertex at a time with one
 amplitude per mask of vertical edges under it.
 
-The six vertex kinds, by (left, right, top, bottom) edge booleans:
-
-    ALPHA   (T,T,T,T)    ALPHA_P (F,F,F,F)
-    BETA    (T,T,F,F)    BETA_P  (F,F,T,T)
-    GAMMA   (T,F,T,F)    GAMMA_P (F,T,F,T)
+The six vertex kinds are defined once, in _KINDS, by their edges and by
+their faces in the three-coloring model: the ice rule, the sweep's base
+colors and threecoloring's classification all read that table.
 
 Trigonometric weights with spectral parameter phi and crossing parameter eta:
 
@@ -45,7 +43,7 @@ from functools import lru_cache, partial
 
 from .errors import (CrossingParameterError, DegenerateCrossingError,
                      EvaluationOverflowError, InvalidStateError, SizeGuardError)
-from .numutil import guarded, rel_residual, stable_sum
+from .numutil import finite, guarded, rel_residual, stable_sum
 
 MAX_ENUM_N = 7
 MAX_EVAL_N = 12
@@ -65,14 +63,19 @@ class VertexKind(Enum):
         return self in (VertexKind.GAMMA, VertexKind.GAMMA_P)
 
 
-_KIND_FROM_EDGES = {
-    (True, True, True, True): VertexKind.ALPHA,
-    (False, False, False, False): VertexKind.ALPHA_P,
-    (True, True, False, False): VertexKind.BETA,
-    (False, False, True, True): VertexKind.BETA_P,
-    (True, False, True, False): VertexKind.GAMMA,
-    (False, True, False, True): VertexKind.GAMMA_P,
+#: the one definition of the six kinds: per kind, its (left, right, top,
+#: bottom) edges, True pointing right or up, and its (bl, tl, tr, br) faces
+#: less the base color, the bottom-left face for the alpha kinds and the
+#: top-left face for the others; the two agree under threecoloring's arrow map
+_KINDS: dict[VertexKind, tuple[tuple[bool, ...], tuple[int, ...]]] = {
+    VertexKind.ALPHA: ((True, True, True, True), (0, -1, 0, 1)),
+    VertexKind.ALPHA_P: ((False, False, False, False), (0, 1, 0, -1)),
+    VertexKind.BETA: ((True, True, False, False), (1, 0, -1, 0)),
+    VertexKind.BETA_P: ((False, False, True, True), (-1, 0, 1, 0)),
+    VertexKind.GAMMA: ((True, False, True, False), (1, 0, 1, 0)),
+    VertexKind.GAMMA_P: ((False, True, False, True), (-1, 0, -1, 0)),
 }
+_KIND_FROM_EDGES = {edges: kind for kind, (edges, _) in _KINDS.items()}
 #: per (left, top) edge pair, the (right, bottom, kind) completing a vertex
 #: under the ice rule, right ascending
 _COMPLETIONS = {(left, top): sorted((r, b, kind) for (l, r, t, b), kind
@@ -196,17 +199,14 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     return states
 
 
-def _rapidity(value: complex) -> complex:
-    """value as a complex rapidity; ValueError if it is not finite (NaN included)."""
-    if not cmath.isfinite(value := complex(value)):
-        raise ValueError(f"rapidity {value} is not finite")
-    return value
+#: value as a complex rapidity; NonFiniteParameterError if it is not finite
+_rapidity = partial(finite, name="rapidity")
 
 
 @dataclass(frozen=True)
 class SpectralAssignment:
     """Line rapidities: chi for horizontal lines (top first), psi for vertical
-    lines (left first), all finite, plus the crossing parameter eta."""
+    lines (left first), plus the crossing parameter eta, all finite."""
 
     chi: tuple[complex, ...]
     psi: tuple[complex, ...]
@@ -218,7 +218,7 @@ class SpectralAssignment:
             raise ValueError("chi and psi must have equal length")
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "eta", complex(self.eta))
+        object.__setattr__(self, "eta", finite(self.eta, "eta"))
 
     @property
     def n(self) -> int:
@@ -259,18 +259,18 @@ _sin = partial(guarded, cmath.sin)
 
 
 def _sin_eta(eta: complex) -> complex:
-    """sin(eta); DegenerateCrossingError for an eta that is not finite (NaN
-    included) or a sin(eta) near 0, EvaluationOverflowError past the doubles."""
-    if not cmath.isfinite(eta):
-        raise DegenerateCrossingError(f"eta = {eta} is not finite")
-    s = _sin(eta, "eta")
+    """sin(eta); NonFiniteParameterError for an eta that is not finite (NaN
+    included), DegenerateCrossingError for a sin(eta) near 0,
+    EvaluationOverflowError past the doubles."""
+    s = _sin(finite(eta, "eta"), "eta")
     if not abs(s) >= 1e-12:
         raise DegenerateCrossingError(f"sin(eta) ~ 0 at eta = {eta}")
     return s
 
 
 def weight6v(kind: VertexKind, phi: complex, eta: complex) -> complex:
-    """Trigonometric vertex weight at spectral parameter phi, a finite one (else ValueError)."""
+    """Trigonometric vertex weight at spectral parameter phi, a finite one
+    (else NonFiniteParameterError)."""
     _rapidity(phi)
     s = _sin_eta(eta)
     if kind in _ALPHAS:
@@ -292,8 +292,8 @@ def _vertex_program(n: int):
     right.  An arrow carried right must meet an up edge later in its row;
     every other state reaches the bottom boundary.  codes are the vertex's
     distinct (kind, offset), offset the base color at top-left corner color
-    0: the bottom-left face i + 1 + 2 popcount(mask below j) - j for alpha,
-    else the top-left face, that - 2 left + 1.  The states behind the vertex
+    0: the bottom-left face i + 1 + 2 popcount(mask below j) - j less the
+    kind's bottom-left offset in _KINDS.  The states behind the vertex
     are numbered those with two predecessors first, (a, p, b, q) in two,
     then the others, (a, p) in one: a, b number states in front, p, q codes."""
     program, index = [], {(1 << n) - 1: 0}
@@ -305,8 +305,7 @@ def _vertex_program(n: int):
             for right, bottom, kind in _COMPLETIONS[left, mask >> j & 1]:
                 if right and not mask >> (j + 1):
                     continue
-                base = bl if kind in _ALPHAS else bl - 2 * left + 1
-                p = codes.setdefault((kind, base % 3), len(codes))
+                p = codes.setdefault((kind, (bl - _KINDS[kind][1][0]) % 3), len(codes))
                 dst = mask & ~(1 << j) | bottom << j
                 preds[dst] = preds.get(dst, ()) + (a, p)
         two = [dst for dst, p in preds.items() if len(p) == 4]

@@ -39,6 +39,7 @@ from functools import lru_cache
 from math import copysign
 
 from .errors import EvaluationOverflowError, NomeDomainError, PoleError, SeriesTruncationError
+from .numutil import finite
 
 PI = math.pi
 TWO_PI_OVER_3 = 2.0 * PI / 3.0
@@ -159,8 +160,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float) -> complex:
     only zero parts of the sines, cosines and the products they feed, so it
     never changes the bits of a sum.
     """
-    if not cmath.isfinite(phi):
-        raise SeriesTruncationError(f"theta argument {phi} is not finite")
+    finite(phi, "theta argument")
     p, _, tol, max_terms = key
     term, table, plan = powers = _nome_powers(key, a, offset)
     trig = cmath.sin if a else cmath.cos

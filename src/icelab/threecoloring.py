@@ -12,22 +12,18 @@ must differ (equivalently, differ by +1 or -1 mod 3).  Boundary conditions:
             c+i, row n to c+n-j and column n to c+n-i.
 
 Every internal vertex of the face lattice sees four face colors
-(bottom-left, top-left, top-right, bottom-right).  Exactly one diagonal of
-the quadruple is constant, which sorts the 18 admissible patterns into six
-kinds with a base color r:
-
-    ALPHA   (r,   r-1, r,   r+1)      ALPHA_P (r,   r+1, r,   r-1)
-    BETA    (r+1, r,   r-1, r  )      BETA_P  (r-1, r,   r+1, r  )
-    GAMMA   (r+1, r,   r+1, r  )      GAMMA_P (r-1, r,   r-1, r  )
-
-in (bl, tl, tr, br) order; every classification reads the 18 quadruples that
-_CORNER_PATTERN generates.  The arrow map sends a coloring to an ice state:
-a horizontal edge points right iff its south face is its north face + 1, a
-vertical edge points up iff its east face is its west face + 1; the vertex
-kind of the face quadruple equals the arrow kind, and the map is three to
-one (fixing any single face color makes it a bijection).  The domain-wall
-partial partition functions therefore run the six-vertex vertex sweep, the
-base colors read off the height function of each sweep state.
+(bottom-left, top-left, top-right, bottom-right).  At least one diagonal of
+the quadruple is constant (both for GAMMA and GAMMA_P, which take two
+colors), and the 18 admissible quadruples sort into the six vertex kinds,
+each with a base color r: a kind's faces are r plus its offsets in
+sixvertex._KINDS, the one table of the kinds, and every classification
+reads the 18 quadruples built from it.  The arrow map sends a coloring to an
+ice state: a horizontal edge points right iff its south face is its north
+face + 1, a vertical edge points up iff its east face is its west face + 1;
+the vertex kind of the face quadruple equals the arrow kind, and the map is
+three to one (fixing any single face color makes it a bijection).  The
+domain-wall partial partition functions therefore run the six-vertex vertex
+sweep, the base colors read off the height function of each sweep state.
 
 Two weight families are evaluated for a vertex of kind/base (k, r) at
 spectral parameter phi, both built on theta functions of nome p with the
@@ -73,9 +69,9 @@ from .errors import (BranchDomainError, ConfigError, EvaluationOverflowError,
 from .numutil import guarded, rel_residual
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, cubic_factor_D,
                     quasi_period_factor, theta1, theta1_reduced, theta4, theta_triple)
-from .sixvertex import (_ALPHAS, _BETAS, SixVertexState, SpectralAssignment, VertexKind,
-                        _dressed, _recursion_residual, _three_term_residual, _unchecked,
-                        _vertex_sweep)
+from .sixvertex import (_ALPHAS, _BETAS, _KINDS, SixVertexState, SpectralAssignment,
+                        VertexKind, _dressed, _recursion_residual, _three_term_residual,
+                        _unchecked, _vertex_sweep)
 
 MAX_FREE_CELLS = 25
 MAX_DWBC_N = 5
@@ -102,16 +98,6 @@ class FaceWeightParams:
                 raise ConfigError(f"face weight {name} must be finite, got {z!r}")
 
 
-_CORNER_PATTERN: dict[VertexKind, tuple[int, int, int, int]] = {
-    VertexKind.ALPHA: (0, -1, 0, 1),
-    VertexKind.ALPHA_P: (0, 1, 0, -1),
-    VertexKind.BETA: (1, 0, -1, 0),
-    VertexKind.BETA_P: (-1, 0, 1, 0),
-    VertexKind.GAMMA: (1, 0, 1, 0),
-    VertexKind.GAMMA_P: (-1, 0, -1, 0),
-}
-
-
 @dataclass(frozen=True)
 class ColoredVertexKind:
     """A vertex kind together with the base color r in {0, 1, 2} of its
@@ -129,7 +115,7 @@ class ColoredVertexKind:
         written literally as r-1 / r+1 (possibly -1 or 3).  Gauge factors that
         are not periodic in the integer label (such as exp(i r phi / 2) terms)
         must be fed these lifts."""
-        return tuple(self.r + d for d in _CORNER_PATTERN[self.kind])
+        return tuple(self.r + d for d in _KINDS[self.kind][1])
 
     def corner_colors(self) -> tuple[int, int, int, int]:
         return tuple(x % 3 for x in self.corner_lifts())
@@ -138,7 +124,7 @@ class ColoredVertexKind:
 #: the 18 admissible (bl, tl, tr, br) color quadruples and their kinds
 _KIND_OF_CORNERS: dict[tuple[int, int, int, int], ColoredVertexKind] = {
     vk.corner_colors(): vk
-    for vk in (ColoredVertexKind(kind, r) for kind in _CORNER_PATTERN for r in range(3))}
+    for vk in (ColoredVertexKind(kind, r) for kind in _KINDS for r in range(3))}
 
 
 def classify_vertex(bl: int, tl: int, tr: int, br: int) -> ColoredVertexKind:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .errors import EvaluationOverflowError
+from .errors import EvaluationOverflowError, IcelabError
 from .numutil import guarded, rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
@@ -62,8 +62,15 @@ class WeightFamily:
         return self.table(phi)
 
     def weight(self, kind: VertexKind, r: int, phi: complex) -> complex:
-        """The weight of kind with base color r in {0, 1, 2}, read off weight_table(phi)."""
-        return self.weight_table(phi)[3 * list(VertexKind).index(kind) + r % 3]
+        """The weight of kind with base color r in {0, 1, 2}, read off
+        weight_table(phi).  Where the table raises an IcelabError, which names
+        its first failing entry, an error of that type names kind and r and
+        is chained from it."""
+        try:
+            table = self.weight_table(phi)
+        except IcelabError as exc:
+            raise type(exc)(f"weight({kind.name}, {r}, phi = {phi}): {exc}") from exc
+        return table[3 * list(VertexKind).index(kind) + r % 3]
 
 
 #: a kind per formula, alpha' taking alpha's and beta' beta's, in the order the
@@ -162,7 +169,7 @@ def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     serves every assignment: a side with one product adds the list's 0j pad,
     which changes no bit that abs, max or the skip rule reads.
     """
-    _rapidity(phi), _rapidity(phi_p)  # ValueError unless both are finite
+    _rapidity(phi), _rapidity(phi_p)  # NonFiniteParameterError unless both are finite
     w_phi, w_php, w_u3 = (fam.weight_table(x) for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
     terms_a, terms_b, groups = _sweep_plan()
     a = [w_phi[i] * w_php[j] * w_u3[k] for i, j, k in terms_a] + [0j]
@@ -212,7 +219,7 @@ def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, compl
     an empty list of pairs raises ValueError, since it checks nothing."""
     if not pairs:
         raise ValueError("gauge_constraint_residual needs at least one (phi, phi') pair, got none")
-    for phi, php in pairs:  # ValueError unless every phi and phi' is finite
+    for phi, php in pairs:  # NonFiniteParameterError unless every phi and phi' is finite
         _rapidity(phi), _rapidity(php)
     try:
         return max((rel_residual(g.Phi(m, phi - php - g.shift),
@@ -232,7 +239,7 @@ def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     written literally as r-1 / r+1), table-wise: C(m) and Phi(m, phi) once per
     lift m in -1..3, the table of fam, then each factor in ADMISSIBLE order."""
     def table(phi: complex) -> list[complex]:
-        _rapidity(phi)  # ValueError unless phi is finite
+        _rapidity(phi)  # NonFiniteParameterError unless phi is finite
         c, f = {m: g.C(m) for m in range(-1, 4)}, {m: g.Phi(m, phi) for m in range(-1, 4)}
         weights, gauged = fam.weight_table(phi), []
         for w, ((lbl, ltl, ltr, lbr), kind) in zip(weights, _LIFTS):

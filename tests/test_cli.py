@@ -663,3 +663,18 @@ class TestParallelSuites:
         result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                 capture_output=True, text=True)
         assert result.stdout == "False\n"
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy 2 loads numpy.random lazily, on the first draw; an eager import
+        # of it by icelab would add its 19 modules, 10-15 ms, to every
+        # process's start-up, the CLI's and each benchmark process's
+        code = ("import sys, numpy\n"
+                "print('numpy.random' in sys.modules)\n"
+                "import icelab.cli\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(icelab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True)
+        if result.stdout.startswith("True"):
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert result.stdout == "False\nFalse\n"

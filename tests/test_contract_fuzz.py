@@ -76,9 +76,11 @@ gauges = st.tuples(st.sampled_from([zeta_gauge, rosengren_gauge]), params)
 @st.composite
 def assignments(draw, n_min=0):
     n = draw(st.integers(n_min, 2))
+    # every rapidity and eta finite: the constructor refuses the others, and
+    # the "SpectralAssignment" entry calls it with them
     chi, psi = (draw(st.lists(finite_complexes, min_size=n, max_size=n)) for _ in range(2))
     return SpectralAssignment(chi=chi, psi=psi, eta=draw(st.one_of(st.floats(0.3, 3.0),
-                                                                   complexes)))
+                                                                   finite_complexes)))
 
 
 @st.composite

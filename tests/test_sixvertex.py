@@ -11,14 +11,16 @@ import pytest
 
 import icelab
 from icelab import (DegenerateCrossingError, CrossingParameterError, EvaluationOverflowError,
-                    InvalidStateError, SizeGuardError, SpectralAssignment,
+                    InvalidStateError, NonFiniteParameterError, SizeGuardError,
+                    SpectralAssignment,
                     SixVertexState,
                     VertexKind, check_recursion_6v, enumerate_dwbc_states,
                     F_n_6v, functional_residual_6v, partition_function_6v,
                     sixvertex_family, weight6v, ybe_sweep)
 from icelab.numutil import stable_sum
 from icelab.sixvertex import (MAX_ENUM_N, MAX_EVAL_N, _ALPHAS, _BETAS, _COMPLETIONS,
-                              _KIND_FROM_EDGES, _row_moves, _sin_eta, _vertex_sweep)
+                              _KIND_FROM_EDGES, _KINDS, _row_moves, _sin_eta, _unchecked,
+                              _vertex_sweep)
 
 PI = math.pi
 ETA0 = 2 * PI / 3
@@ -256,6 +258,24 @@ class TestEnumeration:
         assert sum(map(len, _COMPLETIONS.values())) == 6
         assert all(entries == sorted(entries) for entries in _COMPLETIONS.values())
 
+    def test_kind_table_columns_agree_under_the_arrow_map(self):
+        # _KINDS is the one definition of the kinds, by edges and by faces
+        # less the base color.  For every kind and base r the faces r +
+        # offsets are a proper coloring whose arrows, mod 3, are the kind's
+        # edges: the left edge points right iff bl = tl + 1, the right edge
+        # iff br = tr + 1, the top edge up iff tr = tl + 1 and the bottom edge
+        # up iff br = bl + 1.  The base is the bottom-left face of the alpha
+        # kinds and the top-left face of the others
+        assert list(_KINDS) == list(VertexKind)
+        for kind, (edges, offsets) in _KINDS.items():
+            assert offsets[0 if kind in _ALPHAS else 1] == 0
+            for r in range(3):
+                bl, tl, tr, br = (r + d for d in offsets)
+                assert all((x - y) % 3 for x, y in ((bl, tl), (tl, tr), (tr, br), (br, bl)))
+                arrows = ((bl - tl) % 3 == 1, (br - tr) % 3 == 1,
+                          (tr - tl) % 3 == 1, (br - bl) % 3 == 1)
+                assert arrows == edges, (kind, r)
+
     def test_row_moves_exhaustive(self):
         # every move under every vertical edge tuple the walk can meet, 254
         # tuples of widths 1..MAX_ENUM_N: one h edge per vertex plus the
@@ -381,12 +401,12 @@ class TestWeights:
                              ids=["nan", "inf", "-inf", "nanj"])
     def test_non_finite_eta_raises(self, eta):
         # NaN failed abs(sin(eta)) < 1e-12 and returned NaN sums; inf raised
-        # an untyped ValueError from sin
-        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=eta)
-        for evaluate in (lambda: partition_function_6v(a),
+        # an untyped ValueError from sin.  The assignment refuses it when it
+        # is built, with the one error of a parameter that is not finite
+        for evaluate in (lambda: SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=eta),
                          lambda: weight6v(VertexKind.GAMMA, 0.3, eta),
-                         lambda: check_recursion_6v(a, 1, 1, 1)):
-            with pytest.raises(DegenerateCrossingError, match="^eta = .* is not finite$"):
+                         lambda: _sin_eta(eta)):
+            with pytest.raises(NonFiniteParameterError, match="^eta .* is not finite$"):
                 evaluate()
 
     def test_overflowing_sin_eta_raises(self):
@@ -465,17 +485,20 @@ class TestSpectralAssignment:
                                      complex(0.1, -math.inf)])
     def test_non_finite_rapidity_raises(self, bad):
         # a NaN chi built and gave nan+nanj partition functions; an infinite one
-        # failed later, in cmath or in a theta sum
+        # failed later, in cmath or in a theta sum.  The error is a ValueError
+        # as well as an IcelabError
+        assert issubclass(NonFiniteParameterError, ValueError)
+        assert issubclass(NonFiniteParameterError, icelab.IcelabError)
         for chi, psi in (([bad, 0.1], [0.2, 0.3]), ([0.1, 0.2], [0.3, bad])):
-            with pytest.raises(ValueError, match="^rapidity .* is not finite$"):
+            with pytest.raises(NonFiniteParameterError, match="^rapidity .* is not finite$"):
                 SpectralAssignment(chi=chi, psi=psi)
         a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
         for edit in (lambda: a.replace_chi(1, bad), lambda: a.shift_chi(2, bad),
                      lambda: a.shift_psi(1, bad)):
-            with pytest.raises(ValueError, match="^rapidity .* is not finite$"):
+            with pytest.raises(NonFiniteParameterError, match="^rapidity .* is not finite$"):
                 edit()
         # a finite shift past the double range is refused as well
-        with pytest.raises(ValueError, match="^rapidity .* is not finite$"):
+        with pytest.raises(NonFiniteParameterError, match="^rapidity .* is not finite$"):
             a.replace_chi(1, 1e308).shift_chi(1, 1e308)
 
     @pytest.mark.parametrize("edit", [
@@ -739,8 +762,13 @@ class TestFunctionalSums:
     @pytest.mark.parametrize("eta", [math.nan, complex(0, math.nan)], ids=["nan", "nanj"])
     def test_nan_eta_gets_the_crossing_error(self, eta):
         # abs(eta - 2pi/3) > 1e-12 is False for NaN: the sums let NaN through
-        # and failed later, in sin(eta), with DegenerateCrossingError
-        a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=eta)
+        # and failed later, in sin(eta), with DegenerateCrossingError.  The
+        # public constructor now refuses a NaN eta; one built past its check
+        # still meets the crossing guard first
+        with pytest.raises(NonFiniteParameterError, match="^eta .* is not finite$"):
+            SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4], eta=eta)
+        a = _unchecked(SpectralAssignment)((0.1 + 0j, 0.2 + 0j), (0.3 + 0j, 0.4 + 0j),
+                                           complex(eta))
         for evaluate in (lambda: functional_residual_6v(a, 1, "chi"),
                          lambda: check_recursion_6v(a, 1, 1, 1, form="F")):
             with pytest.raises(CrossingParameterError, match="^functional sums require eta"):

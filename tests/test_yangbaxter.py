@@ -10,8 +10,8 @@ import struct
 
 import pytest
 
-from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError, PoleError,
-                    SeriesTruncationError, SpectralAssignment, VertexKind,
+from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError,
+                    NonFiniteParameterError, PoleError, SpectralAssignment, VertexKind,
                     appendix_family, appendix_substitution,
                     apply_gauge_kindwise,
                     gauge_constraint_residual, phi_ratio_factor, psi_factor, raw_family,
@@ -471,7 +471,7 @@ class TestGauge:
 
     @pytest.mark.parametrize("evaluate", [
         lambda: rosengren_gauge(params(0.2, 0.4)).Phi(-1, 2000j),
-        lambda: appendix_family(params(0.2, 0.4)).weight(VertexKind.GAMMA, 0, -2000j),
+        lambda: appendix_family(params(0.2, 0.4)).weight_table(-2000j),
         lambda: psi_factor(0, EllipticParams.from_nome(0.2, lam=800j)),
         lambda: phi_ratio_factor(1, 0, SpectralAssignment(chi=[1e5], psi=[0.0]),
                                  params(0.2, 0.4)),
@@ -486,7 +486,7 @@ class TestGauge:
         assert isinstance(err.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("evaluate", [
-        lambda: appendix_family(params(0.2, 0.4)).weight(VertexKind.ALPHA, 2, 1e5),
+        lambda: appendix_family(params(0.2, 0.4)).weight_table(1e5),
         lambda: zeta_gauge(params(0.2, 0.4)).Phi(1, 1e5),
         lambda: raw_weight(ColoredVertexKind(VertexKind.ALPHA, 0), 1e5, params(0.2, 0.4)),
     ], ids=["appendix_family", "zeta_gauge", "raw_weight"])
@@ -502,8 +502,8 @@ class TestGauge:
         vk = ColoredVertexKind(VertexKind.ALPHA, 0)
         with pytest.raises(EvaluationOverflowError, match="^zeta_0"):
             raw_weight(vk, -1.7e308, params(0.0, 0.24))
-        # a NaN phi still meets the theta series' own error
-        with pytest.raises(SeriesTruncationError, match="is not finite"):
+        # a NaN phi meets the theta series' finiteness check
+        with pytest.raises(NonFiniteParameterError, match="^theta argument .* is not finite$"):
             raw_weight(vk, math.nan, params(0.0, 0.24))
 
     @pytest.mark.parametrize("evaluate, error, message", [
@@ -514,11 +514,11 @@ class TestGauge:
         (lambda: ybe_sweep(raw_family(params(0.2, 0.4)), 1e5, 0.3),
          EvaluationOverflowError, "^GAMMA_P prefactor overflows"),
         (lambda: weight6v(VertexKind.ALPHA, math.inf, 1.1),
-         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+         NonFiniteParameterError, r"^rapidity \(inf\+0j\) is not finite"),
         (lambda: ybe_sweep(sixvertex_family(1.1), math.inf, 0.3),
-         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+         NonFiniteParameterError, r"^rapidity \(inf\+0j\) is not finite"),
         (lambda: ybe_sweep(sixvertex_family(1.1), math.nan, 0.3),
-         ValueError, r"^rapidity \(nan\+0j\) is not finite"),
+         NonFiniteParameterError, r"^rapidity \(nan\+0j\) is not finite"),
     ], ids=["raw_weight-gamma", "raw_weight-gamma_p", "ybe_sweep-raw", "weight6v-inf",
             "ybe_sweep-sixvertex-inf", "ybe_sweep-sixvertex-nan"])
     def test_public_seams_raise_typed_errors(self, evaluate, error, message):
@@ -532,24 +532,27 @@ class TestGauge:
         (lambda: apply_gauge_kindwise(sixvertex_family(1.1),
                                       rosengren_gauge(params(0.2, 0.4))).weight(
              VertexKind.GAMMA, 1, 300j),
-         EvaluationOverflowError, "^the gauge factors of ALPHA underflow to 0"),
+         EvaluationOverflowError,
+         r"^weight\(GAMMA, 1, phi = 300j\): the gauge factors of ALPHA underflow to 0"),
         (lambda: apply_gauge_kindwise(sixvertex_family(1.1),
                                       rosengren_gauge(params(0.2, 0.4))).weight(
              VertexKind.GAMMA_P, 1, 4000.0),
-         EvaluationOverflowError, "^the gauge factors of ALPHA underflow to 0"),
+         EvaluationOverflowError,
+         r"^weight\(GAMMA_P, 1, phi = 4000\.0\): the gauge factors of ALPHA underflow to 0"),
         (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(1e5, 1e5)]),
          EvaluationOverflowError, r"^a gauge factor Phi_r\(phi'\) underflows to 0"),
         (lambda: gauge_constraint_residual(rosengren_gauge(params(0.2, 0.4)), [(math.inf, 0.3)]),
-         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+         NonFiniteParameterError, r"^rapidity \(inf\+0j\) is not finite"),
         (lambda: apply_gauge_kindwise(appendix_family(params(0.2, 0.4)),
                                       rosengren_gauge(params(0.2, 0.4))).weight(
              VertexKind.GAMMA, 1, math.inf),
-         ValueError, r"^rapidity \(inf\+0j\) is not finite"),
+         NonFiniteParameterError, r"^weight\(GAMMA, 1, phi = inf\): rapidity \(inf\+0j\) is not"),
         (lambda: gauge_constraint_residual(zeta_gauge(params(0.2, 0.4)), [(math.nan, 0.3)]),
-         ValueError, r"^rapidity \(nan\+0j\) is not finite"),
+         NonFiniteParameterError, r"^rapidity \(nan\+0j\) is not finite"),
         (lambda: apply_gauge_kindwise(sixvertex_family(1e5), zeta_gauge(params(0.25, 0.0))).weight(
              VertexKind.ALPHA, 0, -2000.0),
-         EvaluationOverflowError, "^the gauge factors of ALPHA overflow"),
+         EvaluationOverflowError,
+         r"^weight\(ALPHA, 0, phi = -2000\.0\): the gauge factors of ALPHA overflow"),
     ], ids=["gauged-weight-underflow", "gauged-real-weight-underflow", "constraint-underflow",
             "constraint-inf", "gauged-weight-inf", "constraint-nan", "gauged-weight-overflow"])
     def test_gauge_seams_raise_typed_errors(self, evaluate, error, message):
@@ -560,9 +563,14 @@ class TestGauge:
         # weight is read off its table, which raises at its first failing
         # entry (ALPHA, the first kind, in the gauged six-vertex cases), after
         # the base family's table: the six-vertex one stays finite where the
-        # gauge factors fail
-        with pytest.raises(error, match=message):
+        # gauge factors fail.  The weight's error names the kind and base
+        # asked for, and is chained from the table's error of the same type
+        with pytest.raises(error, match=message) as err:
             evaluate()
+        if str(err.value).startswith("weight("):
+            cause = err.value.__cause__
+            assert type(cause) is type(err.value)
+            assert str(err.value).endswith(f"): {cause}")
 
     def test_gauge_preserves_ybe(self):
         pr = params()
