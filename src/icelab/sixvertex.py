@@ -387,9 +387,8 @@ def _three_term_residual(term, assign: SpectralAssignment, k: int, side: str) ->
     """Residual of the three-term sum S = sum_{s=0}^{2} term(s, shifted_s),
     shifted_s the assignment with chi_k shifted by +2 pi s / 3 (side="chi")
     or psi_k by -2 pi s / 3 (side="psi"), which vanishes identically in both
-    models.  |S| is normalized by the largest of the three summands."""
-    if not 1 <= k <= assign.n:
-        raise IndexError(f"k = {k} outside 1..{assign.n}")
+    models.  |S| is normalized by the largest of the three summands.  Checks
+    side, then k, by SpectralAssignment._index as shifted_0 is built."""
     if side not in ("chi", "psi"):
         raise ValueError("side must be 'chi' or 'psi'")
     shift, delta = ((assign.shift_chi, ETA_COMBINATORIAL) if side == "chi"
@@ -413,20 +412,18 @@ def _recursion_residual(assign: SpectralAssignment, k: int, l: int, sign: int, f
                         offset: complex, lhs, rhs, f, start: complex) -> float:
     """Residual of the reduce-by-one recursion lhs(pinned) = pre * rhs(reduced).
 
-    Checks (k, l), sign and form in that order, pins chi_k = psi_l + h with
-    h = sign * offset and drops chi_k and psi_l to reduce.  pre is start times
-    prod_{i!=k} f(chi_i - psi_l + h) * prod_{i!=l} f(psi_l - psi_i + 2h) for
-    form="Z", and sign * (-1)^{n-k+l-1} * prod f(3(psi_l - y)), y over the
-    reduced chi, then psi, for form="F": that sign is the parity of moving the
-    pinned pair to the corner through the antisymmetric prefactor."""
-    n = assign.n
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise IndexError(f"(k, l) = ({k}, {l}) outside 1..{n}")
+    Checks sign, form, then l and k by SpectralAssignment._index as psi_l is
+    read and chi_k pinned, before lhs or rhs runs.  Pins chi_k = psi_l + h
+    with h = sign * offset and drops chi_k and psi_l to reduce.  pre is start
+    times prod_{i!=k} f(chi_i - psi_l + h) * prod_{i!=l} f(psi_l - psi_i + 2h)
+    for form="Z", and sign * (-1)^{n-k+l-1} * prod f(3(psi_l - y)), y over
+    the reduced chi, then psi, for form="F": that sign is the parity of moving
+    the pinned pair to the corner through the antisymmetric prefactor."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if form not in ("Z", "F"):
         raise ValueError("form must be 'Z' or 'F'")
-    psi_l, h = assign.psi[l - 1], sign * offset
+    psi_l, h = assign.psi[assign._index(l)], sign * offset
     pinned = assign.replace_chi(k, psi_l + h)
     reduced = pinned.drop(k, l)
     value = lhs(pinned)
@@ -435,7 +432,7 @@ def _recursion_residual(assign: SpectralAssignment, k: int, l: int, sign: int, f
                                   (f(psi_l - y + 2 * h) for y in reduced.psi))
     else:
         factors = (f(3 * (psi_l - y)) for y in reduced.chi + reduced.psi)
-        start = start * sign * (-1) ** (n - k + l - 1)
+        start = start * sign * (-1) ** (assign.n - k + l - 1)
     return rel_residual(value, math.prod(factors, start=start) * rhs(reduced))
 
 
@@ -455,7 +452,8 @@ def check_recursion_6v(assign: SpectralAssignment, k: int, l: int, sign: int,
               * prod_{i!=k} sin(3(psi_l - chi_i)) * prod_{i!=l} sin(3(psi_l - psi_i))
               * F_{n-1}
 
-    eta is checked first, then (k, l), sign and form (_recursion_residual).
+    eta is checked first, then sign, form, l and k (_recursion_residual),
+    before any weight is evaluated.
     """
     n, eta = assign.n, assign.eta
     if form == "F":

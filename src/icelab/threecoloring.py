@@ -218,13 +218,11 @@ def dwbc_boundary(n: int, corner: int) -> dict[tuple[int, int], int]:
 
 
 def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
-                corner: int | None) -> tuple[BoundaryCondition, bool]:
-    """Size and shape guards shared by iter_colorings and compute_census.
-
-    Returns the boundary condition and whether the grid has no valid coloring
-    at all: a single row or column cannot be toroidal, since some face would
-    be its own first/last neighbour.
-    """
+                corner: int | None) -> BoundaryCondition:
+    """Size and shape guards shared by iter_colorings and compute_census;
+    returns the boundary condition.  A grid that passes them may still have
+    no coloring (a torus one face wide or one row high): _row_sectors
+    decides that, by yielding no sector."""
     bc = BoundaryCondition(bc)
     if type(rows) is not int or type(cols) is not int:
         raise SizeGuardError(f"grid sizes must be ints, got {rows!r} x {cols!r}")
@@ -238,14 +236,14 @@ def _grid_guard(rows: int, cols: int, bc: BoundaryCondition,
                 f"dwbc n = {rows - 1} outside the enumeration guard 1..{MAX_DWBC_N}")
         if corner is not None and (type(corner) is not int or not 0 <= corner <= 2):
             raise InvalidColoringError(f"corner must be a color 0, 1 or 2, got {corner}")
-        return bc, False
+        return bc
     if rows * cols > MAX_FREE_CELLS:
         raise SizeGuardError(
             f"{rows}x{cols} = {rows * cols} faces exceeds the guard of {MAX_FREE_CELLS}")
     if corner is not None:
         raise InvalidColoringError(
             f"corner pins the top-left color of dwbc grids only, not of {bc.value} grids")
-    return bc, bc is BoundaryCondition.TOROIDAL and (rows == 1 or cols == 1)
+    return bc
 
 
 def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
@@ -260,9 +258,7 @@ def iter_colorings(rows: int, cols: int, bc: BoundaryCondition,
     its colors from a level of the colors 0, 1 and 2, cols columns wide, so
     the grids skip GridColoring's per-grid check.
     """
-    bc, empty = _grid_guard(rows, cols, bc, corner)
-    if empty:
-        return
+    bc = _grid_guard(rows, cols, bc, corner)
     rows_of = _rows_under if bc is BoundaryCondition.DWBC else _rows
     make = _unchecked(GridColoring)
     for levels, ring, _ in _row_sectors(rows, cols, bc, corner):
@@ -320,12 +316,11 @@ def compute_census(rows: int, cols: int, bc: BoundaryCondition,
     row with a transfer matrix (Baxter 1970) instead of one by one; a
     toroidal grid runs one sector per orbit of first rows (see _row_sectors),
     3 on the 5x5 torus where there are 30 first rows."""
-    bc, empty = _grid_guard(rows, cols, bc, corner)
+    bc = _grid_guard(rows, cols, bc, corner)
     # free and toroidal counts are unchanged by transposing the grid, so the
     # rows run along the shorter side
-    counts = {} if empty else _transfer_counts(
-        rows * cols, _row_sectors(max(rows, cols), min(rows, cols), bc, corner, orbits=True))
-    return ColoringCensus(rows=rows, cols=cols, bc=bc, counts=counts)
+    return ColoringCensus(rows=rows, cols=cols, bc=bc, counts=_transfer_counts(
+        rows * cols, _row_sectors(max(rows, cols), min(rows, cols), bc, corner, orbits=True)))
 
 
 Row = tuple[int, ...]
@@ -375,6 +370,8 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition, corner: int | None
     free grid, one per first row for a toroidal grid (its last row colored
     unlike the first in every column) and one per corner color for a
     domain-wall grid (first and last rows forced, the others' ends pinned).
+    It alone decides that a torus has no coloring: a one-face ring has no
+    row, and a one-row torus, its own neighbour, takes no first row.
 
     Rotating or reversing the columns of a toroidal grid maps the colorings
     with first row f one to one onto those whose first row is the moved f,
@@ -388,7 +385,7 @@ def _row_sectors(rows: int, cols: int, bc: BoundaryCondition, corner: int | None
     if bc is BoundaryCondition.FREE:
         yield [anything] * rows, False, 1
     elif bc is BoundaryCondition.TOROIDAL:
-        firsts = _rows(anything, True)
+        firsts = _rows(anything, True) if rows > 1 else ()
         for first, weight in (Counter(map(_least_image, firsts)).items() if orbits
                               else zip(firsts, itertools.repeat(1))):
             unlike = tuple(tuple(c for c in colors if c != f) for f in first)
@@ -706,8 +703,10 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
                  * prod_{i!=k} theta1(3(psi_l - chi_i)|p^3)
                  * prod_{i!=l} theta1(3(psi_l - psi_i)|p^3) * F^{r''}_{n-1}
 
-    with r'' = r for sign=+1 and r'' = r+1 for sign=-1; the checks, the
-    pin, the products and the parity sign are _recursion_residual's.
+    with r'' = r for sign=+1 and r'' = r+1 for sign=-1; the pin, the
+    products and the parity sign are _recursion_residual's.  The prefactor's
+    theta values come first, then its checks of sign, form, l and k, before
+    any weight is evaluated.
     """
     r_sub = r if sign > 0 else (r + 1) % 3
     t1_23, power = theta1(TWO_PI_OVER_3, params), (2 - 2 * n if form == "Z" else 3 - 2 * n)

@@ -406,7 +406,7 @@ _OWN_TOLERANCE = {
 }
 
 
-def _worst_cases(draws, cfg: Config, tol_key: str, prefix: str = "") -> list[CaseResult]:
+def _worst_cases(draws, cfg: Config, tol_key: str) -> list[CaseResult]:
     """One case per identity, in first-seen order, from draws (point, rows).
 
     A row (family, value[, counts]) is of identity family-n<n> when the point
@@ -428,7 +428,7 @@ def _worst_cases(draws, cfg: Config, tol_key: str, prefix: str = "") -> list[Cas
             for name, amount in (extra[0].items() if extra else ()):
                 slot = counts.setdefault(identity, {})
                 slot[name] = slot.get(name, 0) + amount
-    return [CaseResult(identity=prefix + identity, point=point, residual=residual,
+    return [CaseResult(identity=identity, point=point, residual=residual,
                        tolerance=tol, passed=residual < tol, extra=counts.get(identity, {}))
             for identity, (residual, point, tol) in worst.items()]
 
@@ -440,12 +440,10 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng(children[SUITES.index(suite)])
 
 
-def _suite_cases(name: str, seed: int, samples: int | None, cfg: Config,
-                 prefixed: bool) -> list[CaseResult]:
+def _suite_cases(name: str, seed: int, samples: int | None, cfg: Config) -> list[CaseResult]:
     """The worst cases of one suite, drawn from its own SeedSequence child."""
     fn, default, tol_key = _SUITES[name]
-    rows = fn(suite_rng(seed, name), samples or default, cfg)
-    return _worst_cases(rows, cfg, tol_key, f"{name}/" if prefixed else "")
+    return _worst_cases(fn(suite_rng(seed, name), samples or default, cfg), cfg, tol_key)
 
 
 def _usable_cpus() -> int:
@@ -480,8 +478,7 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     names = SUITES if suite == "all" else (suite,)
-    body = functools.partial(_suite_cases, seed=seed, samples=samples, cfg=cfg,
-                             prefixed=suite == "all")
+    body = functools.partial(_suite_cases, seed=seed, samples=samples, cfg=cfg)
     workers = min(len(names), _usable_cpus())
     if workers > 1:
         from .forkmap import fork_map  # compiled only by the runs that fork
@@ -489,5 +486,6 @@ def run_suite(suite: str, seed: int = 0, samples: int | None = None,
     else:
         per_suite = list(map(body, names))
     recorded = samples or (0 if suite == "all" else _SUITES[suite][1])
-    return VerificationReport(suite=suite, seed=seed, samples=recorded, config=cfg,
-                              cases=[case for cases in per_suite for case in cases])
+    return VerificationReport(suite=suite, seed=seed, samples=recorded, config=cfg, cases=[
+        dataclasses.replace(case, identity=f"{name}/{case.identity}") if suite == "all" else case
+        for name, cases in zip(names, per_suite) for case in cases])

@@ -73,15 +73,12 @@ class WeightFamily:
         return table[3 * list(VertexKind).index(kind) + r % 3]
 
 
-#: a kind per formula, alpha' taking alpha's and beta' beta's, in the order the
-#: tables evaluate them
-_FORMULAS = (VertexKind.GAMMA_P, VertexKind.BETA, VertexKind.ALPHA, VertexKind.GAMMA)
-
-
 def _formulawise(weight_ctx: Callable, ctx: tuple, phi: complex) -> list[complex]:
-    """The table of a threecoloring weight_ctx, one call per formula and base (12 for 18)."""
-    gamma_p, beta, alpha, gamma = ([weight_ctx(ctx, kind, r, phi) for r in range(3)]
-                                   for kind in _FORMULAS)
+    """The table of a threecoloring weight_ctx, one call per formula and base
+    (12 for 18), in VertexKind order: alpha' takes alpha's formula and beta' beta's."""
+    alpha, beta, gamma, gamma_p = ([weight_ctx(ctx, kind, r, phi) for r in range(3)]
+                                   for kind in (VertexKind.ALPHA, VertexKind.BETA,
+                                                VertexKind.GAMMA, VertexKind.GAMMA_P))
     return alpha * 2 + beta * 2 + gamma + gamma_p
 
 
@@ -99,7 +96,8 @@ def sixvertex_family(eta: complex) -> WeightFamily:
     """Trigonometric six-vertex weights read as a face family (the base color
     is ignored).  Satisfies the Yang-Baxter equation with shift eta/2."""
     def table(phi: complex) -> list[complex]:
-        gamma, beta, alpha = (weight6v(kind, phi, eta) for kind in _FORMULAS[:3])
+        alpha, beta, gamma = (weight6v(kind, phi, eta)
+                              for kind in (VertexKind.ALPHA, VertexKind.BETA, VertexKind.GAMMA))
         return [alpha] * 6 + [beta] * 6 + [gamma] * 6
 
     return WeightFamily(table, ybe_shift=eta / 2)

@@ -22,6 +22,7 @@ from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticP
                     compute_census, dwbc_boundary, enumerate_colorings,
                     iter_colorings,
                     enumerate_dwbc_states, F_rn, functional_residual_3c,
+                    functional_residual_6v,
                     lenard_map, partial_partition_function, phi_ratio_factor,
                     phi_ratio_relation_check, psi_factor, raw_weight,
                     theta1, theta4, tilde_quasi_period_residual, tilde_weight,
@@ -233,8 +234,13 @@ class TestEnumeration:
         assert len(enumerate_colorings(2, 2, "toroidal")) == 18
 
     def test_toroidal_degenerate_sizes(self):
-        assert enumerate_colorings(1, 4, "toroidal") == []
-        assert enumerate_colorings(3, 1, "toroidal") == []
+        # _row_sectors alone decides these: a one-row torus takes no first
+        # row, and a one-face ring has no row
+        torus = threecoloring.BoundaryCondition.TOROIDAL
+        for rows, cols in [(1, 4), (3, 1), (1, 1)]:
+            assert enumerate_colorings(rows, cols, "toroidal") == []
+            for orbits in (False, True):
+                assert list(threecoloring._row_sectors(rows, cols, torus, None, orbits)) == []
 
     def test_dwbc_counts_match_sixvertex(self):
         for n in (1, 2, 3, 4):
@@ -1060,6 +1066,43 @@ class TestDressedSums:
                 k = rnd.randrange(1, n + 1)
                 assert functional_residual_3c(n, r, k, "chi", a, pr) < 1e-9
                 assert functional_residual_3c(n, r, k, "psi", a, pr) < 1e-9
+
+
+#: each identity entry point, called at line indices (k, l) of a 3-line assignment
+_INDEXED = {
+    "f6v-chi": lambda a, k, l, pr: functional_residual_6v(a, k, "chi"),
+    "f6v-psi": lambda a, k, l, pr: functional_residual_6v(a, k, "psi"),
+    "f3c-chi": lambda a, k, l, pr: functional_residual_3c(3, 1, k, "chi", a, pr),
+    "f3c-psi": lambda a, k, l, pr: functional_residual_3c(3, 1, k, "psi", a, pr),
+    "r6v-Z": lambda a, k, l, pr: check_recursion_6v(a, k, l, +1, form="Z"),
+    "r6v-F": lambda a, k, l, pr: check_recursion_6v(a, k, l, -1, form="F"),
+    "r3c-Z": lambda a, k, l, pr: check_recursion_3c(3, 1, k, l, -1, a, pr, form="Z"),
+    "r3c-F": lambda a, k, l, pr: check_recursion_3c(3, 1, k, l, +1, a, pr, form="F"),
+}
+#: (k, l, the index the error names); the functional sums take no l
+_BAD_INDICES = [(0, 1, 0), (4, 2, 4), (1, 0, 0), (3, 4, 4)]
+
+
+class TestLineIndices:
+    """SpectralAssignment._index is the one 1..n check of every identity entry point."""
+
+    @pytest.mark.parametrize("entry, k, l, bad", [
+        (entry, k, l, bad) for entry in _INDEXED for k, l, bad in _BAD_INDICES
+        if entry.startswith("r") or bad == k])
+    def test_outside_one_to_n_raises_before_any_weight(self, monkeypatch, entry, k, l, bad):
+        def fail(*args, **kwargs):
+            raise AssertionError("a weight was evaluated")
+        # every weight of both models is evaluated inside these four sums
+        for module, name in ((sixvertex, "partition_function_6v"), (sixvertex, "F_n_6v"),
+                             (threecoloring, "partial_partition_function"),
+                             (threecoloring, "F_rn")):
+            monkeypatch.setattr(module, name, fail)
+        a = SpectralAssignment(chi=[0.1, 0.7, 1.3], psi=[0.4, 0.9, 2.0])
+        with pytest.raises(IndexError, match=rf"^line index {bad} outside 1\.\.3$"):
+            _INDEXED[entry](a, k, l, params(0.2, 0.24))
+        # the control: inside 1..n the same call reaches a weight
+        with pytest.raises(AssertionError, match="^a weight was evaluated$"):
+            _INDEXED[entry](a, 3, 1, params(0.2, 0.24))
 
 
 class TestRecursions3c:
