@@ -47,14 +47,8 @@ def _cmd_enumerate(args) -> int:
             raise ConfigError("--model sixvertex requires --n")
         if (args.rows, args.cols, args.corner, args.bc) != (None, None, None, "dwbc"):
             raise ConfigError("--rows, --cols, --corner, --bc free|toroidal are coloring options")
-        states = enumerate_dwbc_states(args.n)
-        payload = {
-            "model": "sixvertex",
-            "n": args.n,
-            "bc": "dwbc",
-            "count": len(states),
-            "states": [s.to_json_obj() for s in states],
-        }
+        payload = {"n": args.n, "bc": "dwbc"}
+        key, items = "states", enumerate_dwbc_states(args.n)
     else:
         if args.n is not None:
             if (args.rows, args.cols, args.bc) != (None, None, "dwbc"):
@@ -65,18 +59,12 @@ def _cmd_enumerate(args) -> int:
             rows, cols = args.rows, args.cols
         else:
             raise ConfigError("--model coloring requires --n (dwbc) or --rows and --cols")
-        colorings = enumerate_colorings(rows, cols, BoundaryCondition(args.bc),
-                                        corner=args.corner)
-        payload = {
-            "model": "coloring",
-            "rows": rows,
-            "cols": cols,
-            "bc": args.bc,
-            "count": len(colorings),
-            "colorings": [c.to_json_obj() for c in colorings],
-        }
+        payload = {"rows": rows, "cols": cols, "bc": args.bc}
         if args.corner is not None:
             payload["corner"] = args.corner
+        key, items = "colorings", enumerate_colorings(rows, cols, BoundaryCondition(args.bc),
+                                                      corner=args.corner)
+    payload |= {"model": args.model, "count": len(items), key: [x.to_json_obj() for x in items]}
     _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return EXIT_OK
 

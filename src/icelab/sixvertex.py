@@ -104,7 +104,9 @@ def _unchecked(cls):
 
 @dataclass(frozen=True)
 class SixVertexState:
-    """Edge orientations of one ice state; vertex kinds are derived on demand."""
+    """Edge orientations of one ice state; vertex kinds are derived on demand.
+    List rows are stored as tuples; every vertex is checked against the ice
+    rule in one loop, which names the first that breaks it."""
 
     h: tuple[tuple[bool, ...], ...]
     v: tuple[tuple[bool, ...], ...]
@@ -132,12 +134,16 @@ class SixVertexState:
         return len(self.v[0])
 
     def kind_at(self, i: int, j: int) -> VertexKind:
-        """Kind of 0-based vertex (i, j), from its (left, right, top, bottom) edges."""
+        """Kind of 0-based vertex (i, j), from its (left, right, top, bottom)
+        edges; IndexError for a vertex off the lattice."""
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"vertex ({i}, {j}) outside 0..{self.nrows - 1} x 0..{self.ncols - 1}")
         return _KIND_FROM_EDGES[self.h[i][j], self.h[i][j + 1], self.v[i][j], self.v[i + 1][j]]
 
     def kind_matrix(self) -> tuple[tuple[VertexKind, ...], ...]:
-        return tuple(tuple(self.kind_at(i, j) for j in range(self.ncols))
-                     for i in range(self.nrows))
+        """kind_at of every vertex, row by row, read without its range checks."""
+        return tuple(tuple(map(_KIND_FROM_EDGES.__getitem__, zip(h, h[1:], top, bottom)))
+                     for h, top, bottom in zip(self.h, self.v, self.v[1:]))
 
     def satisfies_dwbc(self) -> bool:
         n_r, n_c = self.nrows, self.ncols
@@ -178,8 +184,8 @@ def enumerate_dwbc_states(n: int) -> list[SixVertexState]:
     """All domain-wall ice states on the n x n lattice, in row-major
     lexicographic edge order, by a depth-first walk over the row moves:
     moves come in ascending h order and h fixes v, so the states come out in
-    (h, v) order.  Counts follow the alternating-sign-matrix
-    sequence 1, 2, 7, 42, 429, ...
+    (h, v) order.  Counts follow the alternating-sign-matrix sequence 1, 2,
+    7, 42, 429, ...; only the row moves are cached, never the states.
     """
     if type(n) is not int:
         raise SizeGuardError(f"n must be an int, got {n!r}")

@@ -175,7 +175,7 @@ def _series_sum(a: int, phi: complex, key: tuple, offset: float) -> complex:
             log_pe, coef, w = table[k]
             log_env = log_pe + w * im + _LOG_2  # log of the term bound 2 |p|^e exp(w |Im phi|)
             # stop once log_env < log(tol (1 + |s|)), but not before the first
-            # term, which is all of theta1 at a tiny nome; since log(1 + x) <= x
+            # term, all of theta1 below p ~ 6e-66; since log(1 + x) <= x
             # that log is only needed below log(tol) + |s| (plus a roundoff margin)
             if (k and log_env < log_tol + abs(s) + _STOP_MARGIN
                     and log_env < math.log(tol * (1.0 + abs(s)))):

@@ -138,7 +138,8 @@ def classify_vertex(bl: int, tl: int, tr: int, br: int) -> ColoredVertexKind:
 
 @dataclass(frozen=True)
 class GridColoring:
-    """rows x cols face colors, row 0 at the top."""
+    """rows x cols face colors, row 0 at the top; list rows are stored as
+    tuples, after the colors are checked."""
 
     faces: tuple[tuple[int, ...], ...]
 
@@ -190,7 +191,10 @@ class GridColoring:
 
     def vertex(self, i: int, j: int) -> ColoredVertexKind:
         """Kind of the internal vertex between face rows i-1, i and columns
-        j-1, j (1-based internal-vertex indices)."""
+        j-1, j (1-based internal-vertex indices); IndexError for a vertex
+        off the grid's interior."""
+        if not (1 <= i < self.rows and 1 <= j < self.cols):
+            raise IndexError(f"vertex ({i}, {j}) outside 1..{self.rows - 1} x 1..{self.cols - 1}")
         f = self.faces
         return classify_vertex(f[i][j - 1], f[i - 1][j - 1], f[i - 1][j], f[i][j])
 
@@ -350,8 +354,8 @@ def _rows(level: Level, ring: bool, avoid: tuple[Row, ...] = ()) -> Iterator[Row
 def _rows_under(level: Level, ring: bool, above: tuple[Row, ...]) -> tuple[Row, ...]:
     """_rows listed once per (level, ring, row above): the census transfers
     over it and the domain-wall walk reads it, at most 132 entries a grid
-    (the 4x6 torus).  Free and toroidal walks stay lazy: a 1x25 strip has
-    3 * 2^24 rows."""
+    (the 4x6 torus), 96 at dwbc n = 5.  Free and toroidal walks stay lazy:
+    a 1x25 strip has 3 * 2^24 rows."""
     return tuple(_rows(level, ring, above))
 
 
@@ -600,7 +604,8 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
     the six-vertex vertex sweep, a sweep state and the corner fixing each
     vertex's kind and base color, for n up to sixvertex.MAX_EVAL_N.  assign
     must have n rapidities, also at n = 0; the empty lattice has value 1.
-    The last 64 distinct sums are cached, keyed by every argument."""
+    The last 64 distinct sums are cached, keyed by every argument: the Z and
+    F forms of a recursion draw and the sides of a functional sum repeat them."""
     return _partial_sum(n, r, assign, params, which)
 
 
@@ -705,8 +710,10 @@ def check_recursion_3c(n: int, r: int, k: int, l: int, sign: int,
 
     with r'' = r for sign=+1 and r'' = r+1 for sign=-1; the pin, the
     products and the parity sign are _recursion_residual's.  The prefactor's
-    theta values come first, then its checks of sign, form, l and k, before
-    any weight is evaluated.
+    theta values come first (PoleError where theta1(2pi/3) = 0, at p = 0;
+    EvaluationOverflowError where its power overflows, as at p = 1e-300,
+    n = 4), then its checks of sign, form, l and k, before any weight is
+    evaluated.
     """
     r_sub = r if sign > 0 else (r + 1) % 3
     t1_23, power = theta1(TWO_PI_OVER_3, params), (2 - 2 * n if form == "Z" else 3 - 2 * n)

@@ -4,15 +4,15 @@ Each suite is a generator of draws: a random point of the configured domain
 and the rows of its identities there, each a residual that a model function
 returned or an (lhs, rhs) pair.  One driver, _worst_cases, computes every
 residual, keeps the worst per identity and reads its tolerance.  All
-randomness flows from one 64-bit seed: numpy's SeedSequence expands it and
-child i goes to the i-th suite in SUITES, so a suite draws the same points
-alone or in "all".  "all" thus forks one worker per usable CPU (at most one
-per suite), which pull suite indices from one pipe, longest suite first
-(_DEAL_ORDER), and send their cases back through pipes of their own; the
-cases come back in SUITES order, byte for byte the report of the
-one-process run, which a single usable CPU gives.  A worker that dies
-without a result fails the run with ChildProcessError instead of leaving it
-waiting.
+randomness flows from one seed, any non-negative int (2**97 too): numpy's
+SeedSequence expands it and child i goes to the i-th suite in SUITES, so a
+suite draws the same points alone or in "all".  "all" thus forks one worker
+per usable CPU (at most one per suite), which pull suite indices from one
+pipe, longest suite first (_DEAL_ORDER), and send their cases back through
+pipes of their own; the cases come back in SUITES order, byte for byte the
+report of the one-process run, which a single usable CPU gives.  A worker
+that dies without a result fails the run with ChildProcessError instead of
+leaving it waiting.
 
 Reports are byte-stable for a fixed (seed, samples, config): the JSON
 serialization contains no timing information (the CLI times its own call
@@ -351,8 +351,9 @@ def _suite_appendix(rng, samples: int, cfg: Config):
 
 
 def _suite_symmetry(rng, samples: int, cfg: Config):
-    # Z is symmetric in the chi and in the psi (the train argument); n = 1 permutes
-    # nothing, and at n = 2 a psi transposition is the chi one turned 180 degrees
+    # Z is symmetric in the chi and in the psi (the train argument), so the
+    # recursion suites' one drawn pin (k, l) per draw stands for all 2n^2; n = 1
+    # permutes nothing, and at n = 2 a psi transposition is the chi one turned 180 degrees
     for n in range(2, cfg.max_n_sixvertex + 1):
         for _ in range(samples):
             eta = _draw_eta(rng, cfg)

@@ -33,32 +33,26 @@ from .numutil import guarded, rel_residual, severity
 from .theta import (PI, TWO_PI_OVER_3, EllipticParams, ThetaTriple, theta1,
                     theta1_reduced, theta4, theta_triple)
 from .sixvertex import VertexKind, _rapidity, weight6v
-from .threecoloring import (_KIND_OF_CORNERS, ColoredVertexKind, _raw_weight_ctx,
-                            _tilde_weight_ctx, _weight_constants)
-
-#: the 18 admissible quadruples in the index picture (bl, br, tl, tr) with
-#: their kind and base, threecoloring's corners table in its own order: kind
-#: by kind in VertexKind order, base by base
-ADMISSIBLE: tuple[tuple[tuple[int, int, int, int], ColoredVertexKind], ...] = tuple(
-    ((bl, br, tl, tr), vk) for (bl, tl, tr, br), vk in _KIND_OF_CORNERS.items())
+from .threecoloring import (_KIND_OF_CORNERS, _raw_weight_ctx, _tilde_weight_ctx,
+                            _weight_constants)
 
 
 @dataclass(frozen=True)
 class WeightFamily:
     """Face weights as one table per spectral parameter, plus their Yang-Baxter shift.
 
-    table(phi) lists the 18 admissible weights in ADMISSIBLE order, so that
-    table(phi)[3 * k + r] is the weight of the k-th VertexKind with base r;
-    every other quadruple weighs 0.
+    table(phi) lists the 18 admissible weights in the order of
+    threecoloring's corners table, so that table(phi)[3 * k + r] is the
+    weight of the k-th VertexKind with base r; every other quadruple weighs 0.
     """
 
     table: Callable[[complex], list[complex]] = field(repr=False)
     ybe_shift: complex = PI / 3
 
     def weight_table(self, phi: complex) -> list[complex]:
-        """The 18 admissible weights at one spectral parameter, in ADMISSIBLE
-        order.  It only calls table: bench/tracer.py counts and times the
-        tables by wrapping this method by name."""
+        """table(phi), the weights that ybe_sweep, rosengren_match and verify's
+        appendix suite read; bench/tracer.py counts and times the tables by
+        wrapping this method by name."""
         return self.table(phi)
 
     def weight(self, kind: VertexKind, r: int, phi: complex) -> complex:
@@ -75,7 +69,8 @@ class WeightFamily:
 
 def _formulawise(weight_ctx: Callable, ctx: tuple, phi: complex) -> list[complex]:
     """The table of a threecoloring weight_ctx, one call per formula and base
-    (12 for 18), in VertexKind order: alpha' takes alpha's formula and beta' beta's."""
+    (12 for 18), in VertexKind order: alpha' takes alpha's formula and beta'
+    beta's.  Each family binds its ctx once, when it is built."""
     alpha, beta, gamma, gamma_p = ([weight_ctx(ctx, kind, r, phi) for r in range(3)]
                                    for kind in (VertexKind.ALPHA, VertexKind.BETA,
                                                 VertexKind.GAMMA, VertexKind.GAMMA_P))
@@ -93,8 +88,8 @@ def tilde_family(params: EllipticParams) -> WeightFamily:
 
 
 def sixvertex_family(eta: complex) -> WeightFamily:
-    """Trigonometric six-vertex weights read as a face family (the base color
-    is ignored).  Satisfies the Yang-Baxter equation with shift eta/2."""
+    """Trigonometric six-vertex weights as a face family, the base color
+    ignored, one weight6v call per formula; Yang-Baxter with shift eta/2."""
     def table(phi: complex) -> list[complex]:
         alpha, beta, gamma = (weight6v(kind, phi, eta)
                               for kind in (VertexKind.ALPHA, VertexKind.BETA, VertexKind.GAMMA))
@@ -111,61 +106,55 @@ class YbeSweep:
 
 
 @lru_cache(maxsize=None)
-def _live_assignments() -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
-    """Each boundary assignment (r, r', r'', s, s', s'') that has an
-    admissible internal face, with its LHS and RHS terms (t, i, j, k) in
-    ascending t: the weights at ADMISSIBLE positions i, j, k, multiplied in
-    the order of the module docstring.  Built on the first sweep by a join
-    over ADMISSIBLE: a side's first quadruple and its second fix all colors
-    but one, which the third has to take."""
-    pos = {quad: i for i, (quad, _) in enumerate(ADMISSIBLE)}
-    terms: dict[tuple[int, ...], tuple[list, list]] = {}
-    for (a, b, c, d), i in pos.items():  # (rp, t, rpp, spp) on the LHS, (rp, r, rpp, t) on the RHS
-        for (bl, br, tl, tr), j in pos.items():
-            if (tl, tr) == (a, b):  # the LHS's (r, s, rp, t); its (t, s, spp, sp) picks sp
-                for sp in range(3):
-                    if (k := pos.get((b, br, d, sp))) is not None:
-                        terms.setdefault((bl, a, c, br, sp, d), ([], []))[0].append((b, i, j, k))
-            if (bl, tl) == (d, c):  # the RHS's (t, sp, rpp, spp); its (r, s, t, sp) picks s
-                for s in range(3):
-                    if (k := pos.get((b, s, d, br))) is not None:
-                        terms.setdefault((b, a, c, s, br, tr), ([], []))[1].append((d, i, j, k))
-    return tuple((colors, tuple(sorted(lhs)), tuple(sorted(rhs)))
-                 for colors, (lhs, rhs) in sorted(terms.items()))
-
-
-@lru_cache(maxsize=None)
 def _sweep_plan() -> tuple[tuple, tuple, tuple[tuple[int, int, int, int], ...]]:
-    """ybe_sweep's index tuples, read off _live_assignments():
+    """ybe_sweep's index tuples, built on the first sweep by one join over
+    _KIND_OF_CORNERS, whose positions are the weight tables':
 
-    - per side, its 84 products as ADMISSIBLE positions (i, j, k),
-      assignment by assignment in ascending t;
-    - per assignment, the positions (x, y, z, w) of its first and second
-      LHS products and first and second RHS products in the two flat
-      product lists.  A side with one product points its second slot at
-      position 84, the exact 0j that pads that side's list."""
-    rows = _live_assignments()
-    plan, slots = [], []
-    for side in (1, 2):
-        terms = tuple(term[1:] for row in rows for term in row[side])
-        plan.append(terms)
-        n = itertools.count()
-        slots.append([(next(n), next(n) if len(row[side]) == 2 else len(terms)) for row in rows])
-    return (*plan, tuple((*lhs, *rhs) for lhs, rhs in zip(*slots)))
+    - per side, its 84 triple products as positions (i, j, k), multiplied in
+      the module docstring's order, assignments (r, r', r'', s, s', s'')
+      ascending, each in ascending t;
+    - per assignment with an internal face, 60 of the 3^6, the positions
+      (x, y, z, w) of its first and second LHS and RHS products in the flat
+      lists.  18, 18, 18 and 6 of them have (1, 1), (1, 2), (2, 1) and (2, 2)
+      products; a missing second product is position 84, the exact 0j that
+      pads its side's list.
+
+    Keyed (bl, tl, tr, br), the LHS terms are (r', r'', s'', t), (r, r', t, s),
+    (t, s'', s', s) and the RHS terms (r', r'', t, r), (t, r'', s'', s'),
+    (r, t, s', s): a side's first two fix all colors but one, which the third
+    takes."""
+    pos = {quad: i for i, quad in enumerate(_KIND_OF_CORNERS)}
+    terms = []  # (assignment, side, t, i, j, k)
+    for (a, b, c, d), i in pos.items():
+        for (bl, tl, tr, br), j in pos.items():
+            if (tl, tr) == (a, d):  # (r', r'', s'', t), (r, r', t, s); (t, s'', s', s) picks s'
+                terms += [((bl, a, b, br, x, c), 0, d, i, j, pos[d, c, x, br])
+                          for x in range(3) if (d, c, x, br) in pos]
+            if (bl, tl) == (c, b):  # (r', r'', t, r), (t, r'', s'', s'); (r, t, s', s) picks s
+                terms += [((d, a, b, x, br, tr), 1, c, i, j, pos[d, c, br, x])
+                          for x in range(3) if (d, c, br, x) in pos]
+    plan, slots = ([], []), []
+    for _, row in itertools.groupby(sorted(terms), key=lambda term: term[0]):
+        slots.append(([], []))
+        for _, side, _, *ijk in row:
+            slots[-1][side].append(len(plan[side]))
+            plan[side].append(tuple(ijk))
+    return (tuple(plan[0]), tuple(plan[1]), tuple(
+        (*(*lhs, len(plan[0]))[:2], *(*rhs, len(plan[1]))[:2]) for lhs, rhs in slots))
 
 
 def ybe_sweep(fam: WeightFamily, phi: complex, phi_p: complex) -> YbeSweep:
     """Check the Yang-Baxter equation over all 3^6 boundary color assignments.
 
-    Each side of an assignment of _live_assignments() is summed over its
-    admissible t in ascending order.  Returns the worst |LHS - RHS|
-    normalized by the largest triple product of an assignment, plus how many
-    assignments were skipped because every triple product is exactly zero.
-    A NaN product is not a zero one: its assignment is checked and fails,
-    also where max drops it after a zero.  Every product is formed once per
-    side over the flat index lists of _sweep_plan(), and one residual form
-    serves every assignment: a side with one product adds the list's 0j pad,
-    which changes no bit that abs, max or the skip rule reads.
+    Each side of an assignment is summed over its admissible internal faces
+    t in ascending order.  Returns the worst |LHS - RHS| normalized by the
+    largest triple product of an assignment, plus how many assignments were
+    skipped because every triple product is exactly zero.  A NaN product is
+    not a zero one: its assignment is checked and fails, also where max
+    drops it after a zero.  Every product is formed once per side over the
+    flat index lists of _sweep_plan(), and one residual form serves every
+    assignment: a side with one product adds the list's 0j pad, which
+    changes no bit that abs, max or the skip rule reads.
     """
     _rapidity(phi), _rapidity(phi_p)  # NonFiniteParameterError unless both are finite
     w_phi, w_php, w_u3 = (fam.weight_table(x) for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
@@ -227,15 +216,15 @@ def gauge_constraint_residual(g: GaugeData, pairs: Sequence[tuple[complex, compl
         raise EvaluationOverflowError("a gauge factor Phi_r(phi') underflows to 0") from exc
 
 
-#: the canonical integer corner lifts (bl, tl, tr, br) and kind of each ADMISSIBLE entry
-_LIFTS = tuple((vk.corner_lifts(), vk.kind) for _, vk in ADMISSIBLE)
+#: the canonical integer corner lifts (bl, tl, tr, br) and kind of each table entry
+_LIFTS = tuple((vk.corner_lifts(), vk.kind) for vk in _KIND_OF_CORNERS.values())
 
 
 def apply_gauge_kindwise(fam: WeightFamily, g: GaugeData) -> WeightFamily:
     """Gauge application through the canonical integer corner lifts of each
     kind, ColoredVertexKind.corner_lifts (base r in {0,1,2}, neighbours
     written literally as r-1 / r+1), table-wise: C(m) and Phi(m, phi) once per
-    lift m in -1..3, the table of fam, then each factor in ADMISSIBLE order."""
+    lift m in -1..3, the table of fam, then each factor in table order."""
     def table(phi: complex) -> list[complex]:
         _rapidity(phi)  # NonFiniteParameterError unless phi is finite
         c, f = {m: g.C(m) for m in range(-1, 4)}, {m: g.Phi(m, phi) for m in range(-1, 4)}
@@ -300,7 +289,8 @@ def appendix_family(params: EllipticParams) -> WeightFamily:
                    theta1(lambda + 2pi r/3 + phi) / theta1(lambda + 2pi r/3)
 
     with the theta1-based zeta_r; powers live on the zero-sum sheet of
-    theta.ThetaTriple.
+    theta.ThetaTriple.  Each theta value, zeta power and e^{+-i phi} is
+    evaluated once per phi, here and in rosengren_family.
     """
     sheet = theta_triple(theta1, params)
     t1_23, b = sheet(TWO_PI_OVER_3), sheet.values

@@ -451,6 +451,29 @@ class TestVerifyCommand:
         assert a != b
         assert suite_rng(3, "theta").uniform(0, 1) == a
 
+    @pytest.mark.parametrize("seed, suite, scalar, vector, index, pair, chosen", [
+        (0, "theta", 0.47203940091261093,
+         [0.9938024739917957, 2.2693061698773254, 0.39459373046356033], 2, [2, 3], [3, 1]),
+        (1, "ybe", 0.2431246141090954,
+         [1.8868041175500943, 0.7699610809277648, 0.7080879709812504], 0, [3, 2], [0, 2]),
+        (7, "recursion3c", 0.49133817169931093,
+         [0.19148430199554953, 0.03680699557858669, 1.6319782409781622], 0, [1, 2], [1, 3]),
+        (2 ** 97, "appendix", 0.3013043584466524,
+         [0.03691719958643807, 0.4937818046744722, 0.2753413758402838], 2, [1, 3], [3, 0]),
+    ])
+    def test_suite_rng_draws_are_pinned(self, seed, suite, scalar, vector, index, pair, chosen):
+        # every report is a function of these draws: each call form the
+        # suites use, in turn, recorded under numpy 2.4.6.  A numpy whose
+        # Generator draws otherwise changes every report and fails here.
+        rng = suite_rng(seed, suite)
+        assert float(rng.uniform(0.01, 0.5)) == scalar
+        assert rng.uniform(0.0, math.pi, size=3).tolist() == vector
+        assert int(rng.integers(0, 3)) == index
+        assert rng.integers(1, 5, size=2).tolist() == pair
+        assert rng.choice(4, size=2, replace=False).tolist() == chosen
+        assert suite_rng(0, "theta").uniform(0, 1, 3).tolist() == [
+            0.9429375528828794, 0.3163371523854981, 0.7223425886498254]
+
     def test_report_excludes_timing(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         run_cli(capsys, "verify", "--suite", "appendix", "--samples", "2",

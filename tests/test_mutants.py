@@ -63,7 +63,7 @@ def scale_betas(name, factor):
             fam = family(params)
             return WeightFamily(lambda phi: [
                 w * (factor if vk.kind in _BETAS else 1.0)
-                for w, (_, vk) in zip(fam.weight_table(phi), yangbaxter.ADMISSIBLE)],
+                for w, vk in zip(fam.weight_table(phi), threecoloring._KIND_OF_CORNERS.values())],
                 ybe_shift=fam.ybe_shift)
         return mutant
     return yangbaxter, name, wrap

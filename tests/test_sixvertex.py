@@ -368,6 +368,17 @@ class TestStateValidation:
             SixVertexState(h=h, v=v)
         assert str(exc.value) == "edge arrays have inconsistent shapes"
 
+    @pytest.mark.parametrize("i, j", [(-1, -1), (0, -1), (-1, 0), (2, 0), (0, 2), (-2, 5)])
+    def test_vertex_off_the_lattice_raises(self, i, j):
+        # -1 wrapped round to the last row or column (kind_at(-1, -1) gave
+        # GAMMA_P, a kind the state does not have) and kind_at(0, -1) read a
+        # wrapped edge into a KeyError; 2 is past a 2 x 2 lattice
+        state = enumerate_dwbc_states(2)[0]
+        with pytest.raises(IndexError, match=rf"^vertex \({i}, {j}\) outside 0\.\.1 x 0\.\.1$"):
+            state.kind_at(i, j)
+        assert state.kind_matrix() == tuple(tuple(state.kind_at(i, j) for j in range(2))
+                                            for i in range(2))
+
     def test_list_rows_stored_as_tuples(self):
         state = SixVertexState(h=[[T, F]], v=[[T], [F]])
         want = SixVertexState(h=((T, F),), v=((T,), (F,)))

@@ -683,6 +683,16 @@ class TestClassification:
         with pytest.raises(InvalidColoringError):
             classify_vertex(0, 0, 1, 2)
 
+    @pytest.mark.parametrize("i, j", [(0, 0), (2, 1), (-1, 1), (1, 0), (1, 2), (1, -1)])
+    def test_vertex_off_the_interior_raises(self, i, j):
+        # a 2 x 2 face grid has one internal vertex, (1, 1): vertex(0, 0)
+        # read faces from opposite edges and gave ALPHA_P with base 1, and
+        # vertex(2, 1) raised a bare IndexError from the face tuple
+        grid = GridColoring(faces=((0, 1), (1, 2)))
+        with pytest.raises(IndexError, match=rf"^vertex \({i}, {j}\) outside 1\.\.1 x 1\.\.1$"):
+            grid.vertex(i, j)
+        assert grid.vertex(1, 1) == classify_vertex(1, 0, 1, 2)
+
 
 class TestWeights:
     def test_phi_zero_values(self):

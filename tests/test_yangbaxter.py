@@ -22,43 +22,58 @@ from icelab import (ColoredVertexKind, EllipticParams, EvaluationOverflowError,
 from icelab.numutil import guarded, rel_residual
 from icelab import yangbaxter
 from icelab.theta import TWO_PI_OVER_3, theta_triple
-from icelab.yangbaxter import (ADMISSIBLE, GaugeData, WeightFamily, YbeSweep,
-                               _live_assignments)
+from icelab.threecoloring import _KIND_OF_CORNERS
+from icelab.yangbaxter import GaugeData, WeightFamily, YbeSweep
 from test_threecoloring import _loop_classify_vertex, _run_fresh
 
 PI = math.pi
 
 
-def _loop_ybe_sweep(fam, phi, phi_p):
-    """Element-by-element reference for ybe_sweep: for each of the 3^6
-    boundary assignments, the triple products of each side over the
-    admissible internal faces t in ascending order, each (x * y) * z, summed
-    from 0j.  An assignment is skipped when every product is exactly zero;
-    its residual is |LHS - RHS| over the largest product modulus, LHS
-    products first, and a NaN product (which max drops after a zero one)
-    makes it NaN."""
-    w_phi, w_php, w_u3 = (_by_quad(fam.weight_table(x))
-                          for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
-    residuals = []
+def _scan_rows():
+    """The module docstring's triple sum scanned over all 3^6 boundary
+    assignments (r, r', r'', s, s', s'') and three internal faces t: each
+    assignment with an admissible internal face, with its LHS and RHS terms
+    (t, i, j, k) in ascending t, i, j and k the table positions of the
+    term's three quadruples W^{tl tr}_{bl br}, keyed (bl, tl, tr, br), in
+    the docstring's order."""
+    pos = {quad: i for i, quad in enumerate(_KIND_OF_CORNERS)}
+    rows = []
     for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
         lhs, rhs = [], []
         for t in range(3):
-            a = (rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp)
-            b = (rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp)
-            if all(q in w_phi for q in a):
-                lhs.append(w_phi[a[0]] * w_php[a[1]] * w_u3[a[2]])
-            if all(q in w_phi for q in b):
-                rhs.append(w_u3[b[0]] * w_php[b[1]] * w_phi[b[2]])
-        if any(lhs + rhs):  # a NaN is truthy
-            scale = max(abs(x) for x in lhs + rhs)
-            residuals.append(abs(sum(lhs, 0j) - sum(rhs, 0j)) / (scale or math.nan))
+            a = (rp, rpp, spp, t), (r, rp, t, s), (t, spp, sp, s)
+            b = (rp, rpp, t, r), (t, rpp, spp, sp), (r, t, sp, s)
+            for side, quads in ((lhs, a), (rhs, b)):
+                if all(q in pos for q in quads):
+                    side.append((t, *(pos[q] for q in quads)))
+        if lhs or rhs:
+            rows.append(((r, rp, rpp, s, sp, spp), tuple(lhs), tuple(rhs)))
+    return rows
+
+
+def _loop_ybe_sweep(fam, phi, phi_p):
+    """Element-by-element reference for ybe_sweep: for each assignment of
+    the scan, the triple products of each side over its admissible internal
+    faces t in ascending order, each (x * y) * z, summed from 0j.  An
+    assignment is skipped when every product is exactly zero; its residual
+    is |LHS - RHS| over the largest product modulus, LHS products first, and
+    a NaN product (which max drops after a zero one) makes it NaN."""
+    w_phi, w_php, w_u3 = (fam.weight_table(x) for x in (phi, phi_p, phi - phi_p - fam.ybe_shift))
+    residuals = []
+    for _, lhs, rhs in _scan_rows():
+        products = ([w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
+                    + [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs])
+        if any(products):  # a NaN is truthy
+            scale = max(abs(x) for x in products)
+            lhs_sum, rhs_sum = sum(products[:len(lhs)], 0j), sum(products[len(lhs):], 0j)
+            residuals.append(abs(lhs_sum - rhs_sum) / (scale or math.nan))
     worst = max(residuals, key=lambda x: (math.isnan(x), x), default=0.0)
     return YbeSweep(residual=worst, checked=len(residuals), skipped=729 - len(residuals))
 
 
 def _by_quad(table):
-    """A weight_table list keyed by its ADMISSIBLE quadruples."""
-    return dict(zip((quad for quad, _ in ADMISSIBLE), table))
+    """A weight_table list keyed by its (bl, tl, tr, br) quadruples."""
+    return dict(zip(_KIND_OF_CORNERS, table))
 
 
 def _bits(sweep):
@@ -66,9 +81,10 @@ def _bits(sweep):
 
 
 def _nan_where(fam, hit):
-    """fam with a NaN weight at each ADMISSIBLE entry whose ColoredVertexKind hit accepts."""
+    """fam with a NaN weight at each table entry whose ColoredVertexKind hit accepts."""
     return WeightFamily(lambda phi: [complex("nan") if hit(vk) else w
-                                     for w, (_, vk) in zip(fam.weight_table(phi), ADMISSIBLE)],
+                                     for w, vk in zip(fam.weight_table(phi),
+                                                      _KIND_OF_CORNERS.values())],
                         ybe_shift=fam.ybe_shift)
 
 
@@ -130,16 +146,16 @@ def _substitution_entry(monkeypatch, pr):
     return lambda kind, r, phi: weight_ctx(seen[0], kind, r, -phi - PI / 3)
 
 
-def _weight_at(fam, bl, br, tl, tr, phi):
+def _weight_at(fam, bl, tl, tr, br, phi):
     """W^{tl tr}_{bl br}(phi) of an admissible quadruple, colors read mod 3."""
-    return _by_quad(fam.weight_table(phi))[tuple(c % 3 for c in (bl, br, tl, tr))]
+    return _by_quad(fam.weight_table(phi))[tuple(c % 3 for c in (bl, tl, tr, br))]
 
 
 def _loop_admissible():
-    """Each quadruple (bl, br, tl, tr) of the adjacency filter over all 81,
+    """Each quadruple (bl, tl, tr, br) of the adjacency filter over all 81,
     with its kind from the % 3 loop reference."""
-    return {(bl, br, tl, tr): _loop_classify_vertex(bl, tl, tr, br)
-            for bl, br, tl, tr in itertools.product(range(3), repeat=4)
+    return {(bl, tl, tr, br): _loop_classify_vertex(bl, tl, tr, br)
+            for bl, tl, tr, br in itertools.product(range(3), repeat=4)
             if all((a - b) % 3 in (1, 2) for a, b in ((bl, tl), (tl, tr), (tr, br), (br, bl)))}
 
 
@@ -149,8 +165,8 @@ def test_admissible_quadruples():
     kinds = list(VertexKind)
     want = tuple(sorted(_loop_admissible().items(),
                         key=lambda row: (kinds.index(row[1].kind), row[1].r)))
-    assert ADMISSIBLE == want
-    assert [3 * kinds.index(vk.kind) + vk.r for _, vk in ADMISSIBLE] == list(range(18))
+    assert tuple(_KIND_OF_CORNERS.items()) == want
+    assert [3 * kinds.index(vk.kind) + vk.r for vk in _KIND_OF_CORNERS.values()] == list(range(18))
 
 
 class TestYangBaxter:
@@ -176,7 +192,7 @@ class TestYangBaxter:
         pr = params(0.0, 0.3)
         fam = tilde_family(pr)
         ref = sixvertex_family(2 * PI / 3)
-        for _quad, vk in ADMISSIBLE:
+        for vk in _KIND_OF_CORNERS.values():
             assert fam.weight(vk.kind, vk.r, 0.37) == pytest.approx(
                 ref.weight(vk.kind, vk.r, 0.37), rel=1e-12)
         assert ybe_sweep(fam, 0.41, 0.13).residual < 1e-10
@@ -203,7 +219,7 @@ class TestYangBaxter:
 
     def test_weight_tables_match_entry_by_entry_references(self, monkeypatch):
         # each table, built from its distinct values, has the bits of its
-        # weights evaluated one entry at a time in ADMISSIBLE order: the
+        # weights evaluated one entry at a time in table order: the
         # public per-entry functions, the closed forms as written, the raw
         # weight function under the substitution's context and the old
         # per-entry gauge
@@ -228,7 +244,7 @@ class TestYangBaxter:
                      rosengren_gauge(pr), ColoredVertexKind(kind, r), x))]
             for fam, entry in cases:
                 for phi in (0.37, -1.1, 0.4 + 0.3j, -0.2 - 0.5j):
-                    want = [entry(vk.kind, vk.r, phi) for _, vk in ADMISSIBLE]
+                    want = [entry(vk.kind, vk.r, phi) for vk in _KIND_OF_CORNERS.values()]
                     assert _cbits(fam.weight_table(phi)) == _cbits(want), (p, lam, phi)
 
     def test_weight_tables_evaluate_each_distinct_value_once(self, monkeypatch):
@@ -269,11 +285,11 @@ class TestYangBaxter:
         seen = set()
         for _ in range(100):
             tables = [[rnd.choice((0j, complex("nan"), complex(rnd.gauss(0, 1), rnd.gauss(0, 1))))
-                       for _ in ADMISSIBLE] for _ in args]
+                       for _ in _KIND_OF_CORNERS] for _ in args]
             fam = WeightFamily(lambda phi, tables=tables: tables[args.index(phi)], ybe_shift=0.5)
             assert _bits(ybe_sweep(fam, 0.0, 1.0)) == _bits(_loop_ybe_sweep(fam, 0.0, 1.0))
             w_phi, w_php, w_u3 = tables
-            for _, lhs, rhs in _live_assignments():
+            for _, lhs, rhs in _scan_rows():
                 products = ([w_phi[i] * w_php[j] * w_u3[k] for _, i, j, k in lhs]
                             + [w_u3[i] * w_php[j] * w_phi[k] for _, i, j, k in rhs])
                 nans = [cmath.isnan(x) for x in products]
@@ -286,13 +302,13 @@ class TestYangBaxter:
         assert seen == set(itertools.product(shapes, ("zero", "nan-after-zero", "all-nan")))
 
     def test_sweep_plan_covers_every_product_once(self):
-        # each side's 84 products are _live_assignments()'s terms in order;
-        # the 60 groups index every product of the flat lists exactly once,
-        # in the order of the assignment's terms, and position 84, the 0j
-        # pad, fills only the second slot of a side with one product: 18,
-        # 18, 18 and 6 assignments of the shapes (1, 1), (1, 2), (2, 1), (2, 2)
+        # each side's 84 products are the scan's terms in order; the 60
+        # groups index every product of the flat lists exactly once, in the
+        # order of the assignment's terms, and position 84, the 0j pad, fills
+        # only the second slot of a side with one product: 18, 18, 18 and 6
+        # assignments of the shapes (1, 1), (1, 2), (2, 1), (2, 2)
         terms_a, terms_b, groups = yangbaxter._sweep_plan()
-        rows = _live_assignments()
+        rows = _scan_rows()
         assert list(terms_a) == [t[1:] for _, lhs, _ in rows for t in lhs]
         assert list(terms_b) == [t[1:] for _, _, rhs in rows for t in rhs]
         assert (len(terms_a), len(terms_b)) == (84, 84)
@@ -325,57 +341,65 @@ class TestYangBaxter:
                 for quad, vk in _loop_admissible().items()}
         assert _bits(ybe_sweep(fam, 0.2, 0.9)) == _bits(_loop_ybe_sweep(fam, 0.2, 0.9))
 
-    def test_live_assignments_equal_the_exhaustive_scan(self):
-        # the join gives the rows of the scan over all 3^6 assignments, three
-        # faces t and two sides, the same rows in the same order
-        pos = {quad: i for i, (quad, _) in enumerate(ADMISSIBLE)}
-        rows = []
-        for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
-            lhs, rhs = [], []
-            for t in range(3):
-                a = ((rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp))
-                b = ((rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp))
-                for side, quads in ((lhs, a), (rhs, b)):
-                    if all(q in pos for q in quads):
-                        side.append((t, *(pos[q] for q in quads)))
-            if lhs or rhs:
-                rows.append(((r, rp, rpp, s, sp, spp), tuple(lhs), tuple(rhs)))
-        assert _live_assignments() == tuple(rows)
+    def test_sweep_plan_equals_the_exhaustive_scan(self):
+        # the join gives the scan over all 3^6 assignments, three faces t and
+        # two sides, flattened: each side's terms in order, then per
+        # assignment the positions of its first and second terms a side, the
+        # second of a side with one term at the pad past that side's list
+        rows = _scan_rows()
+        flat = [[term[1:] for row in rows for term in row[side]] for side in (1, 2)]
+        ahead, groups = [0, 0], []
+        for row in rows:
+            group = []
+            for side in (0, 1):
+                n = len(row[1 + side])
+                group += [ahead[side], ahead[side] + 1 if n == 2 else len(flat[side])]
+                ahead[side] += n
+            groups.append(tuple(group))
+        assert yangbaxter._sweep_plan() == (tuple(flat[0]), tuple(flat[1]), tuple(groups))
 
-    def test_live_assignments_are_the_nonzero_products(self):
-        # every (assignment, side, t) whose three quadruples are admissible,
-        # read off the loop reference's products with all 18 weights nonzero
-        weights = WeightFamily(lambda phi: [1.0 + 0j] * 18)
-        tables = (_by_quad(weights.weight_table(0.0)),) * 3
-        want = set()
+    def test_sweep_plan_is_the_nonzero_products(self):
+        # a table of random nonzero weights, every other quadruple weighing 0:
+        # the plan's products are exactly the nonzero triple products of the
+        # docstring's sum over 3^6 assignments and three faces t, each once,
+        # grouped by assignment, assignments ascending, each side's terms in
+        # ascending t
+        rnd = random.Random(50)
+        weight = {quad: complex(rnd.gauss(0, 1), rnd.gauss(0, 1)) for quad in _KIND_OF_CORNERS}
+        nonzero = {}  # (side, quadruples) -> (assignment, t)
         for r, rp, rpp, s, sp, spp in itertools.product(range(3), repeat=6):
             for t in range(3):
-                for side, quads in (("lhs", ((rp, t, rpp, spp), (r, s, rp, t), (t, s, spp, sp))),
-                                    ("rhs", ((rp, r, rpp, t), (t, sp, rpp, spp), (r, s, t, sp)))):
-                    if all(q in table for q, table in zip(quads, tables)):
-                        want.add(((r, rp, rpp, s, sp, spp), side, t, quads))
-        quad_at = [quad for quad, _ in ADMISSIBLE]
-        got = set()
-        rows = _live_assignments()
-        for assignment, lhs, rhs in rows:
-            for side, terms in (("lhs", lhs), ("rhs", rhs)):
-                assert [t for t, *_ in terms] == sorted({t for t, *_ in terms})
-                for t, *idx in terms:
-                    got.add((assignment, side, t, tuple(quad_at[i] for i in idx)))
-        assert got == want
-        assert len(rows) == len({row[0] for row in rows}) == 60
-        assert len(got) == 168
+                for side, quads in ((0, ((rp, rpp, spp, t), (r, rp, t, s), (t, spp, sp, s))),
+                                    (1, ((rp, rpp, t, r), (t, rpp, spp, sp), (r, t, sp, s)))):
+                    if math.prod(weight.get(q, 0) for q in quads) != 0:
+                        nonzero[side, quads] = (r, rp, rpp, s, sp, spp), t
+        quad_at = list(_KIND_OF_CORNERS)
+        terms_a, terms_b, groups = yangbaxter._sweep_plan()
+        got, assignments = [], []
+        for group in groups:
+            for side, terms, (x, y) in ((0, terms_a, group[:2]), (1, terms_b, group[2:])):
+                keys = [(side, tuple(quad_at[i] for i in terms[z]))
+                        for z in ((x,) if y == len(terms) else (x, y))]
+                ts = [nonzero[key][1] for key in keys]
+                assert ts == sorted(set(ts))
+                assignments.append({nonzero[key][0] for key in keys})
+                got += keys
+        assert sorted(got) == sorted(nonzero) and len(got) == len(nonzero) == 168
+        assert len(groups) == 60 and all(len(a) == 1 for a in assignments)
+        lhs, rhs = ([a.pop() for a in assignments[side::2]] for side in (0, 1))
+        assert lhs == rhs == sorted(set(lhs))
+        weights = WeightFamily(lambda phi: list(weight.values()))
         assert _loop_ybe_sweep(weights, 0.0, 0.0).checked == 60
 
     def test_table_built_on_first_sweep_without_numpy(self):
         _run_fresh(
             "import sys, icelab",
-            "from icelab.yangbaxter import _live_assignments",
-            "assert _live_assignments.cache_info().currsize == 0",
+            "from icelab.yangbaxter import _sweep_plan",
+            "assert _sweep_plan.cache_info().currsize == 0",
             "pr = icelab.EllipticParams.from_nome(0.2, lam=0.24)",
             "sweep = icelab.ybe_sweep(icelab.tilde_family(pr), 0.5, 0.2)",
             "assert (sweep.checked, sweep.skipped) == (60, 669), sweep",
-            "assert _live_assignments.cache_info().currsize == 1",
+            "assert _sweep_plan.cache_info().currsize == 1",
             "assert 'numpy' not in sys.modules",
         )
 
@@ -403,7 +427,7 @@ class TestYangBaxter:
                        for _, i, j, k in lhs)
                    or any(tables[2][i] * tables[1][j] * tables[0][k] != 0
                           for _, i, j, k in rhs)
-                   for _, lhs, rhs in _live_assignments())
+                   for _, lhs, rhs in _scan_rows())
         sweep = ybe_sweep(nan_kind, 0.3, 0.3)
         assert math.isnan(sweep.residual)
         assert (sweep.checked, sweep.skipped) == (want, 729 - want)
@@ -423,7 +447,7 @@ class TestGauge:
         fam = tilde_family(pr)
         unit = GaugeData(C=lambda m: 1.0 + 0j, Phi=lambda m, phi: 1.0 + 0j)
         gauged = apply_gauge_kindwise(fam, unit)
-        for _quad, vk in ADMISSIBLE:
+        for vk in _KIND_OF_CORNERS.values():
             assert gauged.weight(vk.kind, vk.r, 0.37) == fam.weight(vk.kind, vk.r, 0.37)
 
     def test_zeta_gauge_sends_raw_to_tilde(self):
@@ -431,7 +455,7 @@ class TestGauge:
         pr = params()
         gauged = apply_gauge_kindwise(raw_family(pr), zeta_gauge(pr))
         target = tilde_family(pr)
-        for _quad, vk in ADMISSIBLE:
+        for vk in _KIND_OF_CORNERS.values():
             x = rnd.uniform(-1, 1)
             got = gauged.weight(vk.kind, vk.r, x)
             want = target.weight(vk.kind, vk.r, x)
@@ -458,9 +482,9 @@ class TestGauge:
         assert math.isnan(gauge_constraint_residual(nan_phi2, [(0.9, 0.4), (0.2, -0.7)]))
 
     def test_nan_target_weight_fails_the_rosengren_match(self, monkeypatch):
-        # one NaN closed-form weight, the last kind in ADMISSIBLE order
+        # one NaN closed-form weight, the last kind in table order
         original = yangbaxter.rosengren_family
-        last = ADMISSIBLE[-1][1]
+        last = list(_KIND_OF_CORNERS.values())[-1]
 
         def with_nan(pr):
             return _nan_where(original(pr), lambda vk: vk == last)
@@ -587,7 +611,7 @@ class TestSubstitutionChain:
         pr = params(0.2, 0.22)
         sub = appendix_substitution(pr)
         closed = appendix_family(pr)
-        for _quad, vk in ADMISSIBLE:
+        for vk in _KIND_OF_CORNERS.values():
             for _ in range(3):
                 x = rnd.uniform(-1.2, 1.2)
                 got = sub.weight(vk.kind, vk.r, x)
@@ -613,7 +637,7 @@ class TestSubstitutionChain:
             def miss(weight):
                 return max(rel_residual(weight(vk.kind, vk.r, x),
                                         closed.weight(vk.kind, vk.r, x))
-                           for _quad, vk in ADMISSIBLE for x in phis)
+                           for vk in _KIND_OF_CORNERS.values() for x in phis)
 
             assert miss(sub.weight) < 1e-12
             assert miss(lambda kind, r, x: sub.weight(kind, r, shift(x))) > 1e-3, wrong_map
@@ -644,7 +668,7 @@ class TestSubstitutionChain:
         pr = params()
         fam = rosengren_family(pr)
         phi = 0.37
-        vals = {_weight_at(fam, r, r + 1, r - 1, r, phi) for r in range(3)}
+        vals = {_weight_at(fam, r, r - 1, r, r + 1, phi) for r in range(3)}
         ref = theta1(2 * PI / 3 + phi, pr) / theta1(2 * PI / 3, pr)
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-10)
@@ -653,8 +677,8 @@ class TestSubstitutionChain:
         pr = params()
         fam = rosengren_family(pr)
         for r in range(3):
-            # gamma pattern: bl = r+1, br = r, tl = r, tr = r+1
-            assert _weight_at(fam, r + 1, r, r, r + 1, 0.0) == pytest.approx(1.0, rel=1e-12)
+            # gamma pattern: bl = r+1, tl = r, tr = r+1, br = r
+            assert _weight_at(fam, r + 1, r, r + 1, r, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_beta_sign_is_forced(self):
         # the gauge chain produces -[b_{r-1}/b_r] theta1(phi)/theta1(2pi/3) on
@@ -666,7 +690,7 @@ class TestSubstitutionChain:
         t_ratio = theta1(phi, pr) / theta1(2 * PI / 3, pr)
         b = [theta1(pr.lam + 2 * PI * m / 3, pr) for m in range(3)]
         for r in range(3):
-            got = _weight_at(gauged, r + 1, r, r, r - 1, phi)   # beta pattern
+            got = _weight_at(gauged, r + 1, r, r - 1, r, phi)   # beta pattern
             minus_form = -(b[(r - 1) % 3] / b[r]) * t_ratio
             plus_form = (b[(r - 1) % 3] / b[r]) * t_ratio
             assert got == pytest.approx(minus_form, rel=1e-10)
