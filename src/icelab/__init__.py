@@ -6,10 +6,9 @@ from .errors import (BranchDomainError, ConfigError, CrossingParameterError,
                      InvalidColoringError, InvalidStateError, NomeDomainError,
                      NonFiniteParameterError, PoleError, SeriesTruncationError,
                      SizeGuardError)
-from .theta import (DEFAULT_SERIES, EllipticParams, SeriesConfig,
-                    cubic_factor_D, quasi_period_factor, theta1,
-                    theta1_prime_at_zero, theta1_reduced, theta4, zeta,
-                    zeta_log_table)
+from .theta import (EllipticParams, cubic_factor_D, quasi_period_factor,
+                    theta1, theta1_prime_at_zero, theta1_reduced, theta4,
+                    zeta, zeta_log_table)
 from .sixvertex import (ETA_COMBINATORIAL, SixVertexState, SpectralAssignment,
                         VertexKind, check_recursion_6v, enumerate_dwbc_states,
                         F_n_6v, functional_residual_6v, partition_function_6v,

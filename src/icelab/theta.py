@@ -21,8 +21,8 @@ with D(p) = theta1'(0|p) theta1(pi/3|p) theta1(2pi/3|p) / (3 theta1'(0|p^3)).
 Series are truncated when a term-magnitude envelope falls below
 term_tolerance * (1 + |partial sum|); the q-series converge
 super-exponentially on the working domain |p| <= 0.5.  The truncation
-rule (SeriesConfig) is a field of EllipticParams, so the functions here
-and in the model modules take the params alone.
+rule, term_tolerance and max_terms, is two fields of EllipticParams, so the
+functions here and in the model modules take the params alone.
 
 A real argument sums its first terms untested: |cos|, |sin| <= 1 bound its
 partial sum by B_k = sum_{j<k} |c_j|, so the stop test's first condition,
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import copysign
 
@@ -52,40 +52,22 @@ _IH = 2.0 ** -64 * 1j  # i h: a complex step (Squire and Trapp 1998) below the l
 
 
 @dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the q-series."""
-
-    term_tolerance: float = 1e-16
-    max_terms: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.term_tolerance < math.inf:
-            raise ValueError("term_tolerance must be finite and positive")
-        if type(self.max_terms) is not int:
-            raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_SERIES = SeriesConfig()
-
-
-@dataclass(frozen=True)
 class EllipticParams:
     """Global elliptic context: nome p, parameter lambda, and the truncation
-    rule of every q-series evaluated at them.
+    rule (term_tolerance, max_terms) of every q-series evaluated at them.
 
     The half-period ratio tau, which the pi*tau shift laws and the
     half-period substitution need, is read off p on the principal branch.
-    The series settings travel with the nome: the constructors and the
-    derived parameters (with_lambda, cubed) keep them, so every theta value
-    reached from one params object is summed under one rule.  The default
-    verification domain is real p in (0, 0.5] and real lambda.
+    The derived parameters (with_lambda, cubed) replace p or lambda alone,
+    so every theta value reached from one params object is summed under one
+    rule.  The default verification domain is real p in (0, 0.5] and real
+    lambda.
     """
 
     p: complex
     lam: complex
-    series: SeriesConfig = DEFAULT_SERIES
+    term_tolerance: float = 1e-16
+    max_terms: int = 64
     #: (p, sign of Im p, tol, max_terms): what a q-series sum depends on (see _series_sum)
     series_key: tuple = field(init=False, repr=False, compare=False)
 
@@ -94,14 +76,20 @@ class EllipticParams:
         if not size < 1.0:  # also NaN, which compares false both ways
             raise NomeDomainError(f"|p| = {size} >= 1: series diverge"
                                   if size >= 1.0 else f"nome p = {self.p} is not a number")
+        if not 0.0 < self.term_tolerance < math.inf:
+            raise ValueError("term_tolerance must be finite and positive")
+        if type(self.max_terms) is not int:
+            raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
         object.__setattr__(self, "series_key", (
-            self.p, copysign(1.0, self.p.imag), self.series.term_tolerance, self.series.max_terms))
+            self.p, copysign(1.0, self.p.imag), self.term_tolerance, self.max_terms))
 
     @classmethod
-    def from_nome(cls, p: complex, lam: complex = 0.0,
-                  series: SeriesConfig = DEFAULT_SERIES) -> "EllipticParams":
+    def from_nome(cls, p: complex, lam: complex = 0.0, **series) -> "EllipticParams":
+        """series: term_tolerance and max_terms, as the constructor takes them."""
         # -0.0 becomes 0j, so the p = 0 limit has one series key
-        return cls(p=complex(p) or 0j, lam=complex(lam), series=series)
+        return cls(p=complex(p) or 0j, lam=complex(lam), **series)
 
     @property
     def tau(self) -> complex:
@@ -109,11 +97,11 @@ class EllipticParams:
         return cmath.log(self.p) / (1j * math.pi) if self.p else complex(0.0, math.inf)
 
     def with_lambda(self, lam: complex) -> "EllipticParams":
-        return EllipticParams(p=self.p, lam=complex(lam), series=self.series)
+        return replace(self, lam=complex(lam))
 
     def cubed(self) -> "EllipticParams":
         """Parameters at nome p^3 (tau -> 3*tau mod 2), same lambda and series."""
-        return EllipticParams(p=self.p ** 3, lam=self.lam, series=self.series)
+        return replace(self, p=self.p ** 3)
 
 
 @lru_cache(maxsize=64)

@@ -609,13 +609,17 @@ def partial_partition_function(n: int, r: int, assign: SpectralAssignment,
     return _partial_sum(n, r, assign, params, which)
 
 
+def _check_size(n: int, assign: SpectralAssignment) -> None:
+    if assign.n != n:
+        raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
+
+
 @lru_cache(maxsize=64)  # called positionally: defaults share the explicit key
 def _partial_sum(n: int, r: int, assign: SpectralAssignment, params: EllipticParams,
                  which: str) -> complex:
     if which not in ("raw", "tilde"):
         raise ValueError("which must be 'raw' or 'tilde'")
-    if assign.n != n:
-        raise ValueError(f"assignment has {assign.n} rapidities, lattice needs {n}")
+    _check_size(n, assign)
     if n == 0:
         return 1.0 + 0j
     ctx = _weight_constants(params)
@@ -639,7 +643,9 @@ def phi_ratio_factor(n: int, r: int, assign: SpectralAssignment,
     with Phi_r = zeta_r^{1/12 + phi/4pi}.  As printed, the product misses a
     constant: telescoping the per-vertex gauge factors over the forced
     boundary gives an extra (zeta_r / zeta_{r+n})^{1/12}, included here.
+    assign must have n rapidities.
     """
+    _check_size(n, assign)
     lz = _weight_constants(params)[0].log_zeta
     expo = 0j
     for i in range(1, n + 1):

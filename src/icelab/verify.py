@@ -36,8 +36,8 @@ from . import threecoloring as tc
 from . import yangbaxter as yb
 from .errors import ConfigError
 from .numutil import rel_residual, severity
-from .theta import (DEFAULT_SERIES, PI, EllipticParams, SeriesConfig, cubic_factor_D,
-                    quasi_period_factor, theta1, theta1_prime_at_zero, theta4)
+from .theta import (PI, EllipticParams, cubic_factor_D, quasi_period_factor, theta1,
+                    theta1_prime_at_zero, theta4)
 
 SCHEMA_VERSION = 1
 
@@ -46,10 +46,11 @@ SCHEMA_VERSION = 1
 class Config:
     """Resolved verification configuration (series control, parameter domain,
     lattice sizes up to the evaluation guard and per-suite tolerances).  The
-    series control reaches the theta layer inside every drawn EllipticParams."""
+    series control, term_tolerance and max_terms, has EllipticParams' defaults
+    and checks, and reaches the theta layer as two fields of every drawn params."""
 
-    term_tolerance: float = DEFAULT_SERIES.term_tolerance
-    max_terms: int = DEFAULT_SERIES.max_terms
+    term_tolerance: float = EllipticParams.term_tolerance
+    max_terms: int = EllipticParams.max_terms
     lambda_min: float = 0.05
     lambda_max: float = PI / 3 - 0.05
     p_min: float = 0.01
@@ -68,7 +69,7 @@ class Config:
 
     def __post_init__(self) -> None:
         try:
-            self.series()
+            EllipticParams(0j, 0j, self.term_tolerance, self.max_terms)
         except ValueError as exc:
             raise ConfigError(f"bad series settings: {exc}") from exc
         for low, high in (("lambda_min", "lambda_max"), ("p_min", "p_max")):
@@ -89,16 +90,15 @@ class Config:
             if f.name.startswith("tol_") and not 0.0 < getattr(self, f.name) < math.inf:
                 raise ConfigError(f"{f.name} must be finite and positive")
 
-    def series(self) -> SeriesConfig:
-        return SeriesConfig(term_tolerance=self.term_tolerance, max_terms=self.max_terms)
-
     def to_echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def load_config(path: str) -> Config:
-    """Parse a key = value configuration file (# starts a comment)."""
+    """Parse a key = value configuration file (# starts a comment); a key
+    given twice is an error, naming both lines."""
     values: dict[str, object] = {}
+    linenos: dict[str, int] = {}
     fields = {f.name: f.type for f in dataclasses.fields(Config)}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is no key
@@ -113,6 +113,10 @@ def load_config(path: str) -> Config:
                 val = val.strip()
                 if key not in fields:
                     raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+                if key in linenos:
+                    raise ConfigError(f"{path}:{lineno}: key '{key}' already set "
+                                      f"on line {linenos[key]}")
+                linenos[key] = lineno
                 try:
                     values[key] = int(val) if fields[key] == "int" else float(val)
                 except ValueError as exc:
@@ -177,7 +181,8 @@ def _draw_params(rng, cfg: Config) -> tuple[EllipticParams, dict]:
     """Params at a drawn nome and lambda, and the point recording them."""
     p = float(rng.uniform(cfg.p_min, cfg.p_max))
     lam = float(rng.uniform(cfg.lambda_min, cfg.lambda_max))
-    params = EllipticParams.from_nome(p, lam=lam, series=cfg.series())
+    params = EllipticParams.from_nome(p, lam=lam, term_tolerance=cfg.term_tolerance,
+                                      max_terms=cfg.max_terms)
     return params, {"p": params.p.real, "lambda": params.lam.real}
 
 

@@ -223,7 +223,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("line, message", [
         ("p_max 0.3", "bad.cfg:2: expected 'key = value'"),
         ("p_max = 0.3x", "bad.cfg:2: bad value for 'p_max': 0.3x"),
-        ("max_terms = 1.5", "bad.cfg:2: bad value for 'max_terms': 1.5")])
+        ("max_terms = 1.5", "bad.cfg:2: bad value for 'max_terms': 1.5"),
+        # the last of two p_max lines won silently
+        ("p_max = 0.3\np_max = 0.4", "bad.cfg:3: key 'p_max' already set on line 2")])
     def test_malformed_config_line_exit_two(self, capsys, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# comment\n" + line + "\n")
@@ -425,7 +427,7 @@ class TestVerifyCommand:
         assert routed == TOLERANCE_KEYS
 
     def test_configured_series_reaches_every_theta_sum(self, monkeypatch):
-        # params built without their series would sum under DEFAULT_SERIES
+        # params built without their series would sum under the default rule
         # silently; every sum must see the configured (tol, max_terms)
         original = theta._series_sum
         seen = []

@@ -12,7 +12,8 @@ NaN in it, where every input is finite: a silently wrong number.
 The weight families and gauges are called through their weights, the
 classes through their constructors (and a method where one computes).  Line
 indices k and l are drawn inside 1..n, where IndexError is the documented
-answer of SpectralAssignment and the recursions.  n stays at most 2.
+answer of SpectralAssignment and the recursions.  n stays at most 2; the n
+of phi_ratio_factor is drawn apart from the assignment's, which it must match.
 """
 
 import cmath
@@ -25,9 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icelab
-from icelab import (DEFAULT_SERIES, BoundaryCondition, ColoredVertexKind, ColoringCensus,
+from icelab import (BoundaryCondition, ColoredVertexKind, ColoringCensus,
                     EllipticParams, F_n_6v, F_rn, FaceWeightParams, GaugeData, GridColoring,
-                    IcelabError, SeriesConfig, SixVertexState, SpectralAssignment,
+                    IcelabError, SixVertexState, SpectralAssignment,
                     VertexKind, WeightFamily, YbeSweep, appendix_family,
                     appendix_substitution, apply_gauge_kindwise, check_recursion_3c,
                     check_recursion_6v, classify_vertex, compute_census, cubic_factor_D,
@@ -55,8 +56,10 @@ finite_complexes = st.builds(complex, finite_reals, st.one_of(st.just(0.0), fini
 nomes = st.one_of(st.floats(-0.9, 0.9),
                   st.sampled_from([0.0, 1e-300, 1e-100, 1e-66, 0.2, 0.5, -0.5, 0.9, 0.99,
                                    0.999999, 1 - 2 ** -53, 0.3j, 0.2 + 0.2j, -0.1 - 0.6j]))
-series = st.sampled_from([DEFAULT_SERIES, SeriesConfig(1e-13, 40), SeriesConfig(1e-15, 10)])
-params = st.builds(EllipticParams.from_nome, nomes, st.one_of(finite_reals, complexes), series)
+series = st.sampled_from([{}, {"term_tolerance": 1e-13, "max_terms": 40},
+                          {"term_tolerance": 1e-15, "max_terms": 10}])
+params = st.builds(lambda p, lam, rule: EllipticParams.from_nome(p, lam, **rule), nomes,
+                   st.one_of(finite_reals, complexes), series)
 kinds = st.sampled_from(list(VertexKind))
 vertices = st.builds(ColoredVertexKind, kinds, st.integers(0, 2))
 ints = st.one_of(st.integers(-4, 4), st.sampled_from([-10 ** 6, 10 ** 6, 2 ** 70]))
@@ -113,7 +116,8 @@ CALLS = {
         .generating_function(FaceWeightParams(*z)),
         st.tuples(st.dictionaries(st.tuples(*[st.integers(0, 400)] * 3), st.integers(1, 10 ** 6),
                                   max_size=3), st.tuples(complexes, complexes, complexes))),
-    "EllipticParams": (lambda p, lam: EllipticParams(p, lam).tau, st.tuples(complexes, complexes)),
+    "EllipticParams": (lambda *args: EllipticParams(*args).tau,
+                       st.tuples(complexes, complexes, reals, ints)),
     "F_n_6v": (F_n_6v, st.tuples(assignments())),
     "F_rn": (lambda r, a, prm: F_rn(a.n, r, a, prm), st.tuples(ints, assignments(), params)),
     "FaceWeightParams": (FaceWeightParams, st.tuples(complexes, complexes, complexes)),
@@ -121,7 +125,6 @@ CALLS = {
                                                   shift=shift).Phi(1, phi),
                   st.tuples(complexes, complexes, complexes)),
     "GridColoring": (lambda faces: GridColoring(faces).is_proper(), st.tuples(grids())),
-    "SeriesConfig": (SeriesConfig, st.tuples(reals, ints)),
     "SixVertexState": (
         SixVertexState, st.integers(1, 3).flatmap(lambda n: st.tuples(
             st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n - 1,
@@ -169,8 +172,8 @@ CALLS = {
         lambda r, a, prm, which: partial_partition_function(a.n, r, a, prm, which),
         st.tuples(ints, assignments(), params, st.sampled_from(["raw", "tilde", "x"]))),
     "partition_function_6v": (partition_function_6v, st.tuples(assignments())),
-    "phi_ratio_factor": (lambda r, a, prm: phi_ratio_factor(a.n, r, a, prm),
-                         st.tuples(ints, assignments(), params)),
+    "phi_ratio_factor": (phi_ratio_factor,
+                         st.tuples(st.integers(-1, 3), ints, assignments(), params)),
     "phi_ratio_relation_check": (lambda r, a, prm: phi_ratio_relation_check(a.n, r, a, prm),
                                  st.tuples(ints, assignments(), params)),
     "psi_factor": (psi_factor, st.tuples(ints, params)),

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icelab import (DEFAULT_SERIES, EllipticParams, EvaluationOverflowError, NomeDomainError,
-                    NonFiniteParameterError, PoleError, SeriesConfig, SeriesTruncationError,
-                    cubic_factor_D, quasi_period_factor, theta1, theta1_prime_at_zero,
-                    theta1_reduced, theta4, zeta, zeta_log_table)
+from icelab import (EllipticParams, EvaluationOverflowError, NomeDomainError,
+                    NonFiniteParameterError, PoleError, SeriesTruncationError, cubic_factor_D,
+                    quasi_period_factor, theta1, theta1_prime_at_zero, theta1_reduced, theta4,
+                    zeta, zeta_log_table)
 from icelab.theta import _IH, _LOG_2, _STOP_MARGIN, _nome_powers, _series_sum
 
 PI = math.pi
@@ -118,23 +118,24 @@ def _nome_power(p, e):
     return cmath.exp(e * cmath.log(p))
 
 
-def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False, count=False):
-    """Term-by-term reference for the theta series kernel: every power of
-    the nome, every envelope log and the log of the stopping bound computed
-    afresh for each term.  count=True also returns the number of terms."""
+def _loop_series(a, phi, params, offset=0.0, derivative=False, count=False):
+    """Term-by-term reference for the theta series kernel under the params'
+    truncation rule: every power of the nome, every envelope log and the log
+    of the stopping bound computed afresh for each term.  count=True also
+    returns the number of terms."""
     p = params.p
     log_ap = math.log(abs(p)) if p else -math.inf
     phi = complex(phi)
     im = abs(phi.imag)
     trig = cmath.sin if a else cmath.cos
     s = 0j
-    for k in range(cfg.max_terms):
+    for k in range(params.max_terms):
         e = k * (k + a) + offset
         w = 2 * k + a
         log_env = e * log_ap if e else 0.0
         log_env = log_env + math.log(2.0 * w) if derivative else log_env + w * im + math.log(2.0)
         # never before the first term, which is all of theta1 at a tiny nome
-        if k and log_env < math.log(cfg.term_tolerance * (1.0 + abs(s))):
+        if k and log_env < math.log(params.term_tolerance * (1.0 + abs(s))):
             return (s, k) if count else s
         if log_env > 700.0:
             raise SeriesTruncationError(f"overflow at k={k}")
@@ -143,7 +144,7 @@ def _loop_series(a, phi, params, cfg, offset=0.0, derivative=False, count=False)
         except OverflowError as exc:
             raise SeriesTruncationError(f"overflow at k={k}") from exc
         s += (2.0 if w else 1.0) * (-1) ** k * (_nome_power(p, e) if e else 1.0) * term
-    raise SeriesTruncationError(f"not converged in {cfg.max_terms} terms")
+    raise SeriesTruncationError(f"not converged in {params.max_terms} terms")
 
 
 def _bits(z):
@@ -164,16 +165,15 @@ class TestPowerTable:
     PHIS = (0.7, 0.4 + 0.3j, -2.3 + 1.5j, 2.0 - 4.0j)
 
     def test_bit_identical_to_loop(self):
-        cfg = SeriesConfig()
         for p in self.NOMES:
             pr = EllipticParams.from_nome(p, lam=0.3)
             # the complex step against the termwise derivative series
             assert theta1_prime_at_zero(pr) == pytest.approx(
-                _loop_series(1, 0.0, pr, cfg, 0.25, True), rel=1e-15)
+                _loop_series(1, 0.0, pr, 0.25, True), rel=1e-15)
             for phi in self.PHIS:
-                assert theta1(phi, pr) == _loop_series(1, phi, pr, cfg, 0.25)
-                assert theta4(phi, pr) == _loop_series(0, phi, pr, cfg)
-                assert theta1_reduced(phi, pr) == _loop_series(1, phi, pr, cfg)
+                assert theta1(phi, pr) == _loop_series(1, phi, pr, 0.25)
+                assert theta4(phi, pr) == _loop_series(0, phi, pr)
+                assert theta1_reduced(phi, pr) == _loop_series(1, phi, pr)
 
     def test_stop_rule_matches_reference(self):
         # the bound log(tol) + |s| skips the log of the stopping test but not
@@ -186,13 +186,14 @@ class TestPowerTable:
             pr = EllipticParams.from_nome(p, lam=0.3)
             for tol in (1e-16, 1e-9, 0.3):
                 for a, offset, phi in kernels:
-                    want, terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset, count=True)
+                    want, terms = _loop_series(a, phi, dataclasses.replace(pr, term_tolerance=tol),
+                                               offset, count=True)
                     for max_terms in (64, terms + 1):
-                        ruled = dataclasses.replace(pr, series=SeriesConfig(tol, max_terms))
+                        ruled = dataclasses.replace(pr, term_tolerance=tol, max_terms=max_terms)
                         got = _kernel(a, phi, ruled, offset)
                         assert _bits(got) == _bits(want), (p, tol, a, offset, phi)
                     if terms:
-                        ruled = dataclasses.replace(pr, series=SeriesConfig(tol, terms))
+                        ruled = dataclasses.replace(pr, term_tolerance=tol, max_terms=terms)
                         with pytest.raises(SeriesTruncationError):
                             _kernel(a, phi, ruled, offset)
 
@@ -201,7 +202,6 @@ class TestPowerTable:
         # phi never changes a sum's bits: each argument's signed-zero
         # variants give the loop's bits from one cache entry, one miss and
         # then hits, whichever variant comes first
-        cfg = SeriesConfig()
         for p in (0.2, complex(-0.2, 0.0), complex(-0.2, -0.0), 0.3 + 0.2j):
             pr = EllipticParams.from_nome(p, lam=0.3)
             for x, y in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.8), (-1.1, 0.0)):
@@ -214,7 +214,7 @@ class TestPowerTable:
                         for f, a, offset in ((theta1, 1, 0.25), (theta4, 0, 0.0),
                                              (theta1_reduced, 1, 0.0)):
                             assert _bits(f(phi, pr)) == _bits(
-                                _loop_series(a, phi, pr, cfg, offset)), (p, phi, f)
+                                _loop_series(a, phi, pr, offset)), (p, phi, f)
                     info = _series_sum.cache_info()
                     assert (info.misses, info.hits) == (3, 3 * (len(variants) - 1)), (p, x, y)
         pr = EllipticParams.from_nome(0.2)
@@ -244,21 +244,19 @@ class TestPowerTable:
         pr = EllipticParams.from_nome(p, lam=0.3)
 
         def outcome(fn, max_terms):
-            ruled = dataclasses.replace(pr, series=SeriesConfig(tol, max_terms))
+            ruled = dataclasses.replace(pr, term_tolerance=tol, max_terms=max_terms)
             try:
                 return _bits(fn(a, phi, ruled, offset))
             except SeriesTruncationError as exc:
                 return type(exc)
 
-        def loop(a, phi, ruled, offset):
-            return _loop_series(a, phi, ruled, ruled.series, offset)
-
         try:
-            terms = _loop_series(a, phi, pr, SeriesConfig(tol), offset, count=True)[1]
+            terms = _loop_series(a, phi, dataclasses.replace(pr, term_tolerance=tol), offset,
+                                 count=True)[1]
         except SeriesTruncationError:
-            terms = DEFAULT_SERIES.max_terms
+            terms = pr.max_terms
         for max_terms in {terms + 1, terms} - {0}:
-            assert outcome(_kernel, max_terms) == outcome(loop, max_terms), max_terms
+            assert outcome(_kernel, max_terms) == outcome(_loop_series, max_terms), max_terms
 
     @pytest.mark.parametrize("p", [0.0, 1e-300, 0.2, complex(-0.2, 0.0), complex(-0.2, -0.0),
                                    0.3 + 0.1j])
@@ -272,7 +270,7 @@ class TestPowerTable:
         p = complex(p)
         log_ap = math.log(abs(p)) if p else -math.inf
         for tol, max_terms in ((1e-16, 64), (1e-13, 40), (1e-15, 10), (0.3, 64)):
-            key = EllipticParams(p, 0.0, SeriesConfig(tol, max_terms)).series_key
+            key = EllipticParams(p, 0.0, term_tolerance=tol, max_terms=max_terms).series_key
             for a, offset in ((0, 0.0), (1, 0.0), (1, 0.25)):
                 want, bound, plan = [], 0.0, max_terms
                 for k in range(max_terms):
@@ -297,11 +295,12 @@ class TestPowerTable:
         assert abs(theta1(0.7, up) - theta1(0.7, down)) > 0.1
 
     def test_errors_where_loop_raises(self):
-        for cfg, phi in ((SeriesConfig(max_terms=2), 0.5), (SeriesConfig(), 0.5 + 400j)):
+        for series, phi in (({"max_terms": 2}, 0.5), ({}, 0.5 + 400j)):
+            pr = EllipticParams.from_nome(0.5, **series)
             with pytest.raises(SeriesTruncationError):
-                _loop_series(1, phi, params(0.5), cfg, 0.25)
+                _loop_series(1, phi, pr, 0.25)
             with pytest.raises(SeriesTruncationError):
-                theta1(phi, EllipticParams.from_nome(0.5, series=cfg))
+                theta1(phi, pr)
 
 
 class TestDomainErrors:
@@ -335,9 +334,8 @@ class TestDomainErrors:
             quasi_period_factor(1.7e308j, params(0.5))
 
     def test_truncation_error(self):
-        tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)
         with pytest.raises(SeriesTruncationError):
-            theta1(0.5, EllipticParams.from_nome(0.5, series=tight))
+            theta1(0.5, EllipticParams.from_nome(0.5, term_tolerance=1e-16, max_terms=2))
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
                                      complex(math.inf, 0.2)])
@@ -361,21 +359,32 @@ class TestDomainErrors:
     def test_series_config_validation(self):
         # an infinite tolerance stopped every series at its first term, so
         # theta1 read 0; a fractional max_terms failed later, in range()
-        for kwargs in ({"term_tolerance": 0.0}, {"term_tolerance": math.inf},
-                       {"term_tolerance": math.nan}, {"max_terms": 0}, {"max_terms": 2.5},
-                       {"max_terms": True}):
-            with pytest.raises(ValueError):
-                SeriesConfig(**kwargs)
+        tolerance = "term_tolerance must be finite and positive"
+        for kwargs, message in (
+                ({"term_tolerance": 0.0}, tolerance), ({"term_tolerance": math.inf}, tolerance),
+                ({"term_tolerance": math.nan}, tolerance),
+                ({"max_terms": 0}, "max_terms must be at least 1"),
+                ({"max_terms": 2.5}, "max_terms must be an int, got 2.5"),
+                ({"max_terms": True}, "max_terms must be an int, got True")):
+            for make in (EllipticParams, EllipticParams.from_nome):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    make(0.2, 0.3, **kwargs)
 
     def test_derived_params_keep_series(self):
-        tight = SeriesConfig(term_tolerance=1e-16, max_terms=2)
-        for pr in (EllipticParams.from_nome(0.2, lam=0.3, series=tight),
-                   EllipticParams.from_nome(0.0, lam=0.3, series=tight),
-                   EllipticParams.from_nome(cmath.exp(1j * math.pi * 0.5j), lam=0.3,
-                                            series=tight)):
-            derived = (pr, pr.with_lambda(0.1), pr.cubed())
-            assert [d.series for d in derived] == [tight] * 3
-        assert EllipticParams.from_nome(0.2).series == DEFAULT_SERIES
+        # a derived params that fell back to the default rule would sum its
+        # series under (1e-16, 64) silently
+        rule = {"term_tolerance": 1e-15, "max_terms": 2}
+        for pr in (EllipticParams.from_nome(0.2, lam=0.3, **rule),
+                   EllipticParams.from_nome(0.0, lam=0.3, **rule),
+                   EllipticParams.from_nome(cmath.exp(1j * math.pi * 0.5j), lam=0.3, **rule)):
+            lam, cubed = pr.with_lambda(0.1), pr.cubed()
+            assert (lam.p, lam.lam, cubed.p, cubed.lam) == (pr.p, 0.1, pr.p ** 3, pr.lam)
+            for d in (pr, lam, cubed):
+                assert (d.term_tolerance, d.max_terms) == (1e-15, 2)
+                assert d.series_key == (d.p, math.copysign(1.0, d.p.imag), 1e-15, 2)
+        default = EllipticParams.from_nome(0.2)
+        assert (default.term_tolerance, default.max_terms) == (1e-16, 64)
+        assert default.series_key == (0.2, 1.0, 1e-16, 64)
 
 
 class TestSymmetryLaws:

@@ -16,7 +16,7 @@ import pytest
 import icelab
 from icelab import (BranchDomainError, ColoredVertexKind, ConfigError, EllipticParams,
                     EvaluationOverflowError, FaceWeightParams,
-                    GridColoring, InvalidColoringError, PoleError, SeriesConfig,
+                    GridColoring, InvalidColoringError, PoleError,
                     SixVertexState, SizeGuardError, SpectralAssignment, VertexKind,
                     check_recursion_3c, check_recursion_6v, classify_vertex,
                     compute_census, dwbc_boundary, enumerate_colorings,
@@ -881,8 +881,7 @@ class TestPartitionFunctions:
         others = [(2, 0, a, pr, "raw"),
                   (2, 1, a, pr, "tilde"),
                   (2, 0, a, params(0.2, 0.28), "tilde"),
-                  (2, 0, a, dataclasses.replace(pr, series=SeriesConfig(term_tolerance=1e-12)),
-                   "tilde")]
+                  (2, 0, a, dataclasses.replace(pr, term_tolerance=1e-12), "tilde")]
         fresh = []
         for args in others:
             _partial_sum.cache_clear()
@@ -905,15 +904,17 @@ class TestPartitionFunctions:
             with pytest.raises(SizeGuardError, match=message):
                 partial_partition_function(n, 0, a, params(0.2, 0.3), which)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [-2, 0, 1, 3])
     def test_rapidity_count_checked_at_every_n(self, n):
-        # the empty lattice is no exception: two rapidities fit neither n
+        # the empty lattice is no exception: two rapidities fit none of these
+        # n.  phi_ratio_factor read the rapidities it reached, so it returned
+        # numbers at n = -2, 0 and 1 and raised a bare IndexError at n = 3
         a = SpectralAssignment(chi=[0.1, 0.2], psi=[0.3, 0.4])
         message = f"^assignment has 2 rapidities, lattice needs {n}$"
-        for run in (lambda: partial_partition_function(n, 0, a, params(0.2, 0.3)),
-                    lambda: F_rn(n, 0, a, params(0.2, 0.3))):
+        for run in (partial_partition_function, F_rn, phi_ratio_factor,
+                    phi_ratio_relation_check):
             with pytest.raises(ValueError, match=message):
-                run()
+                run(n, 0, a, params(0.2, 0.3))
 
     def test_lambda_shift_law(self):
         rnd = random.Random(24)
